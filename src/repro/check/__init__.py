@@ -6,13 +6,17 @@ package turns that redundancy into a permanent correctness oracle:
 random deadlock-free multithreaded programs are generated, executed on
 the simulator, and every analysis invariant is cross-checked on the
 resulting trace.  Failures are minimized to replayable repro files.
+The per-event reference trace checker lives here too
+(:mod:`repro.check.reference`): it is the oracle the production,
+vectorized ``repro.trace.validate`` must match exactly.
 
 See ``docs/check.md`` for the invariant catalogue and repro file format.
 """
 
-from repro.check.generator import generate_spec
+from repro.check.generator import corrupt_trace, generate_spec
 from repro.check.interp import build_program, run_spec
 from repro.check.oracle import Discrepancy, check_trace
+from repro.check.reference import reference_trace_problems
 from repro.check.runner import (
     CheckRun,
     SeedReport,
@@ -28,6 +32,8 @@ __all__ = [
     "ProgramSpec",
     "ThreadSpec",
     "generate_spec",
+    "corrupt_trace",
+    "reference_trace_problems",
     "build_program",
     "run_spec",
     "Discrepancy",

@@ -30,9 +30,13 @@ from __future__ import annotations
 
 import random
 
-from repro.check.spec import ProgramSpec, ThreadSpec
+import numpy as np
 
-__all__ = ["generate_spec"]
+from repro.check.spec import ProgramSpec, ThreadSpec
+from repro.trace.events import NO_OBJECT, EventType
+from repro.trace.trace import Trace
+
+__all__ = ["generate_spec", "corrupt_trace"]
 
 _MAX_DEPTH = 2  # nesting bound for lock bodies and spawn trees
 
@@ -134,3 +138,51 @@ def generate_spec(seed: int) -> ProgramSpec:
             if phase < spec.barrier_rounds:
                 t.ops.append({"op": "barrier"})
     return spec
+
+
+#: Event-type bytes outside :class:`EventType` that corruptions may write.
+_UNKNOWN_ETYPES = (0, 15, 255)
+
+
+def corrupt_trace(trace: Trace, seed: int) -> Trace:
+    """Apply 1–4 seeded mutations to a copy of ``trace``.
+
+    Each mutation drops one record or rewrites one record's ``etype``,
+    ``tid``, ``obj`` or ``arg``; ``seq`` and ``time`` are never touched,
+    so the result is still a well-ordered :class:`Trace` — only its
+    synchronization structure breaks.  New values are drawn mostly from
+    the ids already in the trace (plus one fresh id and, rarely, an
+    unknown event type) so the mutations land on real protocol rules.
+    The ``validate-equiv`` invariant runs both trace checkers on these.
+    """
+    rng = random.Random(seed)
+    records = trace.records.copy()
+    tids = sorted(set(trace.records["tid"].tolist())) or [0]
+    objs = sorted(set(trace.records["obj"].tolist()) | set(trace.objects) | {NO_OBJECT})
+    for _ in range(rng.randint(1, 4)):
+        if len(records) == 0:
+            break
+        i = rng.randrange(len(records))
+        field = rng.choice(("drop", "etype", "tid", "obj", "arg"))
+        if field == "drop":
+            records = np.delete(records, i)
+        elif field == "etype":
+            if rng.random() < 0.05:
+                records["etype"][i] = rng.choice(_UNKNOWN_ETYPES)
+            else:
+                records["etype"][i] = rng.choice(list(EventType))
+        elif field == "tid":
+            records["tid"][i] = rng.choice(tids + [tids[-1] + 1])
+        elif field == "obj":
+            records["obj"][i] = rng.choice(objs + [objs[-1] + 1])
+        else:
+            old = int(records["arg"][i])
+            records["arg"][i] = rng.choice(
+                [0, 1, old - 1, old + 1, rng.choice(tids), tids[-1] + 1]
+            )
+    return Trace(
+        records=records,
+        objects=dict(trace.objects),
+        threads=dict(trace.threads),
+        meta=dict(trace.meta),
+    )

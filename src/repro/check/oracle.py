@@ -35,6 +35,10 @@ layers, and returns one :class:`Discrepancy` per violated invariant
                    and re-running it under the ``recorded`` identity
                    protocol reproduces the baseline completion time and
                    the critical-lock ranking bit-identically
+``validate-equiv`` the vectorized trace checker and the per-event
+                   reference checker return the identical problem list,
+                   order included, on the trace and on seeded
+                   corruptions of it (``corrupt_trace``)
 ``sample-coverage`` downsampling the trace (rates 1.0/0.5/0.2) and
                    estimating statistically never errors, reproduces the
                    exact ``cp_fraction`` bit-for-bit at rate 1.0, emits
@@ -53,18 +57,24 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.check.generator import corrupt_trace
+from repro.check.reference import reference_trace_problems
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
 from repro.errors import ReproError
 from repro.trace.events import EventType, ObjectKind
 from repro.trace.reader import read_trace
 from repro.trace.trace import Trace
+from repro.trace.validate import trace_problems
 from repro.trace.writer import write_trace
 
 __all__ = ["Discrepancy", "check_trace"]
 
 _REL = 1e-9
 _ABS = 1e-9
+
+#: Corrupted variants per trace checked by ``validate-equiv``.
+CORRUPTIONS_PER_TRACE = 8
 
 
 @dataclass(frozen=True)
@@ -82,20 +92,24 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_REL, abs_tol=_ABS)
 
 
-def check_trace(trace: Trace, has_nested_holds: bool = True) -> list[Discrepancy]:
+def check_trace(
+    trace: Trace, has_nested_holds: bool = True, seed: int = 0
+) -> list[Discrepancy]:
     """Run every oracle invariant; return all violations found.
 
     ``has_nested_holds`` disables the whole-program ``Σ cp_hold ≤
     cp_length`` bound, which only holds when no thread ever holds two
     lock-like objects at once (nested holds legitimately double-count
-    critical-path time across locks).
+    critical-path time across locks).  ``seed`` picks the corruptions
+    ``validate-equiv`` applies (the fuzz seed, so a repro replays them).
     """
+    equiv = _check_validate_equiv(trace, seed)
     out: list[Discrepancy] = []
     try:
         result = analyze(trace)
         graph = result.graph
     except ReproError as exc:
-        return [Discrepancy("analysis-error", f"{type(exc).__name__}: {exc}")]
+        return [Discrepancy("analysis-error", f"{type(exc).__name__}: {exc}")] + equiv
 
     cp = result.critical_path
     duration = trace.duration
@@ -215,6 +229,37 @@ def check_trace(trace: Trace, has_nested_holds: bool = True) -> list[Discrepancy
     # -- sample-coverage
     out += _check_sampling(trace, result)
 
+    # -- validate-equiv
+    out += equiv
+
+    return out
+
+
+def _check_validate_equiv(trace: Trace, seed: int) -> list[Discrepancy]:
+    """Both trace checkers agree exactly on the trace and its corruptions."""
+    out: list[Discrepancy] = []
+    variants = [("the trace", trace)] + [
+        (f"corrupt_trace(trace, {s})", corrupt_trace(trace, s))
+        for s in range(
+            seed * CORRUPTIONS_PER_TRACE, (seed + 1) * CORRUPTIONS_PER_TRACE
+        )
+    ]
+    for label, variant in variants:
+        fast = trace_problems(variant)
+        ref = reference_trace_problems(variant)
+        if fast == ref:
+            continue
+        at = next(
+            (i for i, (a, b) in enumerate(zip(fast, ref)) if a != b),
+            min(len(fast), len(ref)),
+        )
+        out.append(
+            Discrepancy(
+                "validate-equiv",
+                f"{label}: {len(fast)} vs {len(ref)} problems, first difference "
+                f"at #{at}: {fast[at:at + 1]} != reference {ref[at:at + 1]}",
+            )
+        )
     return out
 
 

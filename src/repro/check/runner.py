@@ -37,7 +37,9 @@ def check_spec(spec: ProgramSpec) -> list[Discrepancy]:
         result = run_spec(spec)
     except ReproError as exc:
         return [Discrepancy("sim-error", f"{type(exc).__name__}: {exc}")]
-    return check_trace(result.trace, has_nested_holds=spec.has_nested_holds)
+    return check_trace(
+        result.trace, has_nested_holds=spec.has_nested_holds, seed=spec.seed
+    )
 
 
 @dataclass

@@ -48,7 +48,7 @@ import numpy as np
 from repro.core.online import OnlineAnalyzer
 from repro.errors import ServiceError, TraceFormatError
 from repro.trace.framing import iter_frames, sort_stream_records
-from repro.trace.schema import EVENT_DTYPE
+from repro.trace.schema import EVENT_DTYPE, known_etypes
 from repro.trace.trace import Trace
 from repro.trace.writer import objects_from_header
 
@@ -294,6 +294,14 @@ class StreamStore:
                     records = frame.records
                 except TraceFormatError as exc:
                     raise ServiceError(str(exc), status=400) from exc
+                known = known_etypes(records)
+                if not known.all():
+                    i = int(np.argmin(known))
+                    raise ServiceError(
+                        f"stream {sid}: chunk {frame.chunk_id}: record {i}: "
+                        f"unknown event type {int(records['etype'][i])}",
+                        status=400,
+                    )
                 session.pending.append(records)
                 session.next_chunk = frame.chunk_id + 1
                 session.events += len(records)

@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import TraceFormatError
 from repro.trace.events import Event, EventType
 from repro.trace.framing import CHUNK_MAGIC, read_frame, sort_stream_records
-from repro.trace.schema import EVENT_DTYPE, records_from_events
+from repro.trace.schema import EVENT_DTYPE, known_etypes, records_from_events
 from repro.trace.trace import Trace
 from repro.trace.writer import MAGIC, objects_from_header
 
@@ -31,6 +31,20 @@ __all__ = ["read_trace", "iter_trace_chunks"]
 
 _LEN_FMT = "<Q"
 _LEN_SIZE = struct.calcsize(_LEN_FMT)
+
+
+def _check_etypes(path: Path, records: np.ndarray, first: int = 0) -> None:
+    """Reject a record batch holding an event type byte outside :class:`EventType`.
+
+    ``first`` is the trace index of ``records[0]``, so the error names
+    the offending record within the whole file.
+    """
+    known = known_etypes(records)
+    if not known.all():
+        i = int(np.argmin(known))
+        raise TraceFormatError(
+            f"{path}: record {first + i}: unknown event type {int(records['etype'][i])}"
+        )
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -97,6 +111,7 @@ def _read_binary(path: Path) -> Trace:
             f"{path}: record block shrank while reading "
             f"({len(records)} of {nevents} events)"
         )
+    _check_etypes(path, records)
     return Trace(
         records=records,
         objects=objects_from_header(header),
@@ -125,11 +140,12 @@ def _read_stream(path: Path) -> Trace:
         raise TraceFormatError(
             f"{path}: chunk stream has no trailer frame (not finalized?)"
         )
-    records = (
+    records = sort_stream_records(
         np.concatenate(batches) if batches else np.empty(0, dtype=EVENT_DTYPE)
     )
+    _check_etypes(path, records)
     return Trace(
-        records=sort_stream_records(records),
+        records=records,
         objects=objects_from_header(header),
         threads={int(t): name for t, name in header.get("threads", {}).items()},
         meta=header.get("meta", {}),
@@ -149,7 +165,7 @@ def _read_jsonl(path: Path) -> Trace:
                 if isinstance(obj, dict) and "header" in obj:
                     header = obj["header"]
                     continue
-                events.append(_event_from_jsonl(path, lineno, obj))
+                events.append(_event_from_jsonl(path, lineno, len(events), obj))
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
             f"{path}: neither a binary .clt trace (bad magic) nor UTF-8 JSONL: {exc}"
@@ -171,13 +187,19 @@ def _parse_jsonl_line(path: Path, lineno: int, line: str):
         raise TraceFormatError(f"{path}:{lineno}: not JSON: {exc}") from exc
 
 
-def _event_from_jsonl(path: Path, lineno: int, obj) -> Event:
+def _event_from_jsonl(path: Path, lineno: int, index: int, obj) -> Event:
+    """Parse event line ``lineno``, the trace's ``index``-th record."""
     try:
+        name = obj["etype"]
+        if not isinstance(name, str) or name not in EventType.__members__:
+            raise TraceFormatError(
+                f"{path}:{lineno}: record {index}: unknown event type {name!r}"
+            )
         return Event(
             seq=int(obj["seq"]),
             time=float(obj["time"]),
             tid=int(obj["tid"]),
-            etype=EventType[obj["etype"]],
+            etype=EventType[name],
             obj=int(obj.get("obj", -1)),
             arg=int(obj.get("arg", 0)),
         )
@@ -294,13 +316,14 @@ def _iter_binary_chunks(
             except TraceFormatError as exc:
                 if not waiter.wait():
                     raise TraceFormatError(f"{path}: {exc}") from None
-        offset = fh.tell()
+        offset = body = fh.tell()
         while True:
             avail = os.fstat(fh.fileno()).st_size - offset
             whole = min(avail // itemsize, chunk_events)
             if whole > 0:
                 fh.seek(offset)
                 records = np.fromfile(fh, dtype=EVENT_DTYPE, count=int(whole))
+                _check_etypes(path, records, (offset - body) // itemsize)
                 offset += len(records) * itemsize
                 if len(records):
                     waiter.note_progress()
@@ -319,6 +342,7 @@ def _iter_binary_chunks(
 def _iter_stream_chunks(path: Path, waiter: _Waiter) -> Iterator[np.ndarray]:
     with open(path, "rb") as fh:
         offset = 0
+        seen = 0  # records yielded so far
         while True:
             fh.seek(offset)
             try:
@@ -340,6 +364,8 @@ def _iter_stream_chunks(path: Path, waiter: _Waiter) -> Iterator[np.ndarray]:
             if frame.is_trailer:
                 return  # finalized: the stream is complete
             records = frame.records
+            _check_etypes(path, records, seen)
+            seen += len(records)
             if len(records):
                 yield records
 
@@ -351,6 +377,7 @@ def _iter_jsonl_chunks(
     with open(path, "rb") as fh:
         offset = 0
         lineno = 0
+        seen = 0  # event records parsed so far
         saw_header = False
         while True:
             fh.seek(offset)
@@ -366,7 +393,8 @@ def _iter_jsonl_chunks(
                     if isinstance(obj, dict) and "header" in obj:
                         saw_header = True
                     else:
-                        batch.append(_event_from_jsonl(path, lineno, obj))
+                        batch.append(_event_from_jsonl(path, lineno, seen, obj))
+                        seen += 1
                         if len(batch) >= chunk_events:
                             yield records_from_events(batch)
                             batch = []

@@ -14,7 +14,13 @@ import numpy as np
 
 from repro.trace.events import Event, EventType
 
-__all__ = ["EVENT_DTYPE", "records_from_events", "events_from_records", "empty_records"]
+__all__ = [
+    "EVENT_DTYPE",
+    "records_from_events",
+    "events_from_records",
+    "empty_records",
+    "known_etypes",
+]
 
 #: Structured dtype of one event record; field order mirrors :class:`Event`.
 EVENT_DTYPE = np.dtype(
@@ -27,6 +33,16 @@ EVENT_DTYPE = np.dtype(
         ("arg", np.int64),
     ]
 )
+
+
+_ETYPE_MIN = min(int(e) for e in EventType)
+_ETYPE_MAX = max(int(e) for e in EventType)
+
+
+def known_etypes(records: np.ndarray) -> np.ndarray:
+    """Mask of the records whose ``etype`` byte names an :class:`EventType`."""
+    etype = records["etype"]
+    return (etype >= _ETYPE_MIN) & (etype <= _ETYPE_MAX)
 
 
 def empty_records(n: int = 0) -> np.ndarray:

@@ -5,17 +5,54 @@ instrumentation layer must uphold (every OBTAIN pairs with a preceding
 ACQUIRE, mutex ownership is exclusive, barrier cohorts are complete...).
 ``validate_trace`` checks them all and reports every violation, which makes
 it both a guard for the analyzer and a test oracle for the tracers.
+
+Every check is a numpy kernel over ``trace.records``; no per-event Python
+object is built, so validation costs about as much as one columnar
+analysis stage.  The problem list is exactly the one the per-event
+reference checker (:mod:`repro.check.reference`) produces, in the same
+order — the ``validate-equiv`` oracle invariant holds the two together:
+
+* sections come in a fixed order: unknown event types, thread
+  lifecycles, lock protocol, barriers, condition variables, joins;
+* inside a section, per-record problems are ordered by trace position
+  (then by check, when one record breaks two rules), followed by the
+  exit-time problems in the order their keys were first touched.
+
+The per-key counters the reference keeps in dicts (pending ACQUIREs,
+held levels, blocked waiters, begun joins) are walks of ±1 steps that
+never drop below zero; :func:`_floored_walk` computes all of them at
+once as a segmented cumsum minus its running minimum.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
 from repro.errors import TraceValidationError
-from repro.trace.events import NO_OBJECT, Event, EventType, ObjectKind
+from repro.trace.events import NO_OBJECT, EventType, ObjectKind
+from repro.trace.ops import dense_keys, group_bounds, latest_prior, segmented_cumsum
+from repro.trace.schema import known_etypes
 from repro.trace.trace import Trace
 
 __all__ = ["validate_trace", "trace_problems"]
+
+_NAMES = {int(e): e.name for e in EventType}
+
+_ACQUIRE = int(EventType.ACQUIRE)
+_OBTAIN = int(EventType.OBTAIN)
+_RELEASE = int(EventType.RELEASE)
+_ARRIVE = int(EventType.BARRIER_ARRIVE)
+_DEPART = int(EventType.BARRIER_DEPART)
+_BLOCK = int(EventType.COND_BLOCK)
+_WAKE = int(EventType.COND_WAKE)
+_CREATE = int(EventType.THREAD_CREATE)
+_START = int(EventType.THREAD_START)
+_EXIT = int(EventType.THREAD_EXIT)
+_JOIN_BEGIN = int(EventType.JOIN_BEGIN)
+_JOIN_END = int(EventType.JOIN_END)
+
+#: A problem tied to one record: (trace position, check rank, message).
+_Found = list[tuple[int, int, str]]
 
 
 def validate_trace(trace: Trace) -> None:
@@ -26,170 +63,286 @@ def validate_trace(trace: Trace) -> None:
 
 
 def trace_problems(trace: Trace) -> list[str]:
-    """Return a list of human-readable structural problems (empty if OK)."""
+    """Return a list of human-readable structural problems (empty if OK).
+
+    Records whose event type is outside :class:`EventType` are reported
+    first and then left out of every other check: no rule can interpret
+    them.
+    """
+    rec = trace.records
+    known = known_etypes(rec)
     problems: list[str] = []
-    problems += _check_thread_lifecycles(trace)
-    problems += _check_lock_protocol(trace)
-    problems += _check_barriers(trace)
-    problems += _check_condition_variables(trace)
-    problems += _check_joins(trace)
+    if not known.all():
+        bad = rec[~known]
+        problems += [
+            f"seq {s}: unknown event type {e}"
+            for s, e in zip(bad["seq"].tolist(), bad["etype"].tolist())
+        ]
+        rec = rec[known]
+    cols = _Columns(rec, trace)
+    problems += _check_thread_lifecycles(cols)
+    problems += _check_lock_protocol(cols)
+    problems += _check_barriers(cols)
+    problems += _check_condition_variables(cols)
+    problems += _check_joins(cols)
     return problems
 
 
-def _events_by_thread(trace: Trace) -> dict[int, list[Event]]:
-    per: dict[int, list[Event]] = defaultdict(list)
-    for ev in trace:
-        per[ev.tid].append(ev)
-    return per
+class _Columns:
+    """Contiguous copies of the record fields every check reads."""
+
+    def __init__(self, rec: np.ndarray, trace: Trace):
+        self.trace = trace
+        self.seq = np.ascontiguousarray(rec["seq"])
+        self.tid = np.ascontiguousarray(rec["tid"])
+        self.etype = np.ascontiguousarray(rec["etype"])
+        self.obj = np.ascontiguousarray(rec["obj"])
+        self.arg = np.ascontiguousarray(rec["arg"])
+
+    def rows(self, *etypes: int) -> np.ndarray:
+        """Trace positions of the records of the given event types."""
+        return np.flatnonzero(np.isin(self.etype, etypes))
+
+    def name(self, p: int) -> str:
+        """Display name of the object record ``p`` refers to."""
+        return self.trace.object_name(int(self.obj[p]))
 
 
-def _check_thread_lifecycles(trace: Trace) -> list[str]:
-    problems = []
-    per = _events_by_thread(trace)
-    created = {
-        ev.arg for ev in trace if ev.etype == EventType.THREAD_CREATE
-    }
-    for tid, evs in sorted(per.items()):
-        if evs[0].etype != EventType.THREAD_START:
-            problems.append(f"T{tid}: first event is {evs[0].etype.name}, expected THREAD_START")
-        if evs[-1].etype != EventType.THREAD_EXIT:
-            problems.append(f"T{tid}: last event is {evs[-1].etype.name}, expected THREAD_EXIT")
-        starts = sum(1 for ev in evs if ev.etype == EventType.THREAD_START)
-        exits = sum(1 for ev in evs if ev.etype == EventType.THREAD_EXIT)
-        if starts != 1:
-            problems.append(f"T{tid}: {starts} THREAD_START events, expected 1")
-        if exits != 1:
-            problems.append(f"T{tid}: {exits} THREAD_EXIT events, expected 1")
-    for child in sorted(created):
-        if child not in per:
-            problems.append(f"THREAD_CREATE names T{child} which emitted no events")
-    return problems
+def _ordered(found: _Found) -> list[str]:
+    return [msg for _pos, _rank, msg in sorted(found)]
 
 
-def _check_lock_protocol(trace: Trace) -> list[str]:
-    problems = []
-    # Per (object, thread): pending ACQUIRE awaiting OBTAIN, held count.
-    pending: dict[tuple[int, int], int] = defaultdict(int)
-    held: dict[tuple[int, int], int] = defaultdict(int)
-    owner: dict[int, int | None] = {}  # mutex exclusivity tracking
-    for ev in trace:
-        if ev.obj == NO_OBJECT or ev.etype not in (
-            EventType.ACQUIRE,
-            EventType.OBTAIN,
-            EventType.RELEASE,
-        ):
-            continue
-        info = trace.objects.get(ev.obj)
-        kind = info.kind if info is not None else ObjectKind.MUTEX
-        if not kind.is_lock_like:
-            problems.append(
-                f"seq {ev.seq}: {ev.etype.name} on non-lock object {trace.object_name(ev.obj)}"
-            )
-            continue
-        key = (ev.obj, ev.tid)
-        name = trace.object_name(ev.obj)
-        if ev.etype == EventType.ACQUIRE:
-            if pending[key]:
-                problems.append(f"seq {ev.seq}: T{ev.tid} double-ACQUIRE on {name}")
-            pending[key] += 1
-        elif ev.etype == EventType.OBTAIN:
-            if not pending[key]:
-                problems.append(f"seq {ev.seq}: T{ev.tid} OBTAIN without ACQUIRE on {name}")
-            else:
-                pending[key] -= 1
-            if kind == ObjectKind.MUTEX:
-                prev = owner.get(ev.obj)
-                if prev is not None:
-                    problems.append(
-                        f"seq {ev.seq}: T{ev.tid} OBTAIN on {name} while held by T{prev}"
-                    )
-                owner[ev.obj] = ev.tid
-            held[key] += 1
-        else:  # RELEASE
-            if not held[key]:
-                problems.append(f"seq {ev.seq}: T{ev.tid} RELEASE without OBTAIN on {name}")
-            else:
-                held[key] -= 1
-            if kind == ObjectKind.MUTEX and owner.get(ev.obj) == ev.tid:
-                owner[ev.obj] = None
-    for (obj, tid), n in held.items():
-        if n:
-            problems.append(f"T{tid} exited holding {trace.object_name(obj)} ({n} levels)")
-    for (obj, tid), n in pending.items():
-        if n:
-            problems.append(f"T{tid} exited with pending ACQUIRE on {trace.object_name(obj)}")
-    return problems
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One int64 key per (int32, int32) pair, collision-free."""
+    return (a.astype(np.int64) << 32) | (b.astype(np.int64) & 0xFFFFFFFF)
 
 
-def _check_barriers(trace: Trace) -> list[str]:
-    problems = []
-    arrivals: dict[tuple[int, int], list[int]] = defaultdict(list)
-    departures: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for ev in trace:
-        if ev.etype == EventType.BARRIER_ARRIVE:
-            arrivals[(ev.obj, ev.arg)].append(ev.tid)
-        elif ev.etype == EventType.BARRIER_DEPART:
-            departures[(ev.obj, ev.arg)].append(ev.tid)
-    for key in sorted(set(arrivals) | set(departures)):
-        obj, gen = key
-        a, d = sorted(arrivals.get(key, [])), sorted(departures.get(key, []))
-        if a != d:
-            problems.append(
-                f"barrier {trace.object_name(obj)} generation {gen}: "
-                f"arrivals {a} != departures {d}"
-            )
-    return problems
+def _floored_walk(
+    key: np.ndarray, step: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-key counters of ±1 steps that stay at 0 instead of going negative.
+
+    ``key`` (integers) and ``step`` are parallel, in trace order.
+    Returns ``(before, first, final)``: the counter value just before
+    each row, and per distinct key the input index of its first row and
+    the counter's value after its last row.  The floored walk is the plain cumulative
+    sum minus its running minimum (clamped at 0), segmented by key.
+    """
+    n = len(key)
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    order = np.argsort(key, kind="stable")
+    starts, _ = group_bounds(key[order])
+    sizes = np.diff(np.append(starts, n))
+    steps = step[order].astype(np.int64)
+    walk = segmented_cumsum(steps, starts)
+    # Shift each later segment below every earlier one so one global
+    # running minimum restarts at every segment boundary.
+    shift = np.repeat(np.arange(len(starts), dtype=np.int64) * (2 * n + 2), sizes)
+    low = np.minimum.accumulate(walk - shift) + shift
+    after = walk - np.minimum(low, 0)
+    before_sorted = np.empty_like(after)
+    before_sorted[0] = 0
+    before_sorted[1:] = after[:-1]
+    before_sorted[starts] = 0
+    before = np.empty_like(before_sorted)
+    before[order] = before_sorted
+    return before, order[starts], after[starts + sizes - 1]
 
 
-def _check_condition_variables(trace: Trace) -> list[str]:
-    problems = []
-    blocked: dict[tuple[int, int], int] = defaultdict(int)  # (cv, tid) -> pending blocks
-    thread_ids = set(trace.thread_ids)
-    for ev in trace:
-        if ev.etype == EventType.COND_BLOCK:
-            blocked[(ev.obj, ev.tid)] += 1
-        elif ev.etype == EventType.COND_WAKE:
-            key = (ev.obj, ev.tid)
-            if not blocked[key]:
+def _check_thread_lifecycles(c: _Columns) -> list[str]:
+    problems: list[str] = []
+    order = np.argsort(c.tid, kind="stable")
+    starts, tids = group_bounds(c.tid[order])
+    if len(order):
+        ends = np.append(starts[1:], len(order))
+        et_sorted = c.etype[order]
+        first = et_sorted[starts]
+        last = et_sorted[ends - 1]
+        n_start = np.add.reduceat((et_sorted == _START).astype(np.int64), starts)
+        n_exit = np.add.reduceat((et_sorted == _EXIT).astype(np.int64), starts)
+        bad = (first != _START) | (last != _EXIT) | (n_start != 1) | (n_exit != 1)
+        for i in np.flatnonzero(bad).tolist():
+            tid = int(tids[i])
+            if first[i] != _START:
                 problems.append(
-                    f"seq {ev.seq}: T{ev.tid} COND_WAKE without COND_BLOCK on "
-                    f"{trace.object_name(ev.obj)}"
+                    f"T{tid}: first event is {_NAMES[int(first[i])]}, expected THREAD_START"
                 )
-            else:
-                blocked[key] -= 1
-            if ev.arg not in thread_ids:
+            if last[i] != _EXIT:
                 problems.append(
-                    f"seq {ev.seq}: COND_WAKE names unknown signaller T{ev.arg}"
+                    f"T{tid}: last event is {_NAMES[int(last[i])]}, expected THREAD_EXIT"
                 )
-    for (obj, tid), n in blocked.items():
-        if n:
-            problems.append(
-                f"T{tid} exited still blocked on condition {trace.object_name(obj)}"
-            )
+            if n_start[i] != 1:
+                problems.append(f"T{tid}: {n_start[i]} THREAD_START events, expected 1")
+            if n_exit[i] != 1:
+                problems.append(f"T{tid}: {n_exit[i]} THREAD_EXIT events, expected 1")
+    children = np.unique(c.arg[c.etype == _CREATE])
+    for child in children[~np.isin(children, tids)].tolist():
+        problems.append(f"THREAD_CREATE names T{child} which emitted no events")
     return problems
 
 
-def _check_joins(trace: Trace) -> list[str]:
+def _check_lock_protocol(c: _Columns) -> list[str]:
+    rows = c.rows(_ACQUIRE, _OBTAIN, _RELEASE)
+    rows = rows[c.obj[rows] != NO_OBJECT]
+    if len(rows) == 0:
+        return []
+    objs, inverse = np.unique(c.obj[rows], return_inverse=True)
+    kinds = np.array(
+        [
+            info.kind if (info := c.trace.objects.get(o)) is not None else ObjectKind.MUTEX
+            for o in objs.tolist()
+        ],
+        dtype=np.int64,
+    )
+    kind = kinds[inverse]
+    lock_like = np.isin(kind, [k for k in ObjectKind if k.is_lock_like])
+    found: _Found = [
+        (p, 0, f"seq {c.seq[p]}: {_NAMES[int(c.etype[p])]} on non-lock object {c.name(p)}")
+        for p in rows[~lock_like].tolist()
+    ]
+    rows, kind = rows[lock_like], kind[lock_like]
+    et, obj, tid = c.etype[rows], c.obj[rows], c.tid[rows]
+    key = _pair(obj, tid)
+
+    # Pending ACQUIREs per (object, thread): ACQUIRE +1, OBTAIN -1.
+    pm = et != _RELEASE
+    p_rows, p_et = rows[pm], et[pm]
+    pending, p_first, p_final = _floored_walk(key[pm], np.where(p_et == _ACQUIRE, 1, -1))
+    for p in p_rows[(p_et == _ACQUIRE) & (pending > 0)].tolist():
+        found.append((p, 1, f"seq {c.seq[p]}: T{c.tid[p]} double-ACQUIRE on {c.name(p)}"))
+    for p in p_rows[(p_et == _OBTAIN) & (pending == 0)].tolist():
+        found.append(
+            (p, 2, f"seq {c.seq[p]}: T{c.tid[p]} OBTAIN without ACQUIRE on {c.name(p)}")
+        )
+
+    # Held levels per (object, thread): OBTAIN +1, RELEASE -1.
+    hm = et != _ACQUIRE
+    h_rows, h_et = rows[hm], et[hm]
+    held, h_first, h_final = _floored_walk(key[hm], np.where(h_et == _OBTAIN, 1, -1))
+    for p in h_rows[(h_et == _RELEASE) & (held == 0)].tolist():
+        found.append(
+            (p, 4, f"seq {c.seq[p]}: T{c.tid[p]} RELEASE without OBTAIN on {c.name(p)}")
+        )
+
+    # Mutex exclusivity: an OBTAIN finds the mutex owned when the latest
+    # earlier OBTAIN's thread has not RELEASEd it since.
+    mutex = kind == ObjectKind.MUTEX
+    ob = mutex & (et == _OBTAIN)
+    ob_rows, ob_obj = rows[ob], obj[ob]
+    prev = latest_prior(ob_rows, ob_obj, ob_rows, ob_obj)
+    has = prev >= 0
+    q_rows, prev = ob_rows[has], prev[has]
+    prev_tid = c.tid[prev]
+    rl = mutex & (et == _RELEASE)
+    cleared = latest_prior(
+        rows[rl], key[rl], q_rows, _pair(ob_obj[has], prev_tid)
+    ) > prev
+    for p, owner in zip(q_rows[~cleared].tolist(), prev_tid[~cleared].tolist()):
+        found.append(
+            (p, 3, f"seq {c.seq[p]}: T{c.tid[p]} OBTAIN on {c.name(p)} while held by T{owner}")
+        )
+
+    problems = _ordered(found)
+    for p, n in _touched(h_rows[h_first], h_final):
+        problems.append(f"T{c.tid[p]} exited holding {c.name(p)} ({n} levels)")
+    for p, _n in _touched(p_rows[p_first], p_final):
+        problems.append(f"T{c.tid[p]} exited with pending ACQUIRE on {c.name(p)}")
+    return problems
+
+
+def _touched(first_rows: np.ndarray, final: np.ndarray) -> list[tuple[int, int]]:
+    """(first row, final count) of the keys left non-zero, in first-touch order."""
+    left = final > 0
+    order = np.argsort(first_rows[left], kind="stable")
+    return list(zip(first_rows[left][order].tolist(), final[left][order].tolist()))
+
+
+def _check_barriers(c: _Columns) -> list[str]:
+    rows = c.rows(_ARRIVE, _DEPART)
+    if len(rows) == 0:
+        return []
+    obj, gen, tid = c.obj[rows], c.arg[rows], c.tid[rows]
+    order = np.lexsort((tid, gen, obj))
+    obj, gen, tid = obj[order], gen[order], tid[order]
+    arrive = c.etype[rows][order] == _ARRIVE
+    # Per (barrier, generation, thread): arrivals minus departures.
+    new_cohort = np.ones(len(rows), dtype=bool)
+    new_cohort[1:] = (obj[1:] != obj[:-1]) | (gen[1:] != gen[:-1])
+    new_member = new_cohort.copy()
+    new_member[1:] |= tid[1:] != tid[:-1]
+    member_starts = np.flatnonzero(new_member)
+    net = np.add.reduceat(np.where(arrive, 1, -1), member_starts)
+    cohort = np.cumsum(new_cohort) - 1
+    bad_cohorts = np.unique(cohort[member_starts[net != 0]])
+    cohort_starts = np.append(np.flatnonzero(new_cohort), len(rows))
     problems = []
-    exit_seq: dict[int, int] = {}
-    for ev in trace:
-        if ev.etype == EventType.THREAD_EXIT:
-            exit_seq[ev.tid] = ev.seq
-    begun: dict[tuple[int, int], int] = defaultdict(int)
-    for ev in trace:
-        if ev.etype == EventType.JOIN_BEGIN:
-            begun[(ev.tid, ev.arg)] += 1
-        elif ev.etype == EventType.JOIN_END:
-            key = (ev.tid, ev.arg)
-            if not begun[key]:
-                problems.append(f"seq {ev.seq}: T{ev.tid} JOIN_END without JOIN_BEGIN on T{ev.arg}")
-            else:
-                begun[key] -= 1
-            target_exit = exit_seq.get(ev.arg)
-            if target_exit is None:
-                problems.append(f"seq {ev.seq}: T{ev.tid} joined T{ev.arg} which never exited")
-            elif target_exit > ev.seq:
-                problems.append(
-                    f"seq {ev.seq}: T{ev.tid} JOIN_END precedes T{ev.arg} THREAD_EXIT"
-                )
+    for k in bad_cohorts.tolist():
+        lo, hi = cohort_starts[k], cohort_starts[k + 1]
+        members, arrived = tid[lo:hi], arrive[lo:hi]
+        problems.append(
+            f"barrier {c.trace.object_name(int(obj[lo]))} generation {gen[lo]}: "
+            f"arrivals {members[arrived].tolist()} != departures {members[~arrived].tolist()}"
+        )
     return problems
+
+
+def _check_condition_variables(c: _Columns) -> list[str]:
+    rows = c.rows(_BLOCK, _WAKE)
+    if len(rows) == 0:
+        return []
+    wake = c.etype[rows] == _WAKE
+    blocked, first, final = _floored_walk(
+        _pair(c.obj[rows], c.tid[rows]), np.where(wake, -1, 1)
+    )
+    found: _Found = [
+        (p, 0, f"seq {c.seq[p]}: T{c.tid[p]} COND_WAKE without COND_BLOCK on {c.name(p)}")
+        for p in rows[wake & (blocked == 0)].tolist()
+    ]
+    wakes = rows[wake]
+    stranger = ~np.isin(c.arg[wakes], np.unique(c.tid))
+    found += [
+        (p, 1, f"seq {c.seq[p]}: COND_WAKE names unknown signaller T{c.arg[p]}")
+        for p in wakes[stranger].tolist()
+    ]
+    problems = _ordered(found)
+    for p, _n in _touched(rows[first], final):
+        problems.append(f"T{c.tid[p]} exited still blocked on condition {c.name(p)}")
+    return problems
+
+
+def _check_joins(c: _Columns) -> list[str]:
+    rows = c.rows(_JOIN_BEGIN, _JOIN_END)
+    if len(rows) == 0:
+        return []
+    end = c.etype[rows] == _JOIN_END
+    begun, _first, _final = _floored_walk(
+        dense_keys(c.tid[rows], c.arg[rows]), np.where(end, -1, 1)
+    )
+    found: _Found = [
+        (p, 0, f"seq {c.seq[p]}: T{c.tid[p]} JOIN_END without JOIN_BEGIN on T{c.arg[p]}")
+        for p in rows[end & (begun == 0)].tolist()
+    ]
+    # Each thread's *last* THREAD_EXIT is the one a join is checked against.
+    exits = np.flatnonzero(c.etype == _EXIT)
+    exits = exits[np.argsort(c.tid[exits], kind="stable")]
+    starts, ex_tid = group_bounds(c.tid[exits])
+    ends = rows[end]
+    target = c.arg[ends]
+    if len(exits):
+        ex_seq = c.seq[exits[np.append(starts[1:], len(exits)) - 1]]
+        at = np.searchsorted(ex_tid, target).clip(max=len(ex_tid) - 1)
+        exited = ex_tid[at] == target
+    else:
+        ex_seq, at = c.seq[:0], np.zeros(len(ends), dtype=np.int64)
+        exited = np.zeros(len(ends), dtype=bool)
+    for p in ends[~exited].tolist():
+        found.append((p, 1, f"seq {c.seq[p]}: T{c.tid[p]} joined T{c.arg[p]} which never exited"))
+    early = exited.copy()
+    early[exited] = ex_seq[at[exited]] > c.seq[ends[exited]]
+    for p in ends[early].tolist():
+        found.append(
+            (p, 1, f"seq {c.seq[p]}: T{c.tid[p]} JOIN_END precedes T{c.arg[p]} THREAD_EXIT")
+        )
+    return _ordered(found)

@@ -80,3 +80,26 @@ def test_barrier_columns_aligned():
         for _, path, node in spec.iter_ops():
             if node["op"] == "barrier":
                 assert len(path) == 1  # never nested in lock/spawn bodies
+
+
+def test_corrupt_trace_is_seeded_and_well_formed():
+    import numpy as np
+
+    from repro.check.generator import corrupt_trace
+    from repro.check.interp import run_spec
+
+    trace = run_spec(generate_spec(4)).trace
+    changed = 0
+    for seed in range(50):
+        a, b = corrupt_trace(trace, seed), corrupt_trace(trace, seed)
+        assert np.array_equal(a.records, b.records)  # deterministic
+        assert a.objects == trace.objects and a.threads == trace.threads
+        # Only drops and field rewrites: every surviving seq is original,
+        # in order, with its original timestamp.
+        kept = np.searchsorted(trace.records["seq"], a.records["seq"])
+        assert np.array_equal(trace.records["seq"][kept], a.records["seq"])
+        assert np.array_equal(trace.records["time"][kept], a.records["time"])
+        assert len(trace) - 4 <= len(a) <= len(trace)
+        changed += not np.array_equal(a.records, trace.records)
+    assert changed >= 45  # mutations rarely cancel out
+    assert not np.array_equal(corrupt_trace(trace, 1).records, corrupt_trace(trace, 2).records)

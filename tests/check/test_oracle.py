@@ -162,3 +162,43 @@ def test_catches_crashing_estimator(micro_trace, monkeypatch):
     found = [d for d in check_trace(micro_trace, False)
              if d.invariant == "sample-coverage"]
     assert found and "exploded" in found[0].detail
+
+
+def test_validate_equiv_runs_on_corruptions(monkeypatch):
+    # The invariant must actually exercise failing traces: count how many
+    # of a seed's corruptions the reference rejects.
+    from repro.check import oracle
+
+    spec = generate_spec(5)
+    trace = run_spec(spec).trace
+    seen = []
+    real = oracle.reference_trace_problems
+
+    def spy(t):
+        seen.append(real(t))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "reference_trace_problems", spy)
+    assert oracle._check_validate_equiv(trace, seed=5) == []
+    assert len(seen) == 1 + oracle.CORRUPTIONS_PER_TRACE
+    assert seen[0] == [] and sum(bool(p) for p in seen[1:]) >= 4
+
+
+def test_catches_vectorized_checker_dropping_a_problem(micro_trace, monkeypatch):
+    from repro.check import oracle
+
+    real = oracle.trace_problems
+    monkeypatch.setattr(oracle, "trace_problems", lambda t: real(t)[1:])
+    found = [d for d in check_trace(micro_trace, False) if d.invariant == "validate-equiv"]
+    assert found
+    assert "corrupt_trace(trace, " in found[0].detail
+
+
+def test_catches_vectorized_checker_reordering(micro_trace, monkeypatch):
+    from repro.check import oracle
+
+    real = oracle.trace_problems
+    monkeypatch.setattr(oracle, "trace_problems", lambda t: sorted(real(t)))
+    invariants = {d.invariant for seed in range(3)
+                  for d in oracle._check_validate_equiv(micro_trace, seed)}
+    assert invariants == {"validate-equiv"}

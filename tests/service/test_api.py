@@ -176,3 +176,31 @@ class TestStoreRestart:
             # And jobs against the re-indexed trace still run.
             job = submit(api2, {"kind": "analyze", "trace": entry["digest"]})
             assert job["state"] == "done"
+
+
+class TestUnknownEventType:
+    """Records with an etype byte outside 1-14 never reach the analyzer."""
+
+    @pytest.fixture
+    def bad_trace(self, micro_trace):
+        from repro.trace.trace import Trace
+
+        records = micro_trace.records.copy()
+        records["etype"][5] = 15
+        return Trace(records=records, objects=micro_trace.objects, threads=micro_trace.threads)
+
+    def test_upload_rejected_400(self, api, bad_trace, tmp_path):
+        body = write_trace(bad_trace, tmp_path / "bad.clt").read_bytes()
+        status, err = api.handle("POST", "/traces", body)
+        assert status == 400
+        assert "record 5: unknown event type 15" in err["error"]
+
+    def test_analyze_job_fails_with_typed_error(self, api, bad_trace):
+        # A stored trace the upload check never saw (e.g. assembled from
+        # stream chunks) fails its job with the reader's typed error.
+        entry = api.store.put_trace(bad_trace)
+        job = submit(api, {"kind": "analyze", "trace": entry.digest})
+        assert job["state"] == "failed"
+        assert "TraceFormatError" in job["error"]
+        assert "record 5: unknown event type 15" in job["error"]
+        assert "ValueError" not in job["error"]

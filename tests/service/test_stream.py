@@ -77,6 +77,21 @@ class TestLifecycle:
         assert status == 400
         assert "malformed" in err["error"]
 
+    def test_unknown_event_type_400(self, api, micro):
+        sid = _open(api)
+        good = encode_records_frame(micro.records[:10], 0)
+        assert api.handle("POST", f"/traces/{sid}/chunks", good)[0] == 202
+        records = micro.records[10:20].copy()
+        records["etype"][3] = 15
+        status, err = api.handle(
+            "POST", f"/traces/{sid}/chunks", encode_records_frame(records, 1)
+        )
+        assert status == 400
+        assert f"stream {sid}: chunk 1: record 3: unknown event type 15" in err["error"]
+        _, state = api.handle("GET", f"/streams/{sid}")
+        assert state["chunks"] == 1  # the bad chunk was not applied
+        assert state["events"] == 10
+
     def test_trailer_frame_rejected(self, api, micro):
         sid = _open(api)
         status, err = api.handle(

@@ -135,3 +135,41 @@ class TestSimulatorEdges:
         assert "w" in repr(h)
         result = prog.run()
         assert result.nthreads == 1
+
+
+class TestUnknownEventTypeCLI:
+    """A .clt holding an etype byte of 15 fails cleanly, validated or not."""
+
+    @pytest.fixture
+    def bad_path(self, micro_trace, tmp_path):
+        from repro.trace import write_trace
+        from repro.trace.trace import Trace
+
+        records = micro_trace.records.copy()
+        records["etype"][5] = 15
+        bad = Trace(records=records, objects=micro_trace.objects)
+        return write_trace(bad, tmp_path / "bad.clt")
+
+    @pytest.mark.parametrize("extra", [[], ["--no-validate"]])
+    def test_analyze_exits_1_with_typed_error(self, bad_path, capsys, extra):
+        assert main(["analyze", str(bad_path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert "record 5: unknown event type 15" in captured.err
+        assert captured.out == ""
+
+    def test_real_cli_prints_no_traceback(self, bad_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", str(bad_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "unknown event type 15" in proc.stderr

@@ -138,3 +138,57 @@ class TestFormatSniffing:
         path.write_text("this is not a trace at all\n")
         with pytest.raises(TraceFormatError, match="not JSON"):
             read_trace(path)
+
+
+class TestUnknownEventType:
+    """An etype byte outside 1-14 is a format error naming path and record."""
+
+    @pytest.fixture
+    def bad_trace(self, micro_trace):
+        from repro.trace.trace import Trace
+
+        records = micro_trace.records.copy()
+        records["etype"][5] = 15
+        return Trace(records=records, objects=micro_trace.objects, threads=micro_trace.threads)
+
+    def test_binary(self, bad_trace, tmp_path):
+        path = write_trace(bad_trace, tmp_path / "bad.clt")
+        with pytest.raises(TraceFormatError, match=r"bad\.clt: record 5: unknown event type 15"):
+            read_trace(path)
+
+    def test_binary_chunks(self, bad_trace, tmp_path):
+        from repro.trace.reader import iter_trace_chunks
+
+        path = write_trace(bad_trace, tmp_path / "bad.clt")
+        with pytest.raises(TraceFormatError, match="record 5: unknown event type 15"):
+            list(iter_trace_chunks(path, chunk_events=2))
+
+    def test_chunk_stream(self, bad_trace, tmp_path):
+        from repro.trace.framing import encode_records_frame, encode_trailer_frame
+        from repro.trace.reader import iter_trace_chunks
+        from repro.trace.writer import header_dict
+
+        path = tmp_path / "bad.cls"
+        path.write_bytes(
+            encode_records_frame(bad_trace.records[:4], 0)
+            + encode_records_frame(bad_trace.records[4:], 1)
+            + encode_trailer_frame(header_dict(bad_trace), 2)
+        )
+        with pytest.raises(TraceFormatError, match=r"bad\.cls: record 5: unknown event type 15"):
+            read_trace(path)
+        with pytest.raises(TraceFormatError, match="record 5: unknown event type 15"):
+            list(iter_trace_chunks(path))
+
+    @pytest.mark.parametrize("etype", ["NOPE", 15, None])
+    def test_jsonl(self, micro_trace, tmp_path, etype):
+        import json
+
+        path = write_trace(micro_trace, tmp_path / "t.jsonl")
+        lines = path.read_text().splitlines()
+        event = json.loads(lines[6])  # line 1 is the header: record 5
+        event["etype"] = etype
+        lines[6] = json.dumps(event)
+        path.write_text("\n".join(lines) + "\n")
+        match = rf"t\.jsonl:7: record 5: unknown event type {etype!r}"
+        with pytest.raises(TraceFormatError, match=match):
+            read_trace(path)
