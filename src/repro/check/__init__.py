@@ -6,9 +6,10 @@ package turns that redundancy into a permanent correctness oracle:
 random deadlock-free multithreaded programs are generated, executed on
 the simulator, and every analysis invariant is cross-checked on the
 resulting trace.  Failures are minimized to replayable repro files.
-The per-event reference trace checker lives here too
-(:mod:`repro.check.reference`): it is the oracle the production,
-vectorized ``repro.trace.validate`` must match exactly.
+The per-event reference analyzer and trace checker live here too
+(:mod:`repro.check.reference`): they are the oracles the production,
+columnar ``analyze`` and vectorized ``repro.trace.validate`` must match
+exactly.
 
 See ``docs/check.md`` for the invariant catalogue and repro file format.
 """
@@ -16,7 +17,7 @@ See ``docs/check.md`` for the invariant catalogue and repro file format.
 from repro.check.generator import corrupt_trace, generate_spec
 from repro.check.interp import build_program, run_spec
 from repro.check.oracle import Discrepancy, check_trace
-from repro.check.reference import reference_trace_problems
+from repro.check.reference import reference_analyze, reference_trace_problems
 from repro.check.runner import (
     CheckRun,
     SeedReport,
@@ -33,6 +34,7 @@ __all__ = [
     "ThreadSpec",
     "generate_spec",
     "corrupt_trace",
+    "reference_analyze",
     "reference_trace_problems",
     "build_program",
     "run_spec",

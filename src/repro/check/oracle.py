@@ -21,16 +21,12 @@ layers, and returns one :class:`Discrepancy` per violated invariant
 ``roundtrip``      trace → .clt/.jsonl → trace is lossless
 ``truncated``      the prefix cut before the first THREAD_EXIT still
                    analyzes, with completion == truncated duration
-``shard-equiv``    sharded analysis (split at quiescent cut points,
-                   stitched back) is *bit-identical* to the sequential
-                   pass: same pieces, junctions, completion time,
-                   per-lock CP time % and contention probability, and
-                   byte-equal rendered report
-``engine-equiv``   the columnar (numpy) engine and the per-event object
-                   engine produce *bit-identical* results: critical-path
-                   pieces/junctions/waits, report dict, byte-equal
-                   render, identical reconstructed timelines — and
-                   neither engine emits a zero-duration Wait
+``engine-equiv``   the columnar (numpy) ``analyze`` and the per-event
+                   ``reference_analyze`` produce *bit-identical* results:
+                   critical-path pieces/junctions/waits, report dict,
+                   byte-equal render, identical reconstructed timelines
+                   and waker tables — and neither emits a zero-duration
+                   Wait
 ``replay-identity`` reconstructing the trace into a schedulable program
                    and re-running it under the ``recorded`` identity
                    protocol reproduces the baseline completion time and
@@ -58,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.check.generator import corrupt_trace
-from repro.check.reference import reference_trace_problems
+from repro.check.reference import reference_analyze, reference_trace_problems
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
 from repro.errors import ReproError
@@ -216,9 +212,6 @@ def check_trace(
 
     # -- truncated
     out += _check_truncated(trace)
-
-    # -- shard-equiv
-    out += _check_shard(trace, result)
 
     # -- engine-equiv
     out += _check_engines(trace, result)
@@ -475,93 +468,20 @@ def _offline_max_chain(trace: Trace, obj: int) -> float:
     return best
 
 
-def _check_shard(trace: Trace, result) -> list[Discrepancy]:
-    """Sharded analysis must reproduce the sequential result exactly.
-
-    Not approximately: the stitcher's claim (docs/sharding.md) is that
-    merged timelines preserve the sequential element order, so every
-    float is summed in the same order and the comparison can demand
-    ``==`` rather than isclose.  Runs strict — a stitching inconsistency
-    is reported as a discrepancy instead of falling back to sequential
-    (which is what production ``analyze(jobs=N)`` does).
-    """
-    from repro.core.shard import analyze_sharded
-    from repro.trace.shard import find_cuts
-
-    if not find_cuts(trace):
-        return []  # no quiescent point: sharding legitimately degenerates
-    try:
-        sharded = analyze_sharded(trace, jobs=4, parallel=False, strict=True)
-    except ReproError as exc:
-        return [
-            Discrepancy(
-                "shard-equiv", f"sharded analysis raised {type(exc).__name__}: {exc}"
-            )
-        ]
-    if sharded is None:
-        return [Discrepancy("shard-equiv", "cut points found but no shards selected")]
-    out: list[Discrepancy] = []
-    seq_cp, sh_cp = result.critical_path, sharded.critical_path
-    if sh_cp.length != seq_cp.length:
-        out.append(
-            Discrepancy(
-                "shard-equiv",
-                f"completion time: sharded {sh_cp.length!r} != "
-                f"sequential {seq_cp.length!r}",
-            )
-        )
-    if sh_cp.pieces != seq_cp.pieces:
-        n = len(sh_cp.pieces)
-        out.append(
-            Discrepancy(
-                "shard-equiv",
-                f"critical path differs: {n} sharded pieces vs "
-                f"{len(seq_cp.pieces)} sequential",
-            )
-        )
-    if sh_cp.junctions != seq_cp.junctions:
-        out.append(Discrepancy("shard-equiv", "junction lists differ"))
-    for obj, lm in result.report.locks.items():
-        sm = sharded.report.locks.get(obj)
-        if sm is None:
-            out.append(Discrepancy("shard-equiv", f"{lm.name}: missing from sharded"))
-            continue
-        if sm.cp_fraction != lm.cp_fraction:
-            out.append(
-                Discrepancy(
-                    "shard-equiv",
-                    f"{lm.name}: CP time % sharded {sm.cp_fraction!r} != "
-                    f"sequential {lm.cp_fraction!r}",
-                )
-            )
-        if sm.cont_prob_on_cp != lm.cont_prob_on_cp:
-            out.append(
-                Discrepancy(
-                    "shard-equiv",
-                    f"{lm.name}: contention probability sharded "
-                    f"{sm.cont_prob_on_cp!r} != sequential {lm.cont_prob_on_cp!r}",
-                )
-            )
-    if sharded.report.render(None) != result.report.render(None):
-        out.append(Discrepancy("shard-equiv", "rendered reports are not byte-equal"))
-    return out
-
-
 def _check_engines(trace: Trace, result) -> list[Discrepancy]:
-    """The two analysis engines must agree bit-for-bit.
+    """The columnar pipeline and the per-event reference must agree bit-for-bit.
 
-    ``result`` came from the default (columnar) engine; this runs the
-    per-event object pipeline over the same trace and demands ``==``
-    everywhere — the columnar engine's contract is *bit-identity*, not
-    numerical closeness, which is what lets goldens, shard stitching
-    and the JSON export swap engines without a diff.
+    ``result`` came from the production (columnar) ``analyze``; this runs
+    :func:`reference_analyze` over the same trace and demands ``==``
+    everywhere — the columnar pipeline's contract is *bit-identity*, not
+    numerical closeness, which is what lets the goldens pin both.
     """
     try:
-        obj = analyze(trace, engine="object")
+        obj = reference_analyze(trace)
     except ReproError as exc:
         return [
             Discrepancy(
-                "engine-equiv", f"object engine raised {type(exc).__name__}: {exc}"
+                "engine-equiv", f"reference_analyze raised {type(exc).__name__}: {exc}"
             )
         ]
     out: list[Discrepancy] = []

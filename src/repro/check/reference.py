@@ -1,23 +1,59 @@
-"""Per-event reference trace checker — the ``validate-equiv`` oracle.
+"""Per-event reference implementations — the ``engine-equiv`` and
+``validate-equiv`` oracles.
 
-The structural checks of :mod:`repro.trace.validate`, written one
-``Event`` at a time with plain dicts.  Production code uses the
-vectorized checker there; this one exists so the differential oracle
-(``check.oracle``) and the tests can demand that both produce the
-*identical* problem list, order included, on clean and corrupted traces.
-Being slow but obviously correct is its job.
+* :func:`reference_analyze` is the analysis pipeline written one
+  ``Event`` at a time (:mod:`repro.core.wakers`,
+  :mod:`repro.core.segments`, :mod:`repro.core.critical_path`,
+  :mod:`repro.core.metrics`).  Production ``analyze`` runs the columnar
+  twins of those modules; the oracle and the tests demand bit-identical
+  results from both.
+* :func:`reference_trace_problems` holds the structural checks of
+  :mod:`repro.trace.validate`, written with plain dicts.  The oracle and
+  the tests demand that it and the vectorized checker produce the
+  *identical* problem list, order included, on clean and corrupted
+  traces.
+
+Being slow but obviously correct is their job.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.core.analyzer import AnalysisResult
+from repro.core.critical_path import compute_critical_path
+from repro.core.metrics import compute_metrics, compute_thread_stats
+from repro.core.report import AnalysisReport
+from repro.core.segments import build_timelines
+from repro.core.wakers import resolve_wakers
 from repro.trace.events import NO_OBJECT, Event, EventType, ObjectKind
 from repro.trace.trace import Trace
 
-__all__ = ["reference_trace_problems"]
+__all__ = ["reference_analyze", "reference_trace_problems"]
 
 _KNOWN_ETYPES = frozenset(int(e) for e in EventType)
+
+
+def reference_analyze(trace: Trace) -> AnalysisResult:
+    """Analyze ``trace`` with the per-event object pipeline.
+
+    Resolve wakers → build timelines → backward walk → metrics, with no
+    validation: callers that need it run ``validate_trace`` first.
+    """
+    wakers = resolve_wakers(trace)
+    timelines = build_timelines(trace, wakers)
+    cp = compute_critical_path(trace, timelines, wakers)
+    report = AnalysisReport(
+        name=str(trace.meta.get("name", "")),
+        nthreads=len(timelines),
+        duration=trace.duration,
+        cp=cp,
+        locks=compute_metrics(trace, timelines, cp),
+        thread_stats=compute_thread_stats(timelines, cp),
+    )
+    return AnalysisResult(
+        trace=trace, critical_path=cp, report=report, wakers=wakers, timelines=timelines
+    )
 
 
 def reference_trace_problems(trace: Trace) -> list[str]:

@@ -15,18 +15,17 @@ Pipeline (mirrors the paper's analysis module, Fig. 3):
    an independent longest-path cross-check and powers
    :mod:`repro.core.whatif` speedup predictions.
 
-Use :func:`repro.core.analyzer.analyze` for the whole pipeline.  Steps
-1–4 have two interchangeable implementations: the per-event object
-modules listed above, and the vectorized numpy twins in
-:mod:`repro.core.columnar` (the default engine; bit-identical output,
-see ``docs/algorithm.md``).
+Use :func:`repro.core.analyzer.analyze` for the whole pipeline.  It runs
+the vectorized numpy twins of steps 1–4 in :mod:`repro.core.columnar`;
+the per-event object modules listed above are the readable reference
+(:func:`repro.check.reference.reference_analyze`, bit-identical output,
+see ``docs/algorithm.md``) and back the DAG and replay layers.
 """
 
-from repro.core.analyzer import ENGINES, AnalysisResult, analyze
+from repro.core.analyzer import AnalysisResult, analyze
 from repro.core.columnar import (
     ColumnarTimelines,
     ColumnarWakers,
-    backward_walk_columnar,
     build_timelines_columnar,
     resolve_wakers_columnar,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "AnalysisReport",
     "ColumnarTimelines",
     "ColumnarWakers",
-    "ENGINES",
     "BlameReport",
     "LockAttribution",
     "ComparisonReport",
@@ -87,7 +85,6 @@ __all__ = [
     "WhatIfResult",
     "WindowedCriticality",
     "attribute_lock",
-    "backward_walk_columnar",
     "build_event_graph",
     "build_lock_order",
     "build_timelines",

@@ -5,17 +5,15 @@ the trace, build timelines, resolve wakers, run the backward critical-
 path walk, compute TYPE 1 / TYPE 2 metrics and wrap everything in an
 :class:`AnalysisReport`.
 
-Two engines implement the pipeline:
-
-* ``engine="columnar"`` (default) keeps the trace's numpy columns end to
-  end (:mod:`repro.core.columnar`) and only materializes
-  ``Wait``/``HoldInterval``/``ThreadTimeline`` objects lazily, when a
-  caller actually reads :attr:`AnalysisResult.timelines` or
-  :attr:`AnalysisResult.wakers` (the DAG, what-if and viz layers do);
-* ``engine="object"`` is the original per-event object pipeline, kept
-  as an escape hatch and as the differential baseline — the
-  ``engine-equiv`` invariant of ``repro.check`` holds the two to
-  bit-identical output on every fuzzed seed.
+The pipeline keeps the trace's numpy columns end to end
+(:mod:`repro.core.columnar`) and only materializes
+``Wait``/``HoldInterval``/``ThreadTimeline`` objects lazily, when a
+caller actually reads :attr:`AnalysisResult.timelines` or
+:attr:`AnalysisResult.wakers` (the DAG, what-if and viz layers do).  The
+per-event object pipeline survives as the test reference
+:func:`repro.check.reference.reference_analyze`; the ``engine-equiv``
+invariant of ``repro.check`` holds the two to bit-identical output on
+every fuzzed seed.
 """
 
 from __future__ import annotations
@@ -29,31 +27,26 @@ from repro.core.columnar.metrics import (
 from repro.core.columnar.timelines import ColumnarTimelines, build_timelines_columnar
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.columnar.walk import compute_critical_path_columnar
-from repro.core.critical_path import CriticalPath, compute_critical_path
+from repro.core.critical_path import CriticalPath
 from repro.core.dag import EventGraph, build_event_graph
-from repro.core.metrics import compute_metrics, compute_thread_stats
 from repro.core.model import ThreadTimeline
 from repro.core.report import AnalysisReport
-from repro.core.segments import build_timelines
-from repro.core.wakers import WakerTable, resolve_wakers
+from repro.core.wakers import WakerTable
 from repro.core.whatif import WhatIfResult, predict_no_contention, predict_shrink
 from repro.trace.trace import Trace
 from repro.trace.validate import validate_trace
 
 __all__ = ["AnalysisResult", "analyze"]
 
-#: Valid values for ``analyze(engine=...)``.
-ENGINES = ("columnar", "object")
-
 
 class AnalysisResult:
     """Everything produced by one analysis pass over a trace.
 
-    ``wakers`` and ``timelines`` are materialized lazily when the result
-    came from the columnar engine: the hot path never builds per-event
-    Python objects, but every downstream consumer (DAG cross-check,
-    what-if, viz, export) still sees the exact object-engine structures
-    on first access.
+    ``wakers`` and ``timelines`` are materialized lazily from the columnar
+    structures: the hot path never builds per-event Python objects, but
+    every downstream consumer (DAG cross-check, what-if, viz, export)
+    still sees the exact object-engine structures on first access.  The
+    reference pipeline passes its object structures directly.
     """
 
     def __init__(
@@ -61,7 +54,6 @@ class AnalysisResult:
         trace: Trace,
         critical_path: CriticalPath,
         report: AnalysisReport,
-        shards: int = 1,
         wakers: WakerTable | None = None,
         timelines: dict[int, ThreadTimeline] | None = None,
         columnar: tuple[ColumnarWakers, ColumnarTimelines] | None = None,
@@ -71,16 +63,9 @@ class AnalysisResult:
         self.trace = trace
         self.critical_path = critical_path
         self.report = report
-        #: How many shards produced this result (1 = sequential pass).
-        self.shards = shards
         self._wakers = wakers
         self._timelines = timelines
         self._columnar = columnar
-
-    @property
-    def engine(self) -> str:
-        """Which engine produced this result."""
-        return "columnar" if self._columnar is not None else "object"
 
     @property
     def wakers(self) -> WakerTable:
@@ -117,71 +102,19 @@ class AnalysisResult:
         return self.report.render(n)
 
 
-def _report(trace: Trace, nthreads: int, cp: CriticalPath, locks, threads) -> AnalysisReport:
-    return AnalysisReport(
-        name=str(trace.meta.get("name", "")),
-        nthreads=nthreads,
-        duration=trace.duration,
-        cp=cp,
-        locks=locks,
-        thread_stats=threads,
-    )
-
-
-def analyze(
-    trace: Trace,
-    validate: bool = True,
-    jobs: int | None = None,
-    parallel: bool | None = None,
-    engine: str = "columnar",
-) -> AnalysisResult:
-    """Run the full critical lock analysis pipeline on a trace.
-
-    ``jobs`` > 1 enables sharded analysis: the trace is split at
-    quiescent cut points (full-barrier episodes, final joins) and the
-    shards run concurrently, stitched back into a result identical to
-    the sequential one (see ``docs/sharding.md``).  Traces with no cut
-    points, machines with a single usable CPU, and any shard-level
-    inconsistency silently use the sequential pass, so ``jobs`` never
-    changes the answer, only the wall-clock.  ``parallel`` forces worker
-    processes on or off (the default picks based on trace size and CPU
-    count).
-
-    ``engine`` selects the implementation: ``"columnar"`` (default, the
-    numpy hot path) or ``"object"`` (the per-event reference pipeline);
-    both produce bit-identical results.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+def analyze(trace: Trace, validate: bool = True) -> AnalysisResult:
+    """Run the full critical lock analysis pipeline on a trace."""
     if validate:
         validate_trace(trace)
-    if jobs is not None and jobs > 1:
-        from repro.core.shard import analyze_sharded  # deferred: import cycle
-
-        result = analyze_sharded(trace, jobs=jobs, parallel=parallel, engine=engine)
-        if result is not None:
-            return result
-    if engine == "columnar":
-        cw = resolve_wakers_columnar(trace)
-        ct = build_timelines_columnar(trace, cw)
-        cp = compute_critical_path_columnar(trace, ct)
-        locks = compute_metrics_columnar(trace, ct, cp)
-        threads = compute_thread_stats_columnar(ct, cp)
-        return AnalysisResult(
-            trace=trace,
-            critical_path=cp,
-            report=_report(trace, len(ct.tids), cp, locks, threads),
-            columnar=(cw, ct),
-        )
-    wakers = resolve_wakers(trace)
-    timelines = build_timelines(trace, wakers)
-    cp = compute_critical_path(trace, timelines, wakers)
-    locks = compute_metrics(trace, timelines, cp)
-    threads = compute_thread_stats(timelines, cp)
-    return AnalysisResult(
-        trace=trace,
-        critical_path=cp,
-        report=_report(trace, len(timelines), cp, locks, threads),
-        wakers=wakers,
-        timelines=timelines,
+    cw = resolve_wakers_columnar(trace)
+    ct = build_timelines_columnar(trace, cw)
+    cp = compute_critical_path_columnar(trace, ct)
+    report = AnalysisReport(
+        name=str(trace.meta.get("name", "")),
+        nthreads=len(ct.tids),
+        duration=trace.duration,
+        cp=cp,
+        locks=compute_metrics_columnar(trace, ct, cp),
+        thread_stats=compute_thread_stats_columnar(ct, cp),
     )
+    return AnalysisResult(trace=trace, critical_path=cp, report=report, columnar=(cw, ct))

@@ -18,13 +18,14 @@ already hands us as a structured array.  This package keeps the columns:
 * :mod:`repro.core.columnar.metrics` computes the TYPE 1 / TYPE 2 tables
   with per-group ``np.cumsum`` so every float is summed in exactly the
   order the object engine uses — the output is *bit-identical*, which
-  the 14th ``repro.check`` invariant (``engine-equiv``) enforces on
-  every fuzzed seed;
+  the ``engine-equiv`` invariant of ``repro.check`` enforces on every
+  fuzzed seed;
 * :mod:`repro.core.columnar.online` is the batch kernel behind
   :meth:`repro.core.online.OnlineAnalyzer.observe_batch`.
 
-``analyze(trace)`` dispatches here by default; ``engine="object"`` is
-the escape hatch (see ``docs/algorithm.md``).
+``analyze(trace)`` runs this pipeline; the object engine survives only
+as the test reference :func:`repro.check.reference.reference_analyze`
+(see ``docs/algorithm.md``).
 """
 
 from repro.core.columnar.metrics import (
@@ -33,13 +34,13 @@ from repro.core.columnar.metrics import (
 )
 from repro.core.columnar.timelines import ColumnarTimelines, build_timelines_columnar
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
-from repro.core.columnar.walk import backward_walk_columnar
+from repro.core.columnar.walk import compute_critical_path_columnar
 
 __all__ = [
     "ColumnarTimelines",
     "ColumnarWakers",
-    "backward_walk_columnar",
     "build_timelines_columnar",
+    "compute_critical_path_columnar",
     "compute_metrics_columnar",
     "compute_thread_stats_columnar",
     "resolve_wakers_columnar",

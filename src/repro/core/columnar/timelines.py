@@ -110,81 +110,6 @@ class ColumnarTimelines:
     def tid_index(self) -> dict[int, int]:
         return {int(t): i for i, t in enumerate(self.tids)}
 
-    @staticmethod
-    def merge(parts: list["ColumnarTimelines"]) -> "ColumnarTimelines":
-        """Concatenate per-shard timelines (shard order is seq order).
-
-        Mirrors :func:`repro.core.shard._merge_timelines`: spans take the
-        min/max, a later shard's creator wins, waits re-sort by
-        ``(tid, wake_seq)``, and holds re-sort stably by ``(tid, obj,
-        start, end)`` so equal intervals keep shard order — exactly the
-        object engine's stable per-lock re-sort.
-        """
-        ct = ColumnarTimelines(n_events=sum(p.n_events for p in parts))
-        span: dict[int, list] = {}
-        obj_order: dict[int, list[int]] = {}
-        for p in parts:
-            for i, t in enumerate(p.tids):
-                tid = int(t)
-                cur = span.get(tid)
-                if cur is None:
-                    span[tid] = [
-                        p.names[i],
-                        float(p.t_start[i]),
-                        float(p.t_end[i]),
-                        int(p.creator_tid[i]),
-                        float(p.create_time[i]),
-                        int(p.create_seq[i]),
-                    ]
-                else:
-                    cur[1] = min(cur[1], float(p.t_start[i]))
-                    cur[2] = max(cur[2], float(p.t_end[i]))
-                    if p.creator_tid[i] >= 0:
-                        cur[3] = int(p.creator_tid[i])
-                        cur[4] = float(p.create_time[i])
-                        cur[5] = int(p.create_seq[i])
-            for tid, objs in p.hold_obj_order.items():
-                seen = obj_order.setdefault(tid, [])
-                for o in objs:
-                    if o not in seen:
-                        seen.append(o)
-        tids = sorted(span)
-        ct.tids = np.array(tids, dtype=np.int64)
-        ct.names = [span[t][0] for t in tids]
-        ct.t_start = np.array([span[t][1] for t in tids], dtype=np.float64)
-        ct.t_end = np.array([span[t][2] for t in tids], dtype=np.float64)
-        ct.creator_tid = np.array([span[t][3] for t in tids], dtype=np.int64)
-        ct.create_time = np.array([span[t][4] for t in tids], dtype=np.float64)
-        ct.create_seq = np.array([span[t][5] for t in tids], dtype=np.int64)
-        ct.hold_obj_order = obj_order
-
-        for name in (
-            "w_tid", "w_kind", "w_obj", "w_start", "w_end", "w_wake_seq",
-            "w_waker_tid", "w_waker_time", "w_waker_seq",
-        ):
-            setattr(ct, name, np.concatenate([getattr(p, name) for p in parts]))
-        worder = np.lexsort((ct.w_wake_seq, ct.w_tid))
-        for name in (
-            "w_tid", "w_kind", "w_obj", "w_start", "w_end", "w_wake_seq",
-            "w_waker_tid", "w_waker_time", "w_waker_seq",
-        ):
-            setattr(ct, name, getattr(ct, name)[worder])
-        ct.wait_lo, ct.wait_hi = _spans_for(ct.tids, ct.w_tid)
-
-        for name in ("h_tid", "h_obj", "h_start", "h_end", "h_contended", "h_acquire"):
-            setattr(ct, name, np.concatenate([getattr(p, name) for p in parts]))
-        horder = np.lexsort((ct.h_end, ct.h_start, ct.h_obj, ct.h_tid))
-        for name in ("h_tid", "h_obj", "h_start", "h_end", "h_contended", "h_acquire"):
-            setattr(ct, name, getattr(ct, name)[horder])
-        ct.hold_groups = {}
-        if len(ct.h_tid):
-            gkey = dense_keys(ct.h_tid, ct.h_obj)
-            starts, _ = group_bounds(gkey)
-            bounds = np.append(starts, len(gkey))
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                ct.hold_groups[(int(ct.h_tid[lo]), int(ct.h_obj[lo]))] = (int(lo), int(hi))
-        return ct
-
     # -- materialization ---------------------------------------------------
 
     def to_object(self) -> dict[int, ThreadTimeline]:
@@ -240,26 +165,24 @@ def _slot_values(
     time: np.ndarray,
     setter_pos: np.ndarray,
     getter_pos: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Dict-slot semantics: for each getter, the latest prior setter's
     time — valid only if no getter popped the slot in between.
 
-    Returns ``(values, valid, prior_getter_pos)``; invalid slots carry
-    the getter's own time (the object engine's ``dict.pop`` default).
+    Invalid slots carry the getter's own time (the object engine's
+    ``dict.pop`` default).
     """
     packed = dense_keys(*(c[np.concatenate([setter_pos, getter_pos])] for c in key_cols))
     skey, gkey = packed[: len(setter_pos)], packed[len(setter_pos):]
     s = latest_prior(setter_pos, skey, getter_pos, gkey)
     g = latest_prior(getter_pos, gkey, getter_pos, gkey)
     valid = s > g  # s == -1 never wins; a consumed setter (s < g) neither
-    values = np.where(valid, time[np.maximum(s, 0)], time[getter_pos])
-    return values, valid, g
+    return np.where(valid, time[np.maximum(s, 0)], time[getter_pos])
 
 
 def build_timelines_columnar(
     trace: Trace,
     wakers: ColumnarWakers | None = None,
-    boundary_arrivals: dict[tuple[int, int], dict[int, float]] | None = None,
 ) -> ColumnarTimelines:
     """Columnar twin of :func:`repro.core.segments.build_timelines`."""
     if wakers is None:
@@ -297,30 +220,22 @@ def build_timelines_columnar(
 
     # -- pending-slot matching per wait kind -------------------------------
     obtains = np.flatnonzero(etype == _OBTAIN)
-    acq_vals, _, _ = _slot_values(
+    acq_vals = _slot_values(
         obtains, (tid, obj), time, np.flatnonzero(etype == _ACQUIRE), obtains
     )
 
     departs = np.flatnonzero(etype == _DEPART)
-    arrive_vals, arrive_valid, dep_prior_pop = _slot_values(
+    arrive_vals = _slot_values(
         departs, (tid, obj, arg), time, np.flatnonzero(etype == _ARRIVE), departs
     )
-    if boundary_arrivals and len(departs):
-        # A seed fills the slot before the thread's first event; it is
-        # consumed by the first pop, and an in-trace arrival overrides it.
-        for j in np.flatnonzero(~arrive_valid & (dep_prior_pop < 0)):
-            p = departs[j]
-            per_tid = boundary_arrivals.get((int(obj[p]), int(arg[p])))
-            if per_tid is not None and int(tid[p]) in per_tid:
-                arrive_vals[j] = per_tid[int(tid[p])]
 
     cond_wakes = np.flatnonzero(etype == _COND_WAKE)
-    block_vals, _, _ = _slot_values(
+    block_vals = _slot_values(
         cond_wakes, (tid, obj), time, np.flatnonzero(etype == _COND_BLOCK), cond_wakes
     )
 
     join_ends = np.flatnonzero(etype == _JOIN_END)
-    begin_vals, _, _ = _slot_values(
+    begin_vals = _slot_values(
         join_ends, (tid, arg), time, np.flatnonzero(etype == _JOIN_BEGIN), join_ends
     )
 

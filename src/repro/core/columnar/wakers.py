@@ -58,18 +58,6 @@ class ColumnarWakers:
     waker_seq: np.ndarray  # int64, -1 where not a wake event
     creations: dict[int, WakeInfo] = field(default_factory=dict)
 
-    @staticmethod
-    def merge(parts: list["ColumnarWakers"]) -> "ColumnarWakers":
-        """Concatenate per-shard columns (shard order is record order)."""
-        merged = ColumnarWakers(
-            waker_tid=np.concatenate([p.waker_tid for p in parts]),
-            waker_time=np.concatenate([p.waker_time for p in parts]),
-            waker_seq=np.concatenate([p.waker_seq for p in parts]),
-        )
-        for p in parts:
-            merged.creations.update(p.creations)
-        return merged
-
     def to_table(self, records: np.ndarray) -> WakerTable:
         """Materialize the object engine's :class:`WakerTable` view."""
         seq = records["seq"]
@@ -116,10 +104,7 @@ def _raise_first(trace: Trace, failures: list[tuple[np.ndarray, str]]) -> None:
     )
 
 
-def resolve_wakers_columnar(
-    trace: Trace,
-    barrier_seed: dict[tuple[int, int], WakeInfo] | None = None,
-) -> ColumnarWakers:
+def resolve_wakers_columnar(trace: Trace) -> ColumnarWakers:
     """Columnar twin of :func:`repro.core.wakers.resolve_wakers`."""
     rec = trace.records
     n = len(rec)
@@ -170,18 +155,7 @@ def resolve_wakers_columnar(
             assign(q[hit], group_last[gi_c[hit]])
         else:
             hit = np.zeros(len(q), dtype=bool)
-        miss = q[~hit]
-        if len(miss) and barrier_seed:
-            seeded = np.zeros(len(miss), dtype=bool)
-            for j, p in enumerate(miss):
-                info = barrier_seed.get((int(obj[p]), int(arg[p])))
-                if info is not None:
-                    seeded[j] = True
-                    waker_tid[p] = info.waker_tid
-                    waker_time[p] = info.waker_time
-                    waker_seq[p] = info.waker_seq
-            miss = miss[~seeded]
-        failures.append((miss, "depart"))
+        failures.append((q[~hit], "depart"))
 
     # -- COND_WAKE <- latest prior signal, else signaller's latest event --
     q = np.flatnonzero(etype == _COND_WAKE)

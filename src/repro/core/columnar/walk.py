@@ -1,6 +1,6 @@
 """Backward critical-path walk over columnar timelines.
 
-Identical control flow to :func:`repro.core.critical_path.backward_walk`
+Identical control flow to :func:`repro.core.critical_path.compute_critical_path`
 — start at the last event of the last finished thread, cursor backwards,
 jump to the waker whenever the position follows a blocked interval — but
 the per-thread wait lookup is an ``np.searchsorted`` over each thread's
@@ -13,29 +13,26 @@ a tiny fraction of the trace.
 from __future__ import annotations
 
 from repro.core.columnar.timelines import ColumnarTimelines
-from repro.core.critical_path import CriticalPath, WalkSegment
+from repro.core.critical_path import CriticalPath
 from repro.core.model import CPPiece, Junction
 from repro.errors import AnalysisError
 from repro.trace.trace import Trace
 
 import numpy as np
 
-__all__ = ["backward_walk_columnar", "compute_critical_path_columnar"]
+__all__ = ["compute_critical_path_columnar"]
 
 
-def backward_walk_columnar(
-    trace: Trace,
-    ct: ColumnarTimelines,
-    lo_seq: int | None = None,
-) -> WalkSegment:
-    """Columnar twin of :func:`repro.core.critical_path.backward_walk`."""
+def compute_critical_path_columnar(trace: Trace, ct: ColumnarTimelines) -> CriticalPath:
+    """Columnar twin of :func:`repro.core.critical_path.compute_critical_path`."""
+    if len(trace) == 0:
+        return CriticalPath(pieces=[], junctions=[], waits=[], trace_duration=0.0)
     tindex = ct.tid_index()
     last = trace.records[len(trace.records) - 1]
     cur_tid, cur_time, cur_seq = int(last["tid"]), float(last["time"]), int(last["seq"])
     pieces: list[CPPiece] = []
     junctions: list[Junction] = []
     waits = []
-    boundary = "open"
     max_steps = ct.n_events + len(ct.tids) + 1
 
     wake_seq = ct.w_wake_seq
@@ -61,9 +58,6 @@ def backward_walk_columnar(
                 )
             )
             waits.append(w)
-            if lo_seq is not None and w.waker_seq < lo_seq:
-                boundary = "jump"
-                break
             cur_tid, cur_time, cur_seq = w.waker_tid, w.waker_time, w.waker_seq
         else:
             pieces.append(CPPiece(tid=cur_tid, start=float(ct.t_start[i]), end=cur_time))
@@ -87,17 +81,9 @@ def backward_walk_columnar(
     pieces.reverse()
     junctions.reverse()
     waits.reverse()
-    return WalkSegment(pieces=pieces, junctions=junctions, waits=waits, boundary=boundary)
-
-
-def compute_critical_path_columnar(trace: Trace, ct: ColumnarTimelines) -> CriticalPath:
-    """Walk a whole trace and wrap the result (columnar fast path)."""
-    if len(trace) == 0:
-        return CriticalPath(pieces=[], junctions=[], waits=[], trace_duration=0.0)
-    walk = backward_walk_columnar(trace, ct)
     return CriticalPath(
-        pieces=walk.pieces,
-        junctions=walk.junctions,
-        waits=walk.waits,
+        pieces=pieces,
+        junctions=junctions,
+        waits=waits,
         trace_duration=trace.duration,
     )

@@ -11,10 +11,6 @@ Termination is guaranteed because the cursor's event sequence number
 strictly decreases at every jump (a waker's event always precedes the
 wake it causes), which also makes the walk robust to chains of
 simultaneous events in virtual-time traces.
-
-:func:`backward_walk` exposes the walk itself with an optional shard
-boundary (``lo_seq``); the sharded analyzer (:mod:`repro.core.shard`)
-runs one bounded walk per shard and stitches the segments.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from repro.core.segments import build_timelines
 from repro.core.wakers import WakerTable
 from repro.trace.trace import Trace
 
-__all__ = ["CriticalPath", "WalkSegment", "backward_walk", "compute_critical_path"]
+__all__ = ["CriticalPath", "compute_critical_path"]
 
 
 @dataclass(frozen=True)
@@ -91,35 +87,21 @@ class _Cursor:
     seq: int
 
 
-@dataclass(frozen=True)
-class WalkSegment:
-    """One backward walk's output, in forward order.
-
-    ``boundary`` records how the walk terminated: ``"open"`` when it
-    fell off a thread's (possibly shard-local) start with no creator to
-    jump to, ``"jump"`` when it traversed a wait whose waker lies before
-    ``lo_seq`` — i.e. before the shard — and stopped there.  A whole-
-    trace walk always terminates ``"open"``, at a root thread's start.
-    """
-
-    pieces: list[CPPiece]
-    junctions: list[Junction]
-    waits: list[Wait]
-    boundary: str  # "open" | "jump"
-
-
-def backward_walk(
+def compute_critical_path(
     trace: Trace,
-    timelines: dict[int, ThreadTimeline],
-    lo_seq: int | None = None,
-) -> WalkSegment:
-    """The paper's backward walk over a trace (or one shard of it).
+    timelines: dict[int, ThreadTimeline] | None = None,
+    wakers: WakerTable | None = None,
+) -> CriticalPath:
+    """Run the backward walk and return the critical path.
 
-    With ``lo_seq`` set, the walk treats any wait whose waker seq is
-    below it as a shard boundary: the piece, junction and wait are
-    recorded as usual but the cursor does not leave the shard.  The
-    sharded analyzer stitches the resulting segments end to end.
+    ``timelines`` may be passed to reuse a previous
+    :func:`repro.core.segments.build_timelines` result.
     """
+    if len(trace) == 0:
+        return CriticalPath(pieces=[], junctions=[], waits=[], trace_duration=0.0)
+    if timelines is None:
+        timelines = build_timelines(trace, wakers)
+
     # Pre-extract each thread's wake-seq array for bisection.
     wake_seqs: dict[int, list[int]] = {
         tid: [w.wake_seq for w in tl.waits] for tid, tl in timelines.items()
@@ -130,7 +112,6 @@ def backward_walk(
     pieces: list[CPPiece] = []
     junctions: list[Junction] = []
     waits: list[Wait] = []
-    boundary = "open"
 
     # For traces produced by the simulator or the instrumentation layer a
     # waker's event always precedes the wake, so the cursor seq strictly
@@ -160,9 +141,6 @@ def backward_walk(
                 )
             )
             waits.append(w)
-            if lo_seq is not None and w.waker_seq < lo_seq:
-                boundary = "jump"
-                break
             cur = _Cursor(tid=w.waker_tid, time=w.waker_time, seq=w.waker_seq)
         else:
             pieces.append(CPPiece(tid=cur.tid, start=tl.start, end=cur.time))
@@ -183,29 +161,9 @@ def backward_walk(
     pieces.reverse()
     junctions.reverse()
     waits.reverse()
-    return WalkSegment(
-        pieces=pieces, junctions=junctions, waits=waits, boundary=boundary
-    )
-
-
-def compute_critical_path(
-    trace: Trace,
-    timelines: dict[int, ThreadTimeline] | None = None,
-    wakers: WakerTable | None = None,
-) -> CriticalPath:
-    """Run the backward walk and return the critical path.
-
-    ``timelines`` may be passed to reuse a previous
-    :func:`repro.core.segments.build_timelines` result.
-    """
-    if len(trace) == 0:
-        return CriticalPath(pieces=[], junctions=[], waits=[], trace_duration=0.0)
-    if timelines is None:
-        timelines = build_timelines(trace, wakers)
-    walk = backward_walk(trace, timelines)
     return CriticalPath(
-        pieces=walk.pieces,
-        junctions=walk.junctions,
-        waits=walk.waits,
+        pieces=pieces,
+        junctions=junctions,
+        waits=waits,
         trace_duration=trace.duration,
     )

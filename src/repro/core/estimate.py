@@ -253,7 +253,6 @@ def estimate_report(
     *,
     confidence: float = 0.9,
     bootstrap: int = 200,
-    engine: str = "columnar",
 ) -> EstimatedReport:
     """Estimate the critical-lock ranking of the *full* execution.
 
@@ -282,7 +281,7 @@ def estimate_report(
     )
 
     repaired, demoted = demote_orphan_contention(trace)
-    result = analyze(repaired, validate=False, engine=engine)
+    result = analyze(repaired, validate=False)
     cp = result.critical_path
     timelines = result.timelines
     cp_length = cp.length

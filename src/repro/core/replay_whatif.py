@@ -19,8 +19,8 @@ against the baseline analysis.
 
 Trustworthiness rests on :func:`replay_identity`: replaying under the
 ``recorded`` identity protocol must reproduce the baseline completion
-time and critical-lock ranking bit-identically (the 14th ``repro.check``
-invariant enforces this for every generated trace).
+time and critical-lock ranking bit-identically (the ``replay-identity``
+invariant of ``repro.check`` enforces this for every generated trace).
 """
 
 from __future__ import annotations

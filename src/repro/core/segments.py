@@ -22,16 +22,11 @@ __all__ = ["build_timelines"]
 def build_timelines(
     trace: Trace,
     wakers: WakerTable | None = None,
-    boundary_arrivals: dict[tuple[int, int], dict[int, float]] | None = None,
 ) -> dict[int, ThreadTimeline]:
     """Build every thread's timeline from a trace.
 
     ``wakers`` may be passed to reuse an existing resolution (the
-    analyzer resolves once and shares it).  ``boundary_arrivals`` maps a
-    (barrier, generation) episode to each participant's arrival time;
-    the sharded analyzer supplies it when the trace was split between an
-    episode's arrivals and its departs, so the departs' Waits keep their
-    true (pre-split) start times.
+    analyzer resolves once and shares it).
     """
     if wakers is None:
         wakers = resolve_wakers(trace)
@@ -40,7 +35,7 @@ def build_timelines(
         per_thread[ev.tid].append(ev)
     timelines: dict[int, ThreadTimeline] = {}
     for tid, events in sorted(per_thread.items()):
-        timelines[tid] = _build_one(trace, tid, events, wakers, boundary_arrivals)
+        timelines[tid] = _build_one(trace, tid, events, wakers)
     return timelines
 
 
@@ -49,7 +44,6 @@ def _build_one(
     tid: int,
     events: list[Event],
     wakers: WakerTable,
-    boundary_arrivals: dict[tuple[int, int], dict[int, float]] | None = None,
 ) -> ThreadTimeline:
     tl = ThreadTimeline(
         tid=tid,
@@ -66,10 +60,6 @@ def _build_one(
     pending_acquire: dict[int, float] = {}  # obj -> ACQUIRE time
     open_holds: dict[int, list[tuple[float, bool, float]]] = defaultdict(list)
     pending_barrier: dict[tuple[int, int], float] = {}  # (obj, gen) -> arrive time
-    if boundary_arrivals:
-        for key, per_tid in boundary_arrivals.items():
-            if tid in per_tid:
-                pending_barrier[key] = per_tid[tid]
     pending_cond: dict[int, float] = {}  # cond obj -> block time
     pending_join: dict[int, float] = {}  # target tid -> begin time
 

@@ -48,18 +48,8 @@ class WakerTable:
     creations: dict[int, WakeInfo]
 
 
-def resolve_wakers(
-    trace: Trace,
-    barrier_seed: dict[tuple[int, int], WakeInfo] | None = None,
-) -> WakerTable:
-    """Resolve the waker of every wake event in one pass over the trace.
-
-    ``barrier_seed`` pre-populates the per-(barrier, generation) final
-    arrival.  The sharded analyzer uses it when a trace is split right
-    after a barrier episode's last arrival: the right shard contains the
-    episode's departs but none of its arrivals, so their waker — the cut
-    anchor — must be injected.
-    """
+def resolve_wakers(trace: Trace) -> WakerTable:
+    """Resolve the waker of every wake event in one pass over the trace."""
     wakes: dict[int, WakeInfo] = {}
     creations: dict[int, WakeInfo] = {}
     last_release: dict[int, WakeInfo] = {}  # obj -> most recent RELEASE
@@ -70,7 +60,7 @@ def resolve_wakers(
     # Pass 1: the cohort's final arrival per (barrier, generation).  Done
     # up front because hand-built traces may interleave a departure before
     # the cohort's last ARRIVE at equal timestamps.
-    last_arrival: dict[tuple[int, int], WakeInfo] = dict(barrier_seed or {})
+    last_arrival: dict[tuple[int, int], WakeInfo] = {}
     for ev in trace:
         if ev.etype == EventType.BARRIER_ARRIVE:
             last_arrival[(ev.obj, ev.arg)] = WakeInfo(ev.tid, ev.time, ev.seq)

@@ -205,14 +205,8 @@ def _exec_analyze(paths: list[str], params: dict) -> dict:
     from repro.trace.reader import read_trace
 
     trace = read_trace(paths[0])
-    jobs = params.get("jobs")
-    analysis = analyze(
-        trace,
-        validate=bool(params.get("validate", True)),
-        jobs=int(jobs) if jobs is not None else None,
-    )
+    analysis = analyze(trace, validate=bool(params.get("validate", True)))
     report = analysis.report.to_dict()
-    report["shards"] = analysis.shards
     ranking = sorted(
         (
             {"name": name, "cp_time_frac": m["cp_time_frac"],

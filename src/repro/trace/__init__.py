@@ -23,7 +23,6 @@ from repro.trace.framing import (
 from repro.trace.importers import IMPORT_FORMATS, import_perf_jsonl, import_trace
 from repro.trace.merge import merge_traces
 from repro.trace.reader import iter_trace_chunks, read_trace
-from repro.trace.shard import CutPoint, find_cuts, select_cuts
 from repro.trace.stats import TraceStats, compute_trace_stats
 from repro.trace.transform import demote_orphan_contention, filter_threads, slice_time
 from repro.trace.writer import write_trace
@@ -59,7 +58,4 @@ __all__ = [
     "validate_trace",
     "trace_digest",
     "file_digest",
-    "CutPoint",
-    "find_cuts",
-    "select_cuts",
 ]
