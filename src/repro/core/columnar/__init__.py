@@ -13,8 +13,9 @@ already hands us as a structured array.  This package keeps the columns:
   that materializes :class:`~repro.core.model.Wait` /
   :class:`~repro.core.model.HoldInterval` objects only where the DAG,
   what-if and viz layers need them;
-* :mod:`repro.core.columnar.walk` drives the paper's backward walk with
-  per-thread index arrays instead of dict lookups;
+* :mod:`repro.core.columnar.walk` precomputes every jump of the paper's
+  backward walk with one ``searchsorted``, follows them as plain ints
+  and returns the path as columns;
 * :mod:`repro.core.columnar.metrics` computes the TYPE 1 / TYPE 2 tables
   with per-group ``np.cumsum`` so every float is summed in exactly the
   order the object engine uses — the output is *bit-identical*, which

@@ -18,9 +18,12 @@ from repro.core.columnar.timelines import WAIT_KIND_CODES, ColumnarTimelines
 from repro.core.critical_path import CriticalPath
 from repro.core.metrics import LockMetrics, ThreadStats
 from repro.core.model import WaitKind
+from repro.trace.ops import exact_group_sums, group_bounds, sort_order
 from repro.trace.trace import Trace
 
 __all__ = ["compute_metrics_columnar", "compute_thread_stats_columnar"]
+
+_LOCK_CODE = WAIT_KIND_CODES.index(WaitKind.LOCK)
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -74,18 +77,20 @@ def compute_metrics_columnar(
     """Columnar twin of :func:`repro.core.metrics.compute_metrics`."""
     nthreads = max(1, len(ct.tids))
     cp_length = cp.length
-    pieces_by_thread = cp.pieces_by_thread()
-    piece_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for tid, plist in pieces_by_thread.items():
-        plist.sort(key=lambda p: (p.start, p.end))
-        piece_arrays[tid] = (
-            np.fromiter((p.start for p in plist), dtype=np.float64, count=len(plist)),
-            np.fromiter((p.end for p in plist), dtype=np.float64, count=len(plist)),
-        )
-    lock_crossings: dict[int, int] = {}
-    for j in cp.junctions:
-        if j.kind == WaitKind.LOCK:
-            lock_crossings[j.obj] = lock_crossings.get(j.obj, 0) + 1
+    # Each thread's pieces sorted by (start, end), ties in path order.
+    order = np.lexsort((cp.piece_end, cp.piece_start, cp.piece_tid))
+    p_start, p_end = cp.piece_start[order], cp.piece_end[order]
+    starts, piece_tids = group_bounds(cp.piece_tid[order])
+    bounds = np.append(starts, len(order)).tolist()
+    piece_arrays = {
+        tid: (p_start[lo:hi], p_end[lo:hi])
+        for tid, lo, hi in zip(piece_tids.tolist(), bounds[:-1], bounds[1:])
+    }
+    # cp was walked over ct, so its wait rows index ct's wait columns.
+    rows = cp.piece_wait[cp.piece_wait >= 0]
+    rows = rows[ct.w_kind[rows] == _LOCK_CODE]
+    crossed, counts = np.unique(ct.w_obj[rows], return_counts=True)
+    lock_crossings = dict(zip(crossed.tolist(), counts.tolist()))
 
     durations = ct.h_end - ct.h_start
     hold_waits = ct.h_start - ct.h_acquire
@@ -163,9 +168,14 @@ def compute_thread_stats_columnar(
     ct: ColumnarTimelines, cp: CriticalPath
 ) -> list[ThreadStats]:
     """Columnar twin of :func:`repro.core.metrics.compute_thread_stats`."""
-    cp_by_tid: dict[int, float] = {}
-    for p in cp.pieces:
-        cp_by_tid[p.tid] = cp_by_tid.get(p.tid, 0.0) + p.duration
+    # Per-thread sums of piece durations, added in path order.
+    order = sort_order(cp.piece_tid)
+    starts, piece_tids = group_bounds(cp.piece_tid[order])
+    ends = np.append(starts[1:], len(order))
+    durations = (cp.piece_end - cp.piece_start)[order]
+    cp_by_tid = dict(
+        zip(piece_tids.tolist(), exact_group_sums(durations, starts, ends).tolist())
+    )
     wait_durations = ct.w_end - ct.w_start
     stats = []
     for i, t in enumerate(ct.tids):

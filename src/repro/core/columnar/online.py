@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.trace.ops import latest_prior
+from repro.trace.ops import previous_in_key
 from repro.trace.events import EventType
 
 __all__ = ["consume_lock_batch"]
@@ -43,10 +43,10 @@ def _slot_batch(
     """Replay a per-tid pop-on-get slot dict over one lock's rows.
 
     Returns each getter's popped value (default: its own time).  A
-    getter sees an in-batch setter iff the latest prior setter of its
-    tid is more recent than the latest prior getter (getters always
-    pop); with neither in the batch, the slot still holds whatever
-    ``carry`` brought in from earlier batches.  ``carry`` is updated in
+    getter sees an in-batch setter iff the row just before it among its
+    tid's setters and getters is a setter (getters always pop); with
+    neither in the batch, the slot still holds whatever ``carry``
+    brought in from earlier batches.  ``carry`` is updated in
     place to the post-batch slot state.
     """
     values = time[getters].copy()
@@ -55,17 +55,15 @@ def _slot_batch(
         for p in setters:
             carry[int(tid[p])] = float(time[p])
         return values
-    # latest_prior returns row *positions* (elements of its marker_pos
-    # argument), -1 where no prior marker exists.
-    if len(setters):
-        s_pos = latest_prior(setters, tid[setters], getters, tid[getters])
-    else:
-        s_pos = np.full(len(getters), -1, dtype=np.int64)
-    g_pos = latest_prior(getters, tid[getters], getters, tid[getters])
-    from_batch = s_pos > g_pos  # -1 sentinels make the comparison safe
+    # The row just before each getter among its tid's setters and
+    # getters: a setter fills the slot, a getter has emptied it, and
+    # no row at all leaves whatever the carry holds.
+    rows = np.concatenate([setters, getters])
+    prev = previous_in_key(rows, tid[rows])[len(setters):]
+    from_batch = (prev >= 0) & (prev < len(setters))
     if np.any(from_batch):
-        values[from_batch] = time[s_pos[from_batch]]
-    for q in np.flatnonzero((s_pos < 0) & (g_pos < 0)):
+        values[from_batch] = time[rows[prev[from_batch]]]
+    for q in np.flatnonzero(prev < 0):
         got = carry.get(int(tid[getters[q]]))
         if got is not None:
             values[q] = got

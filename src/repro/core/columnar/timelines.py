@@ -4,10 +4,11 @@ The object engine walks each thread's events with five little dicts
 (pending acquire/barrier/cond/join slots and per-lock hold stacks).
 Here each dict becomes one vectorized pass:
 
-* every "pending X" slot is two :func:`~repro.trace.ops.
-  latest_prior` queries — a slot holds a value iff the latest prior
-  setter (ACQUIRE, BARRIER_ARRIVE, COND_BLOCK, JOIN_BEGIN) is more
-  recent than the latest prior getter (which always pops);
+* every "pending X" slot is one :func:`~repro.trace.ops.
+  previous_in_key` pass — a getter finds a value iff the row just
+  before it among its key's setters (ACQUIRE, BARRIER_ARRIVE,
+  COND_BLOCK, JOIN_BEGIN) and getters is a setter (getters always
+  pop);
 * the per-``(tid, lock)`` hold stacks are one
   :func:`~repro.trace.ops.lifo_match` parenthesis matching;
 * waits and holds end up as flat parallel arrays with per-thread /
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.trace.ops import dense_keys, group_bounds, latest_prior, lifo_match
+from repro.trace.ops import dense_keys, group_bounds, lifo_match, previous_in_key, sort_order
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.model import HoldInterval, ThreadTimeline, Wait, WaitKind
 from repro.errors import AnalysisError
@@ -107,9 +108,6 @@ class ColumnarTimelines:
     #: total event count of the underlying trace (walk-guard sizing)
     n_events: int = 0
 
-    def tid_index(self) -> dict[int, int]:
-        return {int(t): i for i, t in enumerate(self.tids)}
-
     # -- materialization ---------------------------------------------------
 
     def to_object(self) -> dict[int, ThreadTimeline]:
@@ -160,7 +158,6 @@ class ColumnarTimelines:
 
 
 def _slot_values(
-    pos: np.ndarray,
     key_cols: tuple[np.ndarray, ...],
     time: np.ndarray,
     setter_pos: np.ndarray,
@@ -169,15 +166,16 @@ def _slot_values(
     """Dict-slot semantics: for each getter, the latest prior setter's
     time — valid only if no getter popped the slot in between.
 
-    Invalid slots carry the getter's own time (the object engine's
-    ``dict.pop`` default).
+    Getters always pop, so a getter sees a value iff the row just before
+    it among the setters and getters of its key is a setter.  Invalid
+    slots carry the getter's own time (the object engine's ``dict.pop``
+    default).
     """
-    packed = dense_keys(*(c[np.concatenate([setter_pos, getter_pos])] for c in key_cols))
-    skey, gkey = packed[: len(setter_pos)], packed[len(setter_pos):]
-    s = latest_prior(setter_pos, skey, getter_pos, gkey)
-    g = latest_prior(getter_pos, gkey, getter_pos, gkey)
-    valid = s > g  # s == -1 never wins; a consumed setter (s < g) neither
-    return np.where(valid, time[np.maximum(s, 0)], time[getter_pos])
+    rows = np.concatenate([setter_pos, getter_pos])
+    ns = len(setter_pos)
+    prev = previous_in_key(rows, dense_keys(*(c[rows] for c in key_cols)))[ns:]
+    valid = (prev >= 0) & (prev < ns)
+    return np.where(valid, time[rows[np.maximum(prev, 0)]], time[getter_pos])
 
 
 def build_timelines_columnar(
@@ -200,7 +198,7 @@ def build_timelines_columnar(
     seq = rec["seq"].astype(np.int64)
 
     # -- per-thread spans --------------------------------------------------
-    order = np.argsort(tid, kind="stable")
+    order = sort_order(tid)
     starts, tids = group_bounds(tid[order])
     ends = np.append(starts[1:], n) - 1
     ct.tids = tids
@@ -220,23 +218,21 @@ def build_timelines_columnar(
 
     # -- pending-slot matching per wait kind -------------------------------
     obtains = np.flatnonzero(etype == _OBTAIN)
-    acq_vals = _slot_values(
-        obtains, (tid, obj), time, np.flatnonzero(etype == _ACQUIRE), obtains
-    )
+    acq_vals = _slot_values((tid, obj), time, np.flatnonzero(etype == _ACQUIRE), obtains)
 
     departs = np.flatnonzero(etype == _DEPART)
     arrive_vals = _slot_values(
-        departs, (tid, obj, arg), time, np.flatnonzero(etype == _ARRIVE), departs
+        (tid, obj, arg), time, np.flatnonzero(etype == _ARRIVE), departs
     )
 
     cond_wakes = np.flatnonzero(etype == _COND_WAKE)
     block_vals = _slot_values(
-        cond_wakes, (tid, obj), time, np.flatnonzero(etype == _COND_BLOCK), cond_wakes
+        (tid, obj), time, np.flatnonzero(etype == _COND_BLOCK), cond_wakes
     )
 
     join_ends = np.flatnonzero(etype == _JOIN_END)
     begin_vals = _slot_values(
-        join_ends, (tid, arg), time, np.flatnonzero(etype == _JOIN_BEGIN), join_ends
+        (tid, arg), time, np.flatnonzero(etype == _JOIN_BEGIN), join_ends
     )
 
     # -- wait rows ---------------------------------------------------------
@@ -259,7 +255,7 @@ def build_timelines_columnar(
     w_pos, w_kind, w_obj, w_start, w_end = (
         a[keep] for a in (w_pos, w_kind, w_obj, w_start, w_end)
     )
-    worder = np.lexsort((w_pos, tid[w_pos]))
+    worder = sort_order(tid[w_pos], w_pos)
     w_pos = w_pos[worder]
     ct.w_tid = tid[w_pos]
     ct.w_kind = w_kind[worder]
@@ -286,7 +282,7 @@ def build_timelines_columnar(
         # The object engine scans threads in sorted-tid order and raises
         # at the first bad RELEASE it meets.
         bpos = releases[bad]
-        k = np.lexsort((bpos, tid[bpos]))[0]
+        k = sort_order(tid[bpos], bpos)[0]
         p = bpos[k]
         raise AnalysisError(
             f"seq {int(seq[p])}: T{int(tid[p])} RELEASE on "
@@ -307,7 +303,7 @@ def build_timelines_columnar(
     h_tid = tid[h_pos_open]
     h_obj = obj[h_pos_open]
     h_cont = arg[h_pos_open] != 0
-    horder = np.lexsort((h_rank, h_end, h_start, h_obj, h_tid))
+    horder = np.lexsort((h_rank, h_end, h_start, dense_keys(h_tid, h_obj)))
     ct.h_tid = h_tid[horder]
     ct.h_obj = h_obj[horder]
     ct.h_start = h_start[horder]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.trace.ops import dense_keys, group_bounds, latest_prior
+from repro.trace.ops import dense_keys, group_bounds, latest_prior, sort_order
 from repro.core.wakers import WakeInfo, WakerTable
 from repro.errors import WakerResolutionError
 from repro.trace.events import EventType
@@ -144,7 +144,7 @@ def resolve_wakers_columnar(trace: Trace) -> ColumnarWakers:
         )
         mkey, qkey = key[: len(m)], key[len(m):]
         if len(m):
-            order = np.lexsort((m, mkey))
+            order = sort_order(mkey, m)
             starts, skeys = group_bounds(mkey[order])
             # Last element of each (barrier, generation) group is its max pos.
             ends = np.append(starts[1:], len(m)) - 1
@@ -186,7 +186,7 @@ def resolve_wakers_columnar(trace: Trace) -> ColumnarWakers:
     creations: dict[int, WakeInfo] = {}
     c = np.flatnonzero(etype == _CREATE)
     if len(c):
-        order = np.lexsort((c, arg[c]))
+        order = sort_order(arg[c], c)
         starts, _ = group_bounds(arg[c][order])
         ends = np.append(starts[1:], len(c)) - 1
         for p in c[order][ends]:

@@ -72,7 +72,7 @@ class AnalysisReport:
             f"critical lock analysis: {self.name or '(unnamed)'}",
             f"  threads: {self.nthreads}   completion time: {format_duration(self.duration)}",
             f"  critical path length: {format_duration(self.cp.length)} "
-            f"({len(self.cp.pieces)} pieces, coverage error "
+            f"({self.cp.piece_count} pieces, coverage error "
             f"{format_duration(self.cp.coverage_error)})",
             f"  critical locks: {len(self.critical_locks)} of {len(self.locks)} locks; "
             f"hot critical sections cover "
@@ -160,7 +160,7 @@ class AnalysisReport:
             "duration": self.duration,
             "critical_path": {
                 "length": self.cp.length,
-                "pieces": len(self.cp.pieces),
+                "pieces": self.cp.piece_count,
                 "coverage_error": self.cp.coverage_error,
             },
             "locks": {

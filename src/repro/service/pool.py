@@ -29,6 +29,7 @@ import multiprocessing as mp
 import os
 import threading
 import traceback
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 from repro.errors import ServiceError
@@ -40,7 +41,9 @@ __all__ = ["WorkerPool", "DEFAULT_START_METHOD"]
 #: collector + HTTP threads can clone held locks into the child.
 DEFAULT_START_METHOD = "spawn"
 
-_POLL_INTERVAL = 0.02  # seconds between result-queue polls / liveness checks
+#: Longest the collector blocks before re-checking the stop flag; results
+#: and worker deaths wake it at once.
+_POLL_INTERVAL = 0.02
 
 
 def _worker_main(task_q, result_q) -> None:  # pragma: no cover — child process
@@ -171,25 +174,22 @@ class WorkerPool:
 
     def _collect(self) -> None:
         while not self._stop.is_set():
-            drained = self._drain_results()
-            if not drained:
-                self._check_liveness()
+            # Block until a message arrives or a worker dies.  Dead
+            # workers' sentinels stay ready forever, so only live ones
+            # are watched: a pool past max_restarts must not busy-spin.
+            live = [proc.sentinel for proc in self._procs if proc.is_alive()]
+            wait([self._results._reader, *live], timeout=_POLL_INTERVAL)
+            self._drain_results()
+            self._check_liveness()
 
-    def _drain_results(self, block: bool = True) -> int:
-        """Process queued result messages; returns how many were handled.
+    def _drain_results(self) -> None:
+        """Process every queued result message.
 
         Only the collector thread reads ``self._results``, so the
         ``empty()`` check followed by ``get()`` cannot race.
         """
-        import time as _time
-
-        handled = 0
-        if block and self._results.empty():
-            _time.sleep(_POLL_INTERVAL)
         while not self._results.empty():
-            msg = self._results.get()
-            handled += 1
-            event, job_id, payload = msg
+            event, job_id, payload = self._results.get()
             if event == "claim":
                 self._claims[payload] = job_id
                 self._emit("start", job_id, payload)
@@ -206,7 +206,7 @@ class WorkerPool:
             # The worker is gone.  Drain once more: its final messages may
             # still be in flight, and a job that managed to report "done"
             # before dying must not be failed retroactively.
-            self._drain_results(block=False)
+            self._drain_results()
             job_id = self._claims.pop(proc.pid, None)
             if job_id is not None:
                 self._finish(

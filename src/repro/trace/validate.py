@@ -21,7 +21,7 @@ order — the ``validate-equiv`` oracle invariant holds the two together:
 The per-key counters the reference keeps in dicts (pending ACQUIREs,
 held levels, blocked waiters, begun joins) are walks of ±1 steps that
 never drop below zero; :func:`_floored_walk` computes all of them at
-once as a segmented cumsum minus its running minimum.
+once as a floored segmented cumsum (:func:`~repro.trace.ops.floored_cumsum`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ import numpy as np
 
 from repro.errors import TraceValidationError
 from repro.trace.events import NO_OBJECT, EventType, ObjectKind
-from repro.trace.ops import dense_keys, group_bounds, latest_prior, segmented_cumsum
+from repro.trace.ops import (
+    dense_keys,
+    floored_cumsum,
+    group_bounds,
+    latest_prior,
+    previous_in_key,
+    sort_order,
+)
 from repro.trace.schema import known_etypes
 from repro.trace.trace import Trace
 
@@ -112,36 +119,26 @@ def _ordered(found: _Found) -> list[str]:
     return [msg for _pos, _rank, msg in sorted(found)]
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One int64 key per (int32, int32) pair, collision-free."""
-    return (a.astype(np.int64) << 32) | (b.astype(np.int64) & 0xFFFFFFFF)
-
-
 def _floored_walk(
-    key: np.ndarray, step: np.ndarray
+    key: np.ndarray, step: np.ndarray, order: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-key counters of ±1 steps that stay at 0 instead of going negative.
 
-    ``key`` (integers) and ``step`` are parallel, in trace order.
+    ``key`` (integers) and ``step`` are parallel, in trace order;
+    ``order`` is ``sort_order(key)`` when the caller already has it.
     Returns ``(before, first, final)``: the counter value just before
     each row, and per distinct key the input index of its first row and
-    the counter's value after its last row.  The floored walk is the plain cumulative
-    sum minus its running minimum (clamped at 0), segmented by key.
+    the counter's value after its last row.
     """
     n = len(key)
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
-    order = np.argsort(key, kind="stable")
+    if order is None:
+        order = sort_order(key)
     starts, _ = group_bounds(key[order])
     sizes = np.diff(np.append(starts, n))
-    steps = step[order].astype(np.int64)
-    walk = segmented_cumsum(steps, starts)
-    # Shift each later segment below every earlier one so one global
-    # running minimum restarts at every segment boundary.
-    shift = np.repeat(np.arange(len(starts), dtype=np.int64) * (2 * n + 2), sizes)
-    low = np.minimum.accumulate(walk - shift) + shift
-    after = walk - np.minimum(low, 0)
+    after = floored_cumsum(step[order], starts)
     before_sorted = np.empty_like(after)
     before_sorted[0] = 0
     before_sorted[1:] = after[:-1]
@@ -151,9 +148,17 @@ def _floored_walk(
     return before, order[starts], after[starts + sizes - 1]
 
 
+def _restrict(order: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``sort_order(key[mask])`` computed from ``order = sort_order(key)``:
+    a stable order filtered to a subset is the subset's stable order."""
+    rank = np.cumsum(mask)
+    rank -= 1
+    return rank[order[mask[order]]]
+
+
 def _check_thread_lifecycles(c: _Columns) -> list[str]:
     problems: list[str] = []
-    order = np.argsort(c.tid, kind="stable")
+    order = sort_order(c.tid)
     starts, tids = group_bounds(c.tid[order])
     if len(order):
         ends = np.append(starts[1:], len(order))
@@ -188,68 +193,96 @@ def _check_lock_protocol(c: _Columns) -> list[str]:
     rows = rows[c.obj[rows] != NO_OBJECT]
     if len(rows) == 0:
         return []
-    objs, inverse = np.unique(c.obj[rows], return_inverse=True)
-    kinds = np.array(
-        [
-            info.kind if (info := c.trace.objects.get(o)) is not None else ObjectKind.MUTEX
-            for o in objs.tolist()
-        ],
-        dtype=np.int64,
-    )
-    kind = kinds[inverse]
+    kind = _object_kinds(c.trace, c.obj[rows])
     lock_like = np.isin(kind, [k for k in ObjectKind if k.is_lock_like])
     found: _Found = [
         (p, 0, f"seq {c.seq[p]}: {_NAMES[int(c.etype[p])]} on non-lock object {c.name(p)}")
         for p in rows[~lock_like].tolist()
     ]
-    rows, kind = rows[lock_like], kind[lock_like]
-    et, obj, tid = c.etype[rows], c.obj[rows], c.tid[rows]
-    key = _pair(obj, tid)
+    rows, mutex = rows[lock_like], kind[lock_like] == ObjectKind.MUTEX
+    et = c.etype[rows]
+    key = dense_keys(c.obj[rows], c.tid[rows])
+    counted, exits = _pending_and_held(c, rows, et, key)
+    found += counted
+    found += _mutex_owners(c, rows, key, mutex & (et == _OBTAIN), mutex & (et == _RELEASE))
+    return _ordered(found) + exits
+
+
+def _object_kinds(trace: Trace, obj: np.ndarray) -> np.ndarray:
+    """ObjectKind per row; objects the trace does not declare count as mutexes."""
+    kind = np.full(len(obj), ObjectKind.MUTEX, dtype=np.int8)
+    declared: dict[int, list[int]] = {}
+    for o, info in trace.objects.items():
+        if info.kind != ObjectKind.MUTEX:
+            declared.setdefault(int(info.kind), []).append(o)
+    for k, objs in declared.items():
+        kind[np.isin(obj, objs)] = k
+    return kind
+
+
+def _pending_and_held(
+    c: _Columns, rows: np.ndarray, et: np.ndarray, key: np.ndarray
+) -> tuple[_Found, list[str]]:
+    """Problems of the per-(object, thread) pending-ACQUIRE and held-level
+    counters: per-record ones, and the exit-time ones in report order."""
+    order = sort_order(key)
+    found: _Found = []
 
     # Pending ACQUIREs per (object, thread): ACQUIRE +1, OBTAIN -1.
     pm = et != _RELEASE
     p_rows, p_et = rows[pm], et[pm]
-    pending, p_first, p_final = _floored_walk(key[pm], np.where(p_et == _ACQUIRE, 1, -1))
+    pending, p_first, p_final = _floored_walk(
+        key[pm], np.where(p_et == _ACQUIRE, 1, -1), _restrict(order, pm)
+    )
     for p in p_rows[(p_et == _ACQUIRE) & (pending > 0)].tolist():
         found.append((p, 1, f"seq {c.seq[p]}: T{c.tid[p]} double-ACQUIRE on {c.name(p)}"))
     for p in p_rows[(p_et == _OBTAIN) & (pending == 0)].tolist():
         found.append(
             (p, 2, f"seq {c.seq[p]}: T{c.tid[p]} OBTAIN without ACQUIRE on {c.name(p)}")
         )
+    pending_left = _touched(p_rows[p_first], p_final)
+    # Release the first walk's arrays before the second one runs: this
+    # check sets validation's peak memory.
+    del pending, p_rows, p_et, pm
 
     # Held levels per (object, thread): OBTAIN +1, RELEASE -1.
     hm = et != _ACQUIRE
     h_rows, h_et = rows[hm], et[hm]
-    held, h_first, h_final = _floored_walk(key[hm], np.where(h_et == _OBTAIN, 1, -1))
+    held, h_first, h_final = _floored_walk(
+        key[hm], np.where(h_et == _OBTAIN, 1, -1), _restrict(order, hm)
+    )
     for p in h_rows[(h_et == _RELEASE) & (held == 0)].tolist():
         found.append(
             (p, 4, f"seq {c.seq[p]}: T{c.tid[p]} RELEASE without OBTAIN on {c.name(p)}")
         )
 
-    # Mutex exclusivity: an OBTAIN finds the mutex owned when the latest
-    # earlier OBTAIN's thread has not RELEASEd it since.
-    mutex = kind == ObjectKind.MUTEX
-    ob = mutex & (et == _OBTAIN)
-    ob_rows, ob_obj = rows[ob], obj[ob]
-    prev = latest_prior(ob_rows, ob_obj, ob_rows, ob_obj)
-    has = prev >= 0
-    q_rows, prev = ob_rows[has], prev[has]
-    prev_tid = c.tid[prev]
-    rl = mutex & (et == _RELEASE)
-    cleared = latest_prior(
-        rows[rl], key[rl], q_rows, _pair(ob_obj[has], prev_tid)
-    ) > prev
-    for p, owner in zip(q_rows[~cleared].tolist(), prev_tid[~cleared].tolist()):
-        found.append(
-            (p, 3, f"seq {c.seq[p]}: T{c.tid[p]} OBTAIN on {c.name(p)} while held by T{owner}")
-        )
+    exits = [
+        f"T{c.tid[p]} exited holding {c.name(p)} ({n} levels)"
+        for p, n in _touched(h_rows[h_first], h_final)
+    ]
+    exits += [
+        f"T{c.tid[p]} exited with pending ACQUIRE on {c.name(p)}" for p, _n in pending_left
+    ]
+    return found, exits
 
-    problems = _ordered(found)
-    for p, n in _touched(h_rows[h_first], h_final):
-        problems.append(f"T{c.tid[p]} exited holding {c.name(p)} ({n} levels)")
-    for p, _n in _touched(p_rows[p_first], p_final):
-        problems.append(f"T{c.tid[p]} exited with pending ACQUIRE on {c.name(p)}")
-    return problems
+
+def _mutex_owners(
+    c: _Columns, rows: np.ndarray, key: np.ndarray, obtain: np.ndarray, release: np.ndarray
+) -> _Found:
+    """Mutex exclusivity: an OBTAIN finds the mutex owned when the latest
+    earlier OBTAIN's thread has not RELEASEd it since."""
+    ob = np.flatnonzero(obtain)
+    prev = previous_in_key(ob, c.obj[rows[ob]])
+    has = prev >= 0
+    q, owner = ob[has], ob[prev[has]]
+    # The owner's (object, thread) key is the key of its OBTAIN row.
+    rl = np.flatnonzero(release)
+    cleared = latest_prior(rl, key[rl], q, key[owner]) > owner
+    q, owner = rows[q[~cleared]], rows[owner[~cleared]]
+    return [
+        (p, 3, f"seq {c.seq[p]}: T{c.tid[p]} OBTAIN on {c.name(p)} while held by T{t}")
+        for p, t in zip(q.tolist(), c.tid[owner].tolist())
+    ]
 
 
 def _touched(first_rows: np.ndarray, final: np.ndarray) -> list[tuple[int, int]]:
@@ -264,7 +297,7 @@ def _check_barriers(c: _Columns) -> list[str]:
     if len(rows) == 0:
         return []
     obj, gen, tid = c.obj[rows], c.arg[rows], c.tid[rows]
-    order = np.lexsort((tid, gen, obj))
+    order = sort_order(dense_keys(obj, gen, tid))
     obj, gen, tid = obj[order], gen[order], tid[order]
     arrive = c.etype[rows][order] == _ARRIVE
     # Per (barrier, generation, thread): arrivals minus departures.
@@ -294,7 +327,7 @@ def _check_condition_variables(c: _Columns) -> list[str]:
         return []
     wake = c.etype[rows] == _WAKE
     blocked, first, final = _floored_walk(
-        _pair(c.obj[rows], c.tid[rows]), np.where(wake, -1, 1)
+        dense_keys(c.obj[rows], c.tid[rows]), np.where(wake, -1, 1)
     )
     found: _Found = [
         (p, 0, f"seq {c.seq[p]}: T{c.tid[p]} COND_WAKE without COND_BLOCK on {c.name(p)}")
@@ -326,7 +359,7 @@ def _check_joins(c: _Columns) -> list[str]:
     ]
     # Each thread's *last* THREAD_EXIT is the one a join is checked against.
     exits = np.flatnonzero(c.etype == _EXIT)
-    exits = exits[np.argsort(c.tid[exits], kind="stable")]
+    exits = exits[sort_order(c.tid[exits])]
     starts, ex_tid = group_bounds(c.tid[exits])
     ends = rows[end]
     target = c.arg[ends]

@@ -6,7 +6,8 @@ oracle's ``engine-equiv`` invariant.  This file covers the remaining
 columnar contracts:
 
 * the hot path really is columnar — analyzing a trace allocates no
-  per-event Python objects (``Event``/``Wait``/``HoldInterval``);
+  per-event Python objects (``Event``/``Wait``/``HoldInterval``, nor
+  the critical path's ``CPPiece``/``Junction``);
 * equal-timestamp pile-ups (the regime zero-duration waits live in)
   and the barrier-heavy workloads (recorded, or rebuilt from ``Event``
   objects) analyze identically under both pipelines, and neither emits
@@ -75,6 +76,32 @@ def test_columnar_path_builds_no_per_event_objects():
         "columnar analyze allocated in per-event modules: "
         + ", ".join(f"{s.traceback[0].filename} ({s.size}B)" for s in offenders)
     )
+
+
+def test_default_analyze_constructs_no_per_event_objects(monkeypatch):
+    """The probe above charges an allocation to the file that makes it,
+    so a ``Wait``/``CPPiece``/``Junction`` built inside ``core/columnar/``
+    slips past it.  Make every per-event constructor raise instead: the
+    default path (validation on) must still analyze and render the
+    50k-event trace."""
+    from repro.core.model import CPPiece, HoldInterval, Junction, Wait
+    from repro.trace.events import Event
+
+    trace = SyntheticLocks(ops_per_thread=2100, nlocks=8, barrier_every=250).run(
+        nthreads=8, seed=0
+    ).trace
+    assert len(trace) >= 50_000
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("default analyze built a per-event object")
+
+    for cls in (Wait, CPPiece, Junction, HoldInterval, Event):
+        monkeypatch.setattr(cls, "__init__", forbidden)
+    result = analyze(trace)
+    assert "critical lock analysis" in result.render()
+    assert result.critical_path.piece_count > 1000
+    with pytest.raises(AssertionError, match="per-event object"):
+        result.critical_path.pieces  # the patches are live
 
 
 def test_object_engine_does_allocate_per_event_objects():
@@ -150,6 +177,8 @@ def test_barrier_workloads_match_reference(name, params, build):
         )
     col = analyze(trace, validate=False)
     assert col.critical_path.length == ref.critical_path.length
+    assert col.critical_path.piece_count == ref.critical_path.piece_count
+    # The columnar path's object views are built here, on first access.
     assert col.critical_path.pieces == ref.critical_path.pieces
     assert col.critical_path.junctions == ref.critical_path.junctions
     assert col.critical_path.waits == ref.critical_path.waits

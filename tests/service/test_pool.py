@@ -91,6 +91,35 @@ def test_worker_crash_marks_job_failed_and_pool_survives():
         assert pool.restarts == 1
 
 
+def test_collector_idles_after_restart_budget_is_spent(monkeypatch):
+    """A dead, unreplaced worker's sentinel stays ready forever; the
+    collector must stop watching it instead of spinning on it."""
+    import repro.service.pool as pool_mod
+
+    calls = []  # what each collector loop waited on (every pool's)
+    real_wait = pool_mod.wait
+
+    def counting_wait(objects, timeout=None):
+        calls.append(objects)
+        return real_wait(objects, timeout)
+
+    monkeypatch.setattr(pool_mod, "wait", counting_wait)
+    recorder = Recorder()
+    with WorkerPool(workers=1, on_event=recorder, max_restarts=0) as pool:
+        pool.submit("victim", "selftest", [], {"crash": True})
+        event, _ = recorder.wait_for("victim")
+        assert event == "crashed"
+        assert pool.restarts == 0
+        time.sleep(0.1)
+        before = len(calls)
+        time.sleep(0.5)
+        mine = [objs for objs in calls[before:] if objs[0] is pool._results._reader]
+    # One loop per poll interval (25 in 0.5 s), not one per CPU spin,
+    # and only the result queue is watched.
+    assert 0 < len(mine) < 100, len(mine)
+    assert all(len(objs) == 1 for objs in mine)
+
+
 def test_inline_mode_runs_synchronously():
     recorder = Recorder()
     pool = WorkerPool(workers=0, on_event=recorder)
