@@ -16,7 +16,11 @@ count.
 
 It also times the default path users take, ``analyze(trace)`` with
 validation on, and each of its stages on its own (validate, wakers,
-timelines, walk, metrics, render), best of ``_STAGE_REPEATS`` each.
+timelines, walk, metrics, render), best of ``_STAGE_REPEATS`` each, and
+records the tracemalloc peak of one default ``analyze``.  Every timed
+run gets a fresh :class:`Trace` over the same records, so the per-trace
+index (``Trace.index``) is built inside the timing, by the first stage
+that reads it, as it is for a trace just read from disk.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 
 from repro.check.reference import reference_analyze
 from repro.core import analyzer
 from repro.core.analyzer import analyze
 from repro.core.report import AnalysisReport
+from repro.trace.trace import Trace
 from repro.workloads import SyntheticLocks
 
 #: Best-of counts for the timings; stages and the default path are cheap
@@ -49,46 +55,66 @@ def build_trace(quick: bool):
     return SyntheticLocks(**params).run(nthreads=nthreads, seed=0).trace
 
 
-def _time(fn, repeats: int) -> tuple[float, object]:
+def fresh(trace: Trace) -> Trace:
+    """A new trace over the same records, without a cached index."""
+    return Trace(records=trace.records, objects=trace.objects,
+                 threads=trace.threads, meta=trace.meta)
+
+
+def _time(fn, trace: Trace, repeats: int) -> tuple[float, object]:
+    """Best-of time of ``fn(t)``, each repeat on a fresh ``t``."""
     best, result = float("inf"), None
     for _ in range(repeats):
+        t = fresh(trace)
         t0 = time.perf_counter()
-        result = fn()
+        result = fn(t)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
 
-def time_stages(trace, repeats: int) -> dict[str, float]:
-    """Best-of time of each default-path stage, run in pipeline order on
-    the previous stage's output (the calls ``analyze`` makes)."""
-    t_val, _ = _time(lambda: analyzer.validate_trace(trace), repeats)
-    t_wak, cw = _time(lambda: analyzer.resolve_wakers_columnar(trace), repeats)
-    t_tl, ct = _time(lambda: analyzer.build_timelines_columnar(trace, cw), repeats)
-    t_walk, cp = _time(lambda: analyzer.compute_critical_path_columnar(trace, ct), repeats)
-    t_met, (locks, stats) = _time(
-        lambda: (
-            analyzer.compute_metrics_columnar(trace, ct, cp),
+def time_stages(trace: Trace, repeats: int) -> dict[str, float]:
+    """Best-of time of each default-path stage, each repeat running the
+    stages in pipeline order on a fresh trace (the calls ``analyze``
+    makes, so validation pays for the index and the others reuse it)."""
+    best: dict[str, float] = {}
+
+    def timed(name, fn):
+        t0 = time.perf_counter()
+        result = fn()
+        best[name] = min(best.get(name, float("inf")), time.perf_counter() - t0)
+        return result
+
+    for _ in range(repeats):
+        t = fresh(trace)
+        timed("validate_s", lambda: analyzer.validate_trace(t))
+        cw = timed("wakers_s", lambda: analyzer.resolve_wakers_columnar(t))
+        ct = timed("timelines_s", lambda: analyzer.build_timelines_columnar(t, cw))
+        cp = timed("walk_s", lambda: analyzer.compute_critical_path_columnar(t, ct))
+        locks, stats = timed("metrics_s", lambda: (
+            analyzer.compute_metrics_columnar(t, ct, cp),
             analyzer.compute_thread_stats_columnar(ct, cp),
-        ),
-        repeats,
-    )
-    report = AnalysisReport(
-        name=str(trace.meta.get("name", "")),
-        nthreads=len(ct.tids),
-        duration=trace.duration,
-        cp=cp,
-        locks=locks,
-        thread_stats=stats,
-    )
-    t_ren, _ = _time(lambda: report.render(), repeats)
-    return {
-        "validate_s": t_val,
-        "wakers_s": t_wak,
-        "timelines_s": t_tl,
-        "walk_s": t_walk,
-        "metrics_s": t_met,
-        "render_s": t_ren,
-    }
+        ))
+        report = AnalysisReport(
+            name=str(t.meta.get("name", "")),
+            nthreads=len(ct.tids),
+            duration=t.duration,
+            cp=cp,
+            locks=locks,
+            thread_stats=stats,
+        )
+        timed("render_s", lambda: report.render())
+    return best
+
+
+def default_peak_mb(trace: Trace) -> float:
+    """tracemalloc peak of one default ``analyze(...).render()``."""
+    t = fresh(trace)
+    tracemalloc.start()
+    try:
+        analyze(t).render()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,10 +133,11 @@ def main(argv: list[str] | None = None) -> int:
     trace = build_trace(args.quick)
     print(f"trace: {len(trace)} events, {len(trace.threads)} threads")
 
-    t_ref, ref = _time(lambda: reference_analyze(trace), repeats)
-    t_col, col = _time(lambda: analyze(trace, validate=False), repeats)
-    t_def, _ = _time(lambda: analyze(trace).render(), stage_repeats)
+    t_ref, ref = _time(reference_analyze, trace, repeats)
+    t_col, col = _time(lambda t: analyze(t, validate=False), trace, repeats)
+    t_def, _ = _time(lambda t: analyze(t).render(), trace, stage_repeats)
     stages = time_stages(trace, stage_repeats)
+    peak_mb = default_peak_mb(trace)
 
     if col.report.render(None) != ref.report.render(None):
         print("FAIL: columnar report differs from the reference", file=sys.stderr)
@@ -118,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     speedup = t_ref / t_col if t_col > 0 else float("inf")
     print(f"reference (per-event)  {t_ref:8.3f}s")
     print(f"columnar               {t_col:8.3f}s   ({speedup:.2f}x over reference)")
-    print(f"default analyze+render {t_def:8.3f}s   (validation on)")
+    print(f"default analyze+render {t_def:8.3f}s   (validation on, "
+          f"tracemalloc peak {peak_mb:.1f} MB)")
     for name, seconds in stages.items():
         print(f"  {name[:-2]:<20} {seconds:8.4f}s")
 
@@ -137,6 +165,7 @@ def main(argv: list[str] | None = None) -> int:
                     "identical_render": True,
                     "stage_repeats": stage_repeats,
                     "default_s": round(t_def, 4),
+                    "default_peak_mb": round(peak_mb, 2),
                     "stages": {k: round(v, 4) for k, v in stages.items()},
                 },
                 f,

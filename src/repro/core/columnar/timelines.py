@@ -4,13 +4,17 @@ The object engine walks each thread's events with five little dicts
 (pending acquire/barrier/cond/join slots and per-lock hold stacks).
 Here each dict becomes one vectorized pass:
 
-* every "pending X" slot is one :func:`~repro.trace.ops.
-  previous_in_key` pass — a getter finds a value iff the row just
-  before it among its key's setters (ACQUIRE, BARRIER_ARRIVE,
-  COND_BLOCK, JOIN_BEGIN) and getters is a setter (getters always
-  pop);
-* the per-``(tid, lock)`` hold stacks are one
-  :func:`~repro.trace.ops.lifo_match` parenthesis matching;
+* every "pending X" slot pairs a getter with the row just before it
+  among its key's setters (ACQUIRE, BARRIER_ARRIVE, COND_BLOCK,
+  JOIN_BEGIN) and getters, valid iff that row is a setter (getters
+  always pop).  The acquire slot reads the trace index's
+  ``(tid, obj)``-grouped lock rows
+  (:meth:`~repro.trace.index.TraceIndex.acquire_slots`); the other
+  three are one :func:`~repro.trace.ops.previous_in_key` pass each;
+* the per-``(tid, lock)`` hold stacks are a parenthesis matching on the
+  index's held-level walk
+  (:meth:`~repro.trace.index.TraceIndex.lifo_closes`), which leaves the
+  holds grouped and in start order — only equal start times need a sort;
 * waits and holds end up as flat parallel arrays with per-thread /
   per-``(tid, obj)`` group index ranges, and :meth:`ColumnarTimelines.
   to_object` reconstructs the exact object-engine ``ThreadTimeline``
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.trace.ops import dense_keys, group_bounds, lifo_match, previous_in_key, sort_order
+from repro.trace.ops import dense_keys, group_bounds, previous_in_key, sort_order
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.model import HoldInterval, ThreadTimeline, Wait, WaitKind
 from repro.errors import AnalysisError
@@ -190,16 +194,16 @@ def build_timelines_columnar(
     ct = ColumnarTimelines(n_events=n)
     if n == 0:
         return ct
-    etype = rec["etype"]
-    tid = rec["tid"].astype(np.int64)
-    obj = rec["obj"].astype(np.int64)
+    ix = trace.index
+    etype, tid, obj = ix.etype, ix.tid, ix.obj
     arg = rec["arg"]
-    time = rec["time"]
-    seq = rec["seq"].astype(np.int64)
+    # Contiguous: the gathers below hit it in lock order, not trace order.
+    time = np.ascontiguousarray(rec["time"])
+    seq = rec["seq"]
 
     # -- per-thread spans --------------------------------------------------
-    order = sort_order(tid)
-    starts, tids = group_bounds(tid[order])
+    order, starts = ix.thread_order, ix.thread_starts
+    tids = ix.tids.astype(np.int64)
     ends = np.append(starts[1:], n) - 1
     ct.tids = tids
     ct.names = [trace.thread_name(int(t)) for t in tids]
@@ -217,8 +221,10 @@ def build_timelines_columnar(
             ct.create_seq[i] = info.waker_seq
 
     # -- pending-slot matching per wait kind -------------------------------
-    obtains = np.flatnonzero(etype == _OBTAIN)
-    acq_vals = _slot_values((tid, obj), time, np.flatnonzero(etype == _ACQUIRE), obtains)
+    # OBTAINs stay in the index's lock order, (tid, obj, position).
+    lock_ob, lock_acq = ix.acquire_slots()
+    obtains = ix.lock_rows[lock_ob]
+    acq_vals = time[np.where(lock_acq >= 0, ix.lock_rows[lock_acq], obtains)]
 
     departs = np.flatnonzero(etype == _DEPART)
     arrive_vals = _slot_values(
@@ -236,13 +242,13 @@ def build_timelines_columnar(
     )
 
     # -- wait rows ---------------------------------------------------------
-    contended = arg[obtains] != 0
+    contended = (arg != 0)[obtains]
     lock_q = obtains[contended]
     parts = [
         (lock_q, np.uint8(0), obj[lock_q], acq_vals[contended]),
         (departs, np.uint8(1), obj[departs], arrive_vals),
         (cond_wakes, np.uint8(2), obj[cond_wakes], block_vals),
-        (join_ends, np.uint8(3), arg[join_ends].astype(np.int64), begin_vals),
+        (join_ends, np.uint8(3), arg[join_ends], begin_vals),
     ]
     w_pos = np.concatenate([p[0] for p in parts])
     w_kind = np.concatenate([np.full(len(p[0]), p[1], dtype=np.uint8) for p in parts])
@@ -257,60 +263,48 @@ def build_timelines_columnar(
     )
     worder = sort_order(tid[w_pos], w_pos)
     w_pos = w_pos[worder]
-    ct.w_tid = tid[w_pos]
+    ct.w_tid = tid[w_pos].astype(np.int64)
     ct.w_kind = w_kind[worder]
     ct.w_obj = w_obj[worder]
     ct.w_start = w_start[worder]
     ct.w_end = w_end[worder]
-    ct.w_wake_seq = seq[w_pos]
+    ct.w_wake_seq = seq[w_pos].astype(np.int64)
     ct.w_waker_tid = wakers.waker_tid[w_pos]
     ct.w_waker_time = wakers.waker_time[w_pos]
     ct.w_waker_seq = wakers.waker_seq[w_pos]
     ct.wait_lo, ct.wait_hi = _spans_for(tids, ct.w_tid)
 
     # -- holds: LIFO matching per (tid, lock) ------------------------------
-    releases = np.flatnonzero(etype == _RELEASE)
-    no = len(obtains)
-    all_pos = np.concatenate([obtains, releases])
-    close_for_open, open_for_close = lifo_match(
-        all_pos,
-        dense_keys(tid[all_pos], obj[all_pos]),
-        np.concatenate([np.ones(no, dtype=bool), np.zeros(len(releases), dtype=bool)]),
-    )
-    bad = np.flatnonzero(open_for_close[no:] < 0)
-    if len(bad):
+    lock_close, unmatched = ix.lifo_closes()
+    if len(unmatched):
         # The object engine scans threads in sorted-tid order and raises
         # at the first bad RELEASE it meets.
-        bpos = releases[bad]
-        k = sort_order(tid[bpos], bpos)[0]
-        p = bpos[k]
+        bpos = ix.lock_rows[unmatched]
+        p = bpos[sort_order(tid[bpos], bpos)[0]]
         raise AnalysisError(
             f"seq {int(seq[p])}: T{int(tid[p])} RELEASE on "
             f"{trace.object_name(int(obj[p]))} without OBTAIN"
         )
-    matched = close_for_open[:no] >= 0
-    m_open = obtains[matched]
-    m_close = all_pos[close_for_open[:no][matched]]
-    u_open = obtains[~matched]
-    tid_end = ct.t_end[np.searchsorted(tids, tid[u_open])] if len(u_open) else _empty_f8()
-    h_pos_open = np.concatenate([m_open, u_open])
-    h_start = time[h_pos_open].astype(np.float64)
-    h_end = np.concatenate([time[m_close].astype(np.float64), tid_end])
+    matched = lock_close >= 0
+    close = ix.lock_rows[lock_close]
+    h_tid = tid[obtains].astype(np.int64)
+    h_start = time[obtains]
+    h_end = np.where(matched, time[close], ct.t_end[np.searchsorted(tids, h_tid)])
     # Insertion rank: matched holds are appended at their RELEASE, the
     # leftovers after the event loop — ranks n + obtain pos sort last.
-    h_rank = np.concatenate([m_close, u_open + n])
-    h_acq = np.concatenate([acq_vals[matched], acq_vals[~matched]])
-    h_tid = tid[h_pos_open]
-    h_obj = obj[h_pos_open]
-    h_cont = arg[h_pos_open] != 0
-    horder = np.lexsort((h_rank, h_end, h_start, dense_keys(h_tid, h_obj)))
+    h_rank = np.where(matched, close, obtains + np.int64(n))
+    # Lock order leaves holds grouped by (tid, obj) and in start order;
+    # only equal start times within a group still need (end, rank).
+    group = ix.lock_groups()[lock_ob]
+    tied = (h_start[1:] == h_start[:-1]) & (group[1:] == group[:-1])
+    horder = np.lexsort((h_rank, h_end, h_start, group)) if tied.any() else slice(None)
     ct.h_tid = h_tid[horder]
-    ct.h_obj = h_obj[horder]
+    ct.h_obj = obj[obtains][horder].astype(np.int64)
     ct.h_start = h_start[horder]
     ct.h_end = h_end[horder]
-    ct.h_contended = h_cont[horder]
-    ct.h_acquire = h_acq[horder]
-    _index_hold_groups(ct, h_rank[horder], n)
+    ct.h_contended = contended[horder]
+    ct.h_acquire = acq_vals[horder]
+    _index_hold_groups(ct, group, h_rank[horder], n)
     return ct
 
 
@@ -321,8 +315,12 @@ def _spans_for(tids: np.ndarray, sorted_item_tid: np.ndarray) -> tuple[np.ndarra
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _index_hold_groups(ct: ColumnarTimelines, sorted_rank: np.ndarray, n: int) -> None:
+def _index_hold_groups(
+    ct: ColumnarTimelines, group: np.ndarray, sorted_rank: np.ndarray, n: int
+) -> None:
     """Build (tid, obj) group ranges and the ``tl.holds`` dict key order.
+
+    ``group`` is the (ascending) lock group number of each hold.
 
     The object engine inserts a lock into ``tl.holds`` at its first
     RELEASE (``setdefault``) and appends leftover-only locks afterwards
@@ -333,9 +331,8 @@ def _index_hold_groups(ct: ColumnarTimelines, sorted_rank: np.ndarray, n: int) -
     ct.hold_obj_order = {}
     if len(ct.h_tid) == 0:
         return
-    gkey = dense_keys(ct.h_tid, ct.h_obj)
-    starts, _ = group_bounds(gkey)
-    bounds = np.append(starts, len(gkey))
+    starts, _ = group_bounds(group)
+    bounds = np.append(starts, len(group))
     order_keys: dict[int, list[tuple[int, int, int]]] = {}
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         t, o = int(ct.h_tid[lo]), int(ct.h_obj[lo])

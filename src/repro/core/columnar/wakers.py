@@ -1,16 +1,18 @@
 """Vectorized waker resolution (columnar form of :mod:`repro.core.wakers`).
 
-Each of the paper's §IV.B rules is one :func:`~repro.trace.ops.
-latest_prior` query instead of a dict maintained while looping events:
+Each of the paper's §IV.B rules is one vectorized query instead of a
+dict maintained while looping events:
 
-* contended OBTAIN → latest prior RELEASE keyed by lock object;
+* contended OBTAIN → latest prior RELEASE on the same lock object: a
+  running maximum over the trace index's object-ordered lock rows
+  (:attr:`~repro.trace.index.TraceIndex.obj_rows`);
 * BARRIER_DEPART → the cohort's *global* last arrival per (barrier,
   generation) — a group-max, not a latest-prior, mirroring the object
   engine's separate first pass;
 * COND_WAKE → latest prior COND_SIGNAL/BROADCAST on the condition if it
   was emitted by the recorded signaller, else that thread's latest prior
-  event of any type;
-* JOIN_END → the joined thread's latest prior THREAD_EXIT;
+  event of any type (:func:`~repro.trace.ops.latest_prior`);
+* JOIN_END → the joined thread's latest prior THREAD_EXIT (likewise);
 * THREAD_CREATE → last creation per child tid (a dict overwrite in the
   object engine, a group-max here).
 
@@ -108,13 +110,11 @@ def resolve_wakers_columnar(trace: Trace) -> ColumnarWakers:
     """Columnar twin of :func:`repro.core.wakers.resolve_wakers`."""
     rec = trace.records
     n = len(rec)
-    etype = rec["etype"]
-    tid = rec["tid"].astype(np.int64)
-    obj = rec["obj"].astype(np.int64)
+    ix = trace.index
+    etype, tid, obj = ix.etype, ix.tid, ix.obj
     arg = rec["arg"]
     time = rec["time"]
-    seq = rec["seq"].astype(np.int64)
-    pos = np.arange(n, dtype=np.int64)
+    seq = rec["seq"]
 
     waker_tid = np.full(n, -1, dtype=np.int64)
     waker_time = np.zeros(n, dtype=np.float64)
@@ -127,12 +127,20 @@ def resolve_wakers_columnar(trace: Trace) -> ColumnarWakers:
         waker_seq[q_pos] = seq[m_pos]
 
     # -- contended OBTAIN <- latest prior RELEASE on the same lock --------
-    q = np.flatnonzero((etype == _OBTAIN) & (arg != 0))
-    m = np.flatnonzero(etype == _RELEASE)
-    if len(q):
-        ridx = latest_prior(m, obj[m], q, obj[q])
-        ok = ridx >= 0
-        assign(q[ok], ridx[ok])
+    # Lock rows by (obj, position): the latest RELEASE at or before each
+    # row in that order is a running maximum of RELEASE indices, and it
+    # is on the query's lock iff it is in the query's run of rows.
+    by_obj = ix.obj_rows
+    et = etype[by_obj]
+    at = np.arange(len(et), dtype=by_obj.dtype)
+    latest = np.maximum.accumulate(np.where(et == _RELEASE, at, -1))
+    qi = np.flatnonzero(et == _OBTAIN)
+    qi = qi[(arg != 0)[by_obj[qi]]]
+    if len(qi):
+        q, mi = by_obj[qi], latest[qi]
+        m = by_obj[np.maximum(mi, 0)]
+        ok = (mi >= 0) & (obj[m] == obj[q])
+        assign(q[ok], m[ok])
         failures.append((q[~ok], "obtain"))
 
     # -- BARRIER_DEPART <- cohort's global last arrival -------------------
@@ -166,7 +174,7 @@ def resolve_wakers_columnar(trace: Trace) -> ColumnarWakers:
         assign(q[sig_ok], sidx[sig_ok])
         fb = q[~sig_ok]
         if len(fb):
-            lidx = latest_prior(pos, tid, fb, arg[fb])
+            lidx = latest_prior(np.arange(n), tid, fb, arg[fb])
             fb_ok = lidx >= 0
             assign(fb[fb_ok], lidx[fb_ok])
             failures.append((fb[~fb_ok], "cond"))

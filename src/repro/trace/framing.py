@@ -93,7 +93,7 @@ class Frame:
             raise TraceFormatError("records frames carry events, not a header")
         try:
             return json.loads(self.payload)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise TraceFormatError(f"corrupt trailer header: {exc}") from exc
 
 

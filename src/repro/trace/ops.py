@@ -1,9 +1,9 @@
 """Shared array primitives for the columnar engine and the trace validator.
 
 They live in :mod:`repro.trace` (pure numpy, no analysis imports) so
-both :mod:`repro.trace.validate` and :mod:`repro.core.columnar` can use
-them.  A handful of tools cover every dict the object engine keeps while
-scanning the trace:
+:mod:`repro.trace.validate`, :mod:`repro.trace.index` and
+:mod:`repro.core.columnar` can all use them.  A handful of tools cover
+every dict the object engine keeps while scanning the trace:
 
 * :func:`dense_keys` / :func:`sort_order` — pack several integer key
   columns into one int64 and order rows by ``(key, position)`` with a
@@ -15,12 +15,12 @@ scanning the trace:
   ``last_event[tid]`` style lookups.  One ``np.maximum.accumulate`` over
   the ``(key, position)``-sorted stream answers every query at once.
 * :func:`previous_in_key` — the row just before each row within its
-  key: the pop-on-get slot dicts (pending acquires, barrier arrivals)
-  only need to know whether that row set or popped the slot.
-* :func:`lifo_match` — parenthesis matching per key, the vectorized form
-  of the per-``(tid, obj)`` ``open_holds`` stacks.  Stack depths come
-  from a floored segmented cumsum; each close then pairs with the row
-  just before it among the rows of its ``(key, depth)``.
+  key: the pop-on-get slot dicts (barrier arrivals, condition blocks,
+  join begins) only need to know whether that row set or popped the slot.
+* :func:`floored_cumsum` — per-key counters of ±1 steps that stay at
+  zero (pending ACQUIREs, held levels, blocked waiters, begun joins).
+  The lock counters and the pending-acquire slot are per-trace, so
+  :class:`~repro.trace.index.TraceIndex` computes them once.
 * :func:`exact_group_sums` — per-group sums computed with ``np.cumsum``
   so each group's floats are added left to right, exactly like the
   object engine's ``for``-loop accumulators.  ``np.add.reduceat`` would
@@ -37,7 +37,6 @@ __all__ = [
     "floored_cumsum",
     "group_bounds",
     "latest_prior",
-    "lifo_match",
     "previous_in_key",
     "segmented_cumsum",
     "sort_order",
@@ -63,6 +62,21 @@ def _offsets(col: np.ndarray) -> tuple[np.ndarray, int] | None:
     if c.dtype.kind == "u" and c.dtype.itemsize == 8:
         return (c - np.uint64(lo)).astype(np.int64), width
     return c.astype(np.int64) - lo, width
+
+
+def _uint16_offsets(col: np.ndarray) -> np.ndarray | None:
+    """``col - col.min()`` as uint16 (a stable ``argsort`` of it is a radix
+    sort), or ``None`` unless ``col`` is integer and spans at most 2**16
+    values."""
+    c = np.asarray(col)
+    if c.dtype.kind not in "iu":
+        return None
+    lo, hi = c.min(), c.max()
+    if int(hi) - int(lo) >= 1 << 16:
+        return None
+    if c.dtype.itemsize < 4:
+        c = c.astype(np.int32)
+    return (c - c.dtype.type(lo)).astype(np.uint16)
 
 
 def dense_keys(*cols: np.ndarray) -> np.ndarray:
@@ -112,11 +126,13 @@ def sort_order(key: np.ndarray, pos: np.ndarray | None = None) -> np.ndarray:
     n = len(key)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
+    if pos is None:
+        narrow = _uint16_offsets(key)
+        if narrow is not None:
+            return np.argsort(narrow, kind="stable")
     k = dense_keys(key)
     kw = int(k.max()) + 1
     if pos is None:
-        if kw <= 1 << 16:
-            return np.argsort(k.astype(np.uint16), kind="stable")
         p, pw = np.arange(n, dtype=np.int64), n
     else:
         p = dense_keys(pos)
@@ -198,11 +214,12 @@ def segmented_cumsum(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     """Cumulative sum restarting at each segment boundary.
 
     Only safe for *integer* values (exact arithmetic): implemented as a
-    global cumsum minus the per-segment offset.
+    global cumsum minus the per-segment offset, in the values' dtype
+    widened to at least 32 bits.
     """
     if len(values) == 0:
         return values.copy()
-    total = np.cumsum(values)
+    total = np.cumsum(values, dtype=np.promote_types(values.dtype, np.int32))
     seg_lens = np.diff(np.append(seg_starts, len(values)))
     base_vals = np.zeros(len(seg_starts), dtype=total.dtype)
     if len(seg_starts) > 1:
@@ -211,19 +228,28 @@ def segmented_cumsum(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     return total
 
 
-def floored_cumsum(steps: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
+def floored_cumsum(
+    steps: np.ndarray, seg_starts: np.ndarray, dtype: np.dtype | type = np.int64
+) -> np.ndarray:
     """Segmented running count of integer ``steps`` that stays at 0 instead
     of going negative: per segment, ``c = max(0, c + step)`` after each row.
+    The counts come back as ``dtype``, which must hold every running sum
+    (int32 does for ±1 steps over fewer than 2**31 rows).
 
     The floored walk is the plain cumulative sum minus its running
     minimum (clamped at 0); shifting each later segment below every
     earlier one lets one global ``minimum.accumulate`` restart at every
-    segment boundary.
+    segment boundary.  A cumulative sum that never goes negative is its
+    own floored walk (the usual case: a well-formed trace never pops an
+    empty counter) and is returned as is.
     """
     n = len(steps)
     if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    walk = segmented_cumsum(np.asarray(steps, dtype=np.int64), seg_starts)
+        return np.zeros(0, dtype=dtype)
+    walk = segmented_cumsum(np.asarray(steps, dtype=dtype), seg_starts)
+    if walk.min() >= 0:
+        return walk
+    walk = walk.astype(np.int64, copy=False)  # the segment shifts need the range
     gap = 2 * max(int(walk.max()), -int(walk.min())) + 2
     sizes = np.diff(np.append(seg_starts, n))
     shift = np.repeat(np.arange(len(seg_starts), dtype=np.int64) * gap, sizes)
@@ -234,53 +260,7 @@ def floored_cumsum(steps: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     del shift
     np.minimum(low, 0, out=low)
     walk -= low
-    return walk
-
-
-def lifo_match(
-    pos: np.ndarray,
-    key: np.ndarray,
-    is_open: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack-discipline matching of opens/closes per key.
-
-    ``pos`` are unique global positions; events are stacked per ``key``
-    in position order.  Returns ``(close_for_open, open_for_close)``:
-    for each open event (in input order) the input index of its matching
-    close or ``-1`` if never closed, and for each close the index of its
-    open or ``-1`` for a pop on an empty stack (an error in the object
-    engine; the stack stays empty).  Indices refer to the *input* arrays.
-    """
-    n = len(pos)
-    close_for_open = np.full(n, -1, dtype=np.int64)
-    open_for_close = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return close_for_open, open_for_close
-
-    is_open = np.asarray(is_open, dtype=bool)
-    key = dense_keys(key)
-    order = sort_order(key, pos)
-    opens = is_open[order]
-    starts, _ = group_bounds(key[order])
-    depth_after = floored_cumsum(np.where(opens, 1, -1), starts)
-    depth_before = np.empty_like(depth_after)
-    depth_before[0] = 0
-    depth_before[1:] = depth_after[:-1]
-    depth_before[starts] = 0
-
-    # Drop pops on an empty stack; what is left is a well-nested walk in
-    # which the transitions across each depth alternate open, close,
-    # open, ... so every close pairs with the row just before it in
-    # (key, depth, pos) order — a stable sort of the (key, pos)-ordered
-    # rows by (key, depth).
-    live = np.flatnonzero(opens | (depth_before > 0))
-    depth = np.where(opens, depth_before, depth_after)[live]
-    by_depth = live[sort_order(dense_keys(key[order][live], depth))]
-    rows = order[by_depth]
-    closes = np.flatnonzero(~is_open[rows])
-    open_for_close[rows[closes]] = rows[closes - 1]
-    close_for_open[rows[closes - 1]] = rows[closes]
-    return close_for_open, open_for_close
+    return walk.astype(dtype, copy=False)
 
 
 def exact_group_sums(values: np.ndarray, seg_starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

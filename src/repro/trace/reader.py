@@ -85,7 +85,7 @@ def _read_binary_header(fh) -> dict:
         raise TraceFormatError("truncated header")
     try:
         return json.loads(raw_header)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"corrupt header: {exc}") from exc
 
 

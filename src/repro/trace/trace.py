@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.events import Event, EventType, ObjectKind
+from repro.trace.index import TraceIndex
 from repro.trace.schema import EVENT_DTYPE, event_from_row, records_from_events
 
 __all__ = ["ObjectInfo", "Trace"]
@@ -139,6 +141,12 @@ class Trace:
     def locks(self) -> list[ObjectInfo]:
         """All lock-like objects (mutexes, semaphores, rwlocks)."""
         return [info for _, info in sorted(self.objects.items()) if info.kind.is_lock_like]
+
+    @cached_property
+    def index(self) -> TraceIndex:
+        """Thread order and grouped lock rows (:mod:`repro.trace.index`),
+        built by the first stage that asks and kept: records never change."""
+        return TraceIndex(self.records)
 
     # -- filtered views ----------------------------------------------------
 

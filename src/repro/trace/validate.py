@@ -20,8 +20,11 @@ order — the ``validate-equiv`` oracle invariant holds the two together:
 
 The per-key counters the reference keeps in dicts (pending ACQUIREs,
 held levels, blocked waiters, begun joins) are walks of ±1 steps that
-never drop below zero; :func:`_floored_walk` computes all of them at
-once as a floored segmented cumsum (:func:`~repro.trace.ops.floored_cumsum`).
+never drop below zero, i.e. floored segmented cumsums
+(:func:`~repro.trace.ops.floored_cumsum`).  The lock counters and the
+thread order come from the trace's shared :class:`~repro.trace.index.
+TraceIndex`, which the analysis stages read too; :func:`_floored_walk`
+computes the condition-variable and join counters.
 """
 
 from __future__ import annotations
@@ -30,14 +33,8 @@ import numpy as np
 
 from repro.errors import TraceValidationError
 from repro.trace.events import NO_OBJECT, EventType, ObjectKind
-from repro.trace.ops import (
-    dense_keys,
-    floored_cumsum,
-    group_bounds,
-    latest_prior,
-    previous_in_key,
-    sort_order,
-)
+from repro.trace.index import TraceIndex
+from repro.trace.ops import dense_keys, floored_cumsum, group_bounds, sort_order
 from repro.trace.schema import known_etypes
 from repro.trace.trace import Trace
 
@@ -79,14 +76,17 @@ def trace_problems(trace: Trace) -> list[str]:
     rec = trace.records
     known = known_etypes(rec)
     problems: list[str] = []
-    if not known.all():
+    if known.all():
+        index = trace.index
+    else:
         bad = rec[~known]
         problems += [
             f"seq {s}: unknown event type {e}"
             for s, e in zip(bad["seq"].tolist(), bad["etype"].tolist())
         ]
         rec = rec[known]
-    cols = _Columns(rec, trace)
+        index = TraceIndex(rec)
+    cols = _Columns(rec, index, trace)
     problems += _check_thread_lifecycles(cols)
     problems += _check_lock_protocol(cols)
     problems += _check_barriers(cols)
@@ -96,15 +96,16 @@ def trace_problems(trace: Trace) -> list[str]:
 
 
 class _Columns:
-    """Contiguous copies of the record fields every check reads."""
+    """The record fields and the index every check reads."""
 
-    def __init__(self, rec: np.ndarray, trace: Trace):
+    def __init__(self, rec: np.ndarray, index: TraceIndex, trace: Trace):
         self.trace = trace
-        self.seq = np.ascontiguousarray(rec["seq"])
-        self.tid = np.ascontiguousarray(rec["tid"])
-        self.etype = np.ascontiguousarray(rec["etype"])
-        self.obj = np.ascontiguousarray(rec["obj"])
-        self.arg = np.ascontiguousarray(rec["arg"])
+        self.index = index
+        self.seq = rec["seq"]
+        self.arg = rec["arg"]
+        self.tid = index.tid
+        self.etype = index.etype
+        self.obj = index.obj
 
     def rows(self, *etypes: int) -> np.ndarray:
         """Trace positions of the records of the given event types."""
@@ -120,12 +121,11 @@ def _ordered(found: _Found) -> list[str]:
 
 
 def _floored_walk(
-    key: np.ndarray, step: np.ndarray, order: np.ndarray | None = None
+    key: np.ndarray, step: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-key counters of ±1 steps that stay at 0 instead of going negative.
 
-    ``key`` (integers) and ``step`` are parallel, in trace order;
-    ``order`` is ``sort_order(key)`` when the caller already has it.
+    ``key`` (integers) and ``step`` are parallel, in trace order.
     Returns ``(before, first, final)``: the counter value just before
     each row, and per distinct key the input index of its first row and
     the counter's value after its last row.
@@ -134,8 +134,7 @@ def _floored_walk(
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
-    if order is None:
-        order = sort_order(key)
+    order = sort_order(key)
     starts, _ = group_bounds(key[order])
     sizes = np.diff(np.append(starts, n))
     after = floored_cumsum(step[order], starts)
@@ -148,18 +147,9 @@ def _floored_walk(
     return before, order[starts], after[starts + sizes - 1]
 
 
-def _restrict(order: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``sort_order(key[mask])`` computed from ``order = sort_order(key)``:
-    a stable order filtered to a subset is the subset's stable order."""
-    rank = np.cumsum(mask)
-    rank -= 1
-    return rank[order[mask[order]]]
-
-
 def _check_thread_lifecycles(c: _Columns) -> list[str]:
     problems: list[str] = []
-    order = sort_order(c.tid)
-    starts, tids = group_bounds(c.tid[order])
+    order, starts, tids = c.index.thread_order, c.index.thread_starts, c.index.tids
     if len(order):
         ends = np.append(starts[1:], len(order))
         et_sorted = c.etype[order]
@@ -189,22 +179,24 @@ def _check_thread_lifecycles(c: _Columns) -> list[str]:
 
 
 def _check_lock_protocol(c: _Columns) -> list[str]:
-    rows = c.rows(_ACQUIRE, _OBTAIN, _RELEASE)
-    rows = rows[c.obj[rows] != NO_OBJECT]
-    if len(rows) == 0:
+    ix = c.index
+    if len(ix.lock_rows) == 0:
         return []
-    kind = _object_kinds(c.trace, c.obj[rows])
+    # Every (tid, obj) group is one object's rows: keep or drop it whole.
+    starts, ends = ix.lock_starts, ix.lock_ends
+    gobj = ix.obj[ix.lock_rows[starts]]
+    kind = _object_kinds(c.trace, gobj)
     lock_like = np.isin(kind, [k for k in ObjectKind if k.is_lock_like])
+    real = gobj != NO_OBJECT
     found: _Found = [
         (p, 0, f"seq {c.seq[p]}: {_NAMES[int(c.etype[p])]} on non-lock object {c.name(p)}")
-        for p in rows[~lock_like].tolist()
+        for g in np.flatnonzero(real & ~lock_like).tolist()
+        for p in ix.lock_rows[starts[g]:ends[g]].tolist()
     ]
-    rows, mutex = rows[lock_like], kind[lock_like] == ObjectKind.MUTEX
-    et = c.etype[rows]
-    key = dense_keys(c.obj[rows], c.tid[rows])
-    counted, exits = _pending_and_held(c, rows, et, key)
+    keep = real & lock_like
+    counted, exits = _pending_and_held(c, keep)
     found += counted
-    found += _mutex_owners(c, rows, key, mutex & (et == _OBTAIN), mutex & (et == _RELEASE))
+    found += _mutex_owners(c, gobj[keep & (kind == ObjectKind.MUTEX)])
     return _ordered(found) + exits
 
 
@@ -220,69 +212,93 @@ def _object_kinds(trace: Trace, obj: np.ndarray) -> np.ndarray:
     return kind
 
 
-def _pending_and_held(
-    c: _Columns, rows: np.ndarray, et: np.ndarray, key: np.ndarray
-) -> tuple[_Found, list[str]]:
-    """Problems of the per-(object, thread) pending-ACQUIRE and held-level
-    counters: per-record ones, and the exit-time ones in report order."""
-    order = sort_order(key)
+def _pending_and_held(c: _Columns, keep: np.ndarray) -> tuple[_Found, list[str]]:
+    """Problems of the index's per-(thread, object) pending-ACQUIRE and
+    held-level counters for the ``keep`` groups: per-record ones, and
+    the exit-time ones in report order."""
+    ix = c.index
+    et = ix.lock_etype
+    kept = None if keep.all() else keep[ix.lock_groups()]
     found: _Found = []
 
-    # Pending ACQUIREs per (object, thread): ACQUIRE +1, OBTAIN -1.
-    pm = et != _RELEASE
-    p_rows, p_et = rows[pm], et[pm]
-    pending, p_first, p_final = _floored_walk(
-        key[pm], np.where(p_et == _ACQUIRE, 1, -1), _restrict(order, pm)
-    )
-    for p in p_rows[(p_et == _ACQUIRE) & (pending > 0)].tolist():
+    def rows(mask: np.ndarray) -> list[int]:
+        if kept is not None:
+            mask &= kept
+        return ix.lock_rows[mask].tolist()
+
+    pending = ix.before(ix.pending)
+    for p in rows((et == _ACQUIRE) & (pending > 0)):
         found.append((p, 1, f"seq {c.seq[p]}: T{c.tid[p]} double-ACQUIRE on {c.name(p)}"))
-    for p in p_rows[(p_et == _OBTAIN) & (pending == 0)].tolist():
+    for p in rows((et == _OBTAIN) & (pending == 0)):
         found.append(
             (p, 2, f"seq {c.seq[p]}: T{c.tid[p]} OBTAIN without ACQUIRE on {c.name(p)}")
         )
-    pending_left = _touched(p_rows[p_first], p_final)
-    # Release the first walk's arrays before the second one runs: this
-    # check sets validation's peak memory.
-    del pending, p_rows, p_et, pm
-
-    # Held levels per (object, thread): OBTAIN +1, RELEASE -1.
-    hm = et != _ACQUIRE
-    h_rows, h_et = rows[hm], et[hm]
-    held, h_first, h_final = _floored_walk(
-        key[hm], np.where(h_et == _OBTAIN, 1, -1), _restrict(order, hm)
-    )
-    for p in h_rows[(h_et == _RELEASE) & (held == 0)].tolist():
+    del pending
+    for p in rows((et == _RELEASE) & (ix.before(ix.held) == 0)):
         found.append(
             (p, 4, f"seq {c.seq[p]}: T{c.tid[p]} RELEASE without OBTAIN on {c.name(p)}")
         )
 
     exits = [
         f"T{c.tid[p]} exited holding {c.name(p)} ({n} levels)"
-        for p, n in _touched(h_rows[h_first], h_final)
+        for p, n in _left_at_exit(ix, keep, ix.held, _ACQUIRE)
     ]
     exits += [
-        f"T{c.tid[p]} exited with pending ACQUIRE on {c.name(p)}" for p, _n in pending_left
+        f"T{c.tid[p]} exited with pending ACQUIRE on {c.name(p)}"
+        for p, _n in _left_at_exit(ix, keep, ix.pending, _RELEASE)
     ]
     return found, exits
 
 
-def _mutex_owners(
-    c: _Columns, rows: np.ndarray, key: np.ndarray, obtain: np.ndarray, release: np.ndarray
-) -> _Found:
+def _left_at_exit(
+    ix: TraceIndex, keep: np.ndarray, after: np.ndarray, ignored: int
+) -> list[tuple[int, int]]:
+    """(first row, final count) of the kept groups whose counter ends
+    non-zero, in the order their counter was first touched: the group's
+    first row of an etype other than ``ignored`` (that etype's step is 0)."""
+    ends = ix.lock_ends
+    final = after[ends - 1]
+    left = np.flatnonzero(keep & (final > 0))
+    first = []
+    for g in left.tolist():
+        lo = ix.lock_starts[g]
+        touched = np.flatnonzero(ix.lock_etype[lo:ends[g]] != ignored)
+        first.append(int(ix.lock_rows[lo + touched[0]]))
+    return sorted(zip(first, final[left].tolist()))
+
+
+def _mutex_owners(c: _Columns, mutexes: np.ndarray) -> _Found:
     """Mutex exclusivity: an OBTAIN finds the mutex owned when the latest
     earlier OBTAIN's thread has not RELEASEd it since."""
-    ob = np.flatnonzero(obtain)
-    prev = previous_in_key(ob, c.obj[rows[ob]])
-    has = prev >= 0
-    q, owner = ob[has], ob[prev[has]]
-    # The owner's (object, thread) key is the key of its OBTAIN row.
-    rl = np.flatnonzero(release)
-    cleared = latest_prior(rl, key[rl], q, key[owner]) > owner
-    q, owner = rows[q[~cleared]], rows[owner[~cleared]]
+    ix = c.index
+    by_obj = ix.obj_rows
+    ob = by_obj[ix.etype[by_obj] == _OBTAIN]
+    obj = ix.obj[ob]
+    pair = (obj[1:] == obj[:-1]) & np.isin(obj[1:], mutexes)
+    q, owner = ob[1:][pair], ob[:-1][pair]
+    # The owner let go iff its (tid, obj) group's next RELEASE after it
+    # comes before the query.
+    held = _next_release(ix)[owner] > q
+    q, owner = q[held], owner[held]
     return [
         (p, 3, f"seq {c.seq[p]}: T{c.tid[p]} OBTAIN on {c.name(p)} while held by T{t}")
         for p, t in zip(q.tolist(), c.tid[owner].tolist())
     ]
+
+
+def _next_release(ix: TraceIndex) -> np.ndarray:
+    """Per trace position of an OBTAIN, the position of the next RELEASE
+    in its (tid, obj) group; the trace length elsewhere."""
+    et = ix.lock_etype
+    n_lock = len(et)
+    nxt = np.where(et == _RELEASE, np.arange(n_lock, dtype=ix.lock_rows.dtype), n_lock)
+    nxt = np.minimum.accumulate(nxt[::-1])[::-1]
+    ob = np.flatnonzero(et == _OBTAIN)
+    nxt = nxt[ob]
+    same = nxt < ix.lock_ends[ix.lock_groups()[ob]]
+    out = np.full(len(ix.etype), len(ix.etype), dtype=ix.lock_rows.dtype)
+    out[ix.lock_rows[ob[same]]] = ix.lock_rows[nxt[same]]
+    return out
 
 
 def _touched(first_rows: np.ndarray, final: np.ndarray) -> list[tuple[int, int]]:
@@ -334,7 +350,7 @@ def _check_condition_variables(c: _Columns) -> list[str]:
         for p in rows[wake & (blocked == 0)].tolist()
     ]
     wakes = rows[wake]
-    stranger = ~np.isin(c.arg[wakes], np.unique(c.tid))
+    stranger = ~np.isin(c.arg[wakes], c.index.tids)
     found += [
         (p, 1, f"seq {c.seq[p]}: COND_WAKE names unknown signaller T{c.arg[p]}")
         for p in wakes[stranger].tolist()

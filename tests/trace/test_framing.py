@@ -36,6 +36,15 @@ def test_trailer_frame_roundtrip(micro_trace):
     assert frame.header == header
 
 
+def test_non_utf8_trailer_rejected():
+    from repro.trace.framing import FRAME_TRAILER, _encode
+
+    # The CRC is computed over the bad payload, so only decoding can fail.
+    frame, _ = decode_frame(_encode(FRAME_TRAILER, 3, b'{"name": "\xff"}'))
+    with pytest.raises(TraceFormatError, match="corrupt trailer header"):
+        frame.header
+
+
 def test_iter_frames_concatenated(micro_trace):
     blocks = list(split_records(micro_trace.records, 10))
     blob = b"".join(

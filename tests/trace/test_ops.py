@@ -22,7 +22,6 @@ from repro.trace.ops import (
     floored_cumsum,
     group_bounds,
     latest_prior,
-    lifo_match,
     previous_in_key,
     segmented_cumsum,
     sort_order,
@@ -53,21 +52,6 @@ def ref_previous_in_key(pos, key):
         prev[i] = last.get(key[i], -1)
         last[key[i]] = i
     return prev
-
-
-def ref_lifo_match(pos, key, is_open):
-    close_for_open = [-1] * len(pos)
-    open_for_close = [-1] * len(pos)
-    stacks: dict[int, list[int]] = {}
-    for i in sorted(range(len(pos)), key=lambda i: pos[i]):
-        stack = stacks.setdefault(key[i], [])
-        if is_open[i]:
-            stack.append(i)
-        elif stack:  # a pop on an empty stack matches nothing
-            o = stack.pop()
-            close_for_open[o] = i
-            open_for_close[i] = o
-    return close_for_open, open_for_close
 
 
 def ref_segmented(values, starts, floor):
@@ -130,6 +114,8 @@ def test_sort_order_is_lexsort(both_paths):
     assert sort_order(key).tolist() == np.argsort(key, kind="stable").tolist()
     wide = key * 100_000
     assert sort_order(wide).tolist() == np.argsort(wide, kind="stable").tolist()
+    narrow = (key * 20).astype(np.int8)  # max - min overflows int8
+    assert sort_order(narrow).tolist() == np.argsort(narrow, kind="stable").tolist()
     assert sort_order(np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
@@ -174,28 +160,6 @@ def test_previous_in_key_matches_reference(both_paths):
     got = previous_in_key(np.array(pos), np.array(key))
     assert got.tolist() == ref_previous_in_key(pos, key)
     assert previous_in_key(np.array([5]), np.array([1])).tolist() == [-1]
-
-
-# -- lifo_match ----------------------------------------------------------------
-
-
-def test_lifo_match_nested_and_unmatched(both_paths):
-    #        O  O  C  C  C  O  O  C     key 0 (nesting, a bad pop, leftover)
-    pos = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
-    key = [0, 0, 0, 0, 0, 0, 0, 0, 1, 1]
-    opn = [1, 1, 0, 0, 0, 1, 1, 0, 0, 1]
-    got = lifo_match(np.array(pos), np.array(key), np.array(opn, dtype=bool))
-    want = ref_lifo_match(pos, key, opn)
-    assert [g.tolist() for g in got] == [list(w) for w in want]
-    close_for_open, open_for_close = got
-    assert open_for_close[4] == -1 and open_for_close[8] == -1  # pops on empty
-    assert close_for_open[5] == -1 and close_for_open[9] == -1  # never closed
-
-
-def test_lifo_match_empty():
-    none = np.zeros(0, dtype=np.int64)
-    a, b = lifo_match(none, none, np.zeros(0, dtype=bool))
-    assert a.shape == b.shape == (0,)
 
 
 # -- segmented sums ------------------------------------------------------------
@@ -261,7 +225,5 @@ def test_primitives_match_references(events, fallback):
         m = np.flatnonzero(f)
         got = latest_prior(p[m], k[m], p, k)
         assert got.tolist() == ref_latest_prior(p[m].tolist(), k[m].tolist(), pos, key)
-        got = lifo_match(p, k, f)
-        assert [g.tolist() for g in got] == [list(w) for w in ref_lifo_match(pos, key, flag)]
     finally:
         ops._PACK_LIMIT = saved

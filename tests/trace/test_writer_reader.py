@@ -47,6 +47,14 @@ class TestBinaryFormat:
         with pytest.raises(TraceFormatError, match="corrupt header"):
             read_trace(path)
 
+    def test_non_utf8_header_rejected(self, micro_trace, tmp_path):
+        path = write_trace(micro_trace, tmp_path / "t.clt")
+        data = bytearray(path.read_bytes())
+        data[len(MAGIC) + 8 + 1] = 0xFF  # inside the JSON header
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="corrupt header"):
+            read_trace(path)
+
     def test_empty_file_rejected_with_clear_error(self, tmp_path):
         path = tmp_path / "t.clt"
         path.write_bytes(b"")
