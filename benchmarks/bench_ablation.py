@@ -10,8 +10,8 @@
 
 import pytest
 
+from repro.check.reference import compute_critical_path
 from repro.core.analyzer import analyze
-from repro.core.critical_path import compute_critical_path
 from repro.core.dag import build_event_graph
 from repro.core.whatif import predict_shrink
 from repro.tables import format_table

@@ -17,7 +17,10 @@ count.
 It also times the default path users take, ``analyze(trace)`` with
 validation on, and each of its stages on its own (validate, wakers,
 timelines, walk, metrics, render), best of ``_STAGE_REPEATS`` each, and
-records the tracemalloc peak of one default ``analyze``.  Every timed
+records the tracemalloc peak of one default ``analyze``.  ``whatif_s``
+is the what-if layer from scratch: ``predict_shrink(trace, top_lock,
+0.5)`` with no prebuilt graph, so it pays for wakers, timelines and the
+event DAG as a ``whatif`` job does.  Every timed
 run gets a fresh :class:`Trace` over the same records, so the per-trace
 index (``Trace.index``) is built inside the timing, by the first stage
 that reads it, as it is for a trace just read from disk.
@@ -35,6 +38,7 @@ from repro.check.reference import reference_analyze
 from repro.core import analyzer
 from repro.core.analyzer import analyze
 from repro.core.report import AnalysisReport
+from repro.core.whatif import predict_shrink
 from repro.trace.trace import Trace
 from repro.workloads import SyntheticLocks
 
@@ -137,6 +141,8 @@ def main(argv: list[str] | None = None) -> int:
     t_col, col = _time(lambda t: analyze(t, validate=False), trace, repeats)
     t_def, _ = _time(lambda t: analyze(t).render(), trace, stage_repeats)
     stages = time_stages(trace, stage_repeats)
+    top_lock = col.report.top_locks(1)[0].obj
+    t_whatif, _ = _time(lambda t: predict_shrink(t, top_lock, 0.5), trace, repeats)
     peak_mb = default_peak_mb(trace)
 
     if col.report.render(None) != ref.report.render(None):
@@ -149,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
           f"tracemalloc peak {peak_mb:.1f} MB)")
     for name, seconds in stages.items():
         print(f"  {name[:-2]:<20} {seconds:8.4f}s")
+    print(f"what-if from scratch   {t_whatif:8.3f}s   "
+          f"(predict_shrink of {trace.object_name(top_lock)} to 50%)")
 
     if args.json:
         with open(args.json, "w") as f:
@@ -167,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                     "default_s": round(t_def, 4),
                     "default_peak_mb": round(peak_mb, 2),
                     "stages": {k: round(v, 4) for k, v in stages.items()},
+                    "whatif_s": round(t_whatif, 4),
                 },
                 f,
                 indent=2,

@@ -6,8 +6,8 @@ analysis pipeline and trace I/O, so regressions in the tool are visible.
 
 import pytest
 
+from repro.check.reference import build_timelines
 from repro.core.analyzer import analyze
-from repro.core.segments import build_timelines
 from repro.trace.reader import read_trace
 from repro.trace.writer import write_trace
 from repro.workloads import Radiosity, SyntheticLocks

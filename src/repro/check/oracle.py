@@ -504,9 +504,8 @@ def _check_engines(trace: Trace, result) -> list[Discrepancy]:
         out.append(Discrepancy("engine-equiv", "rendered reports are not byte-equal"))
     if result.timelines != obj.timelines:
         out.append(Discrepancy("engine-equiv", "reconstructed timelines differ"))
-    if result.wakers.wakes != obj.wakers.wakes or (
-        result.wakers.creations != obj.wakers.creations
-    ):
+    wakers = result.waker_columns.to_table(trace.records)
+    if wakers.wakes != obj.wakers.wakes or wakers.creations != obj.wakers.creations:
         out.append(Discrepancy("engine-equiv", "waker tables differ"))
     for res, engine in ((result, "columnar"), (obj, "object")):
         for tid, tl in res.timelines.items():

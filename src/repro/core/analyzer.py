@@ -6,14 +6,14 @@ path walk, compute TYPE 1 / TYPE 2 metrics and wrap everything in an
 :class:`AnalysisReport`.
 
 The pipeline keeps the trace's numpy columns end to end
-(:mod:`repro.core.columnar`) and only materializes
-``Wait``/``HoldInterval``/``ThreadTimeline`` objects lazily, when a
-caller actually reads :attr:`AnalysisResult.timelines` or
-:attr:`AnalysisResult.wakers` (the DAG, what-if and viz layers do).  The
-per-event object pipeline survives as the test reference
-:func:`repro.check.reference.reference_analyze`; the ``engine-equiv``
-invariant of ``repro.check`` holds the two to bit-identical output on
-every fuzzed seed.
+(:mod:`repro.core.columnar`), and so do the event DAG, what-if and plan
+layers built on its result.  ``Wait``/``HoldInterval``/``ThreadTimeline``
+objects are only materialized when a caller reads
+:attr:`AnalysisResult.timelines` (the viz, export and windowed layers
+do).  The per-event chain survives as
+the test reference :func:`repro.check.reference.reference_analyze`; the
+``engine-equiv`` invariant of ``repro.check`` holds the two to
+bit-identical output on every fuzzed seed.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from repro.core.columnar.metrics import (
 from repro.core.columnar.timelines import ColumnarTimelines, build_timelines_columnar
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.columnar.walk import compute_critical_path_columnar
-from repro.core.critical_path import CriticalPath
 from repro.core.dag import EventGraph, build_event_graph
-from repro.core.model import ThreadTimeline
+from repro.core.model import CriticalPath, ThreadTimeline
 from repro.core.report import AnalysisReport
-from repro.core.wakers import WakerTable
 from repro.core.whatif import WhatIfResult, predict_no_contention, predict_shrink
 from repro.trace.trace import Trace
 from repro.trace.validate import validate_trace
@@ -42,11 +40,10 @@ __all__ = ["AnalysisResult", "analyze"]
 class AnalysisResult:
     """Everything produced by one analysis pass over a trace.
 
-    ``wakers`` and ``timelines`` are materialized lazily from the columnar
-    structures: the hot path never builds per-event Python objects, but
-    every downstream consumer (DAG cross-check, what-if, viz, export)
-    still sees the exact object-engine structures on first access.  The
-    reference pipeline passes its object structures directly.
+    ``waker_columns`` and ``timeline_columns`` are the pipeline's own
+    columnar structures; ``timelines`` is the object view of the latter,
+    materialized on first access for the consumers that iterate
+    ``Wait``/``HoldInterval`` objects.
     """
 
     def __init__(
@@ -54,35 +51,23 @@ class AnalysisResult:
         trace: Trace,
         critical_path: CriticalPath,
         report: AnalysisReport,
-        wakers: WakerTable | None = None,
-        timelines: dict[int, ThreadTimeline] | None = None,
-        columnar: tuple[ColumnarWakers, ColumnarTimelines] | None = None,
+        waker_columns: ColumnarWakers,
+        timeline_columns: ColumnarTimelines,
     ):
-        if columnar is None and (wakers is None or timelines is None):
-            raise ValueError("AnalysisResult needs object structures or columnar ones")
         self.trace = trace
         self.critical_path = critical_path
         self.report = report
-        self._wakers = wakers
-        self._timelines = timelines
-        self._columnar = columnar
+        self.waker_columns = waker_columns
+        self.timeline_columns = timeline_columns
 
-    @property
-    def wakers(self) -> WakerTable:
-        if self._wakers is None:
-            self._wakers = self._columnar[0].to_table(self.trace.records)
-        return self._wakers
-
-    @property
+    @cached_property
     def timelines(self) -> dict[int, ThreadTimeline]:
-        if self._timelines is None:
-            self._timelines = self._columnar[1].to_object()
-        return self._timelines
+        return self.timeline_columns.to_object()
 
     @cached_property
     def graph(self) -> EventGraph:
         """Event DAG (built lazily; used by cross-checks and what-if)."""
-        return build_event_graph(self.trace, self.timelines, self.wakers)
+        return build_event_graph(self.trace, self.timeline_columns, self.waker_columns)
 
     def what_if(self, lock: int | str, factor: float = 0.0) -> WhatIfResult:
         """Predict the speedup from shrinking ``lock``'s critical sections."""
@@ -117,4 +102,4 @@ def analyze(trace: Trace, validate: bool = True) -> AnalysisResult:
         locks=compute_metrics_columnar(trace, ct, cp),
         thread_stats=compute_thread_stats_columnar(ct, cp),
     )
-    return AnalysisResult(trace=trace, critical_path=cp, report=report, columnar=(cw, ct))
+    return AnalysisResult(trace, cp, report, cw, ct)

@@ -12,8 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.analyzer import AnalysisResult
-from repro.core.metrics import _hold_cp_overlap
+from repro.core.columnar.metrics import (
+    NO_PIECES,
+    exact_sum,
+    hold_cp_overlaps,
+    thread_pieces,
+)
 from repro.core.whatif import resolve_lock
 from repro.tables import format_table
 from repro.units import format_percent
@@ -83,34 +90,29 @@ class LockAttribution:
 def attribute_lock(analysis: AnalysisResult, lock: int | str) -> LockAttribution:
     """Split a lock's critical-path statistics per thread."""
     obj = resolve_lock(analysis.trace, lock)
-    cp = analysis.critical_path
-    cp_length = cp.length
-    pieces_by_tid = cp.pieces_by_thread()
-    for plist in pieces_by_tid.values():
-        plist.sort(key=lambda p: (p.start, p.end))
+    ct = analysis.timeline_columns
+    pieces_by_tid = thread_pieces(analysis.critical_path)
     shares = []
-    for tid, tl in analysis.timelines.items():
-        holds = tl.holds.get(obj, [])
-        if not holds:
+    for tid, name in zip(ct.tids.tolist(), ct.names):
+        lo, hi = ct.hold_groups.get((tid, obj), (0, 0))
+        if hi == lo:
             continue
-        pieces = pieces_by_tid.get(tid, [])
-        overlap, on_cp, contended = (
-            _hold_cp_overlap(holds, pieces) if pieces else (0.0, 0, 0)
-        )
+        h_s, h_e = ct.h_start[lo:hi], ct.h_end[lo:hi]
+        overlap, on_cp = hold_cp_overlaps(h_s, h_e, *pieces_by_tid.get(tid, NO_PIECES))
         shares.append(
             ThreadLockShare(
                 tid=tid,
-                thread_name=tl.name,
-                invocations=len(holds),
-                invocations_on_cp=on_cp,
-                contended_on_cp=contended,
-                hold_time=sum(h.duration for h in holds),
-                cp_hold_time=overlap,
+                thread_name=name,
+                invocations=hi - lo,
+                invocations_on_cp=int(np.count_nonzero(on_cp)),
+                contended_on_cp=int(np.count_nonzero(on_cp & ct.h_contended[lo:hi])),
+                hold_time=exact_sum(h_e - h_s),
+                cp_hold_time=exact_sum(overlap),
             )
         )
     shares.sort(key=lambda s: s.cp_hold_time, reverse=True)
     return LockAttribution(
         lock_name=analysis.trace.object_name(obj),
-        cp_length=cp_length,
+        cp_length=analysis.critical_path.length,
         shares=shares,
     )

@@ -1,9 +1,9 @@
-"""Columnar (numpy) implementation of the analysis hot path.
+"""Columnar (numpy) implementation of the analysis pipeline.
 
-The object engine (:mod:`repro.core.wakers`, :mod:`repro.core.segments`)
-materializes one :class:`~repro.trace.events.Event` per record — three
-full passes of Python object construction on a path the trace reader
-already hands us as a structured array.  This package keeps the columns:
+The per-event reference chain (:mod:`repro.check.reference`)
+materializes one :class:`~repro.trace.events.Event` per record — full
+passes of Python object construction over a trace the reader already
+hands us as a structured array.  This package keeps the columns:
 
 * :mod:`repro.core.columnar.wakers` resolves every waker with sorted
   searchsorted/argsort passes instead of two dict-driven event loops;
@@ -11,22 +11,25 @@ already hands us as a structured array.  This package keeps the columns:
   lock-hold intervals as flat arrays (one slot-matching pass per wait
   kind, one LIFO paren-matching pass for holds), with a thin view layer
   that materializes :class:`~repro.core.model.Wait` /
-  :class:`~repro.core.model.HoldInterval` objects only where the DAG,
-  what-if and viz layers need them;
+  :class:`~repro.core.model.HoldInterval` objects only for the viz,
+  export and windowed layers that iterate them;
 * :mod:`repro.core.columnar.walk` precomputes every jump of the paper's
   backward walk with one ``searchsorted``, follows them as plain ints
   and returns the path as columns;
 * :mod:`repro.core.columnar.metrics` computes the TYPE 1 / TYPE 2 tables
   with per-group ``np.cumsum`` so every float is summed in exactly the
-  order the object engine uses — the output is *bit-identical*, which
+  order the reference uses — the output is *bit-identical*, which
   the ``engine-equiv`` invariant of ``repro.check`` enforces on every
-  fuzzed seed;
+  fuzzed seed — and holds the interval-overlap kernel that attribution,
+  estimation and the event DAG share;
 * :mod:`repro.core.columnar.online` is the batch kernel behind
   :meth:`repro.core.online.OnlineAnalyzer.observe_batch`.
 
-``analyze(trace)`` runs this pipeline; the object engine survives only
-as the test reference :func:`repro.check.reference.reference_analyze`
-(see ``docs/algorithm.md``).
+``analyze(trace)`` runs this pipeline, and the event DAG
+(:mod:`repro.core.dag`) and replay (:mod:`repro.replay`) read its
+wakers and timelines; the per-event chain survives only as the test
+reference :func:`repro.check.reference.reference_analyze` (see
+``docs/algorithm.md``).
 """
 
 from repro.core.columnar.metrics import (

@@ -1,13 +1,15 @@
-"""Columnar TYPE 1 / TYPE 2 metrics, bit-identical to
-:func:`repro.core.metrics.compute_metrics`.
+"""Columnar TYPE 1 / TYPE 2 metrics, bit-identical to the per-event
+reference :func:`repro.check.reference.compute_metrics`.
 
 Bit-identity constrains the implementation everywhere floats are summed:
-the object engine accumulates left to right, and IEEE addition is not
+the reference accumulates left to right, and IEEE addition is not
 associative, so every per-group total here is a sequential ``np.cumsum``
 (empirically identical to a Python ``sum`` loop), never ``np.sum`` /
-``np.add.reduceat`` (pairwise summation).  The hold/critical-path
-overlap sweep accumulates per hold in piece order via a multiplicity
-loop for the same reason.
+``np.add.reduceat`` (pairwise summation).  The interval-overlap kernel
+(:func:`interval_overlaps`) adds each interval's terms in reference
+order for the same reason; the hold/critical-path overlap
+(:func:`hold_cp_overlaps`) and the event DAG's span/hold overlap
+(:meth:`repro.core.dag.EventGraph.span_hold_overlap`) both run on it.
 """
 
 from __future__ import annotations
@@ -15,58 +17,98 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.columnar.timelines import WAIT_KIND_CODES, ColumnarTimelines
-from repro.core.critical_path import CriticalPath
-from repro.core.metrics import LockMetrics, ThreadStats
-from repro.core.model import WaitKind
+from repro.core.model import CriticalPath, LockMetrics, ThreadStats, WaitKind
 from repro.trace.ops import exact_group_sums, group_bounds, sort_order
 from repro.trace.trace import Trace
 
-__all__ = ["compute_metrics_columnar", "compute_thread_stats_columnar"]
+__all__ = [
+    "NO_PIECES",
+    "compute_metrics_columnar",
+    "compute_thread_stats_columnar",
+    "exact_sum",
+    "hold_cp_overlaps",
+    "interval_overlaps",
+    "thread_pieces",
+]
 
 _LOCK_CODE = WAIT_KIND_CODES.index(WaitKind.LOCK)
 
 
-def _exact_sum(values: np.ndarray) -> float:
+def exact_sum(values: np.ndarray) -> float:
     """Left-to-right IEEE sum (what a Python accumulator loop computes)."""
     if len(values) == 0:
         return 0.0
     return float(np.cumsum(values)[-1])
 
 
-def _overlap_group(
-    h_s: np.ndarray,
-    h_e: np.ndarray,
-    contended: np.ndarray,
-    p_s: np.ndarray,
-    p_e: np.ndarray,
-) -> tuple[float, int, int]:
-    """Vectorized :func:`repro.core.metrics._hold_cp_overlap`.
+def interval_overlaps(
+    q_s: np.ndarray,
+    q_e: np.ndarray,
+    r_s: np.ndarray,
+    r_e: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> np.ndarray:
+    """Per query interval ``i``, its total overlap with the reference
+    intervals ``[lo[i], hi[i])``, added in reference order.
 
-    Pieces are disjoint and sorted, so the object engine's persistent
-    two-pointer window for hold ``h`` is exactly ``[searchsorted(p_end,
-    h.start), searchsorted(p_start, h.end, right))``; the multiplicity
-    loop adds each hold's overlap terms in piece order, preserving the
-    object engine's float addition order.
+    Each term is ``max(0, min(q_e, r_e) - max(q_s, r_s))``.  The
+    multiplicity loop (one vectorized step per window offset) adds each
+    query's terms left to right, the order a two-pointer sweep over the
+    references adds them in, so the sums are bit-identical to one.
     """
-    pi = np.searchsorted(p_e, h_s, side="left")
-    jend = np.searchsorted(p_s, h_e, side="right")
-    k = np.maximum(jend - pi, 0)
-    acc = np.zeros(len(h_s), dtype=np.float64)
+    k = np.maximum(hi - lo, 0)
+    acc = np.zeros(len(q_s), dtype=np.float64)
     for j in range(int(k.max()) if len(k) else 0):
         sel = k > j
-        idx = pi[sel] + j
+        idx = lo[sel] + j
         term = np.maximum(
             0.0,
-            np.minimum(h_e[sel], p_e[idx]) - np.maximum(h_s[sel], p_s[idx]),
+            np.minimum(q_e[sel], r_e[idx]) - np.maximum(q_s[sel], r_s[idx]),
         )
         acc[sel] = acc[sel] + term
-    zero = h_e == h_s
-    on_cp = (acc > 0) | (zero & (k > 0))
-    return (
-        _exact_sum(acc),
-        int(np.count_nonzero(on_cp)),
-        int(np.count_nonzero(on_cp & contended)),
-    )
+    return acc
+
+
+def hold_cp_overlaps(
+    h_s: np.ndarray,
+    h_e: np.ndarray,
+    p_s: np.ndarray,
+    p_e: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per hold of one thread, its critical-path overlap and whether it
+    is on the critical path.
+
+    ``p_s``/``p_e`` are the thread's pieces sorted by (start, end)
+    (:func:`thread_pieces`); the holds are sorted by start.  A hold's
+    pieces are those ending at or after its start and starting at or
+    before its end.  A hold is on the path if it overlaps a piece for
+    positive time or, when it has zero length, lies inside one.
+    """
+    lo = np.searchsorted(p_e, h_s, side="left")
+    hi = np.searchsorted(p_s, h_e, side="right")
+    overlap = interval_overlaps(h_s, h_e, p_s, p_e, lo, hi)
+    on_cp = (overlap > 0) | ((h_e == h_s) & (hi > lo))
+    return overlap, on_cp
+
+
+#: The pieces of a thread the critical path never visits: every hold
+#: overlaps them by 0 and is off the path.
+NO_PIECES = (np.zeros(0), np.zeros(0))
+
+
+def thread_pieces(cp: CriticalPath) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """tid -> (piece starts, piece ends), sorted by (start, end) with
+    ties in path order; threads off the path are absent (see
+    :data:`NO_PIECES`)."""
+    order = np.lexsort((cp.piece_end, cp.piece_start, cp.piece_tid))
+    p_start, p_end = cp.piece_start[order], cp.piece_end[order]
+    starts, piece_tids = group_bounds(cp.piece_tid[order])
+    bounds = np.append(starts, len(order)).tolist()
+    return {
+        tid: (p_start[lo:hi], p_end[lo:hi])
+        for tid, lo, hi in zip(piece_tids.tolist(), bounds[:-1], bounds[1:])
+    }
 
 
 def compute_metrics_columnar(
@@ -74,18 +116,10 @@ def compute_metrics_columnar(
     ct: ColumnarTimelines,
     cp: CriticalPath,
 ) -> dict[int, LockMetrics]:
-    """Columnar twin of :func:`repro.core.metrics.compute_metrics`."""
+    """Columnar twin of :func:`repro.check.reference.compute_metrics`."""
     nthreads = max(1, len(ct.tids))
     cp_length = cp.length
-    # Each thread's pieces sorted by (start, end), ties in path order.
-    order = np.lexsort((cp.piece_end, cp.piece_start, cp.piece_tid))
-    p_start, p_end = cp.piece_start[order], cp.piece_end[order]
-    starts, piece_tids = group_bounds(cp.piece_tid[order])
-    bounds = np.append(starts, len(order)).tolist()
-    piece_arrays = {
-        tid: (p_start[lo:hi], p_end[lo:hi])
-        for tid, lo, hi in zip(piece_tids.tolist(), bounds[:-1], bounds[1:])
-    }
+    piece_arrays = thread_pieces(cp)
     # cp was walked over ct, so its wait rows index ct's wait columns.
     rows = cp.piece_wait[cp.piece_wait >= 0]
     rows = rows[ct.w_kind[rows] == _LOCK_CODE]
@@ -116,29 +150,23 @@ def compute_metrics_columnar(
                 t_wait = 0.0
             else:
                 lo, hi = group
-                t_hold = _exact_sum(durations[lo:hi])
-                t_wait = _exact_sum(hold_waits[lo:hi])
+                t_hold = exact_sum(durations[lo:hi])
+                t_wait = exact_sum(hold_waits[lo:hi])
                 total_inv += hi - lo
-                cont_inv += int(np.count_nonzero(ct.h_contended[lo:hi]))
+                contended = ct.h_contended[lo:hi]
+                cont_inv += int(np.count_nonzero(contended))
+                overlap, on_cp = hold_cp_overlaps(
+                    ct.h_start[lo:hi], ct.h_end[lo:hi], *piece_arrays.get(tid, NO_PIECES)
+                )
+                cp_hold += exact_sum(overlap)
+                inv_on_cp += int(np.count_nonzero(on_cp))
+                cont_on_cp += int(np.count_nonzero(on_cp & contended))
             total_hold += t_hold
             total_wait += t_wait
             lifetime = float(lifetimes[i])
             if lifetime > 0:
                 wait_fracs += t_wait / lifetime
                 hold_fracs += t_hold / lifetime
-            pieces = piece_arrays.get(tid)
-            if pieces is not None and group is not None and group[1] > group[0]:
-                lo, hi = group
-                o, cnt, c = _overlap_group(
-                    ct.h_start[lo:hi],
-                    ct.h_end[lo:hi],
-                    ct.h_contended[lo:hi],
-                    pieces[0],
-                    pieces[1],
-                )
-                cp_hold += o
-                inv_on_cp += cnt
-                cont_on_cp += c
         avg_inv = total_inv / nthreads
         avg_hold_frac = hold_fracs / nthreads
         cp_frac = cp_hold / cp_length if cp_length > 0 else 0.0
@@ -167,7 +195,7 @@ def compute_metrics_columnar(
 def compute_thread_stats_columnar(
     ct: ColumnarTimelines, cp: CriticalPath
 ) -> list[ThreadStats]:
-    """Columnar twin of :func:`repro.core.metrics.compute_thread_stats`."""
+    """Columnar twin of :func:`repro.check.reference.compute_thread_stats`."""
     # Per-thread sums of piece durations, added in path order.
     order = sort_order(cp.piece_tid)
     starts, piece_tids = group_bounds(cp.piece_tid[order])
@@ -189,7 +217,7 @@ def compute_thread_stats_columnar(
             codes, first = np.unique(kinds, return_index=True)
             for k in np.argsort(first):
                 code = codes[k]
-                by_kind[WAIT_KIND_CODES[code]] = _exact_sum(durs[kinds == code])
+                by_kind[WAIT_KIND_CODES[code]] = exact_sum(durs[kinds == code])
         total_wait = sum(by_kind.values())
         lifetime = float(ct.t_end[i] - ct.t_start[i])
         stats.append(

@@ -1,4 +1,5 @@
-"""Columnar timeline construction (array form of :mod:`repro.core.segments`).
+"""Columnar timeline construction (array form of the per-event
+:func:`repro.check.reference.build_timelines`).
 
 The object engine walks each thread's events with five little dicts
 (pending acquire/barrier/cond/join slots and per-lock hold stacks).
@@ -186,7 +187,7 @@ def build_timelines_columnar(
     trace: Trace,
     wakers: ColumnarWakers | None = None,
 ) -> ColumnarTimelines:
-    """Columnar twin of :func:`repro.core.segments.build_timelines`."""
+    """Columnar twin of :func:`repro.check.reference.build_timelines`."""
     if wakers is None:
         wakers = resolve_wakers_columnar(trace)
     rec = trace.records

@@ -1,4 +1,5 @@
-"""Vectorized waker resolution (columnar form of :mod:`repro.core.wakers`).
+"""Vectorized waker resolution (columnar form of the per-event
+:func:`repro.check.reference.resolve_wakers`).
 
 Each of the paper's §IV.B rules is one vectorized query instead of a
 dict maintained while looping events:
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.trace.ops import dense_keys, group_bounds, latest_prior, sort_order
-from repro.core.wakers import WakeInfo, WakerTable
+from repro.core.model import WakeInfo, WakerTable
 from repro.errors import WakerResolutionError
 from repro.trace.events import EventType
 from repro.trace.trace import Trace
@@ -107,7 +108,7 @@ def _raise_first(trace: Trace, failures: list[tuple[np.ndarray, str]]) -> None:
 
 
 def resolve_wakers_columnar(trace: Trace) -> ColumnarWakers:
-    """Columnar twin of :func:`repro.core.wakers.resolve_wakers`."""
+    """Columnar twin of :func:`repro.check.reference.resolve_wakers`."""
     rec = trace.records
     n = len(rec)
     ix = trace.index

@@ -1,6 +1,7 @@
 """Backward critical-path walk over columnar timelines.
 
-Identical control flow to :func:`repro.core.critical_path.compute_critical_path`
+Identical control flow to the per-event
+:func:`repro.check.reference.compute_critical_path`
 — start at the last event of the last finished thread, cursor backwards,
 jump to the waker whenever the position follows a blocked interval — but
 every lookup the walk can make is answered up front: one vectorized
@@ -8,7 +9,7 @@ every lookup the walk can make is answered up front: one vectorized
 gives, for each wait, the wait the walk lands on after jumping to its
 waker, and for each thread the wait it lands on after jumping to its
 creator.  The walk itself then follows plain Python ints and records
-one integer per piece; the :class:`~repro.core.critical_path.CriticalPath`
+one integer per piece; the :class:`~repro.core.model.CriticalPath`
 columns are assembled from those with a few gathers, and no
 ``CPPiece`` / ``Junction`` / ``Wait`` object is built unless a caller
 asks for one.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.columnar.timelines import ColumnarTimelines
-from repro.core.critical_path import CriticalPath
+from repro.core.model import CriticalPath
 from repro.errors import AnalysisError
 from repro.trace.ops import dense_keys
 from repro.trace.trace import Trace
@@ -28,7 +29,7 @@ __all__ = ["compute_critical_path_columnar"]
 
 
 def compute_critical_path_columnar(trace: Trace, ct: ColumnarTimelines) -> CriticalPath:
-    """Columnar twin of :func:`repro.core.critical_path.compute_critical_path`."""
+    """Columnar twin of :func:`repro.check.reference.compute_critical_path`."""
     if len(trace) == 0:
         return CriticalPath.from_objects([], [], [], trace_duration=0.0)
     # Every cursor the walk can stand on: at each wait's waker, at each

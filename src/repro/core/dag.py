@@ -15,57 +15,63 @@ length; re-weighting execution edges (e.g. shrinking the spans during
 which a given lock is held) and recomputing yields the paper's
 "expected speedup" — including the path shift the paper observes when an
 optimized lock stops dominating (§V.D.3).
+
+The graph is built from the columnar wakers and timelines
+(:mod:`repro.core.columnar`) and the trace index's thread order, with
+no per-event objects: each edge kind is one array, and one stable sort
+by destination puts them in the order the longest-path sweep relaxes
+them.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.model import HoldInterval, ThreadTimeline
-from repro.core.segments import build_timelines
-from repro.core.wakers import WakerTable, resolve_wakers
+from repro.core.columnar.metrics import interval_overlaps
+from repro.core.columnar.timelines import ColumnarTimelines, build_timelines_columnar
+from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.trace.events import EventType
 from repro.trace.trace import Trace
 
-__all__ = ["EventGraph", "ExecSpan", "build_event_graph"]
+__all__ = ["EventGraph", "build_event_graph"]
 
-
-@dataclass(frozen=True, slots=True)
-class ExecSpan:
-    """An execution-weighted edge: thread ``tid`` ran from ``t0`` to ``t1``."""
-
-    edge: int  # index into the edge arrays
-    tid: int
-    t0: float
-    t1: float
+_OBTAIN = int(EventType.OBTAIN)
+_THREAD_START = int(EventType.THREAD_START)
+_THREAD_EXIT = int(EventType.THREAD_EXIT)
 
 
 @dataclass
 class EventGraph:
     """Weighted DAG over trace events (see module docstring).
 
-    ``edge_src``/``edge_dst`` index into trace record positions;
-    ``edge_w`` are base weights; ``exec_spans`` identifies which edges
-    carry execution time (candidates for what-if re-weighting);
-    ``wake_edges`` maps lock-wake edges to their object (candidates for
+    ``edge_src``/``edge_dst`` index into trace record positions, sorted
+    by destination; ``edge_w`` are base weights.  The execution edges
+    (candidates for what-if re-weighting) are the span columns
+    ``span_edge``/``span_tid``/``span_t0``/``span_t1``, grouped by
+    ascending tid.  ``wake_obj`` is the lock object of each contended
+    lock handoff edge and ``-1`` on every other edge (candidates for
     contention-elimination what-ifs).
     """
 
     trace: Trace
-    timelines: dict[int, ThreadTimeline]
+    timelines: ColumnarTimelines
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_w: np.ndarray
-    exec_spans: list[ExecSpan] = field(default_factory=list)
-    wake_edges: list[tuple[int, int]] = field(default_factory=list)  # (edge, obj)
+    span_edge: np.ndarray
+    span_tid: np.ndarray
+    span_t0: np.ndarray
+    span_t1: np.ndarray
+    wake_obj: np.ndarray
     # Record positions of root THREAD_START events (the longest-path
     # sources).  Computed once by :func:`build_event_graph`; graphs built
     # by hand get it lazily on first use.
     source_pos: np.ndarray | None = None
+    _overlaps: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_events(self) -> int:
@@ -78,58 +84,47 @@ class EventGraph:
             self.source_pos = _root_start_positions(self.trace)
         return self.source_pos
 
-    def longest_dist(
-        self,
-        weights: np.ndarray | None = None,
-        skip_edges: "set[int] | None" = None,
-    ) -> np.ndarray:
+    @cached_property
+    def _edge_lists(self) -> tuple[list[int], list[int]]:
+        """``edge_src`` / ``edge_dst`` as Python lists, for the sweeps."""
+        return self.edge_src.tolist(), self.edge_dst.tolist()
+
+    def longest_dist(self, weights: np.ndarray | None = None) -> np.ndarray:
         """Longest-path distance to every event (source-anchored).
 
         THREAD_START events of root threads are sources with distance
         equal to their offset from the trace start, so distances read as
-        "earliest completion time since trace start".
+        "earliest completion time since trace start".  An edge of weight
+        ``-inf`` is never relaxed.
         """
-        w = self.edge_w if weights is None else weights
-        records = self.trace.records
-        n = self.n_events
-        dist = np.full(n, -np.inf)
-        times = records["time"]
+        w = (self.edge_w if weights is None else weights).tolist()
+        times = self.trace.records["time"]
         start = self.trace.start_time
-        for pos in self.sources:
-            dist[pos] = times[pos] - start
-        # Edges were appended with strictly increasing dst, so one ordered
-        # sweep relaxes the whole DAG.
-        src, dst = self.edge_src, self.edge_dst
-        for e in range(len(src)):
-            if skip_edges and e in skip_edges:
-                continue
-            s, d = src[e], dst[e]
-            cand = dist[s] + w[e]
+        dist = [-math.inf] * self.n_events
+        for pos in self.sources.tolist():
+            dist[pos] = float(times[pos]) - start
+        # Edges are sorted by destination, so one ordered sweep relaxes
+        # the whole DAG.  Python floats add exactly like float64.
+        src, dst = self._edge_lists
+        for s, d, we in zip(src, dst, w):
+            cand = dist[s] + we
             if cand > dist[d]:
                 dist[d] = cand
-        return dist
+        return np.array(dist, dtype=np.float64)
 
-    def completion_time(
-        self,
-        weights: np.ndarray | None = None,
-        skip_edges: "set[int] | None" = None,
-    ) -> float:
+    def completion_time(self, weights: np.ndarray | None = None) -> float:
         """Longest-path length to the end of the execution.
 
         Traces with no THREAD_EXIT events (truncated captures) fall back
         to the max distance over all events, so what-if and forecasting
         on partial traces report finite times instead of zero.
         """
-        dist = self.longest_dist(weights, skip_edges)
-        exits = np.flatnonzero(self.trace.records["etype"] == int(EventType.THREAD_EXIT))
+        dist = self.longest_dist(weights)
+        exits = np.flatnonzero(self.trace.records["etype"] == _THREAD_EXIT)
         if len(exits) == 0:
             finite = dist[np.isfinite(dist)]
             return float(np.max(finite)) if len(finite) else 0.0
         return float(np.max(dist[exits]))
-
-    def lock_wake_edge_set(self, obj: int) -> set[int]:
-        """Edge indices of ``obj``'s contended-handoff dependencies."""
-        return {e for e, o in self.wake_edges if o == obj}
 
     def critical_events(
         self,
@@ -144,42 +139,65 @@ class EventGraph:
         only has to be consistent with the weights up to float
         tolerance; see the backtracking comparison below.
         """
-        w = self.edge_w if weights is None else weights
+        w = (self.edge_w if weights is None else weights).tolist()
         if dist is None:
             dist = self.longest_dist(weights)
-        # Group incoming edges per destination for backtracking.
-        incoming: dict[int, list[int]] = {}
-        for e in range(len(self.edge_dst)):
-            incoming.setdefault(int(self.edge_dst[e]), []).append(e)
-        exits = np.flatnonzero(self.trace.records["etype"] == int(EventType.THREAD_EXIT))
+        exits = np.flatnonzero(self.trace.records["etype"] == _THREAD_EXIT)
         if len(exits) == 0:  # truncated trace: end at the farthest event
             exits = np.flatnonzero(np.isfinite(dist))
             if len(exits) == 0:
                 return []
         pos = int(exits[np.argmax(dist[exits])])
+        # Incoming edges of event p are edges first_in[p]:first_in[p + 1].
+        first_in = np.searchsorted(self.edge_dst, np.arange(self.n_events + 1)).tolist()
+        src = self._edge_lists[0]
+        dist = dist.tolist()
         path = [pos]
         while True:
-            best_edge = None
-            for e in incoming.get(pos, ()):
-                s = int(self.edge_src[e])
+            best_src = None
+            for e in range(first_in[pos], first_in[pos + 1]):
+                s = src[e]
                 # Tolerant comparison: an independently-derived distance
                 # array (a caller-supplied ``dist``, e.g. recomputed in
                 # rescaled time units) accumulates float error along long
                 # edge chains, leaving the true predecessor a few ulps
                 # off dist[pos]; exact equality would truncate the walk.
                 if math.isclose(
-                    float(dist[s]) + float(w[e]), float(dist[pos]),
-                    rel_tol=1e-9, abs_tol=1e-12,
-                ) and (
-                    best_edge is None or dist[s] > dist[int(self.edge_src[best_edge])]
-                ):
-                    best_edge = e
-            if best_edge is None:
+                    dist[s] + w[e], dist[pos], rel_tol=1e-9, abs_tol=1e-12
+                ) and (best_src is None or dist[s] > dist[best_src]):
+                    best_src = s
+            if best_src is None:
                 break
-            pos = int(self.edge_src[best_edge])
+            pos = best_src
             path.append(pos)
         path.reverse()
         return path
+
+    def span_hold_overlap(self, obj: int) -> np.ndarray:
+        """Per execution span, its overlap with lock ``obj``'s holds by the
+        same thread (cached per lock).
+
+        For a span ``[t0, t1]`` the holds considered start at the last
+        one whose start is ``<= t0`` and run up to the first starting at
+        or after ``t1``, in start order.
+        """
+        cached = self._overlaps.get(obj)
+        if cached is not None:
+            return cached
+        ct = self.timelines
+        out = np.zeros(len(self.span_edge), dtype=np.float64)
+        for (tid, o), (glo, ghi) in ct.hold_groups.items():
+            if o != obj:
+                continue
+            lo = int(np.searchsorted(self.span_tid, tid, side="left"))
+            hi = int(np.searchsorted(self.span_tid, tid, side="right"))
+            h_s, h_e = ct.h_start[glo:ghi], ct.h_end[glo:ghi]
+            t0, t1 = self.span_t0[lo:hi], self.span_t1[lo:hi]
+            first = np.maximum(np.searchsorted(h_s, t0, side="right") - 1, 0)
+            last = np.searchsorted(h_s, t1, side="left")
+            out[lo:hi] = interval_overlaps(t0, t1, h_s, h_e, first, last)
+        self._overlaps[obj] = out
+        return out
 
     def shrunk_weights(self, obj: int, factor: float) -> np.ndarray:
         """Edge weights with lock ``obj``'s critical sections scaled by ``factor``.
@@ -190,23 +208,10 @@ class EventGraph:
         """
         if factor < 0:
             raise ValueError(f"shrink factor must be >= 0, got {factor}")
+        overlap = self.span_hold_overlap(obj)
+        hit = overlap > 0
         weights = self.edge_w.copy()
-        holds_by_tid: dict[int, list[HoldInterval]] = {
-            tid: sorted(tl.holds.get(obj, []), key=lambda h: h.start)
-            for tid, tl in self.timelines.items()
-        }
-        starts_by_tid = {
-            tid: [h.start for h in holds] for tid, holds in holds_by_tid.items()
-        }
-        for span in self.exec_spans:
-            holds = holds_by_tid.get(span.tid)
-            if not holds:
-                continue
-            overlap = _overlap_with_holds(
-                span.t0, span.t1, holds, starts_by_tid[span.tid]
-            )
-            if overlap > 0:
-                weights[span.edge] -= (1.0 - factor) * overlap
+        weights[self.span_edge[hit]] -= (1.0 - factor) * overlap[hit]
         return weights
 
     def to_networkx(self):  # pragma: no cover - convenience for users
@@ -223,110 +228,75 @@ class EventGraph:
 
 
 def _root_start_positions(trace: Trace) -> np.ndarray:
-    """Record positions of THREAD_START events of root (uncreated) threads.
-
-    Hoisted out of :meth:`EventGraph.longest_dist` so repeated what-if
-    re-weighting calls don't rebuild per-event objects every time.
-    """
+    """Record positions of THREAD_START events of root (uncreated) threads."""
     records = trace.records
     etypes = records["etype"]
-    create_pos = np.flatnonzero(etypes == int(EventType.THREAD_CREATE))
-    created = set(records["arg"][create_pos].tolist())
-    start_pos = np.flatnonzero(etypes == int(EventType.THREAD_START))
-    tids = records["tid"][start_pos]
-    return start_pos[[int(t) not in created for t in tids]]
-
-
-def _overlap_with_holds(
-    t0: float, t1: float, holds: list[HoldInterval], starts: list[float]
-) -> float:
-    """Total overlap of [t0, t1] with a sorted, disjoint hold list."""
-    total = 0.0
-    i = max(0, bisect_right(starts, t0) - 1)
-    while i < len(holds) and holds[i].start < t1:
-        h = holds[i]
-        total += max(0.0, min(t1, h.end) - max(t0, h.start))
-        i += 1
-    return total
+    created = records["arg"][etypes == int(EventType.THREAD_CREATE)]
+    start_pos = np.flatnonzero(etypes == _THREAD_START)
+    return start_pos[~np.isin(records["tid"][start_pos], created)]
 
 
 def build_event_graph(
     trace: Trace,
-    timelines: dict[int, ThreadTimeline] | None = None,
-    wakers: WakerTable | None = None,
+    timelines: ColumnarTimelines | None = None,
+    wakers: ColumnarWakers | None = None,
 ) -> EventGraph:
-    """Construct the event DAG from a trace."""
+    """Construct the event DAG from a trace's columnar wakers and timelines."""
     if wakers is None:
-        wakers = resolve_wakers(trace)
+        wakers = resolve_wakers_columnar(trace)
     if timelines is None:
-        timelines = build_timelines(trace, wakers)
+        timelines = build_timelines_columnar(trace, wakers)
+    rec = trace.records
+    n = len(rec)
+    etype, tid = trace.index.etype, trace.index.tid
+    time = rec["time"]
+    seq = rec["seq"].astype(np.int64)  # the waker columns' dtype
 
-    records = trace.records
-    n = len(records)
-    seqs = records["seq"]
-    pos_of_seq = {int(s): i for i, s in enumerate(seqs)}
+    # Program order: consecutive rows of each thread.  The edge into a
+    # thread's wake event spans a blocked wait and weighs 0; every other
+    # one carries execution time.
+    order = trace.index.thread_order.astype(np.int64)
+    same = tid[order[1:]] == tid[order[:-1]]
+    p_src, p_dst = order[:-1][same], order[1:][same]
+    after_wait = np.zeros(n, dtype=bool)
+    after_wait[np.searchsorted(seq, timelines.w_wake_seq)] = True
+    runs = ~after_wait[p_dst]
+    p_w = np.where(runs, time[p_dst] - time[p_src], 0.0)
 
-    # Wake events whose preceding same-thread span was a blocked wait.
-    wait_wake_seqs: set[int] = set()
-    for tl in timelines.values():
-        for w in tl.waits:
-            wait_wake_seqs.add(w.wake_seq)
+    # Wake edges: waker event -> wake event.
+    w_dst = np.flatnonzero(wakers.waker_seq >= 0)
+    w_src = np.searchsorted(seq, wakers.waker_seq[w_dst])
+    w_obj = np.where(etype[w_dst] == _OBTAIN, trace.index.obj[w_dst], -1)
 
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
-    edge_w: list[float] = []
-    exec_spans: list[ExecSpan] = []
-    wake_edges: list[tuple[int, int]] = []
+    # Creation edges: THREAD_CREATE -> every THREAD_START of the child.
+    c_dst = np.flatnonzero(etype == _THREAD_START)
+    creator = {child: c.waker_seq for child, c in wakers.creations.items()}
+    creator_seq = np.array([creator.get(t, -1) for t in tid[c_dst].tolist()], dtype=np.int64)
+    c_dst = c_dst[creator_seq >= 0]
+    c_src = np.searchsorted(seq, creator_seq[creator_seq >= 0])
 
-    last_pos_of_tid: dict[int, int] = {}
-    for pos in range(n):
-        row = records[pos]
-        tid = int(row["tid"])
-        seq = int(row["seq"])
-        time = float(row["time"])
-        etype = EventType(int(row["etype"]))
-
-        prev = last_pos_of_tid.get(tid)
-        if prev is not None:
-            t_prev = float(records["time"][prev])
-            if seq in wait_wake_seqs:
-                edge_src.append(prev)
-                edge_dst.append(pos)
-                edge_w.append(0.0)
-            else:
-                edge_src.append(prev)
-                edge_dst.append(pos)
-                edge_w.append(time - t_prev)
-                exec_spans.append(
-                    ExecSpan(edge=len(edge_w) - 1, tid=tid, t0=t_prev, t1=time)
-                )
-        last_pos_of_tid[tid] = pos
-
-        info = wakers.wakes.get(seq)
-        if info is not None:
-            waker_pos = pos_of_seq.get(info.waker_seq)
-            if waker_pos is not None:
-                edge_src.append(waker_pos)
-                edge_dst.append(pos)
-                edge_w.append(0.0)
-                if etype == EventType.OBTAIN:
-                    wake_edges.append((len(edge_w) - 1, int(row["obj"])))
-        if etype == EventType.THREAD_START:
-            creation = wakers.creations.get(tid)
-            if creation is not None:
-                creator_pos = pos_of_seq.get(creation.waker_seq)
-                if creator_pos is not None:
-                    edge_src.append(creator_pos)
-                    edge_dst.append(pos)
-                    edge_w.append(0.0)
+    # Per destination: program-order edge, then wake edge, then creation
+    # edge; the stable sort keeps that order among equal destinations.
+    dst = np.concatenate([p_dst, w_dst, c_dst]).astype(np.int64)
+    by_dst = np.argsort(dst, kind="stable")
+    rank = np.empty_like(by_dst)
+    rank[by_dst] = np.arange(len(by_dst))
+    src = np.concatenate([p_src, w_src, c_src]).astype(np.int64)
+    weight = np.concatenate([p_w, np.zeros(len(w_dst) + len(c_dst))])
+    wake_obj = np.concatenate(
+        [np.full(len(p_dst), -1), w_obj, np.full(len(c_dst), -1)]
+    ).astype(np.int64)
 
     return EventGraph(
         trace=trace,
         timelines=timelines,
-        edge_src=np.asarray(edge_src, dtype=np.int64),
-        edge_dst=np.asarray(edge_dst, dtype=np.int64),
-        edge_w=np.asarray(edge_w, dtype=np.float64),
-        exec_spans=exec_spans,
-        wake_edges=wake_edges,
+        edge_src=src[by_dst],
+        edge_dst=dst[by_dst],
+        edge_w=weight[by_dst],
+        span_edge=rank[: len(p_dst)][runs],
+        span_tid=tid[p_dst[runs]].astype(np.int64),
+        span_t0=time[p_src[runs]].astype(np.float64),
+        span_t1=time[p_dst[runs]].astype(np.float64),
+        wake_obj=wake_obj[by_dst],
         source_pos=_root_start_positions(trace),
     )

@@ -30,8 +30,9 @@ This module reconstructs the critical-lock ranking from such a trace:
 
 At ``rate=1.0`` the sample *is* the full trace: the point estimates
 reproduce the exact engine's ``cp_fraction`` bit for bit (the per-hold
-overlap sweep replicates :func:`repro.core.metrics.compute_metrics`'s
-accumulation order) and the interval collapses to a point.
+overlaps come from the metrics' own kernel,
+:func:`repro.core.columnar.metrics.hold_cp_overlaps`, summed in the same
+order) and the interval collapses to a point.
 
 Honesty of the (estimator, sampler) pair is cross-validated against the
 exact engine by :mod:`repro.sampling.crossval`, the ``sample-coverage``
@@ -47,7 +48,12 @@ from typing import Any
 import numpy as np
 
 from repro.core.analyzer import analyze
-from repro.core.model import CPPiece, HoldInterval
+from repro.core.columnar.metrics import (
+    NO_PIECES,
+    exact_sum,
+    hold_cp_overlaps,
+    thread_pieces,
+)
 from repro.errors import AnalysisError
 from repro.tables import format_table
 from repro.trace.events import EventType, ObjectKind
@@ -220,32 +226,6 @@ class EstimatedReport:
         }
 
 
-def _per_hold_overlaps(
-    holds: list[HoldInterval], pieces: list[CPPiece]
-) -> tuple[list[float], float]:
-    """Per-hold CP overlap values and their sum.
-
-    Mirrors :func:`repro.core.metrics._hold_cp_overlap`'s two-pointer
-    sweep *and accumulation order*, so at rate=1.0 the summed values
-    reproduce the exact engine's ``cp_hold_time`` bit for bit.
-    """
-    values: list[float] = []
-    total = 0.0
-    pi = 0
-    for h in holds:
-        h_overlap = 0.0
-        while pi < len(pieces) and pieces[pi].end < h.start:
-            pi += 1
-        pj = pi
-        while pj < len(pieces) and pieces[pj].start <= h.end:
-            p = pieces[pj]
-            h_overlap += max(0.0, min(h.end, p.end) - max(h.start, p.start))
-            pj += 1
-        total += h_overlap
-        values.append(h_overlap)
-    return values, total
-
-
 def estimate_report(
     trace: Trace,
     rate: float | None = None,
@@ -283,11 +263,9 @@ def estimate_report(
     repaired, demoted = demote_orphan_contention(trace)
     result = analyze(repaired, validate=False)
     cp = result.critical_path
-    timelines = result.timelines
+    ct = result.timeline_columns
     cp_length = cp.length
-    pieces_by_thread = cp.pieces_by_thread()
-    for plist in pieces_by_thread.values():
-        plist.sort(key=lambda p: (p.start, p.end))
+    pieces_by_thread = thread_pieces(cp)
 
     # Per-lock contention observed in the sample *before* repair (repair
     # demotes exactly the contended flags whose waker is missing, which
@@ -307,27 +285,29 @@ def estimate_report(
     for lock_info in repaired.locks:
         obj = lock_info.obj
         cp_hold = 0.0
-        per_unit: list[float] = []
-        per_unit_wait: list[float] = []
+        per_unit: list[np.ndarray] = []  # CP overlap of each unit
+        per_unit_wait: list[np.ndarray] = []  # ACQUIRE->OBTAIN gap of each unit
         units = 0
         contended = 0
         hold_time = 0.0
         wait_time = 0.0
-        for tid in sorted(timelines):
-            tl = timelines[tid]
-            holds = tl.holds.get(obj, [])
-            units += len(holds)
-            contended += sum(1 for h in holds if h.contended)
-            hold_time += sum(h.duration for h in holds)
-            wait_time += sum(h.wait for h in holds)
-            per_unit_wait.extend(h.wait for h in holds)
-            pieces = pieces_by_thread.get(tid)
-            if pieces and holds:
-                values, total = _per_hold_overlaps(holds, pieces)
-                cp_hold += total
-                per_unit.extend(values)
-            else:
-                per_unit.extend(0.0 for _ in holds)
+        for tid in ct.tids.tolist():
+            glo, ghi = ct.hold_groups.get((tid, obj), (0, 0))
+            if ghi == glo:
+                continue
+            h_s, h_e = ct.h_start[glo:ghi], ct.h_end[glo:ghi]
+            h_wait = h_s - ct.h_acquire[glo:ghi]
+            units += ghi - glo
+            contended += int(np.count_nonzero(ct.h_contended[glo:ghi]))
+            hold_time += exact_sum(h_e - h_s)
+            wait_time += exact_sum(h_wait)
+            per_unit_wait.append(h_wait)
+            pieces = pieces_by_thread.get(tid, NO_PIECES)
+            overlap, _ = hold_cp_overlaps(h_s, h_e, *pieces)
+            cp_hold += exact_sum(overlap)
+            per_unit.append(overlap)
+        vals = np.concatenate(per_unit) if per_unit else np.zeros(0)
+        waits = np.concatenate(per_unit_wait) if per_unit_wait else np.zeros(0)
 
         # Effective inclusion rate of this lock's units: hash + retention.
         c_hat = n_cont.get(obj, 0) / n_obt[obj] if n_obt.get(obj) else 0.0
@@ -343,7 +323,7 @@ def estimate_report(
         # waiter queues it overcounts, which only pushes the interval's
         # upper end out.  The point is the larger of the two estimates.
         wait_point = (
-            min(sum(per_unit_wait) * scale / cp_length, 1.0) if cp_length > 0 else 0.0
+            min(exact_sum(waits) * scale / cp_length, 1.0) if cp_length > 0 else 0.0
         )
         walk_point = min(walk_point, 1.0)
         point = max(walk_point, wait_point)
@@ -356,8 +336,6 @@ def estimate_report(
             # interval claim at all (the point estimate still ranks).
             lo, hi = 0.0, 1.0 if cp_length > 0 else 0.0
         else:
-            vals = np.asarray(per_unit, dtype=np.float64)
-            waits = np.asarray(per_unit_wait, dtype=np.float64)
             # Deterministic per (sampling seed, lock): resamples are
             # reproducible for pinned golden renders and repro replays.
             rng = np.random.default_rng([abs(int(seed)), obj, len(vals), bootstrap])
@@ -398,7 +376,7 @@ def estimate_report(
 
     return EstimatedReport(
         name=trace.meta.get("name", ""),
-        nthreads=len(timelines),
+        nthreads=len(ct.tids),
         duration=trace.duration,
         rate=rate,
         seed=int(seed),

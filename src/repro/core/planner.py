@@ -92,7 +92,7 @@ def plan_optimizations(
     for _ in range(steps):
         best: tuple[float, int, np.ndarray] | None = None
         for obj in candidates:
-            trial = _shrunk(graph, analysis, weights, obj, factor)
+            trial = _shrunk(graph, weights, obj, factor)
             t = graph.completion_time(trial)
             if best is None or t < best[0]:
                 best = (t, obj, trial)
@@ -116,29 +116,18 @@ def plan_optimizations(
     return OptimizationPlan(baseline_time=baseline, steps=plan)
 
 
-def _shrunk(graph, analysis, weights: np.ndarray, obj: int, factor: float) -> np.ndarray:
+def _shrunk(graph, weights: np.ndarray, obj: int, factor: float) -> np.ndarray:
     """Scale ``weights``' execution spans inside ``obj``'s holds by ``factor``.
 
     Unlike :meth:`EventGraph.shrunk_weights` this composes with already-
     modified weights: the overlap fraction is applied to the *current*
     weight of each execution edge.
     """
-    from repro.core.dag import _overlap_with_holds
-
+    overlap = graph.span_hold_overlap(obj)
+    span_len = graph.span_t1 - graph.span_t0
+    hit = (overlap > 0) & (span_len > 0)
+    frac = overlap[hit] / span_len[hit]
+    edges = graph.span_edge[hit]
     out = weights.copy()
-    holds_by_tid = {
-        tid: sorted(tl.holds.get(obj, []), key=lambda h: h.start)
-        for tid, tl in analysis.timelines.items()
-    }
-    starts_by_tid = {tid: [h.start for h in hs] for tid, hs in holds_by_tid.items()}
-    for span in graph.exec_spans:
-        holds = holds_by_tid.get(span.tid)
-        if not holds:
-            continue
-        overlap = _overlap_with_holds(span.t0, span.t1, holds, starts_by_tid[span.tid])
-        span_len = span.t1 - span.t0
-        if overlap <= 0 or span_len <= 0:
-            continue
-        frac = overlap / span_len
-        out[span.edge] = weights[span.edge] * (1 - frac + frac * factor)
+    out[edges] = weights[edges] * (1 - frac + frac * factor)
     return out

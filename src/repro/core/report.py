@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.critical_path import CriticalPath
-from repro.core.metrics import LockMetrics, ThreadStats
+from repro.core.model import CriticalPath, LockMetrics, ThreadStats
 from repro.errors import AnalysisError
 from repro.tables import format_table
 from repro.units import format_duration, format_percent

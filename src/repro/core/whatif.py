@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.dag import EventGraph, build_event_graph
 from repro.errors import AnalysisError
 from repro.trace.trace import Trace
@@ -110,7 +112,8 @@ def predict_no_contention(
         graph = build_event_graph(trace)
     obj = resolve_lock(trace, lock)
     baseline = graph.completion_time()
-    predicted = graph.completion_time(skip_edges=graph.lock_wake_edge_set(obj))
+    # A -inf weight is never relaxed: the lock's handoff edges drop out.
+    predicted = graph.completion_time(np.where(graph.wake_obj == obj, -np.inf, graph.edge_w))
     return WhatIfResult(
         lock_name=trace.object_name(obj),
         factor=1.0,  # critical-section sizes unchanged

@@ -38,11 +38,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.segments import build_timelines
-from repro.core.wakers import resolve_wakers
+import numpy as np
+
+from repro.core.columnar.timelines import build_timelines_columnar
+from repro.core.columnar.wakers import resolve_wakers_columnar
 from repro.errors import AnalysisError
 from repro.sim.program import Program
-from repro.trace.events import Event, EventType, ObjectKind
+from repro.trace.events import EventType, ObjectKind
+from repro.trace.ops import dense_keys, group_bounds, segmented_cumsum
 from repro.trace.trace import Trace
 
 __all__ = ["ReplayProgram", "reconstruct"]
@@ -117,18 +120,20 @@ class ReplayProgram:
             scheduler=scheduler,
         )
         objects: dict[int, Any] = {}
+        cohorts = _barrier_cohorts(self.trace)
+        sem_values = _initial_sem_values(self.trace)
         for obj, info in self.trace.objects.items():
             if info.kind == ObjectKind.MUTEX:
                 objects[obj] = prog.mutex(info.name)
             elif info.kind == ObjectKind.SEMAPHORE:
-                objects[obj] = prog.semaphore(_initial_sem_value(self.trace, obj), info.name)
+                objects[obj] = prog.semaphore(sem_values.get(obj, 0), info.name)
             elif info.kind == ObjectKind.RWLOCK:
                 objects[obj] = prog.rwlock(info.name)
             elif info.kind == ObjectKind.CONDITION:
                 objects[obj] = prog.condition(info.name)
             elif info.kind == ObjectKind.BARRIER:
                 objects[obj] = prog.barrier(
-                    _barrier_parties(self.trace, obj), info.name
+                    _barrier_parties(self.trace, obj, cohorts), info.name
                 )
 
         if recorded:
@@ -216,134 +221,154 @@ class ReplayProgram:
 
 
 def reconstruct(trace: Trace) -> ReplayProgram:
-    """Rebuild per-thread scripts from a trace (see module docstring)."""
-    wakers = resolve_wakers(trace)
-    timelines = build_timelines(trace, wakers)
-    wake_seqs: set[int] = {
-        w.wake_seq for tl in timelines.values() for w in tl.waits
-    }
-    per_thread: dict[int, list[Event]] = defaultdict(list)
-    for ev in trace:
-        per_thread[ev.tid].append(ev)
+    """Rebuild per-thread scripts from a trace (see module docstring).
 
+    Reads the trace's columns: each thread's rows come from the trace
+    index's thread order, the blocked-wait ends from the columnar
+    timelines and the thread creators from the columnar wakers.
+    """
+    wakers = resolve_wakers_columnar(trace)
+    timelines = build_timelines_columnar(trace, wakers)
+    wake_seqs = set(timelines.w_wake_seq.tolist())
+    ix = trace.index
+    rows = trace.records[ix.thread_order].tolist()
+    bounds = np.append(ix.thread_starts, len(rows)).tolist()
     scripts: dict[int, _ThreadScript] = {}
-    for tid, events in sorted(per_thread.items()):
-        scripts[tid] = _reconstruct_thread(trace, tid, events, wake_seqs)
+    for tid, lo, hi in zip(ix.tids.tolist(), bounds[:-1], bounds[1:]):
+        scripts[tid] = _reconstruct_thread(trace, tid, rows[lo:hi], wake_seqs)
     for child_tid in wakers.creations:
         if child_tid in scripts:
             scripts[child_tid].root = False
     return ReplayProgram(trace=trace, scripts=scripts)
 
 
+#: Fields of a record row tuple (``EVENT_DTYPE`` order).
+_TIME, _ETYPE, _OBJ = 1, 3, 4
+
+
 def _reconstruct_thread(
-    trace: Trace, tid: int, events: list[Event], wake_seqs: set[int]
+    trace: Trace, tid: int, rows: list[tuple], wake_seqs: set[int]
 ) -> _ThreadScript:
+    """One thread's script from its record rows, in trace order."""
     script = _ThreadScript(tid=tid, name=trace.thread_name(tid))
     ops = script.ops
     prev_time: float | None = None
     skip_reacquire_obj: int | None = None  # mutex reacquired inside cond_wait
 
-    def emit_gap(ev: Event, is_wait_end: bool) -> None:
+    def emit_gap(time: float, is_wait_end: bool) -> None:
         nonlocal prev_time
         if prev_time is not None and not is_wait_end:
-            gap = ev.time - prev_time
+            gap = time - prev_time
             if gap > 0:
                 ops.append((_COMPUTE, gap))
-        prev_time = ev.time
+        prev_time = time
 
     i = 0
-    while i < len(events):
-        ev = events[i]
-        et = ev.etype
-        kind = trace.objects[ev.obj].kind if ev.obj in trace.objects else None
+    while i < len(rows):
+        seq, time, _, et, obj, arg = rows[i]
         if et == EventType.THREAD_START:
-            prev_time = ev.time
+            prev_time = time
         elif et == EventType.ACQUIRE:
-            if ev.obj == skip_reacquire_obj:
+            if obj == skip_reacquire_obj:
                 skip_reacquire_obj = None
                 # Swallow the matching OBTAIN too.
-                if i + 1 < len(events) and events[i + 1].etype == EventType.OBTAIN:
+                if i + 1 < len(rows) and rows[i + 1][_ETYPE] == EventType.OBTAIN:
                     i += 1
-                    prev_time = events[i].time
+                    prev_time = rows[i][_TIME]
             else:
-                emit_gap(ev, is_wait_end=False)
-                ops.append((_ACQUIRE, ev.obj, ev.arg))
+                emit_gap(time, is_wait_end=False)
+                ops.append((_ACQUIRE, obj, arg))
         elif et == EventType.OBTAIN:
             # The wait (if any) is re-created by the simulator.
-            prev_time = ev.time
+            prev_time = time
         elif et == EventType.RELEASE:
             # A RELEASE immediately after COND_BLOCK was synthetic (the
             # cond_wait releases internally) — detected below, so a plain
             # RELEASE here is a real one.
-            emit_gap(ev, is_wait_end=False)
-            ops.append((_RELEASE, ev.obj, ev.arg))
+            emit_gap(time, is_wait_end=False)
+            ops.append((_RELEASE, obj, arg))
         elif et == EventType.BARRIER_ARRIVE:
-            emit_gap(ev, is_wait_end=False)
-            ops.append((_BARRIER, ev.obj))
+            emit_gap(time, is_wait_end=False)
+            ops.append((_BARRIER, obj))
         elif et == EventType.BARRIER_DEPART:
-            prev_time = ev.time
+            prev_time = time
         elif et == EventType.COND_BLOCK:
-            emit_gap(ev, is_wait_end=False)
+            emit_gap(time, is_wait_end=False)
             # The atomically-following RELEASE identifies the mutex.
-            if i + 1 >= len(events) or events[i + 1].etype != EventType.RELEASE:
+            if i + 1 >= len(rows) or rows[i + 1][_ETYPE] != EventType.RELEASE:
                 raise AnalysisError(
-                    f"seq {ev.seq}: COND_BLOCK not followed by the mutex RELEASE; "
+                    f"seq {seq}: COND_BLOCK not followed by the mutex RELEASE; "
                     "cannot reconstruct cond_wait"
                 )
-            mutex_obj = events[i + 1].obj
-            ops.append((_COND_WAIT, ev.obj, mutex_obj))
+            mutex_obj = rows[i + 1][_OBJ]
+            ops.append((_COND_WAIT, obj, mutex_obj))
             skip_reacquire_obj = mutex_obj
             i += 1  # consume the RELEASE
-            prev_time = events[i].time
+            prev_time = rows[i][_TIME]
         elif et == EventType.COND_WAKE:
-            prev_time = ev.time
+            prev_time = time
         elif et == EventType.COND_SIGNAL:
-            emit_gap(ev, is_wait_end=False)
-            ops.append((_COND_SIGNAL, ev.obj))
+            emit_gap(time, is_wait_end=False)
+            ops.append((_COND_SIGNAL, obj))
         elif et == EventType.COND_BROADCAST:
-            emit_gap(ev, is_wait_end=False)
-            ops.append((_COND_BROADCAST, ev.obj))
+            emit_gap(time, is_wait_end=False)
+            ops.append((_COND_BROADCAST, obj))
         elif et == EventType.THREAD_CREATE:
-            emit_gap(ev, is_wait_end=False)
-            ops.append((_SPAWN, ev.arg))
+            emit_gap(time, is_wait_end=False)
+            ops.append((_SPAWN, arg))
         elif et == EventType.JOIN_BEGIN:
-            emit_gap(ev, is_wait_end=False)
-            ops.append((_JOIN, ev.arg))
+            emit_gap(time, is_wait_end=False)
+            ops.append((_JOIN, arg))
         elif et == EventType.JOIN_END:
-            prev_time = ev.time
+            prev_time = time
         elif et == EventType.THREAD_EXIT:
-            emit_gap(ev, is_wait_end=ev.seq in wake_seqs)
+            emit_gap(time, is_wait_end=seq in wake_seqs)
         i += 1
     return script
 
 
-def _barrier_parties(trace: Trace, obj: int) -> int:
+def _barrier_cohorts(trace: Trace) -> dict[int, list[int]]:
+    """Barrier obj -> the distinct cohort sizes (BARRIER_ARRIVEs per
+    generation) it saw, sorted; one pass over the records."""
+    rec = trace.records
+    arrive = rec["etype"] == int(EventType.BARRIER_ARRIVE)
+    objs, gens = rec["obj"][arrive], rec["arg"][arrive]
+    if len(objs) == 0:
+        return {}
+    _, first, counts = np.unique(
+        dense_keys(objs, gens), return_index=True, return_counts=True
+    )
+    sizes: dict[int, set[int]] = defaultdict(set)
+    for obj, size in zip(objs[first].tolist(), counts.tolist()):
+        sizes[obj].add(size)
+    return {obj: sorted(s) for obj, s in sizes.items()}
+
+
+def _barrier_parties(trace: Trace, obj: int, cohorts: dict[int, list[int]]) -> int:
     """Cohort size of a barrier (must be constant across generations)."""
-    sizes: dict[int, int] = defaultdict(int)
-    for ev in trace:
-        if ev.obj == obj and ev.etype == EventType.BARRIER_ARRIVE:
-            sizes[ev.arg] += 1
+    sizes = cohorts.get(obj)
     if not sizes:
         return 1
-    distinct = set(sizes.values())
-    if len(distinct) > 1:
+    if len(sizes) > 1:
         raise AnalysisError(
             f"barrier {trace.object_name(obj)} has varying cohort sizes "
-            f"{sorted(distinct)}; replay is not supported"
+            f"{sizes}; replay is not supported"
         )
-    return distinct.pop()
+    return sizes[0]
 
 
-def _initial_sem_value(trace: Trace, obj: int) -> int:
-    """Lower bound on a semaphore's initial value from its event history."""
-    value = 0
-    low = 0
-    for ev in trace:
-        if ev.obj != obj:
-            continue
-        if ev.etype == EventType.OBTAIN:
-            value -= 1
-            low = min(low, value)
-        elif ev.etype == EventType.RELEASE:
-            value += 1
-    return -low
+def _initial_sem_values(trace: Trace) -> dict[int, int]:
+    """Obj -> lower bound on its initial value as a semaphore: the deepest
+    its OBTAIN -1 / RELEASE +1 running count goes below zero, in trace
+    order; one pass over the records."""
+    rec = trace.records
+    step = np.zeros(len(rec), dtype=np.int64)
+    step[rec["etype"] == int(EventType.OBTAIN)] = -1
+    step[rec["etype"] == int(EventType.RELEASE)] = 1
+    rows = np.flatnonzero(step)
+    if len(rows) == 0:
+        return {}
+    rows = rows[np.argsort(rec["obj"][rows], kind="stable")]
+    starts, objs = group_bounds(rec["obj"][rows])
+    lows = np.minimum.reduceat(segmented_cumsum(step[rows], starts), starts)
+    return {int(o): int(-min(low, 0)) for o, low in zip(objs, lows)}

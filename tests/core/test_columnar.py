@@ -7,7 +7,9 @@ columnar contracts:
 
 * the hot path really is columnar — analyzing a trace allocates no
   per-event Python objects (``Event``/``Wait``/``HoldInterval``, nor
-  the critical path's ``CPPiece``/``Junction``);
+  the critical path's ``CPPiece``/``Junction``), and no production
+  layer (what-if, plan, replay, attribution, estimation) calls the
+  per-event reference chain;
 * equal-timestamp pile-ups (the regime zero-duration waits live in)
   and the barrier-heavy workloads (recorded, or rebuilt from ``Event``
   objects) analyze identically under both pipelines, and neither emits
@@ -54,8 +56,7 @@ def test_columnar_path_builds_no_per_event_objects():
     analyze+render must charge nothing to the per-event object
     modules."""
     trace = _bench_trace()
-    per_event_files = ("trace/schema.py", "core/model.py", "core/segments.py",
-                      "core/wakers.py", "core/critical_path.py")
+    per_event_files = ("trace/schema.py", "core/model.py", "check/reference.py")
 
     analyze(trace, validate=False).render(10)  # warm up
 
@@ -104,6 +105,52 @@ def test_default_analyze_constructs_no_per_event_objects(monkeypatch):
         result.critical_path.pieces  # the patches are live
 
 
+#: The per-event reference chain; no production layer may call into it.
+_REFERENCE_CHAIN = (
+    "resolve_wakers",
+    "build_timelines",
+    "compute_critical_path",
+    "compute_metrics",
+    "compute_thread_stats",
+)
+
+
+@pytest.mark.parametrize("case", ["micro", "ldap"])
+def test_production_layers_never_run_the_reference_chain(case, monkeypatch):
+    """analyze, what-if, plan, replay, attribution and estimation all run
+    on the columnar wakers/timelines.  Swapping the reference functions'
+    code (so every binding of them raises, wherever it was imported)
+    must leave the whole stack working."""
+    from repro.check import reference
+    from repro.core.attribution import attribute_lock
+    from repro.core.estimate import estimate_report
+    from repro.core.planner import plan_optimizations
+    from repro.core.whatif import predict_shrink
+    from repro.replay import reconstruct
+
+    from tests.golden.test_golden_reports import CASES
+
+    workload, params, nthreads, seed = CASES[case]
+    trace = get_workload(workload)(**params).run(nthreads=nthreads, seed=seed).trace
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a production layer ran the per-event reference chain")
+
+    for name in _REFERENCE_CHAIN:
+        monkeypatch.setattr(getattr(reference, name), "__code__", forbidden.__code__)
+    with pytest.raises(AssertionError, match="reference chain"):
+        reference.reference_analyze(trace)  # the patches are live
+
+    analysis = analyze(trace)
+    lock = analysis.report.top_locks(1)[0].name
+    assert predict_shrink(trace, lock, 0.5) == analysis.what_if(lock, 0.5)
+    assert analysis.what_if_no_contention(lock).predicted_time > 0
+    assert plan_optimizations(analysis, steps=3).steps
+    assert reconstruct(trace).run(shrink_lock=lock, factor=0.5).completion_time > 0
+    assert attribute_lock(analysis, lock).shares
+    assert lock in estimate_report(trace, rate=1.0).render(None)
+
+
 def test_object_engine_does_allocate_per_event_objects():
     """Sanity check that the probe above has teeth: the per-event
     reference *does* allocate in the per-event modules under identical
@@ -122,9 +169,9 @@ def test_object_engine_does_allocate_per_event_objects():
         stat
         for stat in snapshot.statistics("filename")
         if stat.traceback[0].filename.replace("\\", "/").endswith(
-            ("core/model.py", "core/segments.py"))
+            ("core/model.py", "check/reference.py"))
     ]
-    assert hits, "reference pipeline unexpectedly allocation-free in model/segments"
+    assert hits, "reference pipeline unexpectedly allocation-free in model/reference"
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.critical_path import compute_critical_path
+from repro.check.reference import compute_critical_path
 from repro.core.model import WaitKind
 from repro.trace.builder import TraceBuilder
 

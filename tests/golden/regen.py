@@ -19,6 +19,7 @@ from test_golden_reports import (  # noqa: E402
     SAMPLED_CASES,
     render_case,
     render_sampled_case,
+    render_whatif_case,
 )
 
 
@@ -31,6 +32,8 @@ def _write(path: pathlib.Path, text: str) -> None:
 def main() -> int:
     for case in sorted(CASES):
         _write(GOLDEN_DIR / f"{case}.txt", render_case(case))
+    for case in sorted(CASES):
+        _write(GOLDEN_DIR / f"{case}.whatif.txt", render_whatif_case(case))
     for case in sorted(SAMPLED_CASES):
         _write(GOLDEN_DIR / f"{case}.sampled.txt", render_sampled_case(case))
     return 0

@@ -72,6 +72,40 @@ def render_sampled_case(case: str) -> str:
     return estimate_report(sampled).render(10)
 
 
+def render_whatif_case(case: str) -> str:
+    """Pinned outputs of the what-if, plan and replay layers for this case.
+
+    Times are written with ``repr`` so any float drift shows up.
+    """
+    from repro.core.planner import plan_optimizations
+    from repro.core.whatif import predict_no_contention, predict_shrink
+    from repro.replay import reconstruct
+
+    workload, params, nthreads, seed = CASES[case]
+    trace = get_workload(workload)(**params).run(nthreads=nthreads, seed=seed).trace
+    analysis = analyze(trace)
+    graph = analysis.graph
+    lines = []
+    for info in sorted(trace.locks, key=lambda i: i.obj):
+        for factor in (0.0, 0.5):
+            r = predict_shrink(trace, info.obj, factor, graph=graph)
+            lines.append(
+                f"shrink {r.lock_name} x{factor}: "
+                f"{r.baseline_time!r} -> {r.predicted_time!r}"
+            )
+        r = predict_no_contention(trace, info.obj, graph=graph)
+        lines.append(
+            f"no-contention {r.lock_name}: "
+            f"{r.baseline_time!r} -> {r.predicted_time!r}"
+        )
+    lines.append(plan_optimizations(analysis, steps=3).render())
+    lines.append(f"critical events: {len(graph.critical_events())}")
+    top = analysis.report.top_locks(1)[0]
+    replayed = reconstruct(trace).run(shrink_lock=top.obj, factor=0.5)
+    lines.append(f"replay shrink {top.name} x0.5: {replayed.trace.duration!r}")
+    return "\n".join(lines) + "\n"
+
+
 def _golden(case: str) -> str:
     path = GOLDEN_DIR / f"{case}.txt"
     assert path.exists(), f"missing golden file {path}; run tests/golden/regen.py"
@@ -131,6 +165,14 @@ def test_cli_analyze_matches_golden(case, tmp_path, capsys):
 
     assert main(["analyze", str(path)]) == 0
     assert capsys.readouterr().out == _golden(case) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_whatif_matches_golden(case):
+    """What-if predictions, the greedy plan, the critical event count and
+    a replayed shrink are pinned per case, so the DAG and replay layers
+    cannot drift silently."""
+    assert render_whatif_case(case) == _golden(f"{case}.whatif")
 
 
 @pytest.mark.parametrize("case", SAMPLED_CASES)
