@@ -106,6 +106,47 @@ def render_whatif_case(case: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Chunk sizes the online goldens feed (``None`` = the whole trace as
+#: one batch).
+ONLINE_CHUNKS = (1, 7, 4096, None)
+
+
+def render_online_case(case: str) -> str:
+    """The online analyzer's full state after streaming this case's
+    records through ``observe_batch`` at each of ONLINE_CHUNKS.
+
+    Pins ``repr`` of ``snapshot(top=None)`` plus the state a snapshot
+    does not show (running chain, slot dicts, last release, time
+    bounds), so a kernel rewrite has to reproduce every bit.
+    """
+    from repro.core.online import OnlineAnalyzer
+
+    workload, params, nthreads, seed = CASES[case]
+    trace = get_workload(workload)(**params).run(nthreads=nthreads, seed=seed).trace
+    records = trace.records
+    lines = []
+    for chunk in ONLINE_CHUNKS:
+        online = OnlineAnalyzer(trace)
+        step = chunk or len(records)
+        for lo in range(0, len(records), step):
+            online.observe_batch(records[lo:lo + step])
+        lines.append(f"== chunk {chunk or 'whole'}")
+        lines.append(repr(online.snapshot(top=None)))
+        lines.append(
+            f"events_seen={online.events_seen!r} first_time={online.first_time!r} "
+            f"last_time={online.last_time!r}"
+        )
+        for obj in sorted(online._locks):
+            ls = online._locks[obj]
+            lines.append(
+                f"{ls.name}: chain_time={ls.chain_time!r} "
+                f"last_release={ls._last_release!r} "
+                f"pending_acquire={sorted(ls._pending_acquire.items())!r} "
+                f"obtain_time={sorted(ls._obtain_time.items())!r}"
+            )
+    return "\n".join(lines) + "\n"
+
+
 def _golden(case: str) -> str:
     path = GOLDEN_DIR / f"{case}.txt"
     assert path.exists(), f"missing golden file {path}; run tests/golden/regen.py"
@@ -173,6 +214,13 @@ def test_whatif_matches_golden(case):
     a replayed shrink are pinned per case, so the DAG and replay layers
     cannot drift silently."""
     assert render_whatif_case(case) == _golden(f"{case}.whatif")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_online_matches_golden(case):
+    """The streaming estimator's state at chunk sizes 1, 7, 4096 and the
+    whole trace is pinned, so the batch kernel cannot drift silently."""
+    assert render_online_case(case) == _golden(f"{case}.online")
 
 
 @pytest.mark.parametrize("case", SAMPLED_CASES)
