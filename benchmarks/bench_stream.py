@@ -17,6 +17,12 @@ Three claims, measured and asserted:
 3. **Throughput** — chunked append + online analysis keeps up; the
    script reports ingest events/sec and rolling-snapshot latency taken
    *while* the stream is being ingested.
+
+It also times the online estimator on its own: ``observe_s`` is the
+best of 7 passes of ``OnlineAnalyzer.observe_batch`` over the trace in
+16,384-event chunks (a fresh analyzer each pass), ``observe_reference_s``
+the best of 3 per-event ``repro.check.reference.reference_online``
+replays.  CI floors their ratio.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+from repro.check.reference import reference_online
+from repro.core.online import OnlineAnalyzer
 from repro.service.api import ServiceAPI
 from repro.service.jobs import execute
 from repro.trace.digest import trace_digest
@@ -60,6 +68,28 @@ def measure_reader_memory(path: Path, chunk_events: int) -> tuple[int, int]:
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return events, peak
+
+
+#: observe_batch chunk size and best-of counts for the estimator timings.
+OBSERVE_CHUNK = 16_384
+OBSERVE_REPEATS = 7
+REFERENCE_REPEATS = 3
+
+
+def best_of(repeats: int, fn) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def observe_chunks(records) -> OnlineAnalyzer:
+    online = OnlineAnalyzer()
+    for block in split_records(records, OBSERVE_CHUNK):
+        online.observe_batch(block)
+    return online
 
 
 def stream_ingest(api: ServiceAPI, records, chunk_events: int, snap_every: int):
@@ -110,6 +140,12 @@ def main(argv: list[str] | None = None) -> int:
     if not args.quick and len(trace) < 200_000:
         print(f"FAIL: expected >= 200k events, built {len(trace)}", file=sys.stderr)
         return 1
+
+    observe_s = best_of(OBSERVE_REPEATS, lambda: observe_chunks(trace.records))
+    reference_s = best_of(REFERENCE_REPEATS, lambda: reference_online(trace))
+    print(f"observe_batch    {observe_s:8.4f}s   best of {OBSERVE_REPEATS}, "
+          f"{OBSERVE_CHUNK}-event chunks ({reference_s / observe_s:.1f}x the "
+          f"per-event reference, {reference_s:.3f}s)")
 
     with tempfile.TemporaryDirectory(prefix="bench_stream_") as tmp:
         tmp_path = Path(tmp)
@@ -184,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
                     "snapshot_mean_ms": round(snap_mean * 1e3, 3),
                     "snapshot_max_ms": round(max(snaps) * 1e3, 3),
                     "finalize_s": round(finalize_s, 4),
+                    "observe_chunk_events": OBSERVE_CHUNK,
+                    "observe_s": round(observe_s, 4),
+                    "observe_reference_s": round(reference_s, 4),
                     "identical_digest": True,
                     "identical_render": True,
                 },

@@ -18,6 +18,11 @@ layers, and returns one :class:`Discrepancy` per violated invariant
 ``online``         TYPE 2 sums match ``OnlineAnalyzer`` counters exactly
 ``online-chain``   online dependent-chain max matches an independent
                    offline replay (mutexes only)
+``online-equiv``   the batch kernel behind ``observe_batch``, fed the
+                   trace at seeded random chunk splits, reaches the
+                   state of the per-event ``reference_online`` replay:
+                   counters, slot dicts and time bounds exactly, float
+                   sums and chains to 1e-9
 ``roundtrip``      trace → .clt/.jsonl → trace is lossless
 ``truncated``      the prefix cut before the first THREAD_EXIT still
                    analyzes, with completion == truncated duration
@@ -47,6 +52,7 @@ layers, and returns one :class:`Discrepancy` per violated invariant
 from __future__ import annotations
 
 import math
+import random
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +60,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.check.generator import corrupt_trace
-from repro.check.reference import reference_analyze, reference_trace_problems
+from repro.check.reference import (
+    reference_analyze,
+    reference_online,
+    reference_trace_problems,
+)
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
 from repro.errors import ReproError
@@ -71,6 +81,10 @@ _ABS = 1e-9
 
 #: Corrupted variants per trace checked by ``validate-equiv``.
 CORRUPTIONS_PER_TRACE = 8
+
+#: Random chunk splits per trace checked by ``online-equiv`` (plus the
+#: whole trace as one batch).
+ONLINE_SPLITS = 3
 
 
 @dataclass(frozen=True)
@@ -97,9 +111,10 @@ def check_trace(
     cp_length`` bound, which only holds when no thread ever holds two
     lock-like objects at once (nested holds legitimately double-count
     critical-path time across locks).  ``seed`` picks the corruptions
-    ``validate-equiv`` applies (the fuzz seed, so a repro replays them).
+    ``validate-equiv`` applies and the chunk splits ``online-equiv``
+    feeds (the fuzz seed, so a repro replays them).
     """
-    equiv = _check_validate_equiv(trace, seed)
+    equiv = _check_validate_equiv(trace, seed) + _check_online_equiv(trace, seed)
     out: list[Discrepancy] = []
     try:
         result = analyze(trace)
@@ -222,7 +237,7 @@ def check_trace(
     # -- sample-coverage
     out += _check_sampling(trace, result)
 
-    # -- validate-equiv
+    # -- validate-equiv + online-equiv
     out += equiv
 
     return out
@@ -253,6 +268,54 @@ def _check_validate_equiv(trace: Trace, seed: int) -> list[Discrepancy]:
                 f"at #{at}: {fast[at:at + 1]} != reference {ref[at:at + 1]}",
             )
         )
+    return out
+
+
+def online_state_diff(got, want) -> str | None:
+    """First difference between two ``OnlineAnalyzer`` states, or ``None``.
+
+    Counters, slot dicts, last releases and time bounds must be equal;
+    float sums and chains may differ by summation order (1e-9).
+    """
+    for attr in ("events_seen", "first_time", "last_time"):
+        if getattr(got, attr) != getattr(want, attr):
+            return f"{attr} {getattr(got, attr)!r} != {getattr(want, attr)!r}"
+    if set(got._locks) != set(want._locks):
+        return f"locks {sorted(got._locks)} != {sorted(want._locks)}"
+    for obj, w in want._locks.items():
+        g = got._locks[obj]
+        for attr in ("name", "invocations", "contended", "_last_release",
+                     "_pending_acquire", "_obtain_time"):
+            if getattr(g, attr) != getattr(w, attr):
+                return f"{w.name}.{attr} {getattr(g, attr)!r} != {getattr(w, attr)!r}"
+        for attr in ("wait_time", "hold_time", "chain_time", "max_chain_time"):
+            if not _close(getattr(g, attr), getattr(w, attr)):
+                return f"{w.name}.{attr} {getattr(g, attr)!r} != {getattr(w, attr)!r}"
+    return None
+
+
+def _check_online_equiv(trace: Trace, seed: int) -> list[Discrepancy]:
+    """The batch kernel matches the per-event replay at any chunk split."""
+    want = reference_online(trace)
+    n = len(trace.records)
+    rng = random.Random(seed)
+    plans = [[0, n]]
+    for _ in range(ONLINE_SPLITS):
+        cuts = rng.sample(range(1, n), min(n - 1, rng.randint(1, 12))) if n > 1 else []
+        plans.append([0, *sorted(cuts), n])
+    out: list[Discrepancy] = []
+    for bounds in plans:
+        got = OnlineAnalyzer(trace)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            got.observe_batch(trace.records[lo:hi])
+        diff = online_state_diff(got, want)
+        if diff is not None:
+            out.append(
+                Discrepancy(
+                    "online-equiv",
+                    f"split at {bounds[1:-1]}: batch kernel vs reference: {diff}",
+                )
+            )
     return out
 
 

@@ -23,7 +23,8 @@ hands us as a structured array.  This package keeps the columns:
   fuzzed seed — and holds the interval-overlap kernel that attribution,
   estimation and the event DAG share;
 * :mod:`repro.core.columnar.online` is the batch kernel behind
-  :meth:`repro.core.online.OnlineAnalyzer.observe_batch`.
+  :meth:`repro.core.online.OnlineAnalyzer.observe_batch`: one grouping of
+  each stream chunk by ``(lock, thread)``, no loop over rows.
 
 ``analyze(trace)`` runs this pipeline, and the event DAG
 (:mod:`repro.core.dag`) and replay (:mod:`repro.replay`) read its

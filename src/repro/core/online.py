@@ -3,7 +3,7 @@
 The paper's future work (§VII) wants critical-lock information *at run
 time* to steer mechanisms like accelerated critical sections.  A full
 critical-path walk needs the whole trace; this module maintains what CAN
-be known online, one event at a time, in O(locks) memory:
+be known online, in O(locks × threads) memory:
 
 * exact TYPE 2 statistics (waits, holds, invocations, contention);
 * a **criticality heuristic** per lock — the length of the current
@@ -23,6 +23,12 @@ batches as they arrive, :meth:`~OnlineAnalyzer.snapshot` emits a rolling
 JSON view (ranking, contention probabilities, a CP-time estimate), and
 :meth:`~OnlineAnalyzer.reconcile` scores the final estimate against the
 exact batch analyzer's report once the stream is finalized.
+
+``observe_batch`` is the only way in: the batch kernel
+(:mod:`repro.core.columnar.online`) groups each batch by lock and by
+``(lock, thread)`` and never loops over rows.  The one-event-at-a-time
+replay it must match at any chunk split is the test oracle
+:func:`repro.check.reference.reference_online`.
 """
 
 from __future__ import annotations
@@ -33,16 +39,10 @@ from typing import Any
 import numpy as np
 
 from repro.tables import format_table
-from repro.trace.events import Event, EventType
 from repro.trace.trace import Trace
 from repro.units import format_duration, format_percent
 
 __all__ = ["OnlineLockStats", "OnlineAnalyzer"]
-
-#: Integer values of the lock-verb event types (batch fast-path filter).
-_LOCK_VERBS = (
-    int(EventType.ACQUIRE), int(EventType.OBTAIN), int(EventType.RELEASE)
-)
 
 
 @dataclass
@@ -81,65 +81,24 @@ class OnlineAnalyzer:
             for info in trace_like.locks:
                 self._names[info.obj] = info.display_name
 
-    def observe(self, ev: Event) -> None:
-        """Consume one event (must arrive in time order per thread)."""
-        self.events_seen += 1
-        if self.first_time is None or ev.time < self.first_time:
-            self.first_time = ev.time
-        if self.last_time is None or ev.time > self.last_time:
-            self.last_time = ev.time
-        if ev.etype not in (EventType.ACQUIRE, EventType.OBTAIN, EventType.RELEASE):
-            return
-        ls = self._locks.get(ev.obj)
-        if ls is None:
-            ls = OnlineLockStats(
-                obj=ev.obj, name=self._names.get(ev.obj, f"obj#{ev.obj}")
-            )
-            self._locks[ev.obj] = ls
-        if ev.etype == EventType.ACQUIRE:
-            ls._pending_acquire[ev.tid] = ev.time
-        elif ev.etype == EventType.OBTAIN:
-            ls.invocations += 1
-            acq = ls._pending_acquire.pop(ev.tid, ev.time)
-            ls._obtain_time[ev.tid] = ev.time
-            if ev.arg:
-                ls.contended += 1
-                ls.wait_time += ev.time - acq
-                # Dependent handoff: this hold extends the running chain.
-            else:
-                # Independent acquisition: the lock was free, so nobody
-                # was waiting and the chain breaks.  ``>=`` matters: in
-                # virtual time an uncontended OBTAIN routinely lands at
-                # the exact timestamp of the previous RELEASE, and such a
-                # handoff is still not a dependency.
-                if ev.time >= ls._last_release:
-                    ls.chain_time = 0.0
-        else:  # RELEASE
-            start = ls._obtain_time.pop(ev.tid, ev.time)
-            hold = ev.time - start
-            ls.hold_time += hold
-            ls.chain_time += hold
-            ls.max_chain_time = max(ls.max_chain_time, ls.chain_time)
-            ls._last_release = ev.time
-
     def observe_all(self, trace: Trace) -> "OnlineAnalyzer":
         """Convenience: stream an entire trace through the analyzer."""
         for info in trace.locks:
             self._names[info.obj] = info.display_name
-        for ev in trace:
-            self.observe(ev)
-        return self
+        return self.observe_batch(trace.records)
 
     def observe_batch(self, records: np.ndarray) -> "OnlineAnalyzer":
         """Consume one numpy record batch (the streaming ingest path).
 
-        The whole batch stays columnar: time bounds and the event count
-        come from array reductions, and the lock-verb rows run through
-        the per-lock batch kernel
-        (:func:`repro.core.columnar.online.consume_lock_batch`) grouped
-        by lock — no per-event ``Event`` objects are built.
+        Records must arrive in time order per thread.  The time bounds
+        and the event count are array reductions; the lock-verb rows go
+        through the batch kernel
+        (:func:`repro.core.columnar.online.consume_batch`).  Counters,
+        slot dicts and time bounds do not depend on where a stream is
+        split into batches; wait, hold and chain sums are added per
+        batch, so different splits agree to rounding.
         """
-        from repro.core.columnar.online import consume_lock_batch
+        from repro.core.columnar.online import consume_batch
 
         if len(records) == 0:
             return self
@@ -151,25 +110,15 @@ class OnlineAnalyzer:
             self.first_time = lo
         if self.last_time is None or hi > self.last_time:
             self.last_time = hi
-        lock_rows = records[np.isin(records["etype"], _LOCK_VERBS)]
-        if len(lock_rows) == 0:
-            return self
-        obj = lock_rows["obj"].astype(np.int64)
-        order = np.argsort(obj, kind="stable")  # keeps batch order per lock
-        sorted_obj = obj[order]
-        starts = np.flatnonzero(np.diff(sorted_obj, prepend=sorted_obj[0] - 1))
-        bounds = np.append(starts, len(sorted_obj))
-        for lo_i, hi_i in zip(bounds[:-1], bounds[1:]):
-            o = int(sorted_obj[lo_i])
-            ls = self._locks.get(o)
-            if ls is None:
-                ls = OnlineLockStats(obj=o, name=self._names.get(o, f"obj#{o}"))
-                self._locks[o] = ls
-            rows = lock_rows[order[lo_i:hi_i]]
-            consume_lock_batch(
-                ls, rows["etype"], rows["tid"], rows["time"], rows["arg"]
-            )
+        consume_batch(records, self._stats_for)
         return self
+
+    def _stats_for(self, obj: int) -> OnlineLockStats:
+        ls = self._locks.get(obj)
+        if ls is None:
+            ls = OnlineLockStats(obj=obj, name=self._names.get(obj, f"obj#{obj}"))
+            self._locks[obj] = ls
+        return ls
 
     def register_names(self, objects: dict[Any, Any]) -> None:
         """Adopt display names from a trace header's object table.

@@ -197,8 +197,10 @@ def sort_stream_records(records: np.ndarray) -> np.ndarray:
     This applies the same normalization as :meth:`Trace.from_events` —
     stable sort by (time, seq), then renumber ``seq`` densely — but
     vectorized, so finalizing a multi-hundred-thousand-event stream does
-    not round-trip through Python ``Event`` objects.
+    not round-trip through Python ``Event`` objects.  ``np.lexsort`` on
+    the two columns is several times faster than ``np.argsort`` with
+    ``order=``, which also compares the remaining fields on ties.
     """
-    out = records[np.argsort(records, order=("time", "seq"), kind="stable")]
+    out = records[np.lexsort((records["seq"], records["time"]))]
     out["seq"] = np.arange(len(out), dtype=out["seq"].dtype)
     return out

@@ -35,7 +35,7 @@ def test_catches_stale_chain_accounting(monkeypatch):
     # Reintroduce an over-eager dependent chain (chain resets undone):
     # the independent offline replay disagrees and online-chain fires.
     # Needs a trace where resets matter: spaced-out uncontended holds.
-    from repro.core import online as online_mod
+    from repro.core.columnar import online as kernel
     from repro.sim import Program
 
     prog = Program()
@@ -51,18 +51,35 @@ def test_catches_stale_chain_accounting(monkeypatch):
     trace = prog.run().trace
     assert check_trace(trace, False) == []  # clean analyzer passes
 
-    orig = online_mod.OnlineAnalyzer.observe
+    advance = kernel._advance_chain
 
-    def observe(self, ev):
-        before = {o: ls.chain_time for o, ls in self._locks.items()}
-        orig(self, ev)
-        ls = self._locks.get(ev.obj)
-        if ls is not None and ls.chain_time == 0.0 and before.get(ev.obj):
-            ls.chain_time = before[ev.obj]  # undo every chain reset
+    def no_resets(ls, holds, reset_k, release_time):
+        advance(ls, holds, reset_k[:0], release_time)  # undo every chain reset
 
-    monkeypatch.setattr(online_mod.OnlineAnalyzer, "observe", observe)
+    monkeypatch.setattr(kernel, "_advance_chain", no_resets)
     invariants = {d.invariant for d in check_trace(trace, False)}
     assert "online-chain" in invariants
+
+
+def test_catches_slot_state_lost_between_batches(micro_trace, monkeypatch):
+    # A batch kernel that forgets the pending-acquire and open-hold slots
+    # at every batch boundary still matches the offline metrics when the
+    # whole trace is one batch; only the chunk-split comparison with the
+    # per-event replay sees it.
+    from repro.core.columnar import online as kernel
+
+    slot_values = kernel._slot_values
+
+    def forgetful(order, lock_id, tid, etype, time, setter, getter, carries):
+        return slot_values(
+            order, lock_id, tid, etype, time, setter, getter,
+            [{} for _ in carries],
+        )
+
+    monkeypatch.setattr(kernel, "_slot_values", forgetful)
+    invariants = {d.invariant for d in check_trace(micro_trace, False)}
+    assert "online-equiv" in invariants
+    assert "online" not in invariants
 
 
 def test_catches_perturbed_records(micro_trace):

@@ -14,8 +14,8 @@ columnar contracts:
   and the barrier-heavy workloads (recorded, or rebuilt from ``Event``
   objects) analyze identically under both pipelines, and neither emits
   a zero-duration ``Wait``;
-* the vectorized ``observe_batch`` kernel reproduces per-event
-  ``observe`` exactly, at every chunking.
+* the vectorized ``observe_batch`` kernel reproduces the per-event
+  ``reference_online`` replay at every chunking.
 """
 
 import tracemalloc
@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.check.reference import reference_analyze
+from repro.check.reference import reference_analyze, reference_online
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
 from repro.trace import Trace
@@ -241,15 +241,13 @@ def _lock_rows(trace):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 10**9])
 def test_observe_batch_chunked_matches_observe(chunk):
-    """The vectorized batch kernel must be a drop-in for per-event
-    observe at any chunk boundary — counters exact, accumulated floats
-    to 1e-9, and the carried slot state identical so that chunks can be
-    split anywhere."""
+    """The vectorized batch kernel must match the per-event replay at
+    any chunk boundary — counters exact, accumulated floats to 1e-9, and
+    the carried slot state identical so that chunks can be split
+    anywhere."""
     trace = _synthetic_trace(ops=200, seed=5)
 
-    ref = OnlineAnalyzer(trace)
-    for ev in trace:
-        ref.observe(ev)
+    ref = reference_online(trace)
 
     batched = OnlineAnalyzer(trace)
     records = trace.records

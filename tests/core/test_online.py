@@ -1,9 +1,16 @@
 """Online streaming analyzer: exact TYPE 2 counters, criticality heuristic."""
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.check.generator import corrupt_trace, generate_spec
+from repro.check.interp import run_spec
+from repro.check.oracle import online_state_diff
+from repro.check.reference import reference_online
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
+from repro.trace.events import EventType
 from repro.workloads import Radiosity, SyntheticLocks
 
 from tests.conftest import make_micro_program
@@ -75,9 +82,7 @@ def test_online_agrees_with_cp_ranking_on_radiosity():
 def test_incremental_equals_batch():
     trace = SyntheticLocks(ops_per_thread=20).run(nthreads=4, seed=8).trace
     batch = OnlineAnalyzer().observe_all(trace)
-    inc = OnlineAnalyzer(trace)
-    for ev in trace:
-        inc.observe(ev)
+    inc = reference_online(trace)
     for obj in (info.obj for info in trace.locks):
         if obj in batch._locks:
             assert inc.stats(obj).wait_time == pytest.approx(batch.stats(obj).wait_time)
@@ -119,3 +124,26 @@ def test_chain_resets_on_equal_timestamp_uncontended_obtain():
     assert ls.contended == 0
     # two independent 1.0-long holds, not one fused 2.0 chain
     assert ls.max_chain_time == pytest.approx(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec_seed=st.integers(min_value=0, max_value=10_000),
+    corruption=st.none() | st.integers(min_value=0, max_value=10_000),
+    cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+)
+def test_observe_batch_matches_reference_at_any_split(spec_seed, corruption, cuts):
+    """Generated programs, and seeded corruptions of them, split into
+    batches anywhere: the batch kernel reaches the per-event replay's
+    state (counters, slot dicts and time bounds exact, sums to 1e-9)."""
+    trace = run_spec(generate_spec(spec_seed)).trace
+    if corruption is not None:
+        trace = corrupt_trace(trace, corruption)
+    # Unknown event types have no Event form (streams reject them at ingest).
+    assume(np.isin(trace.records["etype"], [int(e) for e in EventType]).all())
+    n = len(trace.records)
+    bounds = [0, *sorted({int(c * n) for c in cuts}), n]
+    online = OnlineAnalyzer(trace)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        online.observe_batch(trace.records[lo:hi])
+    assert online_state_diff(online, reference_online(trace)) is None

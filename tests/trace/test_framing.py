@@ -133,6 +133,53 @@ def test_sort_stream_records_matches_from_events(micro_trace):
     assert np.array_equal(restored, micro_trace.records)
 
 
+def _stream_with_ties(micro_trace):
+    """Chunks of a trace arriving out of order, with tied times, one
+    chunk re-sent (identical records, so tied ``(time, seq)`` pairs),
+    and two records sharing a ``(time, seq)`` pair with different
+    threads."""
+    rng = np.random.default_rng(3)
+    records = micro_trace.records.copy()
+    records["time"] = np.floor(records["time"])  # many tied times
+    chunks = list(split_records(records, 5))
+    order = rng.permutation(len(chunks))
+    resent = chunks[order[0]]
+    stream = np.concatenate([chunks[i] for i in order] + [resent])
+    clash = stream[:2].copy()
+    clash["seq"] = 10_000
+    clash["time"] = 2.0
+    clash["tid"] = [7, 3]  # field order disagrees with arrival order
+    return np.concatenate([stream, clash])
+
+
+def test_sort_stream_records_lexsort_permutation(micro_trace):
+    """The (time, seq) lexsort is the stable sort ``Trace.from_events``
+    applies: ties on both keys keep arrival order.  It gives the same
+    permutation as ``argsort(order=("time", "seq"), kind="stable")``
+    except where that call breaks a ``(time, seq)`` tie by the remaining
+    fields."""
+    stream = _stream_with_ties(micro_trace)
+    perm = np.lexsort((stream["seq"], stream["time"]))
+    stable = sorted(range(len(stream)), key=lambda i: (stream["time"][i], stream["seq"][i]))
+    assert perm.tolist() == stable
+
+    by_fields = np.argsort(stream, order=("time", "seq"), kind="stable")
+    clash = len(stream) - 2
+    differs = np.flatnonzero(perm != by_fields)
+    assert set(perm[differs]) == {clash, clash + 1}
+    head = stream[:-2]  # tied times, out-of-order and re-sent chunks
+    assert np.array_equal(
+        np.lexsort((head["seq"], head["time"])),
+        np.argsort(head, order=("time", "seq"), kind="stable"),
+    )
+
+    restored = sort_stream_records(stream)
+    assert np.array_equal(restored["seq"], np.arange(len(stream)))
+    kept = stream[perm]
+    for name in ("time", "tid", "etype", "obj", "arg"):
+        assert np.array_equal(restored[name], kept[name])
+
+
 def test_cls_container_readable(micro_trace, tmp_path):
     path = tmp_path / "t.cls"
     blocks = list(split_records(micro_trace.records, 9))
