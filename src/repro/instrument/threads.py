@@ -63,11 +63,20 @@ class TracedThread:
         self._real.start()
 
     def join(self, timeout: float | None = None) -> None:
-        """Join, recording JOIN_BEGIN/JOIN_END; re-raises target exceptions."""
+        """Join, recording JOIN_BEGIN/JOIN_END; re-raises target exceptions.
+
+        Joining a thread that has already exited cannot block, so its
+        JOIN_END carries the JOIN_BEGIN time — the zero-length wait the
+        analysis drops — like an uncontended lock's OBTAIN.  Otherwise
+        the few microseconds of join bookkeeping would become a wait
+        whose waker (the long-past THREAD_EXIT) sends the critical path
+        back to before the joining thread's real waits.
+        """
         s = self.session
-        s.emit_here(EventType.JOIN_BEGIN, arg=self.tid)
+        exited = not self._real.is_alive()
+        t_begin = s.emit_here(EventType.JOIN_BEGIN, arg=self.tid)
         self._real.join(timeout)
-        s.emit_here(EventType.JOIN_END, arg=self.tid)
+        s.emit_here(EventType.JOIN_END, arg=self.tid, at_ns=t_begin if exited else None)
         if self.exception is not None:
             raise self.exception
 

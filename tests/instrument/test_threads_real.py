@@ -1,7 +1,10 @@
 """Traced thread lifecycle on real threads."""
 
+import time
+
 import pytest
 
+from repro.core.analyzer import analyze
 from repro.errors import TraceError
 from repro.instrument import ProfilingSession
 from repro.trace.events import EventType
@@ -20,6 +23,24 @@ def test_create_join_events():
     assert create.tid == 0  # main created it
     assert create.arg == t.tid
     assert trace.count(EventType.JOIN_END) == 1
+
+
+def test_join_of_exited_thread_records_no_wait():
+    # The child has exited before the join begins, so the join cannot
+    # block: JOIN_END shares JOIN_BEGIN's time and the analysis sees no
+    # JOIN wait on main that could redirect the critical path.
+    with ProfilingSession() as s:
+        t = s.thread(lambda: None, name="kid")
+        t.start()
+        while t.is_alive():
+            time.sleep(0.001)
+        t.join()
+    trace = s.trace()
+    validate_trace(trace)
+    begin = next(ev for ev in trace if ev.etype == EventType.JOIN_BEGIN)
+    end = next(ev for ev in trace if ev.etype == EventType.JOIN_END)
+    assert end.time == begin.time
+    assert analyze(trace).timelines[0].waits == []
 
 
 def test_double_start_rejected():
