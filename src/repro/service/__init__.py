@@ -23,7 +23,7 @@ Layering::
     ring.py     consistent-hash job routing across a fleet of instances
     stream.py   chunked-append streaming ingestion sessions (checkpointed)
     metrics.py  counters + latency histograms (self-observation)
-    client.py   urllib-based HTTP client (follows ring redirects)
+    client.py   keep-alive HTTP client (follows ring redirects)
 """
 
 from repro.service.api import ServiceAPI

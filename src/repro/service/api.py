@@ -15,6 +15,9 @@ Endpoints::
     POST /jobs              {"kind","trace"|"traces","params"} -> 202 {id,state,...}
     GET  /jobs              -> {jobs: [...]}
     GET  /jobs/<id>         -> job status (no result payload)
+                               ?wait=S holds the request until the job is
+                               done/failed or S seconds (at most
+                               MAX_JOB_WAIT) have passed, then answers
     GET  /reports/<id>      -> finished job's result (409 while pending)
     GET  /metrics           -> queue/cache/latency self-observation
     GET  /healthz           -> {ok: true}
@@ -52,7 +55,9 @@ original private local-disk layout.
 
 from __future__ import annotations
 
+import math
 import threading
+import time
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -63,14 +68,19 @@ from repro.fleet.ingest import FleetIngestor, ingest_store
 from repro.fleet.rules import evaluate_rules, load_rules
 from repro.service.backend import StorageBackend, make_backend
 from repro.service.cache import ResultCache
-from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobSpec, JobStore, execute
+from repro.service.jobs import (
+    DONE, FAILED, QUEUED, RUNNING, Job, JobSpec, JobStore, execute,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import DEFAULT_START_METHOD, WorkerPool
 from repro.service.ring import HashRing
 from repro.service.store import TraceStore
 from repro.service.stream import StreamStore
 
-__all__ = ["ServiceAPI"]
+__all__ = ["MAX_JOB_WAIT", "ServiceAPI"]
+
+#: Longest a ``GET /jobs/<id>?wait=S`` request is held, whatever S asks.
+MAX_JOB_WAIT = 30.0
 
 
 class ServiceAPI:
@@ -211,6 +221,9 @@ class ServiceAPI:
             case ("GET", ["jobs"]):
                 return 200, {"jobs": [j.to_dict() for j in self.jobs.list()]}
             case ("GET", ["jobs", job_id]):
+                if "wait" in query:
+                    hold = _wait_seconds(query["wait"])
+                    return 200, self._await_job(job_id, hold).to_dict()
                 return 200, self.jobs.get(job_id).to_dict()
             case ("GET", ["reports", job_id]):
                 return self._get_report(job_id)
@@ -378,20 +391,21 @@ class ServiceAPI:
         return self.jobs.get(job.id).to_dict()
 
     def wait(self, job_id: str, timeout: float = 60.0) -> dict[str, Any]:
-        """Block until a job finishes (in-process convenience; HTTP polls)."""
-        import time
+        """Block until a job finishes (in-process; HTTP has ``?wait=S``)."""
+        job = self._await_job(job_id, timeout)
+        if job.state not in (DONE, FAILED):
+            raise ServiceError(f"timed out waiting for job {job_id}", status=504)
+        return job.to_dict(include_result=True)
 
+    def _await_job(self, job_id: str, timeout: float) -> Job:
+        """The job once it is done/failed or ``timeout`` seconds have passed."""
         deadline = time.monotonic() + timeout
         with self._done:
             while True:
                 job = self.jobs.get(job_id)
-                if job.state in (DONE, FAILED):
-                    return job.to_dict(include_result=True)
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ServiceError(
-                        f"timed out waiting for job {job_id}", status=504
-                    )
+                if job.state in (DONE, FAILED) or remaining <= 0:
+                    return job
                 self._done.wait(timeout=remaining)
 
     def _get_report(self, job_id: str) -> tuple[int, dict[str, Any]]:
@@ -495,3 +509,14 @@ class ServiceAPI:
                 self._cache_keys.pop(job_id, None)
         with self._done:
             self._done.notify_all()
+
+
+def _wait_seconds(raw: str) -> float:
+    """The hold of a ``?wait=S`` query, capped at :data:`MAX_JOB_WAIT`."""
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not seconds >= 0:  # also refuses nan
+        raise ServiceError(f"wait must be a number of seconds >= 0, got {raw!r}")
+    return min(seconds, MAX_JOB_WAIT)

@@ -1,4 +1,4 @@
-"""HTTP client for the analysis service (urllib only, no dependencies).
+"""HTTP client for the analysis service (standard library only).
 
 Used by the end-to-end tests, ``examples/service_client.py`` and any
 script that wants remote analysis with local-call ergonomics::
@@ -11,12 +11,15 @@ script that wants remote analysis with local-call ergonomics::
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
 import urllib.request
+import weakref
 from pathlib import Path
 from typing import Any
+from urllib.parse import urlsplit
 
 from repro.errors import ServiceError
 from repro.trace.framing import encode_records_frame, split_records
@@ -27,6 +30,13 @@ __all__ = ["ServiceClient"]
 
 _TERMINAL = ("done", "failed")
 
+#: How a kept-alive connection fails when the server closed it before
+#: this request (idle timeout, restart): nothing of a response arrived,
+#: so sending the request again on a fresh connection is safe.
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
+)
+
 
 class ServiceClient:
     """Thin JSON-over-HTTP wrapper around the service endpoints.
@@ -36,6 +46,12 @@ class ServiceClient:
     owning node and pins the returned job id there, so subsequent
     ``job()``/``report()``/``wait()`` polls hit the node that actually
     runs the job.
+
+    Connections persist: each thread keeps one HTTP/1.1 connection per
+    node and sends all of its requests over it, so one client can be
+    shared by several threads.  :meth:`close` drops them all.  Only the
+    ``/fleet/events`` stream, which holds its connection open, gets a
+    connection of its own.
     """
 
     #: Redirect hops tolerated before declaring the ring misconfigured.
@@ -45,45 +61,107 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self._job_nodes: dict[str, str] = {}  # job id -> owning node URL
-        self._served_by = self.base_url  # node that answered the last request
+        # Per thread: .conns, (scheme, netloc) -> connection; .served_by.
+        self._local = threading.local()
+        self._conns: weakref.WeakSet = weakref.WeakSet()  # every thread's, for close()
+        self._conns_lock = threading.Lock()
 
     # -- transport ----------------------------------------------------------
+
+    @property
+    def _served_by(self) -> str:
+        """The node that answered this thread's last request."""
+        return getattr(self._local, "served_by", self.base_url)
+
+    def _connection(self, scheme: str, netloc: str) -> http.client.HTTPConnection:
+        """This thread's persistent connection to one node."""
+        conns = getattr(self._local, "conns", None)
+        if conns is None:
+            conns = self._local.conns = {}
+        conn = conns.get((scheme, netloc))
+        if conn is None:
+            cls = (
+                http.client.HTTPSConnection if scheme == "https"
+                else http.client.HTTPConnection
+            )
+            conn = conns[(scheme, netloc)] = cls(netloc, timeout=self.timeout)
+            with self._conns_lock:
+                self._conns.add(conn)
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connections.
+
+        The client stays usable: the next request opens a new connection.
+        """
+        with self._conns_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()
+
+    def _exchange(
+        self, method: str, url: str, body: bytes | None = None,
+        headers: dict[str, str] | None = None, timeout: float | None = None,
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request/response over this thread's connection to ``url``'s node.
+
+        A reused connection the server has already closed (idle timeout,
+        restart) fails before any response byte arrives; only then is the
+        request sent once more, on a fresh connection.
+        """
+        parts = urlsplit(url)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        conn = self._connection(parts.scheme, parts.netloc)
+        conn.timeout = timeout or self.timeout
+        while True:
+            reused = conn.sock is not None
+            if reused:
+                conn.sock.settimeout(conn.timeout)
+            try:
+                conn.request(method, target, body=body, headers=headers or {})
+                resp = conn.getresponse()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if reused and isinstance(exc, _STALE_CONNECTION):
+                    continue
+                raise ServiceError(
+                    f"cannot reach service at {url}: {exc}", status=503
+                ) from exc
+            try:
+                return resp, resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise ServiceError(
+                    f"{method} {url}: connection lost mid-response: {exc}", status=503
+                ) from exc
 
     def _request(
         self, method: str, path: str, body: bytes | None = None,
         content_type: str = "application/json", base: str | None = None,
+        timeout: float | None = None,
     ) -> dict[str, Any]:
         url = f"{base or self.base_url}{path}"
+        headers = {"Content-Type": content_type} if body is not None else {}
         for _hop in range(self.MAX_REDIRECTS + 1):
-            req = urllib.request.Request(
-                url,
-                data=body,
-                method=method,
-                headers={"Content-Type": content_type} if body is not None else {},
-            )
+            resp, raw = self._exchange(method, url, body, headers, timeout)
+            if 200 <= resp.status < 300:
+                self._local.served_by = url[: -len(path)] if path else url
+                return json.loads(raw.decode("utf-8"))
             try:
-                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    self._served_by = url[: -len(path)] if path else url
-                    return json.loads(resp.read().decode("utf-8"))
-            except urllib.error.HTTPError as exc:
-                raw = exc.read()
-                try:
-                    detail = json.loads(raw.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    detail = {"error": str(exc.reason)}
-                if exc.code in (307, 308):
-                    target = detail.get("redirect") or exc.headers.get("Location")
-                    if target:
-                        url = target
-                        continue
-                raise ServiceError(
-                    f"{method} {path} -> HTTP {exc.code}: "
-                    f"{detail.get('error', '')}", status=exc.code
-                ) from exc
-            except urllib.error.URLError as exc:
-                raise ServiceError(
-                    f"cannot reach service at {url}: {exc.reason}", status=503
-                ) from exc
+                detail = json.loads(raw.decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                detail = None
+            if not isinstance(detail, dict):
+                detail = {"error": resp.reason}
+            if resp.status in (307, 308):
+                target = detail.get("redirect") or resp.getheader("Location")
+                if target:
+                    url = target
+                    continue
+            raise ServiceError(
+                f"{method} {path} -> HTTP {resp.status}: "
+                f"{detail.get('error', '')}", status=resp.status
+            )
         raise ServiceError(
             f"{method} {path}: redirect loop after {self.MAX_REDIRECTS} hops",
             status=508,
@@ -150,15 +228,25 @@ class ServiceClient:
         return self._request("GET", f"/reports/{job_id}", base=self._job_base(job_id))
 
     def wait(self, job_id: str, timeout: float = 120.0, poll: float = 0.05) -> dict:
-        """Poll until the job finishes; returns the result dict."""
+        """Wait until the job finishes; returns the result dict.
+
+        Each status request asks the server to hold it until the job
+        finishes or ``poll`` seconds pass (``GET /jobs/<id>?wait=poll``),
+        so the answer arrives as soon as the job is done and the client
+        never sleeps; ``poll`` only sets how often it checks ``timeout``.
+        """
         deadline = time.monotonic() + timeout
+        base = self._job_base(job_id)
         while True:
-            job = self.job(job_id)
+            hold = max(0.0, min(poll, deadline - time.monotonic()))
+            job = self._request(
+                "GET", f"/jobs/{job_id}?wait={hold:g}", base=base,
+                timeout=self.timeout + hold,
+            )
             if job["state"] in _TERMINAL:
                 break
-            if time.monotonic() > deadline:
+            if time.monotonic() >= deadline:
                 raise ServiceError(f"timed out waiting for job {job_id}", status=504)
-            time.sleep(poll)
         if job["state"] == "failed":
             raise ServiceError(f"job {job_id} failed: {job['error']}", status=500)
         return self.report(job_id)["result"]
@@ -318,9 +406,12 @@ class ServiceClient:
 
     def dashboard_html(self) -> str:
         """The live dashboard page as HTML text."""
-        req = urllib.request.Request(f"{self.base_url}/dashboard")
-        with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-            return resp.read().decode("utf-8")
+        resp, raw = self._exchange("GET", f"{self.base_url}/dashboard")
+        if resp.status != 200:
+            raise ServiceError(
+                f"GET /dashboard -> HTTP {resp.status}", status=resp.status
+            )
+        return raw.decode("utf-8")
 
     def fleet_events(
         self, max_events: int = 1, timeout: float = 30.0

@@ -79,6 +79,7 @@ class ServiceMetrics:
         self.cache_short_circuits = 0  # jobs answered at submit time
         self.redirected: dict[str, int] = {}  # jobs routed to their ring owner
         self.requests = 0
+        self.connections = 0  # accepted by the HTTP front end
         self._latency: dict[str, LatencyHistogram] = {}
         # Streaming ingestion (chunked-append sessions).
         self.streams_opened = 0
@@ -100,6 +101,10 @@ class ServiceMetrics:
     def count_request(self) -> None:
         with self._lock:
             self.requests += 1
+
+    def count_connection(self) -> None:
+        with self._lock:
+            self.connections += 1
 
     def count_submitted(self, kind: str) -> None:
         with self._lock:
@@ -175,6 +180,7 @@ class ServiceMetrics:
             return {
                 "uptime": time.time() - self.started_at,
                 "requests": self.requests,
+                "connections": self.connections,
                 "jobs": {
                     "submitted": dict(self.submitted),
                     "completed": dict(self.completed),
