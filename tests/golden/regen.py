@@ -20,6 +20,7 @@ from test_golden_reports import (  # noqa: E402
     render_case,
     render_online_case,
     render_sampled_case,
+    render_views_case,
     render_whatif_case,
 )
 
@@ -37,6 +38,8 @@ def main() -> int:
         _write(GOLDEN_DIR / f"{case}.whatif.txt", render_whatif_case(case))
     for case in sorted(CASES):
         _write(GOLDEN_DIR / f"{case}.online.txt", render_online_case(case))
+    for case in sorted(CASES):
+        _write(GOLDEN_DIR / f"{case}.views.txt", render_views_case(case))
     for case in sorted(SAMPLED_CASES):
         _write(GOLDEN_DIR / f"{case}.sampled.txt", render_sampled_case(case))
     return 0

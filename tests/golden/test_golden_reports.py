@@ -147,6 +147,42 @@ def render_online_case(case: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_views_case(case: str) -> str:
+    """The analysis views over one ``analyze`` of this case: windows,
+    phases, blame, the Eyerman model, the forecast, the ASCII timeline,
+    and the sha256 of the Chrome trace JSON and of the SVG."""
+    import hashlib
+    import json
+
+    from repro.core.blame import compute_blame
+    from repro.core.eyerman import fit_model
+    from repro.core.forecast import forecast
+    from repro.core.phases import split_phases
+    from repro.core.windows import windowed_criticality
+    from repro.export import to_chrome_trace
+    from repro.viz.svg import render_svg
+    from repro.viz.timeline import render_timeline
+
+    workload, params, nthreads, seed = CASES[case]
+    trace = get_workload(workload)(**params).run(nthreads=nthreads, seed=seed).trace
+    a = analyze(trace)
+
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    lines = [
+        windowed_criticality(a, 10).render(),
+        split_phases(a).render(),
+        compute_blame(a).render(thread_names=trace.threads),
+        str(fit_model(a)),
+        forecast(a).render(),
+        render_timeline(trace, a, width=100),
+        f"chrome sha256 {sha(json.dumps(to_chrome_trace(trace, a)))}",
+        f"svg sha256 {sha(render_svg(trace, a))}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _golden(case: str) -> str:
     path = GOLDEN_DIR / f"{case}.txt"
     assert path.exists(), f"missing golden file {path}; run tests/golden/regen.py"
@@ -221,6 +257,14 @@ def test_online_matches_golden(case):
     """The streaming estimator's state at chunk sizes 1, 7, 4096 and the
     whole trace is pinned, so the batch kernel cannot drift silently."""
     assert render_online_case(case) == _golden(f"{case}.online")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_views_match_golden(case):
+    """Windows, phases, blame, the Eyerman model, the forecast, the ASCII
+    timeline and the Chrome/SVG exports are pinned per case, so moving a
+    view onto other data cannot change what it shows."""
+    assert render_views_case(case) == _golden(f"{case}.views")
 
 
 @pytest.mark.parametrize("case", SAMPLED_CASES)
