@@ -20,7 +20,9 @@ timelines, walk, metrics, render), best of ``_STAGE_REPEATS`` each, and
 records the tracemalloc peak of one default ``analyze``.  ``whatif_s``
 is the what-if layer from scratch: ``predict_shrink(trace, top_lock,
 0.5)`` with no prebuilt graph, so it pays for wakers, timelines and the
-event DAG as a ``whatif`` job does.  Every timed
+event DAG as a ``whatif`` job does.  ``views_s`` is the eight analysis
+views (windows, phases, blame, the Eyerman model, forecast, Chrome
+trace, SVG and ASCII timeline) over one ``analyze`` result.  Every timed
 run gets a fresh :class:`Trace` over the same records, so the per-trace
 index (``Trace.index``) is built inside the timing, by the first stage
 that reads it, as it is for a trace just read from disk.
@@ -36,10 +38,18 @@ import tracemalloc
 
 from repro.check.reference import reference_analyze
 from repro.core import analyzer
-from repro.core.analyzer import analyze
+from repro.core.analyzer import AnalysisResult, analyze
+from repro.core.blame import compute_blame
+from repro.core.eyerman import fit_model
+from repro.core.forecast import forecast
+from repro.core.phases import split_phases
 from repro.core.report import AnalysisReport
 from repro.core.whatif import predict_shrink
+from repro.core.windows import windowed_criticality
+from repro.export import to_chrome_trace
 from repro.trace.trace import Trace
+from repro.viz.svg import render_svg
+from repro.viz.timeline import render_timeline
 from repro.workloads import SyntheticLocks
 
 #: Best-of counts for the timings; stages and the default path are cheap
@@ -110,6 +120,30 @@ def time_stages(trace: Trace, repeats: int) -> dict[str, float]:
     return best
 
 
+def run_views(analysis: AnalysisResult) -> None:
+    """Every analysis view of one result, rendered as the CLI prints it."""
+    trace = analysis.trace
+    windowed_criticality(analysis, 10).render()
+    split_phases(analysis).render()
+    compute_blame(analysis).render(thread_names=trace.threads)
+    str(fit_model(analysis))
+    forecast(analysis).render()
+    to_chrome_trace(trace, analysis)
+    render_svg(trace, analysis)
+    render_timeline(trace, analysis)
+
+
+def time_views(trace: Trace, repeats: int) -> float:
+    """Best-of time of :func:`run_views` over one default ``analyze``."""
+    analysis = analyze(fresh(trace))
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run_views(analysis)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def default_peak_mb(trace: Trace) -> float:
     """tracemalloc peak of one default ``analyze(...).render()``."""
     t = fresh(trace)
@@ -143,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     stages = time_stages(trace, stage_repeats)
     top_lock = col.report.top_locks(1)[0].obj
     t_whatif, _ = _time(lambda t: predict_shrink(t, top_lock, 0.5), trace, repeats)
+    t_views = time_views(trace, repeats)
     peak_mb = default_peak_mb(trace)
 
     if col.report.render(None) != ref.report.render(None):
@@ -157,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name[:-2]:<20} {seconds:8.4f}s")
     print(f"what-if from scratch   {t_whatif:8.3f}s   "
           f"(predict_shrink of {trace.object_name(top_lock)} to 50%)")
+    print(f"views                  {t_views:8.3f}s   (windows, phases, blame, "
+          "model, forecast, chrome, svg, timeline)")
 
     if args.json:
         with open(args.json, "w") as f:
@@ -176,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
                     "default_peak_mb": round(peak_mb, 2),
                     "stages": {k: round(v, 4) for k, v in stages.items()},
                     "whatif_s": round(t_whatif, 4),
+                    "views_s": round(t_views, 4),
                 },
                 f,
                 indent=2,

@@ -64,6 +64,7 @@ from repro.check.reference import (
     reference_analyze,
     reference_online,
     reference_trace_problems,
+    timelines_from_columns,
 )
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
@@ -565,13 +566,14 @@ def _check_engines(trace: Trace, result) -> list[Discrepancy]:
         out.append(Discrepancy("engine-equiv", "report dicts differ"))
     if result.report.render(None) != obj.report.render(None):
         out.append(Discrepancy("engine-equiv", "rendered reports are not byte-equal"))
-    if result.timelines != obj.timelines:
+    timelines = timelines_from_columns(result.timeline_columns)
+    if timelines != obj.timelines:
         out.append(Discrepancy("engine-equiv", "reconstructed timelines differ"))
     wakers = result.waker_columns.to_table(trace.records)
     if wakers.wakes != obj.wakers.wakes or wakers.creations != obj.wakers.creations:
         out.append(Discrepancy("engine-equiv", "waker tables differ"))
-    for res, engine in ((result, "columnar"), (obj, "object")):
-        for tid, tl in res.timelines.items():
+    for by_tid, engine in ((timelines, "columnar"), (obj.timelines, "object")):
+        for tid, tl in by_tid.items():
             for w in tl.waits:
                 if w.duration == 0:
                     out.append(

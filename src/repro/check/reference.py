@@ -7,9 +7,10 @@
   (paper Fig. 2) and :func:`compute_metrics` /
   :func:`compute_thread_stats` (paper Table 2).
   :func:`reference_analyze` runs them in order.  Production ``analyze``
-  and every layer on top of it (DAG, what-if, plan, replay) run the
-  columnar twins in :mod:`repro.core.columnar`; the oracle and the tests
-  demand bit-identical results from both.
+  and every layer on top of it (DAG, what-if, plan, replay, the views)
+  run the columnar twins in :mod:`repro.core.columnar`; the oracle and
+  the tests demand bit-identical results from both, comparing timelines
+  through :func:`timelines_from_columns`.
 * :func:`reference_online` streams a trace through the online
   estimator one event at a time; the batch kernel behind
   ``OnlineAnalyzer.observe_batch`` must reach the same state at any
@@ -29,6 +30,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.core.columnar.timelines import ColumnarTimelines
 from repro.core.model import (
     CPPiece,
     CriticalPath,
@@ -41,6 +43,7 @@ from repro.core.model import (
     WaitKind,
     WakeInfo,
     WakerTable,
+    waits_from_columns,
 )
 from repro.core.online import OnlineAnalyzer
 from repro.core.report import AnalysisReport
@@ -58,6 +61,7 @@ __all__ = [
     "reference_online",
     "reference_trace_problems",
     "resolve_wakers",
+    "timelines_from_columns",
 ]
 
 _KNOWN_ETYPES = frozenset(int(e) for e in EventType)
@@ -177,6 +181,32 @@ def resolve_wakers(trace: Trace) -> WakerTable:
             creations[ev.arg] = here
         last_event[ev.tid] = here
     return WakerTable(wakes=wakes, creations=creations)
+
+
+def timelines_from_columns(ct: ColumnarTimelines) -> dict[int, ThreadTimeline]:
+    """The :func:`build_timelines` objects that ``ct`` holds as columns,
+    ``tl.holds`` key order included, for comparing the two pipelines."""
+    waits = waits_from_columns(ct.wait_columns())
+    holds = [
+        HoldInterval(*row)
+        for row in zip(*(c.tolist() for c in (
+            ct.h_tid, ct.h_obj, ct.h_start, ct.h_end, ct.h_contended, ct.h_acquire
+        )))
+    ]
+    out: dict[int, ThreadTimeline] = {}
+    for i, tid in enumerate(ct.tids.tolist()):
+        tl = out[tid] = ThreadTimeline(
+            tid, ct.names[i], float(ct.t_start[i]), float(ct.t_end[i])
+        )
+        if ct.creator_tid[i] >= 0:
+            tl.creator_tid = int(ct.creator_tid[i])
+            tl.create_time = float(ct.create_time[i])
+            tl.create_seq = int(ct.create_seq[i])
+        tl.waits = waits[ct.wait_lo[i]:ct.wait_hi[i]]
+        for obj in ct.hold_obj_order.get(tid, ()):
+            lo, hi = ct.hold_groups[(tid, obj)]
+            tl.holds[obj] = holds[lo:hi]
+    return out
 
 
 # -- timelines -------------------------------------------------------------
@@ -453,9 +483,9 @@ def compute_metrics(
     """Compute :class:`LockMetrics` for every lock-like object in the trace."""
     nthreads = max(1, len(timelines))
     cp_length = cp.length
-    pieces_by_thread = cp.pieces_by_thread()
-    for plist in pieces_by_thread.values():
-        plist.sort(key=lambda p: (p.start, p.end))
+    pieces_by_thread: dict[int, list[CPPiece]] = defaultdict(list)
+    for p in sorted(cp.pieces, key=lambda p: (p.start, p.end)):
+        pieces_by_thread[p.tid].append(p)
 
     out: dict[int, LockMetrics] = {}
     for info in trace.locks:

@@ -6,11 +6,11 @@ path walk, compute TYPE 1 / TYPE 2 metrics and wrap everything in an
 :class:`AnalysisReport`.
 
 The pipeline keeps the trace's numpy columns end to end
-(:mod:`repro.core.columnar`), and so do the event DAG, what-if and plan
-layers built on its result.  ``Wait``/``HoldInterval``/``ThreadTimeline``
-objects are only materialized when a caller reads
-:attr:`AnalysisResult.timelines` (the viz, export and windowed layers
-do).  The per-event chain survives as
+(:mod:`repro.core.columnar`), and so does every layer built on its
+result: the event DAG, what-if and plan, and the views (windows,
+phases, blame, the Eyerman model, forecast, Chrome/SVG export and the
+ASCII timeline) read the timeline, critical-path and record columns.
+The per-event chain survives as
 the test reference :func:`repro.check.reference.reference_analyze`; the
 ``engine-equiv`` invariant of ``repro.check`` holds the two to
 bit-identical output on every fuzzed seed.
@@ -28,7 +28,7 @@ from repro.core.columnar.timelines import ColumnarTimelines, build_timelines_col
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.columnar.walk import compute_critical_path_columnar
 from repro.core.dag import EventGraph, build_event_graph
-from repro.core.model import CriticalPath, ThreadTimeline
+from repro.core.model import CriticalPath
 from repro.core.report import AnalysisReport
 from repro.core.whatif import WhatIfResult, predict_no_contention, predict_shrink
 from repro.trace.trace import Trace
@@ -41,9 +41,7 @@ class AnalysisResult:
     """Everything produced by one analysis pass over a trace.
 
     ``waker_columns`` and ``timeline_columns`` are the pipeline's own
-    columnar structures; ``timelines`` is the object view of the latter,
-    materialized on first access for the consumers that iterate
-    ``Wait``/``HoldInterval`` objects.
+    columnar structures.
     """
 
     def __init__(
@@ -59,10 +57,6 @@ class AnalysisResult:
         self.report = report
         self.waker_columns = waker_columns
         self.timeline_columns = timeline_columns
-
-    @cached_property
-    def timelines(self) -> dict[int, ThreadTimeline]:
-        return self.timeline_columns.to_object()
 
     @cached_property
     def graph(self) -> EventGraph:

@@ -17,11 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.analyzer import AnalysisResult
-from repro.core.model import WaitKind
+from repro.core.columnar.metrics import exact_sum
+from repro.core.model import WAIT_KIND_CODES, WaitKind
 from repro.tables import format_table
 from repro.units import format_duration, format_percent
 
 __all__ = ["BlameReport", "LockBlame", "compute_blame"]
+
+_LOCK_CODE = WAIT_KIND_CODES.index(WaitKind.LOCK)
 
 
 @dataclass(frozen=True)
@@ -83,20 +86,20 @@ class BlameReport:
 
 def compute_blame(analysis: AnalysisResult) -> BlameReport:
     """Attribute every lock wait to the lock and the thread that held it."""
-    total_lifetime = sum(tl.lifetime for tl in analysis.timelines.values())
+    ct = analysis.timeline_columns
+    total_lifetime = exact_sum(ct.t_end - ct.t_start)
+    lock = ct.w_kind == _LOCK_CODE
     idle: dict[int, float] = {}
     holder_blame: dict[int, dict[int, float]] = {}
-    for tl in analysis.timelines.values():
-        for w in tl.waits:
-            if w.kind != WaitKind.LOCK:
-                continue
-            idle[w.obj] = idle.get(w.obj, 0.0) + w.duration
-            # The waker (the releasing thread) is the holder that kept us
-            # waiting; charge the idle time to it, per [26].
-            holder_blame.setdefault(w.obj, {})
-            holder_blame[w.obj][w.waker_tid] = (
-                holder_blame[w.obj].get(w.waker_tid, 0.0) + w.duration
-            )
+    durations = (ct.w_end - ct.w_start)[lock].tolist()
+    for obj, waker_tid, duration in zip(
+        ct.w_obj[lock].tolist(), ct.w_waker_tid[lock].tolist(), durations
+    ):
+        idle[obj] = idle.get(obj, 0.0) + duration
+        # The waker (the releasing thread) is the holder that kept us
+        # waiting; charge the idle time to it, per [26].
+        blame = holder_blame.setdefault(obj, {})
+        blame[waker_tid] = blame.get(waker_tid, 0.0) + duration
     locks = [
         LockBlame(
             obj=obj,

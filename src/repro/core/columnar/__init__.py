@@ -9,10 +9,10 @@ hands us as a structured array.  This package keeps the columns:
   searchsorted/argsort passes instead of two dict-driven event loops;
 * :mod:`repro.core.columnar.timelines` builds blocked intervals and
   lock-hold intervals as flat arrays (one slot-matching pass per wait
-  kind, one LIFO paren-matching pass for holds), with a thin view layer
-  that materializes :class:`~repro.core.model.Wait` /
-  :class:`~repro.core.model.HoldInterval` objects only for the viz,
-  export and windowed layers that iterate them;
+  kind, one LIFO paren-matching pass for holds); every analysis view
+  reads these columns, and no production layer turns them back into
+  :class:`~repro.core.model.Wait` / :class:`~repro.core.model.HoldInterval`
+  objects;
 * :mod:`repro.core.columnar.walk` precomputes every jump of the paper's
   backward walk with one ``searchsorted``, follows them as plain ints
   and returns the path as columns;
@@ -21,7 +21,8 @@ hands us as a structured array.  This package keeps the columns:
   order the reference uses — the output is *bit-identical*, which
   the ``engine-equiv`` invariant of ``repro.check`` enforces on every
   fuzzed seed — and holds the interval-overlap kernel that attribution,
-  estimation and the event DAG share;
+  estimation and the event DAG share, and the per-interval CP∩hold
+  split the windowed and barrier-phase views share;
 * :mod:`repro.core.columnar.online` is the batch kernel behind
   :meth:`repro.core.online.OnlineAnalyzer.observe_batch`: one grouping of
   each stream chunk by ``(lock, thread)``, no loop over rows.

@@ -10,14 +10,22 @@ associative, so every per-group total here is a sequential ``np.cumsum``
 order for the same reason; the hold/critical-path overlap
 (:func:`hold_cp_overlaps`) and the event DAG's span/hold overlap
 (:meth:`repro.core.dag.EventGraph.span_hold_overlap`) both run on it.
+:func:`cp_hold_by_interval` cuts the same (hold, piece) pairs at
+interval edges for the windowed and barrier-phase views.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.columnar.timelines import WAIT_KIND_CODES, ColumnarTimelines
-from repro.core.model import CriticalPath, LockMetrics, ThreadStats, WaitKind
+from repro.core.columnar.timelines import ColumnarTimelines
+from repro.core.model import (
+    WAIT_KIND_CODES,
+    CriticalPath,
+    LockMetrics,
+    ThreadStats,
+    WaitKind,
+)
 from repro.trace.ops import exact_group_sums, group_bounds, sort_order
 from repro.trace.trace import Trace
 
@@ -25,9 +33,11 @@ __all__ = [
     "NO_PIECES",
     "compute_metrics_columnar",
     "compute_thread_stats_columnar",
+    "cp_hold_by_interval",
     "exact_sum",
     "hold_cp_overlaps",
     "interval_overlaps",
+    "split_intervals",
     "thread_pieces",
 ]
 
@@ -70,6 +80,14 @@ def interval_overlaps(
     return acc
 
 
+def _piece_range(
+    h_s: np.ndarray, h_e: np.ndarray, p_s: np.ndarray, p_e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per hold, the ``[lo, hi)`` range of the pieces it is paired with:
+    those ending at or after its start and starting at or before its end."""
+    return np.searchsorted(p_e, h_s, side="left"), np.searchsorted(p_s, h_e, side="right")
+
+
 def hold_cp_overlaps(
     h_s: np.ndarray,
     h_e: np.ndarray,
@@ -80,13 +98,11 @@ def hold_cp_overlaps(
     is on the critical path.
 
     ``p_s``/``p_e`` are the thread's pieces sorted by (start, end)
-    (:func:`thread_pieces`); the holds are sorted by start.  A hold's
-    pieces are those ending at or after its start and starting at or
-    before its end.  A hold is on the path if it overlaps a piece for
-    positive time or, when it has zero length, lies inside one.
+    (:func:`thread_pieces`); the holds are sorted by start.  A hold is
+    on the path if it overlaps one of its pieces (:func:`_piece_range`)
+    for positive time or, when it has zero length, lies inside one.
     """
-    lo = np.searchsorted(p_e, h_s, side="left")
-    hi = np.searchsorted(p_s, h_e, side="right")
+    lo, hi = _piece_range(h_s, h_e, p_s, p_e)
     overlap = interval_overlaps(h_s, h_e, p_s, p_e, lo, hi)
     on_cp = (overlap > 0) | ((h_e == h_s) & (hi > lo))
     return overlap, on_cp
@@ -109,6 +125,63 @@ def thread_pieces(cp: CriticalPath) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         tid: (p_start[lo:hi], p_end[lo:hi])
         for tid, lo, hi in zip(piece_tids.tolist(), bounds[:-1], bounds[1:])
     }
+
+
+def _expand(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, first[i] + j)`` for every ``i`` and ``j < count[i]``, i-major."""
+    owner = np.repeat(np.arange(len(first)), count)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    return owner, first[owner] + offset
+
+
+def split_intervals(
+    s: np.ndarray, e: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut intervals ``[s, e)`` at the buckets ``[lo[k], hi[k])`` (both
+    ascending): for every (interval, bucket) pair that overlaps for
+    positive time, the interval, the bucket and the overlap,
+    interval-major."""
+    first = np.searchsorted(hi, s, side="right")
+    item, bucket = _expand(first, np.maximum(np.searchsorted(lo, e, side="left") - first, 0))
+    overlap = np.minimum(e[item], hi[bucket]) - np.maximum(s[item], lo[bucket])
+    keep = overlap > 0
+    return item[keep], bucket[keep], overlap[keep]
+
+
+def cp_hold_by_interval(
+    ct: ColumnarTimelines, cp: CriticalPath, edges: np.ndarray, objs: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Critical-path time per interval ``[edges[i], edges[i + 1])``, and
+    per (interval, lock ``objs[j]``) the part of it inside that lock's
+    holds.
+
+    Each hold is paired with its thread's pieces as in
+    :func:`hold_cp_overlaps`, so over intervals that cover the path the
+    lock columns add up to the metrics' ``cp_hold_time`` (nested holds
+    of one lock included).
+    """
+    nint, lo, hi = len(edges) - 1, edges[:-1], edges[1:]
+    _, where, overlap = split_intervals(cp.piece_start, cp.piece_end, lo, hi)
+    cp_time = np.bincount(where, overlap, minlength=nint).astype(np.float64)
+
+    column = {obj: j for j, obj in enumerate(objs)}
+    pieces = thread_pieces(cp)
+    seg_s, seg_e, seg_col = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+    for (tid, obj), (h_lo, h_hi) in ct.hold_groups.items():
+        if obj not in column or tid not in pieces:
+            continue
+        p_s, p_e = pieces[tid]
+        h_s, h_e = ct.h_start[h_lo:h_hi], ct.h_end[h_lo:h_hi]
+        first, stop = _piece_range(h_s, h_e, p_s, p_e)
+        hold, piece = _expand(first, np.maximum(stop - first, 0))
+        seg_s.append(np.maximum(h_s[hold], p_s[piece]))
+        seg_e.append(np.minimum(h_e[hold], p_e[piece]))
+        seg_col.append(np.full(len(hold), column[obj], dtype=np.int64))
+    seg, where, overlap = split_intervals(np.concatenate(seg_s), np.concatenate(seg_e), lo, hi)
+    cells = where * len(objs) + np.concatenate(seg_col)[seg]
+    # bincount of no cells counts in int64: keep the float dtype.
+    hold_time = np.bincount(cells, overlap, minlength=nint * len(objs)).astype(np.float64)
+    return cp_time, hold_time.reshape(nint, len(objs))
 
 
 def compute_metrics_columnar(

@@ -17,10 +17,10 @@ Here each dict becomes one vectorized pass:
   (:meth:`~repro.trace.index.TraceIndex.lifo_closes`), which leaves the
   holds grouped and in start order — only equal start times need a sort;
 * waits and holds end up as flat parallel arrays with per-thread /
-  per-``(tid, obj)`` group index ranges, and :meth:`ColumnarTimelines.
-  to_object` reconstructs the exact object-engine ``ThreadTimeline``
-  dict — including the insertion order of ``holds`` keys, which viz and
-  export iterate.
+  per-``(tid, obj)`` group index ranges, and ``hold_obj_order`` keeps
+  the reference's ``tl.holds`` key order, which viz and export iterate.
+  Every analysis view reads these columns; the object form survives only
+  as the test converter :func:`repro.check.reference.timelines_from_columns`.
 
 A wait with ``duration == 0`` never delayed its thread, so it is
 dropped here and in the object engine alike (it must not redirect the
@@ -34,22 +34,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.trace.ops import dense_keys, group_bounds, previous_in_key, sort_order
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
-from repro.core.model import HoldInterval, ThreadTimeline, Wait, WaitKind
 from repro.errors import AnalysisError
 from repro.trace.events import EventType
+from repro.trace.ops import (
+    dense_keys,
+    exact_group_sums,
+    group_bounds,
+    previous_in_key,
+    sort_order,
+)
 from repro.trace.trace import Trace
 
-__all__ = ["ColumnarTimelines", "build_timelines_columnar", "WAIT_KIND_CODES"]
-
-#: Wait-kind code (uint8 column value) -> WaitKind, in a fixed order.
-WAIT_KIND_CODES: list[WaitKind] = [
-    WaitKind.LOCK,
-    WaitKind.BARRIER,
-    WaitKind.CONDITION,
-    WaitKind.JOIN,
-]
+__all__ = ["ColumnarTimelines", "build_timelines_columnar"]
 
 _ACQUIRE = int(EventType.ACQUIRE)
 _OBTAIN = int(EventType.OBTAIN)
@@ -113,53 +110,18 @@ class ColumnarTimelines:
     #: total event count of the underlying trace (walk-guard sizing)
     n_events: int = 0
 
-    # -- materialization ---------------------------------------------------
-
-    def to_object(self) -> dict[int, ThreadTimeline]:
-        """Rebuild the exact ``build_timelines`` output (objects)."""
-        out: dict[int, ThreadTimeline] = {}
-        for i, t in enumerate(self.tids):
-            tid = int(t)
-            tl = ThreadTimeline(
-                tid=tid,
-                name=self.names[i],
-                start=float(self.t_start[i]),
-                end=float(self.t_end[i]),
-            )
-            if self.creator_tid[i] >= 0:
-                tl.creator_tid = int(self.creator_tid[i])
-                tl.create_time = float(self.create_time[i])
-                tl.create_seq = int(self.create_seq[i])
-            lo, hi = int(self.wait_lo[i]), int(self.wait_hi[i])
-            tl.waits = [self._wait_at(j) for j in range(lo, hi)]
-            for obj in self.hold_obj_order.get(tid, ()):
-                glo, ghi = self.hold_groups[(tid, obj)]
-                tl.holds[obj] = [self._hold_at(j) for j in range(glo, ghi)]
-            out[tid] = tl
-        return out
-
-    def _wait_at(self, j: int) -> Wait:
-        return Wait(
-            tid=int(self.w_tid[j]),
-            kind=WAIT_KIND_CODES[self.w_kind[j]],
-            obj=int(self.w_obj[j]),
-            start=float(self.w_start[j]),
-            end=float(self.w_end[j]),
-            wake_seq=int(self.w_wake_seq[j]),
-            waker_tid=int(self.w_waker_tid[j]),
-            waker_time=float(self.w_waker_time[j]),
-            waker_seq=int(self.w_waker_seq[j]),
+    def wait_columns(self) -> tuple[np.ndarray, ...]:
+        """The wait columns in :class:`~repro.core.model.Wait` field order."""
+        return (
+            self.w_tid, self.w_kind, self.w_obj, self.w_start, self.w_end, self.w_wake_seq,
+            self.w_waker_tid, self.w_waker_time, self.w_waker_seq,
         )
 
-    def _hold_at(self, j: int) -> HoldInterval:
-        return HoldInterval(
-            tid=int(self.h_tid[j]),
-            obj=int(self.h_obj[j]),
-            start=float(self.h_start[j]),
-            end=float(self.h_end[j]),
-            contended=bool(self.h_contended[j]),
-            acquire_time=float(self.h_acquire[j]),
-        )
+    def exec_times(self) -> np.ndarray:
+        """Per thread: lifetime minus blocked time, each thread's waits
+        added in order."""
+        blocked = exact_group_sums(self.w_end - self.w_start, self.wait_lo, self.wait_hi)
+        return (self.t_end - self.t_start) - blocked
 
 
 def _slot_values(

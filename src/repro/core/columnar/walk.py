@@ -10,9 +10,9 @@ gives, for each wait, the wait the walk lands on after jumping to its
 waker, and for each thread the wait it lands on after jumping to its
 creator.  The walk itself then follows plain Python ints and records
 one integer per piece; the :class:`~repro.core.model.CriticalPath`
-columns are assembled from those with a few gathers, and no
-``CPPiece`` / ``Junction`` / ``Wait`` object is built unless a caller
-asks for one.
+columns (the traversed waits' fields included) are assembled from
+those with a few gathers, and no ``CPPiece`` / ``Junction`` / ``Wait``
+object is built unless a caller asks for one.
 """
 
 from __future__ import annotations
@@ -97,6 +97,6 @@ def compute_critical_path_columnar(trace: Trace, ct: ColumnarTimelines) -> Criti
         piece_start=gather(ct.w_end, ct.t_start),
         piece_end=piece_end,
         piece_wait=np.where(on_wait, step, -1),
-        wait_at=ct._wait_at,
+        wait_fields=tuple(col[rows] for col in ct.wait_columns()),
         trace_duration=trace.duration,
     )

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.analyzer import AnalysisResult
+from repro.core.columnar.metrics import exact_sum
 from repro.errors import AnalysisError
 
 __all__ = ["CriticalSectionModel", "eyerman_speedup", "fit_model"]
@@ -99,9 +100,7 @@ def fit_model(analysis: AnalysisResult) -> CriticalSectionModel:
     contention); ``p_ctn`` is the aggregate contended fraction of lock
     acquisitions, which grows with the thread count of the profiled run.
     """
-    total_lifetime = sum(
-        tl.lifetime - tl.total_wait for tl in analysis.timelines.values()
-    )
+    total_lifetime = exact_sum(analysis.timeline_columns.exec_times())
     if total_lifetime <= 0:
         raise AnalysisError("cannot fit model: zero total thread execution time")
     total_hold = 0.0
@@ -114,5 +113,5 @@ def fit_model(analysis: AnalysisResult) -> CriticalSectionModel:
     return CriticalSectionModel(
         f_crit=min(1.0, total_hold / total_lifetime),
         p_ctn=(contended / total_inv) if total_inv else 0.0,
-        nthreads=len(analysis.timelines),
+        nthreads=len(analysis.timeline_columns.tids),
     )

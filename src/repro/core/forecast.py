@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.analyzer import AnalysisResult
+from repro.core.columnar.metrics import exact_sum
 from repro.errors import AnalysisError
 from repro.tables import format_table
 from repro.units import format_percent
@@ -145,9 +146,7 @@ class ScalabilityForecast:
 
 def forecast(analysis: AnalysisResult) -> ScalabilityForecast:
     """Fit the roofline forecast from one analysis result."""
-    total_work = sum(
-        tl.lifetime - tl.total_wait for tl in analysis.timelines.values()
-    )
+    total_work = exact_sum(analysis.timeline_columns.exec_times())
     if total_work <= 0:
         raise AnalysisError("cannot forecast: zero total execution work")
     locks = []
@@ -166,6 +165,6 @@ def forecast(analysis: AnalysisResult) -> ScalabilityForecast:
     locks.sort(key=lambda lf: lf.serial_demand, reverse=True)
     return ScalabilityForecast(
         total_work=total_work,
-        profiled_threads=len(analysis.timelines),
+        profiled_threads=len(analysis.timeline_columns.tids),
         locks=locks,
     )

@@ -4,7 +4,6 @@ critical path and the TYPE 1 / TYPE 2 metric records."""
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +11,7 @@ import numpy as np
 from repro.trace.events import ObjectKind
 
 __all__ = [
+    "WAIT_KIND_CODES",
     "WaitKind",
     "Wait",
     "HoldInterval",
@@ -23,6 +23,7 @@ __all__ = [
     "CriticalPath",
     "LockMetrics",
     "ThreadStats",
+    "waits_from_columns",
 ]
 
 
@@ -33,6 +34,15 @@ class WaitKind(enum.Enum):
     BARRIER = "barrier"
     CONDITION = "condition"
     JOIN = "join"
+
+
+#: Wait-kind code (uint8 column value) -> WaitKind, in a fixed order.
+WAIT_KIND_CODES: list[WaitKind] = [
+    WaitKind.LOCK,
+    WaitKind.BARRIER,
+    WaitKind.CONDITION,
+    WaitKind.JOIN,
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +71,13 @@ class Wait:
         return self.end - self.start
 
 
+def waits_from_columns(cols: tuple[np.ndarray, ...]) -> list[Wait]:
+    """:class:`Wait` objects from columns in field order, ``kind`` coded."""
+    fields = [col.tolist() for col in cols]
+    fields[1] = [WAIT_KIND_CODES[k] for k in fields[1]]
+    return [Wait(*row) for row in zip(*fields)]
+
+
 @dataclass(frozen=True, slots=True)
 class HoldInterval:
     """One critical section: a lock held from ``start`` to ``end``."""
@@ -83,7 +100,8 @@ class HoldInterval:
 
 @dataclass(slots=True)
 class ThreadTimeline:
-    """Everything the analysis needs to know about one thread.
+    """One thread's waits and holds as objects: the per-event reference's
+    form of what the analysis keeps as ``ColumnarTimelines`` columns.
 
     ``waits`` and each ``holds[obj]`` list are in increasing time order.
     """
@@ -103,20 +121,12 @@ class ThreadTimeline:
         """Wall time between the thread's first and last event."""
         return self.end - self.start
 
-    @property
-    def total_wait(self) -> float:
-        return sum(w.duration for w in self.waits)
-
     def wait_time_by_kind(self) -> dict[WaitKind, float]:
         """Total blocked time per synchronization kind."""
         out: dict[WaitKind, float] = {}
         for w in self.waits:
             out[w.kind] = out.get(w.kind, 0.0) + w.duration
         return out
-
-    def hold_time(self, obj: int) -> float:
-        """Total time this thread held lock ``obj``."""
-        return sum(h.duration for h in self.holds.get(obj, ()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,12 +190,14 @@ class CriticalPath:
     The path is stored as columns with one row per piece, in forward
     time order: ``piece_tid``, ``piece_start``, ``piece_end`` and
     ``piece_wait`` — the row of the wait a piece begins after, ``-1``
-    when it begins at its thread's start; ``wait_at(row)`` returns that
-    :class:`Wait`.  The object views are built on first access:
-    ``pieces`` in forward time order; ``junctions`` marking the thread
-    crossings between consecutive pieces (``len(junctions) ==
-    len(pieces) - 1``); ``waits``, the blocked intervals the walk
-    traversed (one per synchronization junction, none for creations).
+    when it begins at its thread's start.  ``wait_fields`` are the
+    traversed waits' columns in :class:`Wait` field order (``kind`` as
+    its :data:`WAIT_KIND_CODES` code), one row per piece with
+    ``piece_wait >= 0``.  The object views are built on first access: ``pieces`` in forward time order;
+    ``junctions`` marking the thread crossings between consecutive
+    pieces (``len(junctions) == len(pieces) - 1``); ``waits``, the
+    blocked intervals the walk traversed (one per synchronization
+    junction, none for creations).
     """
 
     def __init__(
@@ -194,14 +206,14 @@ class CriticalPath:
         piece_start: np.ndarray,
         piece_end: np.ndarray,
         piece_wait: np.ndarray,
-        wait_at: Callable[[int], Wait],
+        wait_fields: tuple[np.ndarray, ...] | None,
         trace_duration: float,
     ):
         self.piece_tid = piece_tid
         self.piece_start = piece_start
         self.piece_end = piece_end
         self.piece_wait = piece_wait
-        self.wait_at = wait_at
+        self.wait_fields = wait_fields
         self.trace_duration = trace_duration
         self._pieces: list[CPPiece] | None = None
         self._junctions: list[Junction] | None = None
@@ -224,7 +236,7 @@ class CriticalPath:
             piece_start=np.array([p.start for p in pieces], dtype=np.float64),
             piece_end=np.array([p.end for p in pieces], dtype=np.float64),
             piece_wait=piece_wait,
-            wait_at=waits.__getitem__,
+            wait_fields=None,
             trace_duration=trace_duration,
         )
         cp._pieces, cp._junctions, cp._waits = pieces, junctions, waits
@@ -250,7 +262,7 @@ class CriticalPath:
     @property
     def waits(self) -> list[Wait]:
         if self._waits is None:
-            self._waits = [self.wait_at(row) for row in self.piece_wait.tolist() if row >= 0]
+            self._waits = waits_from_columns(self.wait_fields)
         return self._waits
 
     @property
@@ -260,30 +272,13 @@ class CriticalPath:
             starts = self.piece_start.tolist()
             waits = iter(self.waits)
             out: list[Junction] = []
-            for k, row in enumerate(self.piece_wait.tolist()):
-                w = next(waits) if row >= 0 else None
-                if k == 0:
-                    continue
-                if w is not None:
-                    out.append(
-                        Junction(
-                            time=w.end,
-                            from_tid=w.waker_tid,
-                            to_tid=tids[k],
-                            kind=w.kind,
-                            obj=w.obj,
-                        )
-                    )
+            # The first piece begins at its thread's start, never after a wait.
+            for k, row in enumerate(self.piece_wait.tolist()[1:], start=1):
+                if row >= 0:
+                    w = next(waits)
+                    out.append(Junction(w.end, w.waker_tid, tids[k], w.kind, w.obj))
                 else:
-                    out.append(
-                        Junction(
-                            time=starts[k],
-                            from_tid=tids[k - 1],
-                            to_tid=tids[k],
-                            kind=None,
-                            obj=-1,
-                        )
-                    )
+                    out.append(Junction(starts[k], tids[k - 1], tids[k], None, -1))
             self._junctions = out
         return self._junctions
 
@@ -313,13 +308,6 @@ class CriticalPath:
         release-to-obtain clock skew for real-thread traces.
         """
         return abs(self.length - self.trace_duration)
-
-    def pieces_by_thread(self) -> dict[int, list[CPPiece]]:
-        """Group pieces per thread (each group sorted by time)."""
-        out: dict[int, list[CPPiece]] = {}
-        for p in self.pieces:
-            out.setdefault(p.tid, []).append(p)
-        return out
 
     def junction_count(self, obj: int, kind: WaitKind | None = None) -> int:
         """Number of crossings attributed to a synchronization object."""

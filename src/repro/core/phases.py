@@ -10,14 +10,22 @@ lock CP shares, complementing the fixed-width windows of
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.analyzer import AnalysisResult
+from repro.core.columnar.metrics import cp_hold_by_interval
+from repro.trace.events import EventType
+from repro.trace.ops import dense_keys
+from repro.trace.trace import Trace
 from repro.tables import format_table
 from repro.units import format_duration, format_percent
 
 __all__ = ["Phase", "PhaseReport", "split_phases"]
+
+_ARRIVE = int(EventType.BARRIER_ARRIVE)
+_DEPART = int(EventType.BARRIER_DEPART)
 
 
 @dataclass(frozen=True)
@@ -75,71 +83,52 @@ def split_phases(analysis: AnalysisResult) -> PhaseReport:
     critical path.
     """
     trace = analysis.trace
-    nthreads = len(analysis.timelines)
-    # Find global-barrier departure times via the timelines' waits plus
-    # the last arrivers (who have no wait): collect per (obj, gen)
-    # participant counts from the raw trace.
-    from collections import defaultdict
-
-    from repro.trace.events import EventType
-
-    cohorts: dict[tuple[int, int], int] = defaultdict(int)
-    depart_time: dict[tuple[int, int], float] = {}
-    for ev in trace:
-        if ev.etype == EventType.BARRIER_ARRIVE:
-            cohorts[(ev.obj, ev.arg)] += 1
-        elif ev.etype == EventType.BARRIER_DEPART:
-            depart_time[(ev.obj, ev.arg)] = max(
-                depart_time.get((ev.obj, ev.arg), 0.0), ev.time
-            )
-    boundaries = sorted(
-        (t, obj)
-        for (obj, gen), t in depart_time.items()
-        if cohorts[(obj, gen)] == nthreads
+    edges, objs = _global_barriers(trace, len(analysis.timeline_columns.tids))
+    locks = trace.locks
+    _, hold_time = cp_hold_by_interval(
+        analysis.timeline_columns, analysis.critical_path, np.array(edges),
+        [info.obj for info in locks],
     )
-
-    edges = [trace.start_time] + [t for t, _ in boundaries] + [trace.end_time]
-    objs = [obj for _, obj in boundaries] + [-1]
-    # Deduplicate degenerate spans (consecutive barriers at one instant).
     phases: list[Phase] = []
-    pieces_by_tid = analysis.critical_path.pieces_by_thread()
-    for i in range(len(edges) - 1):
-        start, end = edges[i], edges[i + 1]
+    for i, (start, end) in enumerate(zip(edges[:-1], edges[1:])):
+        # Skip degenerate spans (consecutive barriers at one instant).
         if end <= start:
             continue
-        shares = _phase_lock_shares(analysis, pieces_by_tid, start, end)
         phases.append(
             Phase(
                 index=len(phases),
                 start=start,
                 end=end,
                 boundary_obj=objs[i],
-                lock_cp_shares=shares,
+                lock_cp_shares={
+                    info.display_name: float(hold_time[i, col]) / (end - start)
+                    for col, info in enumerate(locks)
+                },
             )
         )
     return PhaseReport(phases=phases)
 
 
-def _phase_lock_shares(
-    analysis: AnalysisResult, pieces_by_tid, start: float, end: float
-) -> dict[str, float]:
-    span = end - start
-    shares: dict[str, float] = {}
-    for info in analysis.trace.locks:
-        total = 0.0
-        for tid, pieces in pieces_by_tid.items():
-            holds = analysis.timelines[tid].holds.get(info.obj)
-            if not holds:
-                continue
-            starts = [h.start for h in holds]
-            for p in pieces:
-                lo, hi = max(p.start, start), min(p.end, end)
-                if hi <= lo:
-                    continue
-                j = max(0, bisect_right(starts, lo) - 1)
-                while j < len(holds) and holds[j].start < hi:
-                    h = holds[j]
-                    total += max(0.0, min(hi, h.end) - max(lo, h.start))
-                    j += 1
-        shares[info.display_name] = total / span if span > 0 else 0.0
-    return shares
+def _global_barriers(trace: Trace, nthreads: int) -> tuple[list[float], list[int]]:
+    """Phase edges (trace start, each global departure, trace end) and
+    the barrier ending each phase (``-1`` for the last).
+
+    A generation ``(obj, gen)`` is global when ``nthreads`` threads
+    arrive at it; its departure time is the latest of its departures.
+    """
+    rows = trace.records[np.isin(trace.records["etype"], (_ARRIVE, _DEPART))]
+    keys, gen = np.unique(dense_keys(rows["obj"], rows["arg"]), return_inverse=True)
+    arrive = rows["etype"] == _ARRIVE
+    cohort = np.bincount(gen[arrive], minlength=len(keys))
+    departed = np.bincount(gen[~arrive], minlength=len(keys)) > 0
+    depart_time = np.zeros(len(keys))
+    np.maximum.at(depart_time, gen[~arrive], rows["time"][~arrive])
+    gen_obj = np.zeros(len(keys), dtype=np.int64)
+    gen_obj[gen] = rows["obj"]
+    is_global = departed & (cohort == nthreads)
+    times, objs = depart_time[is_global], gen_obj[is_global]
+    order = np.lexsort((objs, times))
+    return (
+        [trace.start_time] + times[order].tolist() + [trace.end_time],
+        objs[order].tolist() + [-1],
+    )

@@ -14,12 +14,12 @@ execution, the per-window shares are directly comparable across windows.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.analyzer import AnalysisResult
+from repro.core.columnar.metrics import cp_hold_by_interval
 from repro.errors import AnalysisError
 from repro.tables import format_table
 from repro.units import format_percent
@@ -84,54 +84,17 @@ def windowed_criticality(
     if end <= start:
         raise AnalysisError("trace has zero duration")
     edges = np.linspace(start, end, nwindows + 1)
-    locks = [info for info in trace.locks]
-    lock_names = [info.display_name for info in locks]
-    shares = np.zeros((nwindows, len(locks)))
-    window_cp = np.zeros(nwindows)
-
-    pieces_by_tid = analysis.critical_path.pieces_by_thread()
-
+    locks = trace.locks
     # Window CP time: pieces tile [start, end], so each window's CP time
-    # equals its width — but compute it from the pieces so the invariant
-    # holds even on real traces with coverage error.
-    for pieces in pieces_by_tid.values():
-        for p in pieces:
-            _accumulate(window_cp, edges, p.start, p.end, 1.0)
-
-    for col, info in enumerate(locks):
-        for tid, pieces in pieces_by_tid.items():
-            holds = analysis.timelines[tid].holds.get(info.obj)
-            if not holds:
-                continue
-            starts = [h.start for h in holds]
-            for p in pieces:
-                if p.duration <= 0:
-                    continue
-                i = max(0, bisect_right(starts, p.start) - 1)
-                while i < len(holds) and holds[i].start < p.end:
-                    h = holds[i]
-                    lo = max(p.start, h.start)
-                    hi = min(p.end, h.end)
-                    if hi > lo:
-                        _accumulate(shares[:, col], edges, lo, hi, 1.0)
-                    i += 1
-
+    # equals its width — but take it from the pieces so the shares hold
+    # even on real traces with coverage error.
+    window_cp, shares = cp_hold_by_interval(
+        analysis.timeline_columns, analysis.critical_path, edges, [i.obj for i in locks]
+    )
     nonzero = window_cp > 0
     shares[nonzero] /= window_cp[nonzero, None]
     return WindowedCriticality(
-        window_edges=edges, lock_names=lock_names, shares=shares
+        window_edges=edges,
+        lock_names=[info.display_name for info in locks],
+        shares=shares,
     )
-
-
-def _accumulate(
-    buckets: np.ndarray, edges: np.ndarray, lo: float, hi: float, weight: float
-) -> None:
-    """Add ``weight * overlap`` of [lo, hi) into each window bucket."""
-    if hi <= lo:
-        return
-    first = max(0, int(np.searchsorted(edges, lo, side="right")) - 1)
-    last = min(len(buckets) - 1, int(np.searchsorted(edges, hi, side="left")) - 1)
-    for w in range(first, last + 1):
-        overlap = min(hi, edges[w + 1]) - max(lo, edges[w])
-        if overlap > 0:
-            buckets[w] += weight * overlap

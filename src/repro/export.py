@@ -20,10 +20,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.analyzer import AnalysisResult
-from repro.core.model import WaitKind
+from repro.core.model import WAIT_KIND_CODES, WaitKind
 from repro.trace.trace import Trace
 
 __all__ = ["to_chrome_trace", "write_chrome_trace"]
+
+_JOIN_CODE = WAIT_KIND_CODES.index(WaitKind.JOIN)
 
 #: Microseconds per trace time unit (1 unit -> 1 ms keeps zooming sane).
 _SCALE_US = 1000.0
@@ -37,87 +39,56 @@ def to_chrome_trace(
         from repro.core.analyzer import analyze
 
         analysis = analyze(trace, validate=False)
-    events: list[dict[str, Any]] = []
     pid = 1
-
-    for tid in trace.thread_ids:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": trace.thread_name(tid)},
-            }
-        )
-
     t0 = trace.start_time
 
-    def us(t: float) -> float:
-        return (t - t0) * _SCALE_US
+    def thread_name(tid: int, name: str) -> dict[str, Any]:
+        return {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+                "args": {"name": name}}
 
-    for tid, tl in analysis.timelines.items():
-        for obj, holds in tl.holds.items():
+    def span(name: str, cat: str, tid: int, start: float, end: float,
+             args: dict[str, Any] | None = None) -> dict[str, Any]:
+        event = {"name": name, "cat": cat, "ph": "X", "pid": pid, "tid": tid,
+                 "ts": (start - t0) * _SCALE_US,
+                 "dur": max(0.0, (end - start) * _SCALE_US)}
+        if args is not None:
+            event["args"] = args
+        return event
+
+    events = [thread_name(tid, trace.thread_name(tid)) for tid in trace.thread_ids]
+    ct = analysis.timeline_columns
+    for i, tid in enumerate(ct.tids.tolist()):
+        for obj in ct.hold_obj_order.get(tid, ()):
             name = trace.object_name(obj)
-            for h in holds:
-                events.append(
-                    {
-                        "name": name,
-                        "cat": "critical-section",
-                        "ph": "X",
-                        "pid": pid,
-                        "tid": tid,
-                        "ts": us(h.start),
-                        "dur": max(0.0, (h.end - h.start) * _SCALE_US),
-                        "args": {"contended": h.contended},
-                    }
-                )
-        for w in tl.waits:
-            events.append(
-                {
-                    "name": f"wait:{_wait_label(trace, w)}",
-                    "cat": "blocked",
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": us(w.start),
-                    "dur": max(0.0, w.duration * _SCALE_US),
-                    "args": {"waker": trace.thread_name(w.waker_tid)},
-                }
-            )
+            lo, hi = ct.hold_groups[(tid, obj)]
+            for start, end, contended in zip(
+                ct.h_start[lo:hi].tolist(), ct.h_end[lo:hi].tolist(),
+                ct.h_contended[lo:hi].tolist(),
+            ):
+                events.append(span(name, "critical-section", tid, start, end,
+                                   {"contended": contended}))
+        lo, hi = ct.wait_lo[i], ct.wait_hi[i]
+        for kind, obj, start, end, waker_tid in zip(
+            ct.w_kind[lo:hi].tolist(), ct.w_obj[lo:hi].tolist(),
+            ct.w_start[lo:hi].tolist(), ct.w_end[lo:hi].tolist(),
+            ct.w_waker_tid[lo:hi].tolist(),
+        ):
+            label = (f"join {trace.thread_name(obj)}" if kind == _JOIN_CODE
+                     else trace.object_name(obj))
+            events.append(span(f"wait:{label}", "blocked", tid, start, end,
+                               {"waker": trace.thread_name(waker_tid)}))
 
-    # The critical path as its own row (tid -1): one slice per piece,
+    # The critical path as its own row (tid 10000): one slice per piece,
     # named after the thread the path runs through.
-    for p in analysis.critical_path.pieces:
-        if p.duration <= 0:
-            continue
-        events.append(
-            {
-                "name": f"on {trace.thread_name(p.tid)}",
-                "cat": "critical-path",
-                "ph": "X",
-                "pid": pid,
-                "tid": 10_000,
-                "ts": us(p.start),
-                "dur": p.duration * _SCALE_US,
-            }
-        )
-    events.append(
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 10_000,
-            "args": {"name": "CRITICAL PATH"},
-        }
-    )
+    cp = analysis.critical_path
+    for tid, start, end in zip(
+        cp.piece_tid.tolist(), cp.piece_start.tolist(), cp.piece_end.tolist()
+    ):
+        if end > start:
+            events.append(span(f"on {trace.thread_name(tid)}", "critical-path", 10_000,
+                               start, end))
+    events.append(thread_name(10_000, "CRITICAL PATH"))
     return events
-
-
-def _wait_label(trace: Trace, w) -> str:
-    if w.kind == WaitKind.JOIN:
-        return f"join {trace.thread_name(w.obj)}"
-    return trace.object_name(w.obj)
 
 
 def write_chrome_trace(
@@ -125,6 +96,7 @@ def write_chrome_trace(
 ) -> Path:
     """Write the Chrome trace JSON to ``path`` (open it in Perfetto)."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_chrome_trace(trace, analysis), fh)
+    # One dumps call: json.dump would stream through the pure-Python
+    # iterencode, several times slower for the same bytes.
+    path.write_text(json.dumps(to_chrome_trace(trace, analysis)), encoding="utf-8")
     return path

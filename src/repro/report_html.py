@@ -63,7 +63,7 @@ def render_html_report(
         f"<p>{report.nthreads} threads · completion time "
         f"{report.duration:.6g} · critical path length "
         f"{analysis.critical_path.length:.6g} "
-        f"({len(analysis.critical_path.pieces)} pieces) · hot critical "
+        f"({analysis.critical_path.piece_count} pieces) · hot critical "
         f"sections cover {format_percent(report.total_cp_lock_fraction)} "
         "of the path</p>",
     ]

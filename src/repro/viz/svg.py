@@ -48,7 +48,8 @@ def render_svg(
     def x(t: float) -> float:
         return _MARGIN_L + (t - t0) * scale
 
-    tids = sorted(analysis.timelines)
+    ct = analysis.timeline_columns
+    tids = ct.tids.tolist()
     locks_ranked = [
         m for m in analysis.report.top_locks() if m.total_invocations > 0
     ]
@@ -71,38 +72,41 @@ def render_svg(
     ]
 
     lane_y = {tid: _MARGIN_T + i * (_LANE_H + _LANE_GAP) for i, tid in enumerate(tids)}
-    for tid in tids:
-        tl = analysis.timelines[tid]
+    for i, (tid, start, end) in enumerate(
+        zip(tids, ct.t_start.tolist(), ct.t_end.tolist())
+    ):
         y = lane_y[tid]
         parts.append(
-            f'<text x="4" y="{y + _LANE_H * 0.65:.1f}">{escape(tl.name)}</text>'
+            f'<text x="4" y="{y + _LANE_H * 0.65:.1f}">{escape(ct.names[i])}</text>'
         )
         # Lifetime baseline.
         parts.append(
-            f'<rect x="{x(tl.start):.1f}" y="{y + _LANE_H * 0.4:.1f}" '
-            f'width="{max(1.0, (tl.end - tl.start) * scale):.1f}" '
+            f'<rect x="{x(start):.1f}" y="{y + _LANE_H * 0.4:.1f}" '
+            f'width="{max(1.0, (end - start) * scale):.1f}" '
             f'height="{_LANE_H * 0.2:.1f}" fill="#E0E0E0"/>'
         )
-        # Blocked intervals.
-        for w in tl.waits:
-            if w.duration <= 0:
-                continue
+        # Blocked intervals (the timelines keep none of zero length).
+        lo, hi = ct.wait_lo[i], ct.wait_hi[i]
+        for obj, w_start, w_end in zip(
+            ct.w_obj[lo:hi].tolist(), ct.w_start[lo:hi].tolist(), ct.w_end[lo:hi].tolist()
+        ):
             parts.append(
-                f'<rect x="{x(w.start):.1f}" y="{y + _LANE_H * 0.3:.1f}" '
-                f'width="{w.duration * scale:.1f}" height="{_LANE_H * 0.4:.1f}" '
+                f'<rect x="{x(w_start):.1f}" y="{y + _LANE_H * 0.3:.1f}" '
+                f'width="{(w_end - w_start) * scale:.1f}" height="{_LANE_H * 0.4:.1f}" '
                 f'fill="#BDBDBD" opacity="0.7">'
-                f"<title>blocked on {escape(trace.object_name(w.obj))}</title></rect>"
+                f"<title>blocked on {escape(trace.object_name(obj))}</title></rect>"
             )
         # Critical sections.
-        for obj, holds in tl.holds.items():
+        for obj in ct.hold_obj_order.get(tid, ()):
             color = color_of.get(obj, "#777777")
             name = escape(trace.object_name(obj))
-            for h in holds:
+            lo, hi = ct.hold_groups[(tid, obj)]
+            for h_start, h_end in zip(ct.h_start[lo:hi].tolist(), ct.h_end[lo:hi].tolist()):
                 parts.append(
-                    f'<rect x="{x(h.start):.1f}" y="{y:.1f}" '
-                    f'width="{max(1.0, h.duration * scale):.1f}" '
+                    f'<rect x="{x(h_start):.1f}" y="{y:.1f}" '
+                    f'width="{max(1.0, (h_end - h_start) * scale):.1f}" '
                     f'height="{_LANE_H * 0.8:.1f}" fill="{color}" rx="2">'
-                    f"<title>{name} [{h.start:.4g}, {h.end:.4g}]</title></rect>"
+                    f"<title>{name} [{h_start:.4g}, {h_end:.4g}]</title></rect>"
                 )
 
     # Critical-path lane + per-thread overlay.
@@ -111,20 +115,23 @@ def render_svg(
         f'<text x="4" y="{cp_y + _LANE_H * 0.65:.1f}" fill="{_CP_COLOR}">'
         "critical path</text>"
     )
-    for p in analysis.critical_path.pieces:
-        if p.duration <= 0:
+    cp = analysis.critical_path
+    for tid, start, end in zip(
+        cp.piece_tid.tolist(), cp.piece_start.tolist(), cp.piece_end.tolist()
+    ):
+        if end <= start:
             continue
         parts.append(
-            f'<rect x="{x(p.start):.1f}" y="{cp_y:.1f}" '
-            f'width="{max(1.0, p.duration * scale):.1f}" '
+            f'<rect x="{x(start):.1f}" y="{cp_y:.1f}" '
+            f'width="{max(1.0, (end - start) * scale):.1f}" '
             f'height="{_LANE_H * 0.5:.1f}" fill="{_CP_COLOR}">'
-            f"<title>on {escape(trace.thread_name(p.tid))}</title></rect>"
+            f"<title>on {escape(trace.thread_name(tid))}</title></rect>"
         )
-        y = lane_y.get(p.tid)
+        y = lane_y.get(tid)
         if y is not None:
             parts.append(
-                f'<rect x="{x(p.start):.1f}" y="{y - 3:.1f}" '
-                f'width="{max(1.0, p.duration * scale):.1f}" height="2.5" '
+                f'<rect x="{x(start):.1f}" y="{y - 3:.1f}" '
+                f'width="{max(1.0, (end - start) * scale):.1f}" height="2.5" '
                 f'fill="{_CP_COLOR}"/>'
             )
 

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import string
 
+import numpy as np
+
 from repro.core.analyzer import AnalysisResult, analyze
+from repro.core.columnar.metrics import split_intervals
 from repro.trace.trace import Trace
 
 __all__ = ["render_timeline"]
@@ -45,26 +48,59 @@ def render_timeline(
     locks_ranked = [m for m in analysis.report.top_locks() if m.total_invocations > 0]
     letter_of = {m.obj: letters[i % len(letters)] for i, m in enumerate(locks_ranked)}
 
-    cp_by_tid = analysis.critical_path.pieces_by_thread()
+    ct = analysis.timeline_columns
+    tids = ct.tids.tolist()
+    # Bucket k is [b0[k], b1[k]); cell t * width + k is thread t's bucket k.
+    b0 = t0 + np.arange(width) * dt
+    b1 = b0 + dt
+    ncells = len(tids) * width
 
-    lines = []
-    name_w = max((len(tl.name) for tl in analysis.timelines.values()), default=2)
-    for tid in sorted(analysis.timelines):
-        tl = analysis.timelines[tid]
-        row = []
-        pieces = cp_by_tid.get(tid, [])
-        for k in range(width):
-            b0 = t0 + k * dt
-            b1 = b0 + dt
-            mid0, mid1 = max(b0, tl.start), min(b1, tl.end)
-            if mid1 <= mid0 and not (tl.start == tl.end == b0):
-                row.append(" ")
-                continue
-            ch = _classify(tl, letter_of, b0, b1)
-            if show_cp and any(p.start < b1 and p.end > b0 and p.duration > 0 for p in pieces):
-                ch = ch.upper() if ch.isalpha() else ("#" if ch == "=" else ch)
-            row.append(ch)
-        lines.append(f"{tl.name.rjust(name_w)} |{''.join(row)}|")
+    def cells(tid: np.ndarray, start: np.ndarray, end: np.ndarray):
+        """(interval, cell, overlap) for every bucket of its thread an
+        interval overlaps for positive time, interval-major."""
+        item, bucket, overlap = split_intervals(start, end, b0, b1)
+        return item, np.searchsorted(ct.tids, tid)[item] * width + bucket, overlap
+
+    # Each cell's hold: the largest overlap, ties to the first hold in
+    # ``hold_obj_order`` and then start order (a scan keeping a strict >).
+    order = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.arange(*ct.hold_groups[(tid, obj)])
+        for tid in tids
+        for obj in ct.hold_obj_order.get(tid, ())
+    ])
+    hold, cell, overlap = cells(ct.h_tid[order], ct.h_start[order], ct.h_end[order])
+    hold_best = np.zeros(ncells)
+    np.maximum.at(hold_best, cell, overlap)
+    won = overlap == hold_best[cell]
+    won_cells, first = np.unique(cell[won], return_index=True)
+    hold_letter = np.full(ncells, "", dtype="<U1")
+    hold_letter[won_cells] = [
+        letter_of.get(obj, "?") for obj in ct.h_obj[order][hold[won][first]].tolist()
+    ]
+
+    _, cell, overlap = cells(ct.w_tid, ct.w_start, ct.w_end)
+    wait_time = np.bincount(cell, overlap, minlength=ncells)
+
+    cp = analysis.critical_path
+    _, cell, _ = cells(cp.piece_tid, cp.piece_start, cp.piece_end)
+    on_cp = np.zeros(ncells, dtype=bool)
+    on_cp[cell] = show_cp
+
+    start, end = ct.t_start[:, None], ct.t_end[:, None]
+    span = (np.minimum(end, b1) - np.maximum(start, b0)).ravel()
+    blank = (span <= 0) & ~((start == end) & (end == b0)).ravel()
+    chars = np.where(
+        (hold_best > 0) & (hold_best >= wait_time),
+        hold_letter,
+        np.where(wait_time > span / 2, ".", "="),
+    )
+    chars = np.where(on_cp, np.char.upper(np.char.replace(chars, "=", "#")), chars)
+    chars[blank] = " "
+    name_w = max((len(name) for name in ct.names), default=2)
+    lines = [
+        f"{name.rjust(name_w)} |{''.join(row)}|"
+        for name, row in zip(ct.names, chars.reshape(len(tids), width).tolist())
+    ]
 
     legend = "  ".join(
         f"{letter_of[m.obj]}={m.name}" for m in locks_ranked if m.obj in letter_of
@@ -77,26 +113,3 @@ def render_timeline(
     if legend:
         out.append("locks: " + legend)
     return "\n".join(out)
-
-
-def _classify(tl, letter_of: dict[int, str], b0: float, b1: float) -> str:
-    """Dominant state of thread ``tl`` within bucket [b0, b1)."""
-    hold_best = 0.0
-    hold_letter = ""
-    for obj, holds in tl.holds.items():
-        for h in holds:
-            ov = min(h.end, b1) - max(h.start, b0)
-            if ov > hold_best:
-                hold_best = ov
-                hold_letter = letter_of.get(obj, "?")
-    wait_time = 0.0
-    for w in tl.waits:
-        ov = min(w.end, b1) - max(w.start, b0)
-        if ov > 0:
-            wait_time += ov
-    span = min(tl.end, b1) - max(tl.start, b0)
-    if hold_best > 0 and hold_best >= wait_time:
-        return hold_letter
-    if wait_time > span / 2:
-        return "."
-    return "="

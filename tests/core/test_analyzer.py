@@ -12,7 +12,7 @@ def test_full_pipeline(micro_trace):
     assert result.report.nthreads == 4
     assert result.report.duration == pytest.approx(12.0)
     assert result.critical_path.length == pytest.approx(12.0)
-    assert set(result.timelines) == {0, 1, 2, 3}
+    assert set(result.timeline_columns.tids.tolist()) == {0, 1, 2, 3}
     assert "critical lock analysis" in result.render()
 
 

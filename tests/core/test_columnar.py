@@ -84,9 +84,17 @@ def test_default_analyze_constructs_no_per_event_objects(monkeypatch):
     so a ``Wait``/``CPPiece``/``Junction`` built inside ``core/columnar/``
     slips past it.  Make every per-event constructor raise instead: the
     default path (validation on) must still analyze and render the
-    50k-event trace."""
-    from repro.core.model import CPPiece, HoldInterval, Junction, Wait
+    50k-event trace, and every analysis view must run on the result."""
+    from repro.core.blame import compute_blame
+    from repro.core.eyerman import fit_model
+    from repro.core.forecast import forecast
+    from repro.core.model import CPPiece, HoldInterval, Junction, ThreadTimeline, Wait
+    from repro.core.phases import split_phases
+    from repro.core.windows import windowed_criticality
+    from repro.export import to_chrome_trace
     from repro.trace.events import Event
+    from repro.viz.svg import render_svg
+    from repro.viz.timeline import render_timeline
 
     trace = SyntheticLocks(ops_per_thread=2100, nlocks=8, barrier_every=250).run(
         nthreads=8, seed=0
@@ -96,10 +104,18 @@ def test_default_analyze_constructs_no_per_event_objects(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("default analyze built a per-event object")
 
-    for cls in (Wait, CPPiece, Junction, HoldInterval, Event):
+    for cls in (Wait, CPPiece, Junction, HoldInterval, ThreadTimeline, Event):
         monkeypatch.setattr(cls, "__init__", forbidden)
     result = analyze(trace)
     assert "critical lock analysis" in result.render()
+    assert windowed_criticality(result, 10).nwindows == 10
+    assert split_phases(result).phases
+    assert compute_blame(result).locks
+    assert fit_model(result).nthreads == 8
+    assert forecast(result).locks
+    assert to_chrome_trace(trace, result)
+    assert render_svg(trace, result).startswith("<svg")
+    assert "locks:" in render_timeline(trace, result)
     assert result.critical_path.piece_count > 1000
     with pytest.raises(AssertionError, match="per-event object"):
         result.critical_path.pieces  # the patches are live
@@ -192,11 +208,14 @@ def test_equal_timestamp_traces_agree_across_engines(seed):
     a, b = results.values()
     assert a.render(None) == b.render(None)
     assert a.critical_path.pieces == b.critical_path.pieces
-    for name, res in results.items():
-        for tl in res.timelines.values():
-            assert all(w.duration > 0 for w in tl.waits), (
-                f"zero-duration wait survived in the {name} pipeline"
-            )
+    ct = a.timeline_columns
+    assert np.all(ct.w_end > ct.w_start), (
+        "zero-duration wait survived in the columnar pipeline"
+    )
+    for tl in b.timelines.values():
+        assert all(w.duration > 0 for w in tl.waits), (
+            "zero-duration wait survived in the reference pipeline"
+        )
 
 
 BARRIER_WORKLOADS = [
@@ -274,9 +293,10 @@ def test_observe_batch_micro_matches_offline():
     offline = analyze(trace)
     online = OnlineAnalyzer(trace)
     online.observe_batch(trace.records)
+    ct = offline.timeline_columns
     for obj, m in offline.report.locks.items():
         ls = online.stats(obj)
         assert ls.invocations == m.total_invocations
         assert ls.hold_time == pytest.approx(
-            sum(tl.hold_time(obj) for tl in offline.timelines.values()), abs=1e-9
+            float(np.sum((ct.h_end - ct.h_start)[ct.h_obj == obj])), abs=1e-9
         )

@@ -27,8 +27,8 @@ def test_lifetime_and_totals(handoff_trace):
     timelines = build_timelines(handoff_trace)
     assert timelines[0].lifetime == 4.0
     assert timelines[1].lifetime == 6.0
-    assert timelines[1].total_wait == 2.0
-    assert timelines[1].hold_time(0) == 1.0
+    assert sum(w.duration for w in timelines[1].waits) == 2.0
+    assert sum(h.duration for h in timelines[1].holds[0]) == 1.0
     assert timelines[0].wait_time_by_kind() == {}
 
 

@@ -3,7 +3,7 @@
 import time
 
 from repro.core.analyzer import analyze
-from repro.core.model import WaitKind
+from repro.core.model import WAIT_KIND_CODES, WaitKind
 from repro.instrument import ProfilingSession
 from repro.trace.events import EventType
 from repro.trace.validate import validate_trace
@@ -78,7 +78,8 @@ def test_condition_signal_attribution():
     # The analysis attributes the wait to the condition variable.
     analysis = analyze(trace)
     waiter_tid = next(t for t, n in trace.threads.items() if n == "waiter")
-    kinds = {w.kind for w in analysis.timelines[waiter_tid].waits}
+    ct = analysis.timeline_columns
+    kinds = {WAIT_KIND_CODES[k] for k in ct.w_kind[ct.w_tid == waiter_tid].tolist()}
     assert WaitKind.CONDITION in kinds
 
 

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.analyzer import analyze
@@ -40,7 +41,9 @@ def test_join_of_exited_thread_records_no_wait():
     begin = next(ev for ev in trace if ev.etype == EventType.JOIN_BEGIN)
     end = next(ev for ev in trace if ev.etype == EventType.JOIN_END)
     assert end.time == begin.time
-    assert analyze(trace).timelines[0].waits == []
+    ct = analyze(trace).timeline_columns
+    assert 0 in ct.tids.tolist()
+    assert not np.any(ct.w_tid == 0)
 
 
 def test_double_start_rejected():

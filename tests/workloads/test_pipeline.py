@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analyzer import analyze
-from repro.core.model import WaitKind
+from repro.core.model import WAIT_KIND_CODES, WaitKind
 from repro.trace.validate import validate_trace
 from repro.workloads import Pipeline
 
@@ -28,10 +28,9 @@ def test_cond_waits_analyzed(run8):
     analysis = analyze(run8.trace)
     # Channel getters/putters block on the condition variables...
     cond_waits = [
-        w
-        for tl in analysis.timelines.values()
-        for w in tl.waits
-        if w.kind == WaitKind.CONDITION
+        k
+        for k in analysis.timeline_columns.w_kind.tolist()
+        if WAIT_KIND_CODES[k] == WaitKind.CONDITION
     ]
     assert cond_waits
     # ...and the walk stays exact through signal/reacquire chains.  (The

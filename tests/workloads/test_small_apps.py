@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analyzer import analyze
-from repro.core.model import WaitKind
+from repro.core.model import WAIT_KIND_CODES, WaitKind
 from repro.trace.events import EventType, ObjectKind
 from repro.trace.validate import validate_trace
 from repro.workloads import LDAPServer, Raytrace, SyntheticLocks, Volrend, WaterNSquared
@@ -127,9 +127,8 @@ class TestSynthetic:
         validate_trace(res.trace)
         analysis = analyze(res.trace)
         assert any(
-            w.kind == WaitKind.BARRIER
-            for tl in analysis.timelines.values()
-            for w in tl.waits
+            WAIT_KIND_CODES[k] == WaitKind.BARRIER
+            for k in analysis.timeline_columns.w_kind.tolist()
         )
 
     def test_invalid_nlocks(self):
