@@ -51,6 +51,13 @@ def exact_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1])
 
 
+def _expand(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, first[i] + j)`` for every ``i`` and ``j < count[i]``, i-major."""
+    owner = np.repeat(np.arange(len(first)), count)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    return owner, first[owner] + offset
+
+
 def interval_overlaps(
     q_s: np.ndarray,
     q_e: np.ndarray,
@@ -63,21 +70,15 @@ def interval_overlaps(
     intervals ``[lo[i], hi[i])``, added in reference order.
 
     Each term is ``max(0, min(q_e, r_e) - max(q_s, r_s))``.  The
-    multiplicity loop (one vectorized step per window offset) adds each
-    query's terms left to right, the order a two-pointer sweep over the
-    references adds them in, so the sums are bit-identical to one.
+    (query, reference) pairs are listed query-major and ``bincount``
+    adds their terms in that order, left to right within a query: the
+    order a two-pointer sweep over the references adds them in, so the
+    sums are bit-identical to one.
     """
-    k = np.maximum(hi - lo, 0)
-    acc = np.zeros(len(q_s), dtype=np.float64)
-    for j in range(int(k.max()) if len(k) else 0):
-        sel = k > j
-        idx = lo[sel] + j
-        term = np.maximum(
-            0.0,
-            np.minimum(q_e[sel], r_e[idx]) - np.maximum(q_s[sel], r_s[idx]),
-        )
-        acc[sel] = acc[sel] + term
-    return acc
+    q, r = _expand(lo, np.maximum(hi - lo, 0))
+    term = np.maximum(0.0, np.minimum(q_e[q], r_e[r]) - np.maximum(q_s[q], r_s[r]))
+    # A bincount of no items comes back as int64: keep the sums float.
+    return np.bincount(q, term, minlength=len(q_s)).astype(np.float64)
 
 
 def _piece_range(
@@ -127,13 +128,6 @@ def thread_pieces(cp: CriticalPath) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     }
 
 
-def _expand(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(i, first[i] + j)`` for every ``i`` and ``j < count[i]``, i-major."""
-    owner = np.repeat(np.arange(len(first)), count)
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
-    return owner, first[owner] + offset
-
-
 def split_intervals(
     s: np.ndarray, e: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,6 +156,7 @@ def cp_hold_by_interval(
     """
     nint, lo, hi = len(edges) - 1, edges[:-1], edges[1:]
     _, where, overlap = split_intervals(cp.piece_start, cp.piece_end, lo, hi)
+    # A bincount of no items comes back as int64: keep the sums float.
     cp_time = np.bincount(where, overlap, minlength=nint).astype(np.float64)
 
     column = {obj: j for j, obj in enumerate(objs)}
@@ -179,7 +174,6 @@ def cp_hold_by_interval(
         seg_col.append(np.full(len(hold), column[obj], dtype=np.int64))
     seg, where, overlap = split_intervals(np.concatenate(seg_s), np.concatenate(seg_e), lo, hi)
     cells = where * len(objs) + np.concatenate(seg_col)[seg]
-    # bincount of no cells counts in int64: keep the float dtype.
     hold_time = np.bincount(cells, overlap, minlength=nint * len(objs)).astype(np.float64)
     return cp_time, hold_time.reshape(nint, len(objs))
 
