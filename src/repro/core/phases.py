@@ -121,7 +121,7 @@ def _global_barriers(trace: Trace, nthreads: int) -> tuple[list[float], list[int
     arrive = rows["etype"] == _ARRIVE
     cohort = np.bincount(gen[arrive], minlength=len(keys))
     departed = np.bincount(gen[~arrive], minlength=len(keys)) > 0
-    depart_time = np.zeros(len(keys))
+    depart_time = np.full(len(keys), -np.inf)
     np.maximum.at(depart_time, gen[~arrive], rows["time"][~arrive])
     gen_obj = np.zeros(len(keys), dtype=np.int64)
     gen_obj[gen] = rows["obj"]

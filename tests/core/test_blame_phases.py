@@ -6,6 +6,7 @@ from repro.core.analyzer import analyze
 from repro.core.blame import compute_blame
 from repro.core.phases import split_phases
 from repro.sim import Program
+from repro.trace.builder import TraceBuilder
 from repro.workloads import MicroBenchmark
 
 from tests.conftest import make_micro_program
@@ -112,6 +113,21 @@ class TestPhases:
         prog.spawn(loner)
         report = split_phases(analyze(prog.run().trace))
         assert len(report.phases) == 1
+
+    def test_negative_timestamps(self):
+        """A global barrier departing at -5 splits [-10, -1] there."""
+        b = TraceBuilder()
+        bar = b.barrier_obj("B")
+        t0, t1 = b.thread("a"), b.thread("b")
+        t0.start(at=-10.0)
+        t1.start(at=-10.0)
+        t0.barrier(bar, arrive=-7.0, depart=-5.0)
+        t1.barrier(bar, arrive=-5.0, depart=-5.0)
+        t0.exit(at=-1.0)
+        t1.exit(at=-2.0)
+        report = split_phases(analyze(b.build()))
+        assert [(p.start, p.end) for p in report.phases] == [(-10.0, -5.0), (-5.0, -1.0)]
+        assert report.phases[0].boundary_obj == bar
 
     def test_render(self):
         analysis = analyze(self.make_phased_program().trace)
