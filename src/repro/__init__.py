@@ -17,21 +17,24 @@ Top-level convenience imports::
     print(report.report.render())
 """
 
-from repro.core.analyzer import AnalysisResult, analyze
-from repro.replay import reconstruct
-from repro.sim import Program
-from repro.trace import Trace, TraceBuilder, read_trace, write_trace
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.analyzer import AnalysisResult, analyze
+    from repro.replay import reconstruct
+    from repro.sim import Program
+    from repro.trace import Trace, TraceBuilder, read_trace, write_trace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Program",
-    "Trace",
-    "TraceBuilder",
-    "analyze",
-    "AnalysisResult",
-    "reconstruct",
-    "read_trace",
-    "write_trace",
-    "__version__",
-]
+# Nothing is imported until it is used: ``import repro.cli`` must not
+# load the simulator (see ``repro._lazy``).
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.analyzer": ("AnalysisResult", "analyze"),
+    "repro.replay": ("reconstruct",),
+    "repro.sim": ("Program",),
+    "repro.trace": ("Trace", "TraceBuilder", "read_trace", "write_trace"),
+})
+__all__.append("__version__")

@@ -23,14 +23,14 @@ import argparse
 import json
 import sys
 
+# The default path, trace bytes to report, and nothing else: every other
+# subcommand imports what it runs inside its handler, and each optional
+# view of ``analyze`` only when its flag is set.  ``analyze`` and
+# ``read_trace`` stay module attributes so they can be wrapped in place.
 from repro.core.analyzer import analyze
-from repro.core.whatif import predict_shrink
 from repro.errors import ReproError
-from repro.experiments.harness import list_experiments, run_experiment
 from repro.trace.reader import read_trace
 from repro.trace.writer import write_trace
-from repro.viz.timeline import render_timeline
-from repro.workloads import available_workloads, get_workload
 
 __all__ = ["main", "build_parser"]
 
@@ -46,16 +46,29 @@ def _version_string() -> str:
     return f"critical-lock-analysis {version}"
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that reads the package metadata only when given."""
+
+    def __init__(self, option_strings, dest):
+        super().__init__(option_strings, argparse.SUPPRESS, nargs=0,
+                         default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(_version_string())
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="critical-lock-analysis",
         description="Critical lock analysis (SC 2012) — simulate, trace, analyze.",
     )
-    p.add_argument("--version", action="version", version=_version_string())
+    p.add_argument("--version", action=_VersionAction)
     sub = p.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a workload on the simulator")
-    run_p.add_argument("workload", help=f"one of: {', '.join(available_workloads())}")
+    run_p.add_argument("workload", help="workload name (see the list subcommand)")
     run_p.add_argument("--threads", "-t", type=int, default=4)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--cores", type=int, default=None, help="simulated core limit")
@@ -184,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     ex_p.add_argument(
-        "exp_id", help=f"one of: {', '.join(list_experiments())}, or 'all'"
+        "exp_id", help="experiment id (see the list subcommand), or 'all'"
     )
     ex_p.add_argument("--output", "-o", help="also append the tables to this file")
 
@@ -341,6 +354,8 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.workloads import get_workload
+
     cls = get_workload(args.workload)
     wl = cls(**_parse_params(args.param))
     result = wl.run(nthreads=args.threads, seed=args.seed, cores=args.cores)
@@ -358,18 +373,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.core.eyerman import fit_model
-    from repro.core.lockorder import build_lock_order
-    from repro.core.windows import windowed_criticality
-    from repro.viz.profile import render_lock_profile
-
-    from repro.core.estimate import estimate_report
-    from repro.sampling import downsample_trace, trace_sample_rate
+    from repro.sampling.sampler import trace_sample_rate
 
     trace = read_trace(args.trace)
     if trace_sample_rate(trace) is not None:
         # A sampled capture: the exact engine's numbers would silently
         # describe the sample, not the execution — estimate instead.
+        from repro.core.estimate import estimate_report
+
         est = estimate_report(trace)
         if args.json:
             print(json.dumps(est.to_dict(), indent=2))
@@ -379,6 +390,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     analysis = analyze(trace, validate=not args.no_validate)
     est = None
     if args.sample_rate is not None:
+        from repro.core.estimate import estimate_report
+        from repro.sampling.sampler import downsample_trace
+
         sampled = downsample_trace(trace, args.sample_rate, seed=args.sample_seed)
         est = estimate_report(sampled)
     if args.json:
@@ -392,18 +406,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print()
             print(est.render(args.top))
     if args.timeline:
+        from repro.viz.timeline import render_timeline
+
         print()
         print(render_timeline(trace, analysis))
     if args.chart:
+        from repro.viz.profile import render_lock_profile
+
         print()
         print(render_lock_profile(analysis.report, n=args.top))
     if args.windows:
+        from repro.core.windows import windowed_criticality
+
         print()
         print(windowed_criticality(analysis, args.windows).render())
     if args.lock_order:
+        from repro.core.lockorder import build_lock_order
+
         print()
         print(build_lock_order(trace).render())
     if args.model:
+        from repro.core.eyerman import fit_model
+
         print()
         model = fit_model(analysis)
         print(model)
@@ -551,11 +575,15 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         raise ReproError(
             "whatif needs a lock name (shrink mode) or --protocol/--scheduler"
         )
+    from repro.core.whatif import predict_shrink
+
     print(predict_shrink(trace, args.lock, factor=args.factor))
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments.harness import list_experiments, run_experiment
+
     ids = list_experiments() if args.exp_id == "all" else [args.exp_id]
     sink = open(args.output, "a", encoding="utf-8") if args.output else None
     try:
@@ -773,6 +801,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    from repro.experiments.harness import list_experiments
+    from repro.workloads import available_workloads
+
     print("workloads:")
     for name in available_workloads():
         print(f"  {name}")

@@ -20,89 +20,73 @@ reference in :mod:`repro.check.reference` (bit-identical output, see
 ``docs/algorithm.md``).
 """
 
-from repro.core.analyzer import AnalysisResult, analyze
-from repro.core.columnar import (
-    ColumnarTimelines,
-    ColumnarWakers,
-    build_timelines_columnar,
-    resolve_wakers_columnar,
-)
-from repro.core.attribution import LockAttribution, attribute_lock
-from repro.core.blame import BlameReport, compute_blame
-from repro.core.compare import ComparisonReport, compare_analyses
-from repro.core.dag import EventGraph, build_event_graph
-from repro.core.estimate import EstimatedReport, LockEstimate, estimate_report
-from repro.core.eyerman import CriticalSectionModel, eyerman_speedup, fit_model
-from repro.core.forecast import ScalabilityForecast, forecast
-from repro.core.lockorder import LockOrderGraph, build_lock_order
-from repro.core.online import OnlineAnalyzer
-from repro.core.planner import OptimizationPlan, plan_optimizations
-from repro.core.model import (
-    CPPiece,
-    CriticalPath,
-    HoldInterval,
-    LockMetrics,
-    ThreadTimeline,
-    Wait,
-    WaitKind,
-)
-from repro.core.phases import PhaseReport, split_phases
-from repro.core.replay_whatif import (
-    LockDelta,
-    ProtocolForecast,
-    forecast_matrix,
-    replay_identity,
-    replay_whatif,
-)
-from repro.core.report import AnalysisReport
-from repro.core.whatif import WhatIfResult, predict_shrink
-from repro.core.windows import WindowedCriticality, windowed_criticality
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "analyze",
-    "AnalysisResult",
-    "AnalysisReport",
-    "ColumnarTimelines",
-    "ColumnarWakers",
-    "BlameReport",
-    "LockAttribution",
-    "ComparisonReport",
-    "CriticalPath",
-    "CriticalSectionModel",
-    "CPPiece",
-    "EstimatedReport",
-    "EventGraph",
-    "HoldInterval",
-    "LockDelta",
-    "LockEstimate",
-    "LockMetrics",
-    "LockOrderGraph",
-    "OnlineAnalyzer",
-    "OptimizationPlan",
-    "ProtocolForecast",
-    "ScalabilityForecast",
-    "PhaseReport",
-    "ThreadTimeline",
-    "Wait",
-    "WaitKind",
-    "WhatIfResult",
-    "WindowedCriticality",
-    "attribute_lock",
-    "build_event_graph",
-    "build_lock_order",
-    "build_timelines_columnar",
-    "resolve_wakers_columnar",
-    "compare_analyses",
-    "compute_blame",
-    "estimate_report",
-    "eyerman_speedup",
-    "fit_model",
-    "forecast",
-    "forecast_matrix",
-    "plan_optimizations",
-    "predict_shrink",
-    "replay_identity",
-    "replay_whatif",
-    "split_phases",
-    "windowed_criticality",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.analyzer import AnalysisResult, analyze
+    from repro.core.columnar import (
+        ColumnarTimelines,
+        ColumnarWakers,
+        build_timelines_columnar,
+        resolve_wakers_columnar,
+    )
+    from repro.core.attribution import LockAttribution, attribute_lock
+    from repro.core.blame import BlameReport, compute_blame
+    from repro.core.compare import ComparisonReport, compare_analyses
+    from repro.core.dag import EventGraph, build_event_graph
+    from repro.core.estimate import EstimatedReport, LockEstimate, estimate_report
+    from repro.core.eyerman import CriticalSectionModel, eyerman_speedup, fit_model
+    from repro.core.forecast import ScalabilityForecast, forecast
+    from repro.core.lockorder import LockOrderGraph, build_lock_order
+    from repro.core.online import OnlineAnalyzer
+    from repro.core.planner import OptimizationPlan, plan_optimizations
+    from repro.core.model import (
+        CPPiece,
+        CriticalPath,
+        HoldInterval,
+        LockMetrics,
+        ThreadTimeline,
+        Wait,
+        WaitKind,
+    )
+    from repro.core.phases import PhaseReport, split_phases
+    from repro.core.replay_whatif import (
+        LockDelta,
+        ProtocolForecast,
+        forecast_matrix,
+        replay_identity,
+        replay_whatif,
+    )
+    from repro.core.report import AnalysisReport
+    from repro.core.whatif import WhatIfResult, predict_shrink
+    from repro.core.windows import WindowedCriticality, windowed_criticality
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.analyzer": ("AnalysisResult", "analyze"),
+    "repro.core.columnar.timelines": ("ColumnarTimelines", "build_timelines_columnar"),
+    "repro.core.columnar.wakers": ("ColumnarWakers", "resolve_wakers_columnar"),
+    "repro.core.attribution": ("LockAttribution", "attribute_lock"),
+    "repro.core.blame": ("BlameReport", "compute_blame"),
+    "repro.core.compare": ("ComparisonReport", "compare_analyses"),
+    "repro.core.dag": ("EventGraph", "build_event_graph"),
+    "repro.core.estimate": ("EstimatedReport", "LockEstimate", "estimate_report"),
+    "repro.core.eyerman": ("CriticalSectionModel", "eyerman_speedup", "fit_model"),
+    "repro.core.forecast": ("ScalabilityForecast", "forecast"),
+    "repro.core.lockorder": ("LockOrderGraph", "build_lock_order"),
+    "repro.core.online": ("OnlineAnalyzer",),
+    "repro.core.planner": ("OptimizationPlan", "plan_optimizations"),
+    "repro.core.model": (
+        "CPPiece", "CriticalPath", "HoldInterval", "LockMetrics",
+        "ThreadTimeline", "Wait", "WaitKind",
+    ),
+    "repro.core.phases": ("PhaseReport", "split_phases"),
+    "repro.core.replay_whatif": (
+        "LockDelta", "ProtocolForecast", "forecast_matrix", "replay_identity",
+        "replay_whatif",
+    ),
+    "repro.core.report": ("AnalysisReport",),
+    "repro.core.whatif": ("WhatIfResult", "predict_shrink"),
+    "repro.core.windows": ("WindowedCriticality", "windowed_criticality"),
+})

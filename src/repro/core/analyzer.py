@@ -19,6 +19,7 @@ bit-identical output on every fuzzed seed.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.core.columnar.metrics import (
     compute_metrics_columnar,
@@ -27,12 +28,14 @@ from repro.core.columnar.metrics import (
 from repro.core.columnar.timelines import ColumnarTimelines, build_timelines_columnar
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.columnar.walk import compute_critical_path_columnar
-from repro.core.dag import EventGraph, build_event_graph
 from repro.core.model import CriticalPath
 from repro.core.report import AnalysisReport
-from repro.core.whatif import WhatIfResult, predict_no_contention, predict_shrink
 from repro.trace.trace import Trace
 from repro.trace.validate import validate_trace
+
+if TYPE_CHECKING:  # the DAG and what-if load on first use, not per analyze
+    from repro.core.dag import EventGraph
+    from repro.core.whatif import WhatIfResult
 
 __all__ = ["AnalysisResult", "analyze"]
 
@@ -61,10 +64,14 @@ class AnalysisResult:
     @cached_property
     def graph(self) -> EventGraph:
         """Event DAG (built lazily; used by cross-checks and what-if)."""
+        from repro.core.dag import build_event_graph
+
         return build_event_graph(self.trace, self.timeline_columns, self.waker_columns)
 
     def what_if(self, lock: int | str, factor: float = 0.0) -> WhatIfResult:
         """Predict the speedup from shrinking ``lock``'s critical sections."""
+        from repro.core.whatif import predict_shrink
+
         return predict_shrink(self.trace, lock, factor, graph=self.graph)
 
     def what_if_no_contention(self, lock: int | str) -> WhatIfResult:
@@ -74,6 +81,8 @@ class AnalysisResult:
         memory): waiters stop serializing behind holders while the
         critical sections' own work is kept.
         """
+        from repro.core.whatif import predict_no_contention
+
         return predict_no_contention(self.trace, lock, graph=self.graph)
 
     def render(self, n: int | None = 10) -> str:

@@ -10,32 +10,33 @@ the exact engine, and powers the ``sample-coverage`` oracle invariant
 and the golden cross-validation tests.  See ``docs/sampling.md``.
 """
 
-from repro.sampling.crossval import (
-    CrossValidation,
-    LockCoverage,
-    RateValidation,
-    cross_validate,
-)
-from repro.sampling.sampler import (
-    SAMPLING_STRATEGY,
-    EventSampler,
-    downsample_trace,
-    sample_mask,
-    sampling_meta,
-    trace_sample_rate,
-    unit_hash,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "SAMPLING_STRATEGY",
-    "CrossValidation",
-    "EventSampler",
-    "LockCoverage",
-    "RateValidation",
-    "cross_validate",
-    "downsample_trace",
-    "sample_mask",
-    "sampling_meta",
-    "trace_sample_rate",
-    "unit_hash",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sampling.crossval import (
+        CrossValidation,
+        LockCoverage,
+        RateValidation,
+        cross_validate,
+    )
+    from repro.sampling.sampler import (
+        SAMPLING_STRATEGY,
+        EventSampler,
+        downsample_trace,
+        sample_mask,
+        sampling_meta,
+        trace_sample_rate,
+        unit_hash,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sampling.crossval": (
+        "CrossValidation", "LockCoverage", "RateValidation", "cross_validate",
+    ),
+    "repro.sampling.sampler": (
+        "SAMPLING_STRATEGY", "EventSampler", "downsample_trace", "sample_mask",
+        "sampling_meta", "trace_sample_rate", "unit_hash",
+    ),
+})

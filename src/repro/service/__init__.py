@@ -26,46 +26,43 @@ Layering::
     client.py   keep-alive HTTP client (follows ring redirects)
 """
 
-from repro.service.api import ServiceAPI
-from repro.service.backend import (
-    BackendMissing,
-    DirectoryObjectClient,
-    LocalDiskBackend,
-    MemoryObjectClient,
-    ObjectBackend,
-    StorageBackend,
-    make_backend,
-)
-from repro.service.cache import ResultCache
-from repro.service.client import ServiceClient
-from repro.service.jobs import JOB_KINDS, Job, JobSpec, JobStore, execute
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
-from repro.service.pool import WorkerPool
-from repro.service.ring import HashRing
-from repro.service.store import TraceStore
-from repro.service.stream import StreamSession, StreamStore
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ServiceAPI",
-    "ServiceClient",
-    "ResultCache",
-    "TraceStore",
-    "StorageBackend",
-    "LocalDiskBackend",
-    "ObjectBackend",
-    "MemoryObjectClient",
-    "DirectoryObjectClient",
-    "BackendMissing",
-    "make_backend",
-    "HashRing",
-    "StreamStore",
-    "StreamSession",
-    "WorkerPool",
-    "JobStore",
-    "Job",
-    "JobSpec",
-    "JOB_KINDS",
-    "execute",
-    "ServiceMetrics",
-    "LatencyHistogram",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.api import ServiceAPI
+    from repro.service.backend import (
+        BackendMissing,
+        DirectoryObjectClient,
+        LocalDiskBackend,
+        MemoryObjectClient,
+        ObjectBackend,
+        StorageBackend,
+        make_backend,
+    )
+    from repro.service.cache import ResultCache
+    from repro.service.client import ServiceClient
+    from repro.service.jobs import JOB_KINDS, Job, JobSpec, JobStore, execute
+    from repro.service.metrics import LatencyHistogram, ServiceMetrics
+    from repro.service.pool import WorkerPool
+    from repro.service.ring import HashRing
+    from repro.service.store import TraceStore
+    from repro.service.stream import StreamSession, StreamStore
+
+# A pool worker imports ``repro.service.pool`` only, not the HTTP side.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.service.api": ("ServiceAPI",),
+    "repro.service.backend": (
+        "BackendMissing", "DirectoryObjectClient", "LocalDiskBackend",
+        "MemoryObjectClient", "ObjectBackend", "StorageBackend", "make_backend",
+    ),
+    "repro.service.cache": ("ResultCache",),
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.jobs": ("JOB_KINDS", "Job", "JobSpec", "JobStore", "execute"),
+    "repro.service.metrics": ("LatencyHistogram", "ServiceMetrics"),
+    "repro.service.pool": ("WorkerPool",),
+    "repro.service.ring": ("HashRing",),
+    "repro.service.store": ("TraceStore",),
+    "repro.service.stream": ("StreamSession", "StreamStore"),
+})

@@ -54,7 +54,14 @@ def _worker_main(task_q, result_q) -> None:  # pragma: no cover — child proces
     claim before the job runs — a regular ``Queue``'s feeder thread would
     silently drop it if the job hard-kills the process (``os._exit``,
     OOM), and the supervisor could never attribute the crash to the job.
+
+    The ``analyze`` job's chain is imported before the first ``get``, at
+    start-up, so no ``analyze`` job pays for it inside its measured run.
+    Other kinds import their modules on their first job in each worker.
     """
+    import repro.core.analyzer  # noqa: F401
+    import repro.trace.reader  # noqa: F401
+
     pid = os.getpid()
     while True:
         item = task_q.get()

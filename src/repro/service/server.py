@@ -255,6 +255,10 @@ def serve(
     peers: tuple[str, ...] = (),
 ) -> int:
     """Run the analysis service until interrupted (CLI entry point)."""
+    # Fleet ingest (and inline jobs) analyze every upload; the analyzer is
+    # imported inside a function there, so load it before reporting ready.
+    import repro.core.analyzer  # noqa: F401
+
     if peers and not self_url:
         self_url = f"http://{host}:{port}"
     api = ServiceAPI(

@@ -50,7 +50,7 @@ from repro.errors import ServiceError, TraceFormatError
 from repro.trace.framing import iter_frames, sort_stream_records
 from repro.trace.schema import EVENT_DTYPE, known_etypes
 from repro.trace.trace import Trace
-from repro.trace.writer import objects_from_header
+from repro.trace.writer import header_fields
 
 __all__ = ["StreamSession", "StreamStore"]
 
@@ -352,6 +352,10 @@ class StreamStore:
         the same events uploaded as one batch file.
         """
         header = header or {}
+        try:  # before the state changes, so a bad header leaves it open
+            fields = header_fields(header)
+        except TraceFormatError as exc:
+            raise ServiceError(f"stream {sid}: {exc}") from None
         deadline = time.monotonic() + (
             self.drain_timeout if timeout is None else timeout
         )
@@ -377,11 +381,9 @@ class StreamStore:
         records = np.fromfile(session.spool_path, dtype=EVENT_DTYPE)
         trace = Trace(
             records=sort_stream_records(records),
-            objects=objects_from_header(header),
-            threads={
-                int(t): name for t, name in header.get("threads", {}).items()
-            },
-            meta=dict(header.get("meta", {})),
+            objects=fields["objects"],
+            threads=fields["threads"],
+            meta=dict(fields["meta"]),
         )
         with self._lock:
             session.state = FINALIZED

@@ -25,7 +25,7 @@ from repro.trace.events import Event, EventType
 from repro.trace.framing import CHUNK_MAGIC, read_frame, sort_stream_records
 from repro.trace.schema import EVENT_DTYPE, known_etypes, records_from_events
 from repro.trace.trace import Trace
-from repro.trace.writer import MAGIC, objects_from_header
+from repro.trace.writer import MAGIC, header_fields
 
 __all__ = ["read_trace", "iter_trace_chunks"]
 
@@ -80,6 +80,13 @@ def _read_binary_header(fh) -> dict:
     if len(raw_len) != _LEN_SIZE:
         raise TraceFormatError("truncated header length")
     (header_len,) = struct.unpack(_LEN_FMT, raw_len)
+    # A corrupt length (one flipped high bit) must not become a huge read.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if header_len > left:
+        raise TraceFormatError(
+            f"truncated header: length field says {header_len} bytes, "
+            f"{left} left in the file"
+        )
     raw_header = fh.read(header_len)
     if len(raw_header) != header_len:
         raise TraceFormatError("truncated header")
@@ -89,13 +96,26 @@ def _read_binary_header(fh) -> dict:
         raise TraceFormatError(f"corrupt header: {exc}") from exc
 
 
+def _trace_fields(path: Path, header) -> dict:
+    try:
+        return header_fields(header)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
+
+
 def _read_binary(path: Path) -> Trace:
     with open(path, "rb") as fh:
         try:
             header = _read_binary_header(fh)
         except TraceFormatError as exc:
             raise TraceFormatError(f"{path}: {exc}") from None
-        nevents = int(header.get("nevents", 0))
+        fields = _trace_fields(path, header)
+        try:
+            nevents = int(header.get("nevents", 0))
+        except (TypeError, ValueError):
+            raise TraceFormatError(
+                f"{path}: header nevents {header['nevents']!r} is not a count"
+            ) from None
         expected = nevents * EVENT_DTYPE.itemsize
         # Size-check before reading so the record block is materialized
         # exactly once (np.fromfile), not as bytes + array copy.
@@ -112,12 +132,7 @@ def _read_binary(path: Path) -> Trace:
             f"({len(records)} of {nevents} events)"
         )
     _check_etypes(path, records)
-    return Trace(
-        records=records,
-        objects=objects_from_header(header),
-        threads={int(t): name for t, name in header.get("threads", {}).items()},
-        meta=header.get("meta", {}),
-    )
+    return Trace(records=records, **fields)
 
 
 def _read_stream(path: Path) -> Trace:
@@ -144,12 +159,7 @@ def _read_stream(path: Path) -> Trace:
         np.concatenate(batches) if batches else np.empty(0, dtype=EVENT_DTYPE)
     )
     _check_etypes(path, records)
-    return Trace(
-        records=records,
-        objects=objects_from_header(header),
-        threads={int(t): name for t, name in header.get("threads", {}).items()},
-        meta=header.get("meta", {}),
-    )
+    return Trace(records=records, **_trace_fields(path, header))
 
 
 def _read_jsonl(path: Path) -> Trace:
@@ -172,12 +182,7 @@ def _read_jsonl(path: Path) -> Trace:
         ) from exc
     if header is None:
         raise TraceFormatError(f"{path}: missing JSONL header line")
-    return Trace.from_events(
-        events,
-        objects=objects_from_header(header),
-        threads={int(t): name for t, name in header.get("threads", {}).items()},
-        meta=header.get("meta", {}),
-    )
+    return Trace.from_events(events, **_trace_fields(path, header))
 
 
 def _parse_jsonl_line(path: Path, lineno: int, line: str):

@@ -101,11 +101,47 @@ def _write_jsonl(trace: Trace, path: Path) -> None:
             )
 
 
+def header_fields(raw: Any) -> dict[str, Any]:
+    """The inverse of :func:`header_dict`: ``objects``, ``threads`` and
+    ``meta`` keyword arguments for :class:`Trace` from a parsed header.
+
+    Any malformed shape raises :class:`TraceFormatError`.
+    """
+    if not isinstance(raw, dict):
+        raise TraceFormatError("header is not a JSON object")
+    if not isinstance(raw.get("meta", {}), dict):
+        raise TraceFormatError("header 'meta' is not a JSON object")
+    try:
+        return {
+            "objects": objects_from_header(raw),
+            "threads": {int(t): name for t, name in raw.get("threads", {}).items()},
+            "meta": raw.get("meta", {}),
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"malformed header: {exc}") from None
+
+
 def objects_from_header(raw: dict[str, Any]) -> dict[int, ObjectInfo]:
-    """Rebuild the object table from a parsed JSON header."""
+    """Rebuild the object table from a parsed JSON header.
+
+    A header entry without ``name`` or ``kind``, or with values of the
+    wrong type, raises :class:`TraceFormatError` naming the object.
+    """
     from repro.trace.events import ObjectKind
 
-    return {
-        int(obj): ObjectInfo(obj=int(obj), kind=ObjectKind(entry["kind"]), name=entry["name"])
-        for obj, entry in raw.get("objects", {}).items()
-    }
+    entries = raw.get("objects", {})
+    if not isinstance(entries, dict):
+        raise TraceFormatError("header 'objects' is not a JSON object")
+    objects = {}
+    for obj, entry in entries.items():
+        try:
+            objects[int(obj)] = ObjectInfo(
+                obj=int(obj), kind=ObjectKind(entry["kind"]), name=entry["name"]
+            )
+        except KeyError as exc:
+            raise TraceFormatError(
+                f"header object {obj!r} has no {exc.args[0]!r} key"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(f"header object {obj!r}: {exc}") from None
+    return objects

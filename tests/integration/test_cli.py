@@ -1,9 +1,14 @@
 """CLI end-to-end tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -71,7 +76,8 @@ def test_bad_param_format(capsys):
 
 def test_unknown_workload(capsys):
     assert main(["run", "nope"]) == 1
-    assert "unknown workload" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown workload 'nope'" in err and "micro" in err
 
 
 def test_experiment_command(capsys):
@@ -101,3 +107,76 @@ def test_serve_subcommand_registered(capsys):
     out = capsys.readouterr().out
     assert "--workers" in out
     assert "--data-dir" in out
+
+
+#: Subsystems that ``analyze`` never runs; a cold start must not load them.
+_NOT_ON_ANALYZE_PATH = (
+    "repro.sim",
+    "repro.replay",
+    "repro.service",
+    "repro.fleet",
+    "repro.experiments",
+    "repro.workloads",
+    "repro.instrument",
+    "repro.check",
+)
+
+
+def test_analyze_imports_only_its_chain(tmp_path, capsys):
+    trace_path = tmp_path / "micro.clt"
+    assert main(["run", "micro", "-t", "4", "-o", str(trace_path)]) == 0
+    capsys.readouterr()
+    dump = tmp_path / "modules.json"
+    # Dump sys.modules as the process exits, after the report printed.
+    code = (
+        "import atexit, json, runpy, sys\n"
+        f"atexit.register(lambda: open({str(dump)!r}, 'w').write("
+        "json.dumps(sorted(sys.modules))))\n"
+        f"sys.argv = ['repro', 'analyze', {str(trace_path)!r}]\n"
+        "runpy.run_module('repro', run_name='__main__')\n"
+    )
+    src = str(Path(repro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "83.33%" in proc.stdout
+    loaded = json.loads(dump.read_text())
+    assert "repro.core.analyzer" in loaded  # the dump saw the analysis run
+    leaked = sorted(
+        m for m in loaded
+        if any(m == p or m.startswith(p + ".") for p in _NOT_ON_ANALYZE_PATH)
+    )
+    assert leaked == []
+
+
+def test_version_is_computed_only_when_asked(monkeypatch, capsys):
+    import repro.cli
+
+    calls = []
+    real = repro.cli._version_string
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(repro.cli, "_version_string", counted)
+    assert main(["list"]) == 0
+    assert calls == []
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert calls == [1]
+    assert capsys.readouterr().out.startswith("critical-lock-analysis ")
+
+
+def test_help_points_at_list_and_unknown_experiments_list_the_valid_ones(capsys):
+    for command in ("run", "experiment"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "(see the list subcommand)" in capsys.readouterr().out
+    assert main(["experiment", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown experiment 'nope'" in err and "fig9" in err

@@ -248,6 +248,20 @@ class TestFinalize:
         )
         assert status == 409
 
+    def test_finalize_header_without_name_400_keeps_session_open(self, api, micro):
+        sid = _open(api)
+        _stream_all(api, sid, micro.records)
+        header = header_dict(micro)
+        del next(iter(header["objects"].values()))["name"]
+        status, err = _post_json(api, f"/traces/{sid}/finalize", {"header": header})
+        assert status == 400
+        assert "has no 'name' key" in err["error"]
+        status, fin = _post_json(
+            api, f"/traces/{sid}/finalize", {"header": header_dict(micro)}
+        )
+        assert status == 200, fin
+        assert fin["trace"]["digest"] == trace_digest(micro)
+
     def test_chunks_after_finalize_409(self, api, micro):
         sid = _open(api)
         _stream_all(api, sid, micro.records)

@@ -1,13 +1,15 @@
 """Round-trip and corruption tests for trace serialization."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceFormatError
+from repro.trace.framing import encode_records_frame, encode_trailer_frame
 from repro.trace.reader import read_trace
-from repro.trace.writer import MAGIC, write_trace
+from repro.trace.writer import MAGIC, header_dict, write_trace
 
 
 def assert_traces_equal(a, b):
@@ -38,6 +40,16 @@ class TestBinaryFormat:
         path = tmp_path / "t.clt"
         path.write_bytes(MAGIC + struct.pack("<Q", 1000) + b"{}")
         with pytest.raises(TraceFormatError, match="truncated header"):
+            read_trace(path)
+
+    def test_oversized_header_length_rejected_before_reading(self, micro_trace, tmp_path):
+        # One flipped high bit in the length field: the file must be
+        # rejected by size, not by trying to allocate 2**62 bytes.
+        path = write_trace(micro_trace, tmp_path / "t.clt")
+        data = bytearray(path.read_bytes())
+        data[len(MAGIC):len(MAGIC) + 8] = struct.pack("<Q", 2**62)
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match=f"says {2**62} bytes"):
             read_trace(path)
 
     def test_corrupt_header_json_rejected(self, tmp_path):
@@ -199,4 +211,80 @@ class TestUnknownEventType:
         path.write_text("\n".join(lines) + "\n")
         match = rf"t\.jsonl:7: record 5: unknown event type {etype!r}"
         with pytest.raises(TraceFormatError, match=match):
+            read_trace(path)
+
+
+def _write_with_header(trace, header, path):
+    """Write ``trace`` in the format of ``path``'s suffix with ``header``."""
+    if path.suffix == ".clt":
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + trace.records.tobytes())
+    elif path.suffix == ".cls":
+        path.write_bytes(
+            encode_records_frame(trace.records, 0) + encode_trailer_frame(header, 1)
+        )
+    else:
+        write_trace(trace, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(json.dumps({"header": header}) + "\n" + "".join(lines[1:]))
+
+
+class TestHeaderObjects:
+    @pytest.mark.parametrize("suffix", [".clt", ".cls", ".jsonl"])
+    @pytest.mark.parametrize("key", ["name", "kind"])
+    def test_missing_key_is_a_format_error(self, micro_trace, tmp_path, suffix, key):
+        header = header_dict(micro_trace)
+        obj, entry = next(iter(header["objects"].items()))
+        del entry[key]
+        path = tmp_path / f"t{suffix}"
+        _write_with_header(micro_trace, header, path)
+        with pytest.raises(TraceFormatError, match=f"header object '{obj}' has no '{key}' key"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("suffix", [".clt", ".cls", ".jsonl"])
+    def test_unknown_kind_is_a_format_error(self, micro_trace, tmp_path, suffix):
+        header = header_dict(micro_trace)
+        next(iter(header["objects"].values()))["kind"] = 99
+        path = tmp_path / f"t{suffix}"
+        _write_with_header(micro_trace, header, path)
+        with pytest.raises(TraceFormatError, match=f"{path}: header object"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("suffix", [".clt", ".cls", ".jsonl"])
+    def test_well_formed_header_round_trips(self, micro_trace, tmp_path, suffix):
+        path = tmp_path / f"t{suffix}"
+        _write_with_header(micro_trace, header_dict(micro_trace), path)
+        assert_traces_equal(micro_trace, read_trace(path))
+
+    @pytest.mark.parametrize("suffix", [".clt", ".cls", ".jsonl"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"objects": []}, "'objects' is not a JSON object"),
+            ({"objects": {"0": "L1"}}, "header object '0'"),
+            ({"threads": {"main": "T0"}}, "malformed header"),
+            ({"meta": ["x"]}, "'meta' is not a JSON object"),
+        ],
+    )
+    def test_malformed_header_shapes_are_format_errors(
+        self, micro_trace, tmp_path, suffix, header, message
+    ):
+        path = tmp_path / f"t{suffix}"
+        _write_with_header(micro_trace, {**header_dict(micro_trace), **header}, path)
+        with pytest.raises(TraceFormatError, match=message):
+            read_trace(path)
+
+    @pytest.mark.parametrize("suffix", [".clt", ".cls", ".jsonl"])
+    def test_header_that_is_not_an_object_is_a_format_error(
+        self, micro_trace, tmp_path, suffix
+    ):
+        path = tmp_path / f"t{suffix}"
+        _write_with_header(micro_trace, ["not", "a", "header"], path)
+        with pytest.raises(TraceFormatError, match="not a JSON object"):
+            read_trace(path)
+
+    def test_non_numeric_nevents_is_a_format_error(self, micro_trace, tmp_path):
+        path = tmp_path / "t.clt"
+        _write_with_header(micro_trace, {**header_dict(micro_trace), "nevents": "many"}, path)
+        with pytest.raises(TraceFormatError, match="nevents 'many' is not a count"):
             read_trace(path)
