@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro._durable import write_atomic
 from repro.fleet.fingerprint import fingerprint_lock
 from repro.tables import format_table
 from repro.units import format_percent
@@ -444,9 +445,7 @@ class FleetAggregator:
                 for w, series in self._series.items()
             },
         }
-        tmp = self.state_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(blob), encoding="utf-8")
-        tmp.replace(self.state_path)
+        write_atomic(self.state_path, json.dumps(blob).encode("utf-8"))
 
     def _load(self) -> None:
         if not self.state_path.exists():

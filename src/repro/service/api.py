@@ -61,6 +61,7 @@ import time
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro._durable import reap_staging
 from repro.errors import ServiceError
 from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.dashboard import render_dashboard
@@ -129,6 +130,8 @@ class ServiceAPI:
         self.jobs = JobStore()
         self.metrics = ServiceMetrics()
         self.fleet = FleetAggregator(self.data_dir / "fleet")
+        # Not in the aggregator: workers open this directory mid-save.
+        reap_staging(self.fleet.state_dir)
         self.fleet_rules = load_rules(rules_path) if rules_path else []
         self.fleet_ingestor = FleetIngestor(self.fleet, metrics=self.metrics)
         self._cache_keys: dict[str, str] = {}  # job id -> cache key
@@ -315,6 +318,7 @@ class ServiceAPI:
         entry = self.store.put_trace(
             trace, name=req.get("name") or session.name or None
         )
+        self.streams.retire(session)
         session.digest = entry.digest
         self.fleet_ingestor.enqueue(entry)
         self.metrics.count_stream_finalized()

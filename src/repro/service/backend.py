@@ -7,8 +7,8 @@ durability to five verbs — atomic ``put``, ``get``, ``exists``,
 and :class:`~repro.service.cache.ResultCache` logic runs unchanged over:
 
 * :class:`LocalDiskBackend` — keys are files under one root directory,
-  written tmp-then-``os.replace`` so a crash can never leave a torn
-  visible object.  With the store's own root this reproduces the
+  written by :func:`repro._durable.write_atomic`, so a crash or power
+  cut can never leave a torn visible object.  With the store's own root this reproduces the
   original on-disk layout byte for byte (it *is* the default).
 * :class:`ObjectBackend` — keys are objects in an S3-style bucket
   reached through a client exposing ``put_object`` / ``get_object`` /
@@ -27,13 +27,12 @@ the two ever seeing each other's keys.
 
 from __future__ import annotations
 
-import os
 import threading
 import urllib.parse
-import uuid
 from pathlib import Path
-from typing import Any, Iterable, Protocol
+from typing import Iterable, Protocol
 
+from repro._durable import reap_staging, write_atomic
 from repro.errors import ServiceError
 
 __all__ = [
@@ -93,21 +92,8 @@ class StorageBackend:
     # -- optional fast paths -------------------------------------------------
 
     def put_path(self, key: str, src: Path) -> None:
-        """Adopt a fully-written local file as ``key``.
-
-        The base implementation uploads a copy and leaves ``src`` in
-        place (callers may reuse it as a local materialization);
-        :class:`LocalDiskBackend` overrides this with a rename, which
-        *consumes* ``src``.
-        """
+        """Store a copy of a local file's bytes as ``key``; ``src`` stays."""
         self.put(key, src.read_bytes())
-
-    def local_path(self, key: str) -> Path | None:
-        """The key's bytes as a local file path, if directly addressable."""
-        return None
-
-    def size(self, key: str) -> int:
-        return len(self.get(key))
 
     def keys_oldest_first(self, prefix: str = "") -> list[str]:
         """Keys ordered oldest-write-first where the backend knows; the
@@ -121,16 +107,17 @@ class StorageBackend:
 
 
 class LocalDiskBackend(StorageBackend):
-    """Keys are files under ``root``; writes are tmp-then-``os.replace``.
+    """Keys are files under ``root``, written by :func:`write_atomic`.
 
     ``'/'`` in a key maps to a subdirectory.  Dotfiles under the root
-    (``.stage-*``, ``.upload-*`` staging leftovers) are invisible to
-    :meth:`keys` — they are working files, not stored objects.
+    (staging files, reaped on open) are invisible to :meth:`keys` —
+    they are working files, not stored objects.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        reap_staging(self.root)
         self.name = "local"
 
     def _path(self, key: str) -> Path:
@@ -142,14 +129,7 @@ class LocalDiskBackend(StorageBackend):
     def put(self, key: str, data: bytes) -> None:
         dest = self._path(key)
         dest.parent.mkdir(parents=True, exist_ok=True)
-        tmp = dest.parent / f".stage-{uuid.uuid4().hex}.tmp"
-        tmp.write_bytes(data)
-        os.replace(tmp, dest)
-
-    def put_path(self, key: str, src: Path) -> None:
-        dest = self._path(key)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(src, dest)
+        write_atomic(dest, data)
 
     def get(self, key: str) -> bytes:
         try:
@@ -182,16 +162,6 @@ class LocalDiskBackend(StorageBackend):
             key = path.relative_to(self.root).as_posix()
             if key.startswith(prefix):
                 yield key
-
-    def local_path(self, key: str) -> Path | None:
-        path = self._path(key)
-        return path if path.is_file() else None
-
-    def size(self, key: str) -> int:
-        try:
-            return self._path(key).stat().st_size
-        except OSError:
-            raise BackendMissing(key) from None
 
     def scoped(self, prefix: str) -> "LocalDiskBackend":
         return LocalDiskBackend(self.root / prefix)
@@ -253,24 +223,23 @@ class DirectoryObjectClient:
 
     Keys are percent-encoded into single filenames — no hierarchy on
     disk, exactly like an object store's flat namespace — and writes go
-    through tmp-then-``os.replace``, so concurrent service instances
+    through :func:`write_atomic`, so concurrent service instances
     sharing the directory get last-writer-wins atomic puts.  This is
     the backend the two-instance routing tests (and any on-box fleet)
-    point at a shared path.
+    point at a shared path.  Opening it reaps crashed writers' staging
+    files (a peer's put in flight then fails instead of landing torn).
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        reap_staging(self.root)
 
     def _fname(self, key: str) -> Path:
         return self.root / urllib.parse.quote(key, safe="")
 
     def put_object(self, key: str, data: bytes) -> None:
-        dest = self._fname(key)
-        tmp = self.root / f".put-{uuid.uuid4().hex}.tmp"
-        tmp.write_bytes(data)
-        os.replace(tmp, dest)
+        write_atomic(self._fname(key), data)
 
     def get_object(self, key: str) -> bytes:
         try:
@@ -373,10 +342,3 @@ def make_backend(
     raise ServiceError(
         f"unknown storage backend {spec!r}; expected one of {', '.join(BACKEND_KINDS)}"
     )
-
-
-def backend_stats(backend: StorageBackend | None) -> dict[str, Any]:
-    """Small descriptor for /metrics (never lists objects — may be huge)."""
-    if backend is None:
-        return {"backend": "local"}
-    return {"backend": backend.name}

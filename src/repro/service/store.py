@@ -9,17 +9,18 @@ index from the sidecars; worker processes receive plain file paths.
 
 Durability goes through a :class:`~repro.service.backend.StorageBackend`.
 The default (``backend=None``) is the original local layout — both
-files directly under ``root``, now written tmp-then-``os.replace`` so a
-crash can never leave a torn visible file.  With an object backend the
-backend holds the durable copy and ``root`` becomes a scratch directory
-where traces are *materialized* on demand (workers read local files).
+files directly under ``root``.  With an object backend the backend
+holds the durable copy and ``root`` becomes a scratch directory where
+traces are *materialized* on demand (workers read local files).
 
-Crash-safety contract, either backend:
+Crash-safety contract, either backend, across a kill or a power cut:
 
+* every file is written by :func:`repro._durable.write_atomic`, so a
+  ``put_trace`` that returned is on disk and no torn file is visible;
 * the sidecar is written strictly *after* the trace body, so a sidecar
   implies a complete body;
 * an orphaned body (crash between the two writes) is reaped on the
-  next rescan, as are stale ``.upload-*``/``.stage-*`` staging files;
+  next rescan, as are staging files;
 * a sidecar whose schema this build cannot load (older/newer service)
   is skipped with a warning instead of crashing startup.
 """
@@ -28,13 +29,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
+import tempfile
 import threading
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro._durable import reap_staging, write_atomic
 from repro.errors import ServiceError, TraceError
 from repro.service.backend import BackendMissing, LocalDiskBackend, StorageBackend
 from repro.trace.digest import trace_digest
@@ -76,6 +77,7 @@ class TraceStore:
     def __init__(self, root: str | Path, backend: StorageBackend | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        reap_staging(self.root)
         # Local scratch double-duty: with the default backend it *is*
         # the store; with an object backend it caches materializations.
         self.backend: StorageBackend = backend or LocalDiskBackend(self.root)
@@ -91,49 +93,44 @@ class TraceStore:
         digest = trace_digest(trace)
         with self._lock:
             existing = self._index.get(digest)
-            if existing is not None:
-                return existing
-            path = self.root / f"{digest}.clt"
-            # Stage under a unique dotted name: never visible to rescans,
-            # never clobbered by a concurrent writer, reaped if orphaned.
-            staging = self.root / f".stage-{uuid.uuid4().hex}.tmp"
-            write_trace(trace, staging, fmt="clt")
-            size = staging.stat().st_size
-            entry = StoredTrace(
-                digest=digest,
-                path=path,
-                name=name or str(trace.meta.get("name", "")),
-                nevents=len(trace),
-                nthreads=len(trace.threads),
-                duration=trace.duration,
-                size_bytes=size,
-            )
-            # Body first (atomically), sidecar second: a crash in between
-            # leaves an orphan body the next rescan reaps — never a
-            # sidecar pointing at a missing or torn body.
-            self.backend.put_path(f"{digest}.clt", staging)
-            if staging.exists():  # object backend uploaded a copy;
-                os.replace(staging, path)  # keep it as the local materialization
-            self._write_sidecar(entry)
-            self._index[digest] = entry
-            return entry
+        if existing is not None:
+            return existing
+        # Body first, sidecar second: a crash in between leaves an orphan
+        # body the next rescan reaps — never a sidecar pointing at a
+        # missing or torn body.  No lock: two puts of one digest write
+        # identical bytes.  An object backend gets a copy of the body.
+        path = self.root / f"{digest}.clt"
+        write_atomic(path, lambda staging: write_trace(trace, staging, fmt="clt"))
+        if self._remote:
+            self.backend.put_path(f"{digest}.clt", path)
+        entry = StoredTrace(
+            digest=digest,
+            path=path,
+            name=name or str(trace.meta.get("name", "")),
+            nevents=len(trace),
+            nthreads=len(trace.threads),
+            duration=trace.duration,
+            size_bytes=path.stat().st_size,
+        )
+        self._write_sidecar(entry)
+        with self._lock:
+            return self._index.setdefault(digest, entry)
 
     def put_bytes(self, data: bytes, name: str | None = None) -> StoredTrace:
         """Store an uploaded trace blob (either supported format)."""
         if not data:
             raise ServiceError("empty upload is not a trace", status=400)
-        # Unique per call: thread idents are recycled by the OS, so a
-        # crashed upload's leftover must never collide with a live one.
-        tmp = self.root / f".upload-{uuid.uuid4().hex}.tmp"
-        try:
-            tmp.write_bytes(data)
+        # Dotted: invisible to rescans, reaped if a crash leaves it.
+        with tempfile.NamedTemporaryFile(
+            dir=self.root, prefix=".upload-", suffix=".tmp"
+        ) as tmp:
+            tmp.write(data)
+            tmp.flush()
             try:
-                trace = read_trace(tmp)
+                trace = read_trace(tmp.name)
             except TraceError as exc:
                 raise ServiceError(f"unparseable trace upload: {exc}", status=400) from exc
-            return self.put_trace(trace, name=name)
-        finally:
-            tmp.unlink(missing_ok=True)
+        return self.put_trace(trace, name=name)
 
     def put_file(self, path: str | Path, name: str | None = None) -> StoredTrace:
         """Store a trace file already on local disk (CLI convenience)."""
@@ -177,9 +174,7 @@ class TraceStore:
                 f"trace {entry.digest} vanished from the storage backend",
                 status=410,
             ) from None
-        tmp = self.root / f".stage-{uuid.uuid4().hex}.tmp"
-        tmp.write_bytes(data)
-        os.replace(tmp, entry.path)
+        write_atomic(entry.path, data)
         return entry.path
 
     def list(self) -> list[StoredTrace]:
@@ -207,13 +202,10 @@ class TraceStore:
     def _rescan(self) -> None:
         """Rebuild the index from sidecars; reap anything half-written.
 
-        Called on startup (constructor).  Orphans are the residue of a
-        crash at any point in :meth:`put_trace`/:meth:`put_bytes`:
-        staging files, and trace bodies whose sidecar never landed.
+        Called on startup (constructor).  Orphans are trace bodies whose
+        sidecar never landed: the residue of a crash inside
+        :meth:`put_trace`.
         """
-        # Stale staging files in the scratch dir (ours or a dead peer's).
-        for stale in (*self.root.glob(".upload-*.tmp"), *self.root.glob(".stage-*.tmp")):
-            stale.unlink(missing_ok=True)
         keys = set(self.backend.keys())
         seen_bodies: set[str] = set()
         for key in sorted(keys):

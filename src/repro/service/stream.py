@@ -21,9 +21,9 @@ framed chunks (:mod:`repro.trace.framing`) and be diagnosed live:
   to a whole-file upload) and hands it to the caller.
 
 Sessions are **checkpointed**: after every durably spooled chunk the
-ingest thread rewrites ``<sid>.ckpt.json`` (tmp-then-replace, after an
-fsync of the spool) recording the session identity, the number of
-chunks on disk and the exact spool byte offset.  A restarted server
+ingest thread rewrites ``<sid>.ckpt.json`` (``write_atomic``; only then
+does an ack count the chunk as durable) recording the session identity,
+the chunks on disk and the exact spool byte offset.  A restarted server
 rebuilds every open session from its checkpoint — truncating any torn
 spool tail past the checkpointed offset and replaying the spool through
 a fresh :class:`OnlineAnalyzer` — so producers ``GET /streams/<sid>``,
@@ -45,6 +45,7 @@ from typing import Any
 
 import numpy as np
 
+from repro._durable import fsync_path, reap_staging, write_atomic
 from repro.core.online import OnlineAnalyzer
 from repro.errors import ServiceError, TraceFormatError
 from repro.trace.framing import iter_frames, sort_stream_records
@@ -83,7 +84,7 @@ class StreamSession:
         self.created_at = time.time()
         self.state = OPEN
         self.next_chunk = 0            # next expected chunk id
-        self.ingested_chunks = 0       # chunks fully spooled + estimated
+        self.ingested_chunks = 0       # chunks spooled, estimated and checkpointed
         self.events = 0
         self.bytes = 0
         self.duplicates = 0
@@ -118,13 +119,13 @@ class StreamSession:
 
     # -- checkpointing -------------------------------------------------------
 
-    def checkpoint_blob(self) -> dict[str, Any]:
+    def checkpoint_blob(self, chunks: int) -> dict[str, Any]:
         """Durable bookkeeping: everything needed to resume this session.
 
-        Only *ingested* progress is recorded — chunks still in the
-        pending queue are not durable and the producer re-sends them
-        after a restart (the ack contract makes that an idempotent
-        duplicate at worst, never a double-ingest).
+        Only spooled progress is recorded (``chunks`` of them) — chunks
+        still in the pending queue are not durable and the producer
+        re-sends them after a restart (the ack contract makes that an
+        idempotent duplicate at worst, never a double-ingest).
         """
         return {
             "version": 1,
@@ -132,7 +133,7 @@ class StreamSession:
             "name": self.name,
             "meta": self.meta,
             "created_at": self.created_at,
-            "chunks": self.ingested_chunks,
+            "chunks": chunks,
             "spool_offset": self.spool_offset,
             "events": self.spooled_events,
             "bytes": self.bytes,
@@ -159,6 +160,7 @@ class StreamStore:
         self._drained = threading.Condition(self._lock)  # a queue emptied
         self._closed = False
         self._paused = False  # test hook: freeze ingestion to force 429s
+        reap_staging(self.root)
         self.recovered_sessions = self._recover()
         self._ingester = threading.Thread(
             target=self._ingest_loop, name="stream-ingest", daemon=True
@@ -173,13 +175,9 @@ class StreamStore:
                 return
             self._closed = True
             self._work.notify_all()
+        # Sessions keep their spool + checkpoint on disk (the restart
+        # contract), also a finalized one whose trace was never stored.
         self._ingester.join(timeout=5.0)
-        # Open sessions keep their spool + checkpoint on disk — that is
-        # the restart contract.  Only retired sessions are swept.
-        for session in list(self._sessions.values()):
-            if session.state == FINALIZED:
-                session.spool_path.unlink(missing_ok=True)
-                self._ckpt_path(session.id).unlink(missing_ok=True)
 
     def pause_ingest(self) -> None:
         """Stop draining queues (tests: deterministic backpressure)."""
@@ -211,7 +209,9 @@ class StreamStore:
             if self._closed:
                 raise ServiceError("stream store is closed", status=503)
         session.spool_path.touch()
-        self._write_checkpoint(session)
+        # The checkpoint's directory fsync also makes the new spool's
+        # name durable, so acknowledged chunks cannot lose their file.
+        self._write_checkpoint(session, chunks=0)
         with self._lock:
             self._sessions[sid] = session
         return session
@@ -343,7 +343,8 @@ class StreamStore:
         self, sid: str, header: dict[str, Any] | None = None,
         timeout: float | None = None,
     ) -> tuple[StreamSession, Trace]:
-        """Drain, assemble and retire a session; returns the full trace.
+        """Drain and assemble a session; returns the full trace.  The
+        caller stores it, then :meth:`retire` deletes the session's files.
 
         ``header`` is the producer's JSON trace header (objects, thread
         names, meta).  The assembled records get the canonical
@@ -387,26 +388,24 @@ class StreamStore:
         )
         with self._lock:
             session.state = FINALIZED
-        session.spool_path.unlink(missing_ok=True)
-        self._ckpt_path(sid).unlink(missing_ok=True)
         return session, trace
 
-    def forget(self, sid: str) -> None:
-        """Drop a finalized session from the listing."""
-        with self._lock:
-            self._sessions.pop(sid, None)
+    def retire(self, session: StreamSession) -> None:
+        """Durably delete a finalized session's files; call it only once
+        its trace is stored, so a crash before then loses nothing."""
+        session.spool_path.unlink(missing_ok=True)
+        self._ckpt_path(session.id).unlink(missing_ok=True)
+        fsync_path(self.root)
 
     # -- checkpoint persistence ------------------------------------------------
 
     def _ckpt_path(self, sid: str) -> Path:
         return self.root / f"{sid}.ckpt.json"
 
-    def _write_checkpoint(self, session: StreamSession) -> None:
-        """Atomically persist a session's durable bookkeeping."""
-        blob = json.dumps(session.checkpoint_blob()).encode("utf-8")
-        tmp = self.root / f".ckpt-{uuid.uuid4().hex}.tmp"
-        tmp.write_bytes(blob)
-        os.replace(tmp, self._ckpt_path(session.id))
+    def _write_checkpoint(self, session: StreamSession, chunks: int) -> None:
+        """Durably persist a session's bookkeeping at ``chunks`` chunks."""
+        blob = json.dumps(session.checkpoint_blob(chunks)).encode("utf-8")
+        write_atomic(self._ckpt_path(session.id), blob)
 
     def _recover(self) -> int:
         """Rebuild open sessions from checkpoints left by a dead server.
@@ -418,8 +417,6 @@ class StreamStore:
         session at ``next_chunk = chunks-on-disk`` so the producer's
         next append resumes exactly after the last durable chunk.
         """
-        for stale in self.root.glob(".ckpt-*.tmp"):
-            stale.unlink(missing_ok=True)
         recovered = 0
         for ckpt in sorted(self.root.glob("*.ckpt.json")):
             try:
@@ -451,13 +448,10 @@ class StreamStore:
                 blob["chunks"] = 0
                 blob["events"] = 0
                 blob["bytes"] = 0
-            if have != offset:
-                # Torn tail from a crash mid-spill: drop it. Those events
-                # were never checkpointed, so the producer re-sends them.
-                with open(spool, "ab") as fh:
-                    fh.truncate(offset)
-            else:
-                spool.touch()
+            # Torn tail from a crash mid-spill: drop it. Those events
+            # were never checkpointed, so the producer re-sends them.
+            with open(spool, "ab") as fh:
+                fh.truncate(offset)
             session.spool_offset = offset
             session.next_chunk = session.ingested_chunks = int(blob.get("chunks", 0))
             session.spooled_events = session.events = int(blob.get("events", 0))
@@ -501,16 +495,16 @@ class StreamStore:
                 offset = fh.tell()
             with session.alock:
                 session.analyzer.observe_batch(records)
+            session.spool_offset = offset
+            session.spooled_events += len(records)
+            # Spool, then checkpoint, then ack: the checkpoint never claims
+            # bytes the spool lacks, an ack never a chunk a restart drops.
+            self._write_checkpoint(session, chunks=session.ingested_chunks + 1)
             with self._lock:
                 session.pending.popleft()
                 session.ingested_chunks += 1
-                session.spool_offset = offset
-                session.spooled_events += len(records)
                 if not session.pending:
                     self._drained.notify_all()
-            # Checkpoint *after* the spool is durable (fsync above): the
-            # checkpoint never claims bytes the spool does not have.
-            self._write_checkpoint(session)
 
     def _next_pending(self) -> tuple[StreamSession | None, np.ndarray | None]:
         if self._paused and not self._closed:

@@ -7,6 +7,8 @@ below are the whole point: one behavioral spec, N implementations.
 """
 
 import json
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,8 @@ from repro.service.backend import (
 from repro.service.cache import ResultCache
 from repro.service.store import TraceStore
 from repro.trace import trace_digest, write_trace
+
+from tests.conftest import make_micro_program
 
 
 @pytest.fixture(params=["local", "object-memory", "object-directory"])
@@ -64,10 +68,6 @@ class TestBackendContract:
         assert backend.keys() == ["a.clt", "a.meta.json", "b.clt"]
         assert backend.keys("a") == ["a.clt", "a.meta.json"]
         assert backend.keys("zzz") == []
-
-    def test_size(self, backend):
-        backend.put("k", b"12345")
-        assert backend.size("k") == 5
 
     def test_scoped_namespaces_are_disjoint(self, backend):
         a = backend.scoped("traces")
@@ -119,6 +119,17 @@ class TestLocalDiskBackend:
         os.utime(tmp_path / "older", (1, 1))
         assert backend.keys_oldest_first() == ["older", "newer"]
 
+    def test_failed_put_leaves_no_staging_file(self, tmp_path, monkeypatch):
+        backend = LocalDiskBackend(tmp_path)
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OSError):
+            backend.put("k", b"x")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDirectoryObjectClient:
     def test_flat_namespace_with_slashes(self, tmp_path):
@@ -134,6 +145,12 @@ class TestDirectoryObjectClient:
         b = DirectoryObjectClient(tmp_path)
         a.put_object("k", b"written-by-a")
         assert b.get_object("k") == b"written-by-a"
+
+    def test_crashed_put_staging_reaped(self, tmp_path):
+        DirectoryObjectClient(tmp_path).put_object("k", b"x")
+        (tmp_path / ".put-deadc0de.tmp").write_bytes(b"half an object")
+        DirectoryObjectClient(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["k"]
 
 
 class TestMakeBackend:
@@ -334,3 +351,35 @@ class TestCacheTierContract:
         assert not cache.write_through
         cache.put("k", {"n": 1})
         assert not (tmp_path / "k.json").exists()
+
+
+def test_slow_backend_write_does_not_block_other_uploads(tmp_path, micro_trace):
+    """The store lock covers only the index: a backend write stuck on
+    trace A must not hold up the upload of trace B."""
+    other = make_micro_program(cs1=3.0).run().trace
+    stuck_key = trace_digest(micro_trace)
+    stuck, release = threading.Event(), threading.Event()
+    client = MemoryObjectClient()
+    put_object = client.put_object
+
+    def slow_put(key, data):
+        if stuck_key in key:
+            stuck.set()
+            release.wait(10)
+        put_object(key, data)
+
+    client.put_object = slow_put
+    store = TraceStore(tmp_path, backend=ObjectBackend(client))
+    first = threading.Thread(target=store.put_trace, args=(micro_trace,))
+    first.start()
+    try:
+        assert stuck.wait(10)
+        second = threading.Thread(target=store.put_trace, args=(other,), daemon=True)
+        second.start()
+        second.join(5)
+        assert not second.is_alive()
+        assert store.get(trace_digest(other))
+    finally:
+        release.set()
+        first.join(10)
+    assert len(store) == 2
