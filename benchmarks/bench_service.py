@@ -11,13 +11,15 @@ Targets: with N >= 4 traces the pool beats serial by >= 2x (requires
 repeat beats its own cold run by >= 10x.
 
 The HTTP section then runs analyze jobs through a real ``make_server``
-with one ``ServiceClient``: per job, submit, held wait and report
-fetch, timed from submit to result.  It records the p50 of misses and
-of cache hits (best of ``HTTP_ROUNDS``) and the server's requests per
-accepted connection.  With connections kept alive that ratio is the
-whole section's request count; a stall between headers and body
-(Nagle against delayed ACKs) costs >= 40 ms per request, so a hit p50
-under 20 ms rules it out.
+with one ``ServiceClient``: per job, submit and wait, timed from submit
+to result.  A hit's result comes back in the submit's answer, a miss's
+in a held report fetch.  It records the p50 of misses and of cache hits
+(best of ``HTTP_ROUNDS``), the requests each costs (deltas of the
+server's request count around the miss and the hit loops) and the
+server's requests per accepted connection.  With connections kept alive
+that ratio is the whole section's request count; a stall between
+headers and body (Nagle against delayed ACKs) costs >= 40 ms per
+request, so a hit p50 under 20 ms rules it out.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_service.py
 [--quick] [--http-only] [--json PATH]``) or via pytest (``pytest
@@ -84,13 +86,22 @@ def run_http(data_dir: Path, paths: list[Path], rounds: int = HTTP_ROUNDS) -> di
             client.wait(client.submit("analyze", digest, params), timeout=600)
             return time.perf_counter() - t0
 
+        def requests() -> int:
+            return client.metrics()["requests"]
+
         miss_p50 = hit_p50 = float("inf")
+        miss_requests = hit_requests = 0
         for r in range(rounds):
             params = {"validate": False, "top": r + 1}
-            miss, hit = [], []
-            for digest in digests:
-                miss.append(job(digest, params))
-                hit += [job(digest, params) for _ in range(HITS_PER_TRACE)]
+            # Each reading of the count is a request itself: hence the -1s.
+            before = requests()
+            miss = [job(digest, params) for digest in digests]
+            miss_requests += requests() - before - 1
+            before = requests()
+            hit = [
+                job(digest, params) for digest in digests for _ in range(HITS_PER_TRACE)
+            ]
+            hit_requests += requests() - before - 1
             miss_p50 = min(miss_p50, statistics.median(miss))
             hit_p50 = min(hit_p50, statistics.median(hit))
         metrics = client.metrics()
@@ -104,6 +115,8 @@ def run_http(data_dir: Path, paths: list[Path], rounds: int = HTTP_ROUNDS) -> di
         "http_rounds": rounds,
         "http_miss_p50_s": miss_p50,
         "http_hit_p50_s": hit_p50,
+        "http_requests_per_miss": miss_requests / (rounds * len(digests)),
+        "http_requests_per_hit": hit_requests / (rounds * len(digests) * HITS_PER_TRACE),
         "http_requests": metrics["requests"],
         "http_connections": metrics["connections"],
         "requests_per_connection": metrics["requests"] / metrics["connections"],
@@ -181,6 +194,8 @@ def render(r: dict) -> str:
         f"  HTTP miss p50     : {r['http_miss_p50_s'] * 1e3:8.2f} ms  "
         f"(best of {r['http_rounds']} round(s))",
         f"  HTTP hit p50      : {r['http_hit_p50_s'] * 1e3:8.2f} ms",
+        f"  requests/job      : {r['http_requests_per_miss']:8.2f} miss, "
+        f"{r['http_requests_per_hit']:.2f} hit",
         f"  requests/conn     : {r['requests_per_connection']:8.1f}    "
         f"({r['http_requests']} requests over {r['http_connections']} "
         f"connection(s))",

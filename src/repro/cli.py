@@ -649,6 +649,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
 def _live_service(args: argparse.Namespace) -> int:
     import time as _time
 
+    from repro.errors import ServiceError
     from repro.service.client import ServiceClient
 
     if not args.session:
@@ -657,7 +658,16 @@ def _live_service(args: argparse.Namespace) -> int:
     idle_since = _time.monotonic()
     last_events = -1
     while True:
-        snap = client.stream_snapshot(args.session, top=args.top, render=True)
+        try:
+            snap = client.stream_snapshot(args.session, top=args.top, render=True)
+        except ServiceError as exc:
+            if exc.status != 409:
+                raise
+            # Finalized: the service keeps only the session's status.
+            status = client.stream_status(args.session)
+            print(f"stream {args.session} is {status['state']}: "
+                  f"{status['events']} events, trace {status['digest']}")
+            return 0
         print(snap.get("rendered", ""))
         print(f"  [{snap['events']} events, state {snap['state']}, "
               f"{snap['pending_chunks']} chunks pending]")
@@ -692,16 +702,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _local_fleet(store_dir: str):
-    """Aggregator over a service data dir, caught up with its trace store."""
+    """Aggregator over a service data dir, caught up with its trace store.
+
+    The store is read, never opened: a live service may be writing it,
+    and opening reaps its staging files and sidecar-less bodies.
+    """
     from pathlib import Path
 
     from repro.fleet import FleetAggregator, ingest_store
-    from repro.service.store import TraceStore
+    from repro.service.store import stored_traces
 
     root = Path(store_dir)
     agg = FleetAggregator(root / "fleet")
-    if (root / "traces").exists():
-        ingest_store(agg, TraceStore(root / "traces"))
+    ingest_store(agg, stored_traces(root / "traces"))
     return agg
 
 

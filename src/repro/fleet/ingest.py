@@ -56,11 +56,15 @@ def observe_stored_trace(
 
 
 def ingest_store(
-    aggregator: FleetAggregator, store, *, metrics=None
+    aggregator: FleetAggregator, entries, *, metrics=None
 ) -> dict[str, int]:
-    """Catch the aggregator up with every trace in a store (incremental)."""
+    """Catch the aggregator up with stored traces (incremental).
+
+    ``entries`` are :class:`~repro.service.store.StoredTrace` records: a
+    live store's ``list()``, or ``stored_traces(dir)`` read off disk.
+    """
     observed = skipped = errors = 0
-    for entry in store.list():
+    for entry in entries:
         try:
             t0 = time.perf_counter()
             obs = observe_stored_trace(aggregator, entry, save=False)

@@ -13,14 +13,20 @@ Endpoints::
     GET  /traces            -> {traces: [...]}
     GET  /traces/<digest>   -> stored-trace metadata
     POST /jobs              {"kind","trace"|"traces","params"} -> 202 {id,state,...}
+                               a job already done when the submit answers
+                               (cache hit, inline pool) carries its result
     GET  /jobs              -> {jobs: [...]}
     GET  /jobs/<id>         -> job status (no result payload)
-                               ?wait=S holds the request until the job is
-                               done/failed or S seconds (at most
-                               MAX_JOB_WAIT) have passed, then answers
-    GET  /reports/<id>      -> finished job's result (409 while pending)
+    GET  /reports/<id>      -> finished job's result (409 while pending,
+                               500 with the error for a failed job)
     GET  /metrics           -> queue/cache/latency self-observation
     GET  /healthz           -> {ok: true}
+
+Both ``GET /jobs/<id>`` and ``GET /reports/<id>`` take ``?wait=S``: the
+request is held until the job is done/failed or S seconds (at most
+MAX_JOB_WAIT) have passed, then answered.  So a client gets a result in
+one request on a cache hit (the submit) and in two on a miss that
+finishes within the hold (the submit, one held report fetch).
 
 Streaming ingestion (chunked append, :mod:`repro.service.stream`)::
 
@@ -28,6 +34,8 @@ Streaming ingestion (chunked append, :mod:`repro.service.stream`)::
     GET  /streams                     -> {streams: [...]}
     GET  /streams/<id>                -> session status
     GET  /streams/<id>/snapshot       -> incremental estimator snapshot
+                                       (409 once finalized: the session
+                                       keeps only its status record)
     POST /traces/<session>/chunks     framed record blocks -> 202 ack
                                        (409 gap, 429 backpressure)
     POST /traces/<session>/finalize   {"header","analyze","name","params"}
@@ -80,7 +88,8 @@ from repro.service.stream import StreamStore
 
 __all__ = ["MAX_JOB_WAIT", "ServiceAPI"]
 
-#: Longest a ``GET /jobs/<id>?wait=S`` request is held, whatever S asks.
+#: Longest a ``?wait=S`` request (``GET /jobs/<id>``, ``GET /reports/<id>``)
+#: is held, whatever S asks.
 MAX_JOB_WAIT = 30.0
 
 
@@ -193,9 +202,9 @@ class ServiceAPI:
                 self.metrics.count_stream_opened()
                 return 201, session.to_dict()
             case ("GET", ["streams"]):
-                return 200, {"streams": [s.to_dict() for s in self.streams.list()]}
+                return 200, {"streams": self.streams.records()}
             case ("GET", ["streams", sid]):
-                return 200, self.streams.get(sid).to_dict()
+                return 200, self.streams.status(sid)
             case ("GET", ["streams", sid, "snapshot"]):
                 top = query.get("top")
                 snap = self.streams.snapshot(
@@ -229,6 +238,8 @@ class ServiceAPI:
                     return 200, self._await_job(job_id, hold).to_dict()
                 return 200, self.jobs.get(job_id).to_dict()
             case ("GET", ["reports", job_id]):
+                if "wait" in query:
+                    self._await_job(job_id, _wait_seconds(query["wait"]))
                 return self._get_report(job_id)
             case ("GET", ["fleet", "summary"]):
                 top = query.get("top")
@@ -253,7 +264,7 @@ class ServiceAPI:
                 # Catch-up over traces stored before fleet observability
                 # (or under a different service instance).
                 return 200, ingest_store(
-                    self.fleet, self.store, metrics=self.metrics
+                    self.fleet, self.store.list(), metrics=self.metrics
                 )
             case ("GET", ["ring"]):
                 if self.ring is None:
@@ -318,8 +329,8 @@ class ServiceAPI:
         entry = self.store.put_trace(
             trace, name=req.get("name") or session.name or None
         )
-        self.streams.retire(session)
         session.digest = entry.digest
+        self.streams.retire(session)
         self.fleet_ingestor.enqueue(entry)
         self.metrics.count_stream_finalized()
         out: dict[str, Any] = {
@@ -337,7 +348,11 @@ class ServiceAPI:
     # -- job orchestration ----------------------------------------------------
 
     def submit_job(self, req: dict[str, Any]) -> dict[str, Any]:
-        """Create a job from a request dict; may finish instantly on cache hit."""
+        """Create a job from a request dict; may finish instantly on cache hit.
+
+        Returns the job's record; a job already done by then (a cache
+        hit, or the inline pool) comes back with its ``result``.
+        """
         if not isinstance(req, dict):
             raise ServiceError("job request must be a JSON object")
         kind = req.get("kind")
@@ -388,11 +403,11 @@ class ServiceAPI:
                 self.metrics.count_cached(kind)
                 with self._done:
                     self._done.notify_all()
-                return self.jobs.get(job.id).to_dict()
+                return self.jobs.record(job.id)
             with self._lock:
                 self._cache_keys[job.id] = key
         self.pool.submit(job.id, spec.kind, paths, spec.params)
-        return self.jobs.get(job.id).to_dict()
+        return self.jobs.record(job.id)
 
     def wait(self, job_id: str, timeout: float = 60.0) -> dict[str, Any]:
         """Block until a job finishes (in-process; HTTP has ``?wait=S``)."""
@@ -413,17 +428,17 @@ class ServiceAPI:
                 self._done.wait(timeout=remaining)
 
     def _get_report(self, job_id: str) -> tuple[int, dict[str, Any]]:
-        job = self.jobs.get(job_id)
-        if job.state == FAILED:
-            return 500, {"id": job.id, "state": job.state, "error": job.error}
-        if job.state != DONE:
+        job = self.jobs.record(job_id)
+        if job["state"] == FAILED:
+            return 500, {"id": job_id, "state": FAILED, "error": job["error"]}
+        if job["state"] != DONE:
             return 409, {
-                "id": job.id,
-                "state": job.state,
-                "error": "job not finished; poll GET /jobs/<id>",
+                "id": job_id,
+                "state": job["state"],
+                "error": "job not finished; hold with GET /reports/<id>?wait=S",
             }
-        return 200, {"id": job.id, "kind": job.spec.kind, "cached": job.cached,
-                     "result": job.result}
+        return 200, {"id": job_id, "kind": job["kind"], "cached": job["cached"],
+                     "result": job["result"]}
 
     # -- fleet observability ---------------------------------------------------
 
@@ -502,7 +517,7 @@ class ServiceAPI:
                 with self._lock:
                     key = self._cache_keys.pop(job_id, None)
                 if key is not None:
-                    self.cache.put(key, payload)
+                    self.cache.insert(key, payload)
                 if job.latency is not None:
                     self.metrics.count_completed(job.spec.kind, job.latency)
         else:  # error / crashed
@@ -513,6 +528,9 @@ class ServiceAPI:
                 self._cache_keys.pop(job_id, None)
         with self._done:
             self._done.notify_all()
+        # The tier writes (spills, write-through) go after the wake-up:
+        # waiters answer from memory while the disk catches up.
+        self.cache.flush()
 
 
 def _wait_seconds(raw: str) -> float:

@@ -65,40 +65,97 @@ class ResultCache:
             for key in self._tier.keys_oldest_first():
                 if key.endswith(".json"):
                     self._tier_keys[key[: -len(".json")]] = None
+        # Tier writes owed (evicted entries, write-through puts), written
+        # by flush() outside self._lock; get() serves them meanwhile.
+        self._unwritten: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
+        self._flush_lock = threading.Lock()  # one flusher writes at a time
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
         self.evictions = 0
 
     def get(self, key: str) -> dict | None:
-        """Look a key up; promotes hits to most-recently-used."""
+        """Look a key up; promotes hits to most-recently-used.
+
+        A tier read happens outside the lock, so a slow disk delays only
+        the lookup that needs it.
+        """
         with self._lock:
             value = self._mem.get(key)
             if value is not None:
                 self._mem.move_to_end(key)
                 self.hits += 1
                 return value
-            value = self._tier_load(key)
-            if value is not None:
+            value = self._unwritten.get(key)
+            if value is not None:  # evicted, its spill not yet written
                 self.hits += 1
-                self.disk_hits += 1
-                self._insert(key, value)  # promote back into memory
+                self._insert(key, value)
                 return value
-            self.misses += 1
-            return None
+        value = self._tier_load(key)
+        with self._lock:
+            if value is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self.disk_hits += 1
+            self._insert(key, value)  # promote back into memory
+        self.flush()  # the promotion may have evicted an entry
+        return value
 
     def put(self, key: str, value: dict[str, Any]) -> None:
+        """Insert ``key`` and do the tier writes that owes."""
+        self.insert(key, value)
+        self.flush()
+
+    def insert(self, key: str, value: dict[str, Any]) -> None:
+        """The in-memory half of :meth:`put`; :meth:`flush` does the rest.
+
+        Callers that must not wait on the disk (the job collector wakes
+        its waiters first) insert, then flush.
+        """
         with self._lock:
             self._insert(key, value)
-            if self.write_through:
-                self._tier_store(key, value)
+            if self.write_through and self._tier is not None:
+                self._unwritten[key] = value
+
+    def flush(self) -> None:
+        """Write every owed tier entry, outside the lookup lock.
+
+        An entry leaves the owed set only once its write has landed, so
+        a concurrent :meth:`get` finds it either there or on disk.
+        """
+        if self._tier is None:
+            return
+        with self._flush_lock:
+            while True:
+                with self._lock:
+                    if not self._unwritten:
+                        return
+                    key, value = next(iter(self._unwritten.items()))
+                try:
+                    self._tier.put(f"{key}.json", json.dumps(value).encode("utf-8"))
+                finally:
+                    with self._lock:
+                        if self._unwritten.get(key) is value:
+                            del self._unwritten[key]
+                # Refresh this key's position, then trim oldest-first:
+                # O(1) amortized per write against the incremental order.
+                with self._lock:
+                    self._tier_keys.pop(key, None)
+                    self._tier_keys[key] = None
+                    excess = len(self._tier_keys) - self.disk_capacity
+                    victims = [
+                        self._tier_keys.popitem(last=False)[0] for _ in range(excess)
+                    ]
+                for victim in victims:
+                    self._tier.delete(f"{victim}.json")
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            if key in self._mem:
+            if key in self._mem or key in self._unwritten:
                 return True
-            return self._tier is not None and self._tier.exists(f"{key}.json")
+        return self._tier is not None and self._tier.exists(f"{key}.json")
 
     def __len__(self) -> int:
         with self._lock:
@@ -120,17 +177,20 @@ class ResultCache:
                 "backend": self._tier.name if self._tier is not None else None,
             }
 
-    # -- internals (callers hold self._lock) --------------------------------
+    # -- internals ------------------------------------------------------------
 
     def _insert(self, key: str, value: dict) -> None:
+        """Caller holds ``self._lock``; evictions are owed to the tier."""
         self._mem[key] = value
         self._mem.move_to_end(key)
         while len(self._mem) > self.capacity:
             old_key, old_value = self._mem.popitem(last=False)
             self.evictions += 1
-            self._tier_store(old_key, old_value)
+            if self._tier is not None:
+                self._unwritten[old_key] = old_value
 
     def _tier_load(self, key: str) -> dict | None:
+        """Read one entry from the tier; called without ``self._lock``."""
         if self._tier is None:
             return None
         try:
@@ -138,17 +198,6 @@ class ResultCache:
         except (BackendMissing, OSError, UnicodeDecodeError, json.JSONDecodeError):
             # A torn write (crash mid-spill) must read as a miss, not an
             # error; a peer may also have trimmed the key under us.
-            self._tier_keys.pop(key, None)
+            with self._lock:
+                self._tier_keys.pop(key, None)
             return None
-
-    def _tier_store(self, key: str, value: dict) -> None:
-        if self._tier is None:
-            return
-        self._tier.put(f"{key}.json", json.dumps(value).encode("utf-8"))
-        # Refresh this key's position, then trim oldest-first — O(1)
-        # amortized per spill against the incremental order.
-        self._tier_keys.pop(key, None)
-        self._tier_keys[key] = None
-        while len(self._tier_keys) > self.disk_capacity:
-            victim, _ = self._tier_keys.popitem(last=False)
-            self._tier.delete(f"{victim}.json")

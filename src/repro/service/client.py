@@ -44,8 +44,13 @@ class ServiceClient:
     Ring-aware: when a node answers a job submission with a 307 (another
     node owns that cache key), the client re-issues the request to the
     owning node and pins the returned job id there, so subsequent
-    ``job()``/``report()``/``wait()`` polls hit the node that actually
+    ``job()``/``report()``/``wait()`` requests hit the node that actually
     runs the job.
+
+    One request per answer: a submit whose answer already holds the
+    finished job (a cache hit) keeps that answer for :meth:`wait`, and a
+    pending job's result comes back in the held report request that
+    first sees it finished.
 
     Connections persist: each thread keeps one HTTP/1.1 connection per
     node and sends all of its requests over it, so one client can be
@@ -61,7 +66,8 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self._job_nodes: dict[str, str] = {}  # job id -> owning node URL
-        # Per thread: .conns, (scheme, netloc) -> connection; .served_by.
+        # Per thread: .conns, (scheme, netloc) -> connection; .served_by;
+        # .finished, the latest submit answered with a finished job.
         self._local = threading.local()
         self._conns: weakref.WeakSet = weakref.WeakSet()  # every thread's, for close()
         self._conns_lock = threading.Lock()
@@ -135,18 +141,19 @@ class ServiceClient:
                     f"{method} {url}: connection lost mid-response: {exc}", status=503
                 ) from exc
 
-    def _request(
+    def _call(
         self, method: str, path: str, body: bytes | None = None,
         content_type: str = "application/json", base: str | None = None,
         timeout: float | None = None,
-    ) -> dict[str, Any]:
+    ) -> tuple[int, dict[str, Any]]:
+        """One request, following ring redirects: ``(status, JSON body)``."""
         url = f"{base or self.base_url}{path}"
         headers = {"Content-Type": content_type} if body is not None else {}
         for _hop in range(self.MAX_REDIRECTS + 1):
             resp, raw = self._exchange(method, url, body, headers, timeout)
             if 200 <= resp.status < 300:
                 self._local.served_by = url[: -len(path)] if path else url
-                return json.loads(raw.decode("utf-8"))
+                return resp.status, json.loads(raw.decode("utf-8"))
             try:
                 detail = json.loads(raw.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError):
@@ -158,14 +165,21 @@ class ServiceClient:
                 if target:
                     url = target
                     continue
-            raise ServiceError(
-                f"{method} {path} -> HTTP {resp.status}: "
-                f"{detail.get('error', '')}", status=resp.status
-            )
+            return resp.status, detail
         raise ServiceError(
             f"{method} {path}: redirect loop after {self.MAX_REDIRECTS} hops",
             status=508,
         )
+
+    def _request(
+        self, method: str, path: str, body: bytes | None = None,
+        content_type: str = "application/json", base: str | None = None,
+        timeout: float | None = None,
+    ) -> dict[str, Any]:
+        status, payload = self._call(method, path, body, content_type, base, timeout)
+        if not 200 <= status < 300:
+            raise _http_error(method, path, status, payload)
+        return payload
 
     def _get(self, path: str) -> dict[str, Any]:
         return self._request("GET", path)
@@ -219,6 +233,10 @@ class ServiceClient:
             # A ring redirect landed this job on another node; pin every
             # follow-up (status polls, the report fetch) to that node.
             self._job_nodes[job["id"]] = self._served_by
+        if job["state"] in _TERMINAL:
+            # The answer already holds the outcome; wait() takes it from
+            # here.  One per thread, so jobs never waited on cannot pile up.
+            self._local.finished = job
         return job["id"]
 
     def job(self, job_id: str) -> dict[str, Any]:
@@ -230,26 +248,38 @@ class ServiceClient:
     def wait(self, job_id: str, timeout: float = 120.0, poll: float = 0.05) -> dict:
         """Wait until the job finishes; returns the result dict.
 
-        Each status request asks the server to hold it until the job
-        finishes or ``poll`` seconds pass (``GET /jobs/<id>?wait=poll``),
-        so the answer arrives as soon as the job is done and the client
-        never sleeps; ``poll`` only sets how often it checks ``timeout``.
+        If this thread's latest finished submit was this job, its answer
+        already holds the outcome and no request is sent.  Otherwise each
+        report request asks the server to hold it until the job finishes
+        or ``poll`` seconds pass (``GET /reports/<id>?wait=poll``), so the
+        result arrives in the response that first sees the job finished
+        and the client never sleeps; ``poll`` only sets how often it
+        checks ``timeout``.  A failed job raises
+        ``ServiceError("job <id> failed: <error>")``.
         """
+        finished = getattr(self._local, "finished", None)
+        if finished is not None and finished["id"] == job_id:
+            self._local.finished = None
+            if finished["state"] == "failed":
+                raise _job_failed(job_id, finished["error"])
+            return finished["result"]
         deadline = time.monotonic() + timeout
         base = self._job_base(job_id)
+        path = f"/reports/{job_id}"
         while True:
             hold = max(0.0, min(poll, deadline - time.monotonic()))
-            job = self._request(
-                "GET", f"/jobs/{job_id}?wait={hold:g}", base=base,
+            status, body = self._call(
+                "GET", f"{path}?wait={hold:g}", base=base,
                 timeout=self.timeout + hold,
             )
-            if job["state"] in _TERMINAL:
-                break
+            if status == 200:
+                return body["result"]
+            if status == 500 and body.get("state") == "failed":
+                raise _job_failed(job_id, body["error"])
+            if status != 409:
+                raise _http_error("GET", path, status, body)
             if time.monotonic() >= deadline:
                 raise ServiceError(f"timed out waiting for job {job_id}", status=504)
-        if job["state"] == "failed":
-            raise ServiceError(f"job {job_id} failed: {job['error']}", status=500)
-        return self.report(job_id)["result"]
 
     # -- streaming ingestion -------------------------------------------------
 
@@ -449,3 +479,13 @@ class ServiceClient:
 
     def health(self) -> dict[str, Any]:
         return self._get("/healthz")
+
+
+def _http_error(method: str, path: str, status: int, body: dict) -> ServiceError:
+    return ServiceError(
+        f"{method} {path} -> HTTP {status}: {body.get('error', '')}", status=status
+    )
+
+
+def _job_failed(job_id: str, error: str) -> ServiceError:
+    return ServiceError(f"job {job_id} failed: {error}", status=500)

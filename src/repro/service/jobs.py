@@ -136,6 +136,18 @@ class JobStore:
             raise ServiceError(f"no such job: {job_id}", status=404)
         return job
 
+    def record(self, job_id: str) -> dict[str, Any]:
+        """A job's record read in one step; a done job's carries its result.
+
+        Read under the lock the state transitions take, so the record
+        never says ``done`` without the result that came with it.
+        """
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is None:
+                raise ServiceError(f"no such job: {job_id}", status=404)
+            return job.to_dict(include_result=job.state == DONE)
+
     def list(self) -> list[Job]:
         with self._lock:
             return [self._jobs[i] for i in self._order]

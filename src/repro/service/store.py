@@ -23,6 +23,10 @@ Crash-safety contract, either backend, across a kill or a power cut:
   next rescan, as are staging files;
 * a sidecar whose schema this build cannot load (older/newer service)
   is skipped with a warning instead of crashing startup.
+
+Opening a :class:`TraceStore` reaps, so only the owning service may open
+its directory; :func:`stored_traces` reads a local-layout store without
+changing it (the ``fleet --store`` CLI, next to a live service).
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from repro.trace.reader import read_trace
 from repro.trace.trace import Trace
 from repro.trace.writer import write_trace
 
-__all__ = ["TraceStore", "StoredTrace"]
+__all__ = ["TraceStore", "StoredTrace", "stored_traces"]
 
 log = logging.getLogger("repro.service")
 
@@ -69,6 +73,45 @@ class StoredTrace:
             "duration": self.duration,
             "size_bytes": self.size_bytes,
         }
+
+
+def _entry(key: str, raw: bytes, path: Path) -> StoredTrace | None:
+    """The index entry a sidecar's bytes describe; None (logged) if unusable."""
+    try:
+        return StoredTrace(path=path, **json.loads(raw.decode("utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        log.warning("trace store: unreadable sidecar %s; skipping", key)
+    except TypeError:
+        # Sidecar from an older/newer schema (missing or extra keys).
+        # Skipping keeps the service bootable; the trace can be
+        # re-uploaded (same digest, fresh sidecar).
+        log.warning(
+            "trace store: sidecar %s does not match this build's schema; "
+            "skipping", key,
+        )
+    return None
+
+
+def stored_traces(root: str | Path) -> list[StoredTrace]:
+    """The traces a local-layout store directory holds, read-only.
+
+    Unlike opening a :class:`TraceStore` this deletes nothing, so it is
+    safe next to a live service: an upload in flight (a staging file, or
+    a body whose sidecar has not landed) is simply not listed yet.
+    """
+    entries = []
+    for sidecar in sorted(Path(root).glob("*.meta.json")):
+        body = sidecar.with_name(sidecar.name[: -len(".meta.json")] + ".clt")
+        if not body.is_file():
+            continue
+        try:
+            raw = sidecar.read_bytes()
+        except OSError:
+            continue
+        entry = _entry(sidecar.name, raw, body)
+        if entry is not None:
+            entries.append(entry)
+    return entries
 
 
 class TraceStore:
@@ -213,8 +256,8 @@ class TraceStore:
                 continue
             digest = key[: -len(".meta.json")]
             try:
-                blob = json.loads(self.backend.get(key).decode("utf-8"))
-            except (BackendMissing, OSError, UnicodeDecodeError, json.JSONDecodeError):
+                raw = self.backend.get(key)
+            except (BackendMissing, OSError):
                 log.warning("trace store: unreadable sidecar %s; skipping", key)
                 continue
             if f"{digest}.clt" not in keys:
@@ -222,17 +265,8 @@ class TraceStore:
                 # written first) — tolerate it, but don't index it.
                 log.warning("trace store: sidecar %s has no trace body", key)
                 continue
-            path = self.root / f"{digest}.clt"
-            try:
-                entry = StoredTrace(path=path, **blob)
-            except TypeError:
-                # Sidecar from an older/newer schema (missing or extra
-                # keys).  Skipping keeps the service bootable; the trace
-                # can be re-uploaded (same digest, fresh sidecar).
-                log.warning(
-                    "trace store: sidecar %s does not match this build's "
-                    "schema; skipping", key,
-                )
+            entry = _entry(key, raw, self.root / f"{digest}.clt")
+            if entry is None:
                 continue
             self._index[digest] = entry
             seen_bodies.add(f"{digest}.clt")

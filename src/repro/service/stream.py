@@ -29,6 +29,11 @@ spool tail past the checkpointed offset and replaying the spool through
 a fresh :class:`OnlineAnalyzer` — so producers ``GET /streams/<sid>``,
 see the durable ``next_chunk``, and resume from the last acknowledged
 chunk instead of getting 404s and losing the stream.
+
+A finalized session is **retired** once its trace is stored: its files,
+estimator and buffers go, and only its final status record stays (the
+newest :data:`MAX_RETIRED` of them), so ``GET /streams/<sid>`` still answers
+``finalized`` with the trace digest.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import os
 import threading
 import time
 import uuid
-from collections import deque
+from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Any
 
@@ -64,6 +69,10 @@ FINALIZED = "finalized"
 
 #: Records per block when replaying a spool at recovery (bounds memory).
 _REPLAY_BLOCK = 1 << 18
+
+#: Retired sessions whose status records are kept (the newest), as
+#: JobStore bounds its finished history.
+MAX_RETIRED = 1024
 
 
 class StreamSession:
@@ -155,6 +164,8 @@ class StreamStore:
         self.max_pending_chunks = max_pending_chunks
         self.drain_timeout = drain_timeout
         self._sessions: dict[str, StreamSession] = {}
+        # Status records of retired sessions, oldest first.
+        self._retired: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)   # chunks pending
         self._drained = threading.Condition(self._lock)  # a queue emptied
@@ -217,21 +228,28 @@ class StreamStore:
         return session
 
     def get(self, sid: str) -> StreamSession:
+        """A live session: 404 if unknown, 409 once retired."""
         with self._lock:
-            session = self._sessions.get(sid)
-        if session is None:
-            raise ServiceError(f"no such stream session: {sid}", status=404)
-        return session
+            return self._live(sid)
 
-    def list(self) -> list[StreamSession]:
+    def status(self, sid: str) -> dict[str, Any]:
+        """One session's status record, retired sessions included."""
         with self._lock:
-            return sorted(self._sessions.values(), key=lambda s: s.created_at)
+            record = self._retired.get(sid)
+            return record if record is not None else self._live(sid).to_dict()
+
+    def records(self) -> list[dict[str, Any]]:
+        """Every session's status record, oldest first."""
+        with self._lock:
+            records = [*self._retired.values(),
+                       *(s.to_dict() for s in self._sessions.values())]
+        return sorted(records, key=lambda r: r["created_at"])
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
             open_sessions = [s for s in self._sessions.values() if s.state == OPEN]
             return {
-                "sessions": len(self._sessions),
+                "sessions": len(self._sessions) + len(self._retired),
                 "open": len(open_sessions),
                 "pending_chunks": sum(len(s.pending) for s in open_sessions),
                 "recovered": self.recovered_sessions,
@@ -257,9 +275,7 @@ class StreamStore:
         accepted_events = 0
         duplicates = 0
         with self._lock:
-            session = self._sessions.get(sid)
-            if session is None:
-                raise ServiceError(f"no such stream session: {sid}", status=404)
+            session = self._live(sid)
             if session.state != OPEN:
                 raise ServiceError(
                     f"stream {sid} is {session.state}; no more chunks", status=409
@@ -361,9 +377,7 @@ class StreamStore:
             self.drain_timeout if timeout is None else timeout
         )
         with self._lock:
-            session = self._sessions.get(sid)
-            if session is None:
-                raise ServiceError(f"no such stream session: {sid}", status=404)
+            session = self._live(sid)
             if session.state != OPEN:
                 raise ServiceError(
                     f"stream {sid} is already {session.state}", status=409
@@ -391,11 +405,27 @@ class StreamStore:
         return session, trace
 
     def retire(self, session: StreamSession) -> None:
-        """Durably delete a finalized session's files; call it only once
-        its trace is stored, so a crash before then loses nothing."""
+        """Durably delete a finalized session's files and let it go; call
+        it only once its trace is stored, so a crash before then loses
+        nothing.  Only its status record stays, bounded by :data:`MAX_RETIRED`.
+        """
         session.spool_path.unlink(missing_ok=True)
         self._ckpt_path(session.id).unlink(missing_ok=True)
         fsync_path(self.root)
+        with self._lock:
+            self._sessions.pop(session.id, None)
+            self._retired[session.id] = session.to_dict()
+            while len(self._retired) > MAX_RETIRED:
+                self._retired.popitem(last=False)
+
+    def _live(self, sid: str) -> StreamSession:
+        """Caller holds ``self._lock``."""
+        session = self._sessions.get(sid)
+        if session is not None:
+            return session
+        if sid in self._retired:
+            raise ServiceError(f"stream {sid} is {FINALIZED}", status=409)
+        raise ServiceError(f"no such stream session: {sid}", status=404)
 
     # -- checkpoint persistence ------------------------------------------------
 

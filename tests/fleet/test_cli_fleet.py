@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +50,22 @@ def test_fleet_summary_json(store_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["traces"] == 4
     assert {c["site"] for c in doc["top"]} == {"L1", "L2"}
+
+
+def test_fleet_store_is_read_not_reaped(store_dir, capsys):
+    # What a live service leaves mid-upload: a staging file, and a body
+    # whose sidecar has not landed yet.  Opening the store would delete
+    # both; the CLI must only read.
+    traces = Path(store_dir) / "traces"
+    staged = traces / ".upload-inflight.tmp"
+    staged.write_bytes(b"partial upload")
+    body = next(traces.glob("*.clt"))
+    pending = traces / ("f" * 64 + ".clt")
+    pending.write_bytes(body.read_bytes())
+    assert main(["fleet", "summary", "--store", store_dir, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["traces"] == 4
+    assert staged.read_bytes() == b"partial upload"
+    assert pending.exists()
 
 
 def test_fleet_summary_empty_store(tmp_path, capsys):

@@ -22,12 +22,12 @@ def test_ingest_store_is_incremental(tmp_path):
     store, _ = _seed_store(tmp_path, n=3)
     agg = FleetAggregator(tmp_path / "fleet")
     metrics = ServiceMetrics()
-    out = ingest_store(agg, store, metrics=metrics)
+    out = ingest_store(agg, store.list(), metrics=metrics)
     assert out == {"observed": 3, "skipped": 0, "errors": 0}
     assert agg.summary()["traces"] == 3
     assert metrics.fleet_observed == 3
     # Second pass: everything already observed.
-    assert ingest_store(agg, store, metrics=metrics) == {
+    assert ingest_store(agg, store.list(), metrics=metrics) == {
         "observed": 0, "skipped": 3, "errors": 0,
     }
     assert metrics.fleet_duplicates == 3
@@ -37,16 +37,16 @@ def test_ingest_counts_unreadable_traces_as_errors(tmp_path):
     store, entries = _seed_store(tmp_path, n=2)
     entries[0].path.write_bytes(b"garbage, not a trace")
     agg = FleetAggregator(tmp_path / "fleet")
-    out = ingest_store(agg, store)
+    out = ingest_store(agg, store.list())
     assert out["errors"] == 1 and out["observed"] == 1
 
 
 def test_ingest_state_survives_restart(tmp_path):
     store, _ = _seed_store(tmp_path, n=2)
-    ingest_store(FleetAggregator(tmp_path / "fleet"), store)
+    ingest_store(FleetAggregator(tmp_path / "fleet"), store.list())
     # A fresh aggregator over the same state dir skips all of them.
     agg = FleetAggregator(tmp_path / "fleet")
-    assert ingest_store(agg, store)["skipped"] == 2
+    assert ingest_store(agg, store.list())["skipped"] == 2
 
 
 def test_background_ingestor_processes_queue(tmp_path):

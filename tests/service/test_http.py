@@ -5,7 +5,10 @@ uses distinct params so cache state never couples them unless the test
 is *about* the cache.
 """
 
+import http.client
+import json
 import threading
+import time
 
 import pytest
 
@@ -125,3 +128,116 @@ def test_sampled_analyze_over_http(client, micro, digest):
     assert top["name"] == "L2"
     assert top["cp_time_frac"] == exact.lock("L2").cp_fraction
     assert top["ci_low"] <= top["cp_time_frac"] <= top["ci_high"]
+
+
+# -- one request per answer -------------------------------------------------------
+
+
+def _requests(client):
+    """The server's request count; the /metrics request itself included."""
+    return client.metrics()["requests"]
+
+
+def _get(url, target):
+    host, port = url.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        conn.request("GET", target)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+def test_cache_hit_submit_and_wait_cost_one_request(client, digest):
+    expected = client.analyze(digest, top=6)  # the miss fills the cache
+    before = _requests(client)
+    job_id = client.submit("analyze", digest, {"top": 6})
+    assert client.wait(job_id, timeout=60) == expected
+    assert _requests(client) - before - 1 == 1  # the submit alone
+
+
+def test_miss_within_the_hold_costs_two_requests(client):
+    client.wait(client.submit("selftest", [], {"echo": "warm"}), timeout=60)
+    before = _requests(client)
+    job_id = client.submit("selftest", [], {"echo": "one-hold"})
+    assert client.wait(job_id, timeout=60, poll=30)["echo"] == "one-hold"
+    assert _requests(client) - before - 1 == 2  # submit, one held report
+
+
+def test_terminal_submit_answer_carries_the_result(server, client, digest):
+    expected = client.analyze(digest, top=5)
+    body = json.dumps({"kind": "analyze", "trace": digest, "params": {"top": 5}})
+    status, job = server.api.handle("POST", "/jobs", body.encode())
+    assert status == 202
+    assert job["state"] == "done" and job["cached"]
+    assert job["result"] == expected
+    body = json.dumps({"kind": "selftest", "params": {"echo": "pending", "sleep": 0.5}})
+    status, job = server.api.handle("POST", "/jobs", body.encode())
+    assert job["state"] in ("queued", "running") and "result" not in job
+    client.wait(job["id"], timeout=60)
+
+
+def test_held_report_answers_once_the_job_is_done(server, client):
+    client.wait(client.submit("selftest", [], {"echo": "warm"}), timeout=60)
+    job_id = client.submit("selftest", [], {"echo": "held", "sleep": 0.2})
+    t0 = time.monotonic()
+    status, body = _get(server.url, f"/reports/{job_id}?wait=5")
+    assert status == 200
+    assert body["result"]["echo"] == "held"
+    assert time.monotonic() - t0 < 2.0
+
+
+def test_held_report_is_409_when_the_hold_expires(server, client):
+    job_id = client.submit("selftest", [], {"echo": "expire", "sleep": 1.0})
+    t0 = time.monotonic()
+    status, body = _get(server.url, f"/reports/{job_id}?wait=0.05")
+    elapsed = time.monotonic() - t0
+    assert status == 409
+    assert body["state"] in ("queued", "running")
+    assert 0.04 <= elapsed < 0.9
+    client.wait(job_id, timeout=60)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+def test_held_report_bad_wait_is_400(server, client, value):
+    job_id = client.submit("selftest", [], {"echo": f"bad-{value}"})
+    status, body = _get(server.url, f"/reports/{job_id}?wait={value}")
+    assert status == 400
+    assert "wait" in body["error"]
+    client.wait(job_id, timeout=60)
+
+
+def test_held_report_unknown_job_is_404(server):
+    status, body = _get(server.url, "/reports/nope?wait=0.1")
+    assert status == 404
+    assert "no such job" in body["error"]
+
+
+def test_wait_on_failed_job_names_job_and_error(client, digest):
+    job_id = client.submit("whatif", digest, {"lock": "NOT-A-LOCK-2"})
+    with pytest.raises(ServiceError) as ei:
+        client.wait(job_id, timeout=60)
+    error = client.job(job_id)["error"]
+    assert str(ei.value) == f"job {job_id} failed: {error}"
+    assert ei.value.status == 500
+
+
+def test_wait_on_failed_terminal_submit_sends_nothing(tmp_path):
+    with ServiceAPI(tmp_path / "inline", workers=0) as api:
+        srv = make_server(api, "127.0.0.1", 0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            inline = ServiceClient(srv.url)
+            job_id = inline.submit("selftest", [], {"fail": "boom"})
+            before = _requests(inline)
+            with pytest.raises(ServiceError) as ei:
+                inline.wait(job_id, timeout=10)
+            assert _requests(inline) - before == 1  # only the second /metrics
+            assert str(ei.value) == f"job {job_id} failed: RuntimeError: boom"
+            inline.close()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=5)

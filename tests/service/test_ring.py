@@ -1,6 +1,8 @@
 """Consistent-hash routing: the ring itself and the service redirects."""
 
 import json
+import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,10 @@ import pytest
 from repro.errors import ServiceError
 from repro.service.api import ServiceAPI
 from repro.service.backend import MemoryObjectClient, ObjectBackend
+from repro.service.client import ServiceClient
+from repro.service.jobs import JobSpec
 from repro.service.ring import HashRing
+from repro.service.server import make_server
 from repro.trace import write_trace
 
 NODES = ["http://a:1", "http://b:2", "http://c:3"]
@@ -168,3 +173,65 @@ class TestServiceRouting:
             body = json.dumps({"kind": "selftest"}).encode()
             status, _ = api.handle("POST", "/jobs", body)
             assert status == 202
+
+
+@pytest.fixture
+def two_served_nodes(tmp_path):
+    """Two ring nodes over real HTTP (inline pools, one shared bucket)."""
+    ports = []
+    for _ in range(2):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            ports.append(sock.getsockname()[1])
+    urls = [f"http://127.0.0.1:{p}" for p in ports]
+    bucket = MemoryObjectClient()
+    servers = []
+    for i, url in enumerate(urls):
+        api = ServiceAPI(
+            tmp_path / f"node{i}", workers=0, backend=ObjectBackend(bucket),
+            self_url=url, peers=[u for u in urls if u != url],
+        )
+        srv = make_server(api, "127.0.0.1", ports[i])
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        servers.append((srv, thread))
+    yield [srv for srv, _ in servers]
+    for srv, thread in servers:
+        srv.shutdown()
+        srv.server_close()
+        srv.api.close()
+        thread.join(timeout=5)
+
+
+def test_redirected_submit_pins_its_answer_and_report_fetch(
+    two_served_nodes, micro_trace
+):
+    a, b = two_served_nodes
+    client = ServiceClient(a.url)
+    digest = client.upload_trace(micro_trace)
+    top = next(
+        k for k in range(1, 64)
+        if a.api.ring.owner(JobSpec("analyze", (digest,), {"top": k}).cache_key())
+        == b.url
+    )
+
+    def requests():
+        return a.api.metrics.requests, b.api.metrics.requests
+
+    before = requests()
+    job_id = client.submit("analyze", digest, {"top": top})  # 307 a -> b
+    assert requests() == (before[0] + 1, before[1] + 1)
+    result = client.wait(job_id, timeout=30)  # the submit's answer
+    assert result["critical_locks"]
+    assert requests() == (before[0] + 1, before[1] + 1)
+    # Another thread holds no answer for the job: it fetches the report,
+    # from the node the job was pinned to.
+    fetched = {}
+    thread = threading.Thread(
+        target=lambda: fetched.update(result=client.wait(job_id, timeout=30))
+    )
+    thread.start()
+    thread.join(timeout=30)
+    assert fetched["result"] == result
+    assert requests() == (before[0] + 1, before[1] + 2)
+    client.close()

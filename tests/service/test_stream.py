@@ -281,6 +281,22 @@ class TestFinalize:
         names = {l["name"] for l in fin["snapshot"]["locks"]}
         assert names == {"L1", "L2"}
 
+    def test_finalized_session_keeps_only_its_status(self, api, micro):
+        sid = _open(api, name="micro")
+        _stream_all(api, sid, micro.records)
+        _, fin = _post_json(
+            api, f"/traces/{sid}/finalize", {"header": header_dict(micro)}
+        )
+        status, record = api.handle("GET", f"/streams/{sid}")
+        assert status == 200
+        assert record["state"] == "finalized"
+        assert record["digest"] == fin["trace"]["digest"] == trace_digest(micro)
+        _, listed = api.handle("GET", "/streams")
+        assert [r["id"] for r in listed["streams"]] == [sid]
+        status, err = api.handle("GET", f"/streams/{sid}/snapshot")
+        assert status == 409
+        assert "finalized" in err["error"]
+
     def test_spool_removed_after_finalize(self, api, micro):
         sid = _open(api)
         _stream_all(api, sid, micro.records)
@@ -340,5 +356,32 @@ class TestStoreDirect:
                 assert len(session.pending) <= 4
             _, trace = store.finalize(session.id, header=header_dict(micro))
             assert np.array_equal(trace.records, micro.records)
+        finally:
+            store.close()
+
+    def test_retired_sessions_stay_bounded(self, tmp_path, micro, monkeypatch):
+        from repro.service import stream
+
+        monkeypatch.setattr(stream, "MAX_RETIRED", 3)
+        store = stream.StreamStore(tmp_path / "s")
+        try:
+            sids = []
+            for i in range(8):
+                session = store.open(name=f"s{i}")
+                store.append_chunks(session.id, encode_records_frame(micro.records, 0))
+                session, _ = store.finalize(session.id, header=header_dict(micro))
+                session.digest = f"digest-{i}"
+                store.retire(session)
+                sids.append(session.id)
+            assert [r["id"] for r in store.records()] == sids[-3:]
+            assert store.stats()["sessions"] == 3
+            assert store.stats()["open"] == 0
+            assert store.status(sids[-1])["digest"] == "digest-7"
+            with pytest.raises(ServiceError) as ei:
+                store.get(sids[-1])  # no analyzer left to read
+            assert ei.value.status == 409
+            with pytest.raises(ServiceError) as ei:
+                store.status(sids[0])  # record trimmed
+            assert ei.value.status == 404
         finally:
             store.close()
