@@ -15,7 +15,9 @@ instance — or a *different* instance sharing the namespace — serves
 results computed before the restart.  Trim order is maintained
 incrementally (an insertion-ordered key set, refreshed on promotion),
 so eviction is O(1) amortized instead of stat+sort over the whole tier
-on every spill.
+on every spill.  Tier writes happen outside the cache's lock
+(:meth:`ResultCache.flush`); until one lands, its entry is served from
+memory, so a slow disk never stalls a lookup that does not read it.
 """
 
 from __future__ import annotations
