@@ -1,4 +1,4 @@
-"""Protocol & scheduler what-if forecast matrix over the golden workloads.
+"""Protocol what-if forecasts over the golden workloads.
 
 Standalone script (not a pytest bench — CI runs it directly)::
 
@@ -7,11 +7,13 @@ Standalone script (not a pytest bench — CI runs it directly)::
 
 For each golden case (``tests/golden``) the script first proves replay
 fidelity — the ``recorded`` identity protocol must reproduce the traced
-completion time exactly — and then sweeps ``forecast_matrix`` over every
-lock protocol x ready-queue scheduler, reporting predicted gains and
-critical-lock re-rankings.  The headline assertion (``--require-rerank``,
-on by default) is the EXPERIMENTS.md result: on the rwlock-heavy ``ldap``
-case, reader-preference re-ranks the critical lock
+completion time and ``(name, cp_fraction)`` ranking exactly, both for the
+case as recorded (one core per thread) and for the case recorded at
+``cores=2`` — and then forecasts every lock protocol over one shared
+baseline analysis, reporting predicted gains and critical-lock
+re-rankings.  The headline assertion (``--require-rerank``, on by
+default) is the EXPERIMENTS.md result: on the rwlock-heavy ``ldap`` case,
+reader-preference re-ranks the critical lock
 (``entry_lock[0] -> entry_lock[1]``) with a positive end-to-end gain,
 while FIFO replay stays a no-op everywhere.
 """
@@ -23,8 +25,9 @@ import json
 import sys
 import time
 
-from repro.core.replay_whatif import forecast_matrix, replay_identity
-from repro.sim import available_protocols, available_schedulers
+from repro.core.analyzer import analyze
+from repro.core.replay_whatif import replay_identity, replay_whatif
+from repro.sim import available_protocols
 from repro.workloads import get_workload
 
 #: Keep in sync with tests/golden/test_golden_reports.py::CASES.
@@ -40,35 +43,57 @@ CASES = {
     ),
 }
 
+#: Core limit of the second identity replay of every case.
+LIMITED_CORES = 2
 
-def build_trace(case: str):
+PROTOCOLS = [p for p in available_protocols() if p != "recorded"]
+
+
+def build_trace(case: str, cores: int | None = None):
     workload, params, nthreads, seed = CASES[case]
-    return get_workload(workload)(**params).run(nthreads=nthreads, seed=seed).trace
+    wl = get_workload(workload)(**params)
+    return wl.run(nthreads=nthreads, seed=seed, cores=cores).trace
 
 
-def run_case(case: str, schedulers: list[str]) -> dict:
+def ranking(trace) -> list[tuple[str, float]]:
+    report = analyze(trace, validate=False).report
+    return [(m.name, m.cp_fraction) for m in report.top_locks(None, by="cp_fraction")]
+
+
+def faithful(trace) -> bool:
+    """Identity replay reproduces completion time and ranking exactly."""
+    replayed = replay_identity(trace)
+    return (replayed.completion_time == trace.duration
+            and ranking(replayed.trace) == ranking(trace))
+
+
+def run_case(case: str) -> dict:
     trace = build_trace(case)
+    limited = build_trace(case, cores=LIMITED_CORES)
 
     t0 = time.perf_counter()
-    identity = replay_identity(trace)
+    identity = faithful(trace)
     t_identity = time.perf_counter() - t0
-    faithful = identity.completion_time == trace.duration
+    identity_limited = faithful(limited)
 
     t0 = time.perf_counter()
-    forecasts = forecast_matrix(trace, schedulers=schedulers)
-    t_matrix = time.perf_counter() - t0
+    baseline = analyze(trace, validate=False).report
+    forecasts = [replay_whatif(trace, p, baseline=baseline) for p in PROTOCOLS]
+    t_forecasts = time.perf_counter() - t0
 
     return {
         "case": case,
         "events": len(trace),
         "duration": trace.duration,
-        "identity_faithful": faithful,
+        "identity_faithful": identity,
         "identity_replay_s": round(t_identity, 4),
-        "matrix_s": round(t_matrix, 4),
+        "limited_cores": LIMITED_CORES,
+        "limited_duration": limited.duration,
+        "limited_identity_faithful": identity_limited,
+        "forecasts_s": round(t_forecasts, 4),
         "forecasts": [
             {
                 "protocol": f.protocol,
-                "scheduler": f.scheduler,
                 "predicted_time": f.predicted_time,
                 "gain": round(f.predicted_gain, 6),
                 "speedup": round(f.predicted_speedup, 4),
@@ -83,9 +108,7 @@ def run_case(case: str, schedulers: list[str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
-                    help="micro + ldap only, FIFO scheduler only (CI smoke job)")
-    ap.add_argument("--schedulers", nargs="*", default=None, metavar="NAME",
-                    help="scheduler subset (default: all; --quick: fifo)")
+                    help="micro + ldap only (CI smoke job)")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="also write the numbers as JSON (perf trajectory)")
     ap.add_argument("--no-require-rerank", dest="require_rerank",
@@ -94,32 +117,29 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     cases = ["micro", "ldap"] if args.quick else list(CASES)
-    schedulers = args.schedulers
-    if schedulers is None:
-        schedulers = ["fifo"] if args.quick else available_schedulers()
-
-    print(f"protocols: {', '.join(p for p in available_protocols() if p != 'recorded')}")
-    print(f"schedulers: {', '.join(schedulers)}")
+    print(f"protocols: {', '.join(PROTOCOLS)}")
 
     results, failed = [], False
     for case in cases:
-        res = run_case(case, schedulers)
+        res = run_case(case)
         results.append(res)
-        tag = "ok" if res["identity_faithful"] else "FAIL"
+        tags = ["ok" if res[k] else "FAIL"
+                for k in ("identity_faithful", "limited_identity_faithful")]
         print(f"\n{case}: {res['events']} events, duration {res['duration']:.4f}; "
-              f"identity replay {tag} ({res['identity_replay_s']:.2f}s), "
-              f"matrix of {len(res['forecasts'])} in {res['matrix_s']:.2f}s")
-        if not res["identity_faithful"]:
+              f"identity replay {tags[0]} ({res['identity_replay_s']:.2f}s), "
+              f"at cores={LIMITED_CORES} {tags[1]} "
+              f"(duration {res['limited_duration']:.4f}); "
+              f"{len(res['forecasts'])} forecasts in {res['forecasts_s']:.2f}s")
+        if "FAIL" in tags:
             failed = True
         for f in res["forecasts"]:
             mark = "  RE-RANK" if f["reranked"] else ""
-            print(f"  {f['protocol']:12s} x {f['scheduler']:8s} "
+            print(f"  {f['protocol']:12s} "
                   f"gain {f['gain']:+8.2%}  crit {f['critical_lock']}{mark}")
 
     if args.require_rerank and "ldap" in cases:
         ldap = next(r for r in results if r["case"] == "ldap")
-        hit = [f for f in ldap["forecasts"]
-               if f["protocol"] == "reader-pref" and f["scheduler"] == "fifo"]
+        hit = [f for f in ldap["forecasts"] if f["protocol"] == "reader-pref"]
         if not (hit and hit[0]["reranked"] and hit[0]["gain"] > 0):
             print("FAIL: ldap reader-pref did not re-rank the critical lock "
                   "with a positive gain", file=sys.stderr)
@@ -131,8 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         with open(args.json, "w") as f:
             json.dump(
-                {"bench": "protocols", "quick": args.quick,
-                 "schedulers": schedulers, "cases": results},
+                {"bench": "protocols", "quick": args.quick, "cases": results},
                 f, indent=2,
             )
             f.write("\n")
@@ -140,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if failed:
         return 1
-    print("ok: identity replay faithful on every case")
+    print(f"ok: identity replay faithful on every case, also at cores={LIMITED_CORES}")
     return 0
 
 

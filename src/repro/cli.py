@@ -157,13 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     rp_p.add_argument("--factor", type=float, default=0.5,
                       help="remaining CS size fraction under --shrink")
     rp_p.add_argument("--cores", type=int, default=None,
-                      help="replay under a different core count")
+                      help="replay on this many cores (default: no core limit; "
+                      "refused on a core-limited trace)")
     rp_p.add_argument("--output", "-o", help="write the replayed trace here")
 
     wi_p = sub.add_parser(
         "whatif",
         help="predict speedup from shrinking a lock's CSs, or ground-truth "
-        "replay under another lock protocol / scheduler",
+        "replay under another lock protocol",
     )
     wi_p.add_argument("trace", nargs="?", help="trace file (.clt/.jsonl)")
     wi_p.add_argument("lock", nargs="?", help="lock display name (shrink mode)")
@@ -174,12 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay under this lock protocol (see --list-protocols)",
     )
     wi_p.add_argument(
-        "--scheduler", metavar="NAME",
-        help="replay under this ready-queue scheduler (see --list-protocols)",
-    )
-    wi_p.add_argument("--quantum", type=float, metavar="T",
-                      help="compute quantum for --scheduler rr")
-    wi_p.add_argument(
         "--priority", action="append", default=[], metavar="THREAD=P",
         help="base priority for a thread (tid or name; repeatable)",
     )
@@ -188,12 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="protocol constructor parameter, e.g. spin_limit=0.1 (repeatable)",
     )
     wi_p.add_argument("--cores", type=int, default=None,
-                      help="replay under a different core count (default: recorded)")
+                      help="replay on this many cores (default: no core limit; "
+                      "refused on a core-limited trace)")
     wi_p.add_argument("--top", type=int, default=10,
                       help="locks in the re-ranking table")
     wi_p.add_argument("--json", action="store_true", help="machine-readable output")
     wi_p.add_argument("--list-protocols", action="store_true",
-                      help="list available protocols and schedulers, then exit")
+                      help="list available protocols, then exit")
 
     ex_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     ex_p.add_argument(
@@ -536,19 +532,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_whatif(args: argparse.Namespace) -> int:
     if args.list_protocols:
         from repro.sim.protocols import PROTOCOL_DOCS
-        from repro.sim.schedulers import SCHEDULER_DOCS
 
         print("lock protocols (--protocol):")
         for name, doc in PROTOCOL_DOCS.items():
-            print(f"  {name:<12} {doc}")
-        print("schedulers (--scheduler):")
-        for name, doc in SCHEDULER_DOCS.items():
             print(f"  {name:<12} {doc}")
         return 0
     if not args.trace:
         raise ReproError("whatif needs a trace file (or --list-protocols)")
     trace = read_trace(args.trace)
-    if args.protocol or args.scheduler:
+    if args.protocol:
         from repro.core.replay_whatif import replay_whatif
 
         priorities = {}
@@ -559,12 +551,10 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
             priorities[int(key) if key.lstrip("-").isdigit() else key] = int(val)
         forecast = replay_whatif(
             trace,
-            protocol=args.protocol or "fifo",
-            scheduler=args.scheduler or "fifo",
-            quantum=args.quantum,
+            protocol=args.protocol,
             priorities=priorities or None,
             protocol_params=_parse_params(args.proto_param) or None,
-            cores=args.cores if args.cores is not None else "auto",
+            cores=args.cores,
         )
         if args.json:
             print(json.dumps(forecast.to_dict(), indent=2))
@@ -573,7 +563,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         return 0
     if not args.lock:
         raise ReproError(
-            "whatif needs a lock name (shrink mode) or --protocol/--scheduler"
+            "whatif needs a lock name (shrink mode) or --protocol"
         )
     from repro.core.whatif import predict_shrink
 

@@ -55,7 +55,6 @@ if TYPE_CHECKING:
     from repro.core.replay_whatif import (
         LockDelta,
         ProtocolForecast,
-        forecast_matrix,
         replay_identity,
         replay_whatif,
     )
@@ -83,8 +82,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.core.phases": ("PhaseReport", "split_phases"),
     "repro.core.replay_whatif": (
-        "LockDelta", "ProtocolForecast", "forecast_matrix", "replay_identity",
-        "replay_whatif",
+        "LockDelta", "ProtocolForecast", "replay_identity", "replay_whatif",
     ),
     "repro.core.report": ("AnalysisReport",),
     "repro.core.whatif": ("WhatIfResult", "predict_shrink"),

@@ -1,9 +1,9 @@
-"""Protocol/scheduler what-if: replay a trace under an alternative policy.
+"""Protocol what-if: replay a trace under an alternative lock policy.
 
 The shrink/remove what-ifs (:mod:`repro.core.whatif`) answer "what if
 this critical section were cheaper"; this module answers "what if the
 *policy* were different" — priority inheritance instead of FIFO handoff,
-a writer-preference rwlock, adaptive spinning, a round-robin scheduler.
+a writer-preference rwlock, adaptive spinning.
 Serialization bottlenecks are frequently policy artifacts rather than
 inherent work, so these forecasts rank the *fixable* share of
 contention.
@@ -11,7 +11,7 @@ contention.
 The mechanism is ground-truth replay, not DAG estimation: the trace is
 reconstructed into a schedulable program (:mod:`repro.replay`) and
 re-executed on the simulator under the requested
-:mod:`repro.sim.protocols` / :mod:`repro.sim.schedulers` policies.
+:mod:`repro.sim.protocols` policy.
 Contention fully re-resolves — grant orders, wait times and even the
 critical path's shape can change — and the resulting
 :class:`ProtocolForecast` diffs the re-ranked critical-lock table
@@ -33,8 +33,7 @@ from repro.core.report import AnalysisReport
 from repro.errors import AnalysisError
 from repro.replay import reconstruct
 from repro.sim.engine import SimResult
-from repro.sim.protocols import available_protocols, get_protocol
-from repro.sim.schedulers import available_schedulers, get_scheduler
+from repro.sim.protocols import get_protocol
 from repro.tables import format_table
 from repro.trace.trace import Trace
 from repro.units import format_duration, format_percent
@@ -44,7 +43,6 @@ __all__ = [
     "ProtocolForecast",
     "replay_whatif",
     "replay_identity",
-    "forecast_matrix",
 ]
 
 
@@ -77,7 +75,6 @@ class ProtocolForecast:
 
     name: str
     protocol: str
-    scheduler: str
     params: dict[str, Any]
     baseline_time: float
     predicted_time: float
@@ -115,8 +112,6 @@ class ProtocolForecast:
 
     def render(self, n: int | None = 10) -> str:
         head = self.protocol
-        if self.scheduler != "fifo":
-            head += f" + {self.scheduler} scheduler"
         if self.params:
             head += " (" + ", ".join(f"{k}={v}" for k, v in self.params.items()) + ")"
         if self.reranked:
@@ -163,7 +158,6 @@ class ProtocolForecast:
         return {
             "name": self.name,
             "protocol": self.protocol,
-            "scheduler": self.scheduler,
             "params": dict(self.params),
             "baseline_time": self.baseline_time,
             "predicted_time": self.predicted_time,
@@ -191,32 +185,21 @@ class ProtocolForecast:
         }
 
 
-def _resolve_cores(trace: Trace, cores: int | str | None) -> int | None:
-    if cores == "auto":
-        return trace.meta.get("cores")
-    return cores  # type: ignore[return-value]
-
-
 def replay_whatif(
     trace: Trace,
     protocol: str = "fifo",
-    scheduler: str = "fifo",
     *,
-    quantum: float | None = None,
     priorities: dict[int | str, int] | None = None,
     protocol_params: dict[str, Any] | None = None,
-    cores: int | str | None = "auto",
+    cores: int | None = None,
     baseline: AnalysisReport | None = None,
 ) -> ProtocolForecast:
-    """Replay ``trace`` under an alternative policy and diff the ranking.
+    """Replay ``trace`` under an alternative lock protocol and diff the ranking.
 
     Parameters
     ----------
-    protocol / scheduler:
-        Registry names (:func:`repro.sim.available_protocols` /
-        :func:`repro.sim.available_schedulers`).
-    quantum:
-        Round-robin compute quantum (``scheduler="rr"`` only).
+    protocol:
+        Registry name (:func:`repro.sim.available_protocols`).
     priorities:
         Base priorities for the priority-aware policies, keyed by the
         original trace tid or thread name; unlisted threads get 0.
@@ -225,11 +208,13 @@ def replay_whatif(
         ``{"spin_limit": 0.1}`` for ``spin``,
         ``{"ceilings": {...}}`` for ``ceiling``).
     cores:
-        ``"auto"`` (default) replays with the recorded core count; an
-        int or ``None`` overrides it.
+        Replay on this many cores; ``None`` (default) replays with no
+        core limit.  Refused on a trace recorded under a core limit,
+        whose compute gaps already include its core waits
+        (:meth:`repro.replay.ReplayProgram.build`).
     baseline:
-        Pass a precomputed baseline report to amortize analysis across a
-        forecast matrix.
+        Pass a precomputed baseline report to amortize analysis across
+        several forecasts of one trace.
     """
     params = dict(protocol_params or {})
     if protocol == "recorded":
@@ -238,22 +223,13 @@ def replay_whatif(
             raise AnalysisError("the recorded protocol takes no parameters")
     else:
         proto = get_protocol(protocol, **params)
-    sched_params: dict[str, Any] = {}
-    if quantum is not None:
-        if scheduler != "rr":
-            raise AnalysisError(
-                f"quantum only applies to the 'rr' scheduler, not {scheduler!r}"
-            )
-        sched_params["quantum"] = quantum
-    sched = get_scheduler(scheduler, **sched_params)
 
     if baseline is None:
         baseline = analyze(trace, validate=False).report
     prog = reconstruct(trace).build(
-        cores=_resolve_cores(trace, cores),
+        cores=cores,
         seed=trace.meta.get("seed", 0),
         protocol=proto,
-        scheduler=sched,
         priorities=priorities,
     )
     result = prog.run()
@@ -280,14 +256,11 @@ def replay_whatif(
             )
         )
     shown_params = dict(params)
-    if quantum is not None:
-        shown_params["quantum"] = quantum
     if priorities:
         shown_params["priorities"] = dict(priorities)
     return ProtocolForecast(
         name=trace.meta.get("name", ""),
         protocol=protocol,
-        scheduler=scheduler,
         params=shown_params,
         baseline_time=trace.duration,
         predicted_time=result.completion_time,
@@ -300,36 +273,15 @@ def replay_whatif(
 def replay_identity(trace: Trace) -> SimResult:
     """Replay under the recorded identity protocol (fidelity check).
 
-    Uses the trace's own core count and seed and preserves its name, so
-    a faithful replay analyzes to a byte-identical report.
+    Uses the trace's own seed and no core limit (a core-limited trace's
+    gaps already include its core waits) and preserves its name, so a
+    faithful replay reproduces the recorded completion time and
+    critical-lock ranking.
     """
     prog = reconstruct(trace).build(
-        cores=trace.meta.get("cores"),
         seed=trace.meta.get("seed", 0),
         protocol="recorded",
         preserve_name=True,
     )
     return prog.run()
 
-
-def forecast_matrix(
-    trace: Trace,
-    protocols: list[str] | None = None,
-    schedulers: list[str] | None = None,
-    **kwargs: Any,
-) -> list[ProtocolForecast]:
-    """Forecast every protocol x scheduler combination (shared baseline)."""
-    if protocols is None:
-        protocols = [p for p in available_protocols() if p != "recorded"]
-    if schedulers is None:
-        schedulers = available_schedulers()
-    baseline = analyze(trace, validate=False).report
-    out = []
-    for proto in protocols:
-        for sched in schedulers:
-            out.append(
-                replay_whatif(
-                    trace, proto, sched, baseline=baseline, **kwargs
-                )
-            )
-    return out

@@ -62,6 +62,9 @@ def ingest_store(
 
     ``entries`` are :class:`~repro.service.store.StoredTrace` records: a
     live store's ``list()``, or ``stored_traces(dir)`` read off disk.
+    Nothing is saved: the caller that owns the aggregator's state file
+    (the service) saves, while a read-only view of a data directory a
+    live service may own (the ``fleet --store`` CLI) must not.
     """
     observed = skipped = errors = 0
     for entry in entries:
@@ -82,8 +85,6 @@ def ingest_store(
             observed += 1
             if metrics is not None:
                 metrics.count_fleet(observed=1, seconds=time.perf_counter() - t0)
-    if observed:
-        aggregator.save()
     return {"observed": observed, "skipped": skipped, "errors": errors}
 
 

@@ -23,6 +23,12 @@ Reconstruction rules (per thread, events in order):
 Supported modification: scaling the execution time spent while holding a
 chosen lock (``shrink_lock``/``factor``), the paper's optimization move.
 
+Core limits: a trace recorded with ``cores=N`` has its ready-queue waits
+folded into its compute gaps (:mod:`repro.sim.engine`), so the gaps
+already are the time each thread took with the cores it got.  Such a
+trace replays faithfully with no core limit; replaying it under a core
+limit again would queue for cores twice and is refused.
+
 Limitations: barrier party counts must be constant across generations;
 condition-variable programs replay correctly only when the rebuilt
 timing preserves signal/wait pairing (true for deterministic traces from
@@ -84,7 +90,6 @@ class ReplayProgram:
         cores: int | None = None,
         seed: int = 0,
         protocol: Any = None,
-        scheduler: Any = None,
         priorities: dict[int | str, int] | None = None,
         preserve_name: bool = False,
     ) -> Program:
@@ -93,17 +98,28 @@ class ReplayProgram:
         ``shrink_lock``/``factor`` scale compute blocks executed while
         holding the given lock (0 removes them, 0.5 halves them).
 
-        ``protocol``/``scheduler`` re-run the reconstruction under an
-        alternative lock protocol or ready-queue policy (names or
-        instances; ``protocol="recorded"`` builds the identity protocol
-        from this trace, pinning grants to the recorded order).
-        ``priorities`` maps original tids or thread names to base
-        priorities for the priority-aware policies.  ``preserve_name``
-        keeps the original trace name instead of the ``replay:`` prefix,
-        so identity replays render byte-identical reports.
+        ``cores`` limits the replay to that many cores; it is refused on
+        a trace that was itself recorded under a core limit (see the
+        module docstring).
+
+        ``protocol`` re-runs the reconstruction under an alternative lock
+        protocol (a name or an instance; ``protocol="recorded"`` builds
+        the identity protocol from this trace, pinning grants to the
+        recorded order).  ``priorities`` maps original tids or thread
+        names to base priorities for the priority-aware protocols.
+        ``preserve_name`` keeps the original trace name instead of the
+        ``replay:`` prefix, so identity replays render byte-identical
+        reports.
         """
         if factor < 0:
             raise AnalysisError(f"factor must be >= 0, got {factor}")
+        recorded_cores = self.trace.meta.get("cores")
+        if cores is not None and recorded_cores is not None:
+            raise AnalysisError(
+                f"trace was recorded on {recorded_cores} core(s): its compute "
+                "gaps already include the core waits, so it replays only with "
+                f"no core limit (got cores={cores})"
+            )
         shrink_obj = None
         if shrink_lock is not None:
             from repro.core.whatif import resolve_lock
@@ -117,7 +133,6 @@ class ReplayProgram:
             seed=seed,
             name=orig_name if preserve_name else f"replay:{orig_name}",
             protocol=None if recorded else protocol,
-            scheduler=scheduler,
         )
         objects: dict[int, Any] = {}
         cohorts = _barrier_cohorts(self.trace)

@@ -263,9 +263,12 @@ class ServiceAPI:
             case ("POST", ["fleet", "ingest"]):
                 # Catch-up over traces stored before fleet observability
                 # (or under a different service instance).
-                return 200, ingest_store(
+                counts = ingest_store(
                     self.fleet, self.store.list(), metrics=self.metrics
                 )
+                if counts["observed"]:
+                    self.fleet.save()
+                return 200, counts
             case ("GET", ["ring"]):
                 if self.ring is None:
                     return 200, {"routing": False, "self": self.self_url}

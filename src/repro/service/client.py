@@ -61,11 +61,14 @@ class ServiceClient:
 
     #: Redirect hops tolerated before declaring the ring misconfigured.
     MAX_REDIRECTS = 4
+    #: How many ring-redirected jobs keep their owning node pinned (the newest).
+    MAX_PINNED_JOBS = 1024
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self._job_nodes: dict[str, str] = {}  # job id -> owning node URL
+        self._job_nodes_lock = threading.Lock()
         # Per thread: .conns, (scheme, netloc) -> connection; .served_by;
         # .finished, the latest submit answered with a finished job.
         self._local = threading.local()
@@ -190,6 +193,14 @@ class ServiceClient:
     def _job_base(self, job_id: str) -> str | None:
         return self._job_nodes.get(job_id)
 
+    def _pin_job(self, job_id: str, node: str) -> None:
+        # Any thread may fetch a job's answer again at any time, so no call
+        # ends a pin: the oldest are dropped past the bound.
+        with self._job_nodes_lock:
+            self._job_nodes[job_id] = node
+            while len(self._job_nodes) > self.MAX_PINNED_JOBS:
+                del self._job_nodes[next(iter(self._job_nodes))]
+
     # -- traces -------------------------------------------------------------
 
     def upload_trace(self, trace: Trace | str | Path, name: str | None = None) -> str:
@@ -232,7 +243,7 @@ class ServiceClient:
         if self._served_by != self.base_url:
             # A ring redirect landed this job on another node; pin every
             # follow-up (status polls, the report fetch) to that node.
-            self._job_nodes[job["id"]] = self._served_by
+            self._pin_job(job["id"], self._served_by)
         if job["state"] in _TERMINAL:
             # The answer already holds the outcome; wait() takes it from
             # here.  One per thread, so jobs never waited on cannot pile up.
@@ -388,12 +399,10 @@ class ServiceClient:
         params = {"lock": lock, "factor": factor, **params}
         return self.wait(self.submit("whatif", digest, params))
 
-    def whatif_protocol(
-        self, digest: str, protocol: str = "fifo", scheduler: str = "fifo", **params
-    ) -> dict:
+    def whatif_protocol(self, digest: str, protocol: str = "fifo", **params) -> dict:
         """Ground-truth policy forecast: replay under another lock protocol
-        and/or scheduler (see ``repro.core.replay_whatif``)."""
-        params = {"protocol": protocol, "scheduler": scheduler, **params}
+        (see ``repro.core.replay_whatif``)."""
+        params = {"protocol": protocol, **params}
         return self.wait(self.submit("whatif_protocol", digest, params))
 
     def compare(self, before: str, after: str, **params) -> dict[str, Any]:

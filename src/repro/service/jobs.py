@@ -295,15 +295,13 @@ def _exec_whatif_protocol(paths: list[str], params: dict) -> dict:
             (int(k) if isinstance(k, str) and k.lstrip("-").isdigit() else k): int(v)
             for k, v in priorities.items()
         }
-    cores = params.get("cores", "auto")
+    cores = params.get("cores")
     forecast = replay_whatif(
         trace,
         protocol=str(params.get("protocol", "fifo")),
-        scheduler=str(params.get("scheduler", "fifo")),
-        quantum=float(params["quantum"]) if params.get("quantum") is not None else None,
         priorities=priorities,
         protocol_params=params.get("protocol_params"),
-        cores=cores if cores in (None, "auto") else int(cores),
+        cores=None if cores is None else int(cores),
     )
     out = forecast.to_dict()
     if params.get("render"):

@@ -32,11 +32,6 @@ from repro.sim.protocols import (
     available_protocols,
     get_protocol,
 )
-from repro.sim.schedulers import (
-    Scheduler,
-    available_schedulers,
-    get_scheduler,
-)
 from repro.sim.sync import SimBarrier, SimCondition, SimMutex, SimRWLock, SimSemaphore
 from repro.sim.thread import SimThread, ThreadHandle
 
@@ -52,9 +47,6 @@ __all__ = [
     "SimSemaphore",
     "SimRWLock",
     "LockProtocol",
-    "Scheduler",
     "get_protocol",
-    "get_scheduler",
     "available_protocols",
-    "available_schedulers",
 ]

@@ -16,18 +16,17 @@ the blocked thread" — assumes), barriers release the whole cohort when
 the last party arrives, and ``cond_wait`` atomically releases the mutex,
 waits for a signal and reacquires.
 
-Two policy seams make what-if forecasting possible
-(:mod:`repro.core.replay_whatif`):
+A :class:`repro.sim.protocols.LockProtocol` decides queue discipline,
+grant order, handoff latency, spinning and priority boosting for every
+lock-like object (the default :class:`FifoProtocol` reproduces the
+historical engine bit-identically); it is the policy seam that
+what-if forecasting (:mod:`repro.core.replay_whatif`) swaps.
 
-* a :class:`repro.sim.protocols.LockProtocol` decides queue discipline,
-  grant order, handoff latency, spinning and priority boosting for every
-  lock-like object (the default :class:`FifoProtocol` reproduces the
-  historical engine bit-identically);
-* a :class:`repro.sim.schedulers.Scheduler` owns the ready queue used in
-  core-limited mode (``cores=N``), optionally slicing compute segments
-  into round-robin quanta.  A thread that is runnable but has no core
-  waits in the scheduler, and its wait is folded into its next execution
-  segment (no extra trace events).
+In core-limited mode (``cores=N``) a thread that is runnable but has no
+core waits in a FIFO ready queue, and its wait is folded into its next
+execution segment (no extra trace events).  A core-limited trace's
+compute gaps therefore already contain its core waits, which is why
+:mod:`repro.replay` replays such traces with no core limit.
 
 All paper experiments run with ``cores=None`` (as many cores as threads,
 like the paper's 24-thread POWER7 runs) under the FIFO protocol.
@@ -36,6 +35,7 @@ like the paper's 24-thread POWER7 runs) under the FIFO protocol.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -44,7 +44,6 @@ import numpy as np
 from repro.errors import DeadlockError, SimulationError, SyncUsageError
 from repro.sim import syscalls as sc
 from repro.sim.protocols import FifoProtocol, LockProtocol, get_protocol
-from repro.sim.schedulers import FifoScheduler, Scheduler, get_scheduler
 from repro.sim.sync import (
     SimBarrier,
     SimCondition,
@@ -83,7 +82,6 @@ class Simulator:
         name: str = "",
         max_events: int = 50_000_000,
         protocol: LockProtocol | str | None = None,
-        scheduler: Scheduler | str | None = None,
     ):
         if cores is not None and cores < 1:
             raise SimulationError(f"cores must be >= 1, got {cores}")
@@ -97,7 +95,7 @@ class Simulator:
         self._busy = 0
         self.protocol = self._resolve_protocol(protocol)
         self.protocol.bind(self)
-        self.scheduler = self._resolve_scheduler(scheduler)
+        self._ready: deque[SimThread] = deque()  # runnable, waiting for a core
         self.threads: dict[int, SimThread] = {}
         self._next_tid = 0
         self._live = 0
@@ -129,14 +127,6 @@ class Simulator:
         if isinstance(protocol, str):
             return get_protocol(protocol)
         return protocol
-
-    @staticmethod
-    def _resolve_scheduler(scheduler: Scheduler | str | None) -> Scheduler:
-        if scheduler is None:
-            return FifoScheduler()
-        if isinstance(scheduler, str):
-            return get_scheduler(scheduler)
-        return scheduler
 
     def set_protocol(self, protocol: LockProtocol | str) -> None:
         """Swap the lock protocol before the run starts.
@@ -250,20 +240,12 @@ class Simulator:
         self._busy += 1
         thread.state = ThreadState.RUNNING
 
-    def _dispatch(self, thread: SimThread) -> None:
-        """Start a thread that just got a core (resume or finish a slice)."""
-        value, thread.pending = thread.pending, None
-        remaining, thread.pending_compute = thread.pending_compute, 0.0
-        if remaining > 0:
-            self._run_compute(thread, remaining)
-        else:
-            self._resume(thread, value)
-
     def _schedule_next_core(self) -> None:
-        if len(self.scheduler) and self._core_available():
-            nxt = self.scheduler.pop()
+        if self._ready and self._core_available():
+            nxt = self._ready.popleft()
             self._grant_core(nxt)
-            self._dispatch(nxt)
+            value, nxt.pending = nxt.pending, None
+            self._resume(nxt, value)
 
     def _release_core(self, thread: SimThread) -> None:
         if not thread.has_core:
@@ -286,7 +268,7 @@ class Simulator:
         else:
             thread.state = ThreadState.READY
             thread.pending = value
-            self.scheduler.push(thread)
+            self._ready.append(thread)
 
     def _block(self, thread: SimThread, reason: str, spin: float = 0.0) -> None:
         thread.state = ThreadState.BLOCKED
@@ -334,30 +316,7 @@ class Simulator:
         if req.duration == 0:
             self._resume(thread, None)
         else:
-            self._run_compute(thread, req.duration)
-
-    def _run_compute(self, thread: SimThread, duration: float) -> None:
-        quantum = self.scheduler.quantum
-        if quantum is not None and self.cores is not None and duration > quantum:
-            self._post(
-                self._now + quantum,
-                lambda: self._quantum_expire(thread, duration - quantum),
-            )
-        else:
-            self._post(self._now + duration, lambda: self._step(thread, None))
-
-    def _quantum_expire(self, thread: SimThread, remaining: float) -> None:
-        if len(self.scheduler) == 0:
-            # Nobody is waiting for the core: keep computing.
-            self._run_compute(thread, remaining)
-            return
-        thread.has_core = False
-        self._busy -= 1
-        thread.state = ThreadState.READY
-        thread.pending = None
-        thread.pending_compute = remaining
-        self.scheduler.push(thread)
-        self._schedule_next_core()
+            self._post(self._now + req.duration, lambda: self._step(thread, None))
 
     # -- lock grant plumbing -------------------------------------------------
 
@@ -639,14 +598,14 @@ class Simulator:
             self._block(thread, f"join {target.name}")
 
     def _handle_yield_core(self, thread: SimThread, req: sc.YieldCore) -> None:
-        if self.cores is None or len(self.scheduler) == 0:
+        if self.cores is None or not self._ready:
             self._resume(thread, None)
             return
         thread.has_core = False
         self._busy -= 1
         thread.state = ThreadState.READY
         thread.pending = None
-        self.scheduler.push(thread)
+        self._ready.append(thread)
         self._schedule_next_core()
 
     # --------------------------------------------------------------- running
@@ -682,8 +641,6 @@ class Simulator:
         }
         if self.protocol.name != "fifo":
             full_meta["protocol"] = self.protocol.name
-        if self.scheduler.name != "fifo":
-            full_meta["scheduler"] = self.scheduler.name
         full_meta.update(meta or {})
         trace = self.collector.build(full_meta)
         results = {tid: t.result for tid, t in self.threads.items()}

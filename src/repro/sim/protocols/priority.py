@@ -16,8 +16,8 @@ deterministic).  They differ in how they fight priority inversion:
   without waiting for a blocker to show up.
 
 Priorities live on threads (``SimThread.priority`` base value plus a
-protocol-managed ``boost``); they matter for lock handoff always, and
-for core scheduling only when the priority scheduler is also selected.
+protocol-managed ``boost``) and decide lock handoff only: the core-limited
+ready queue is FIFO whatever the priorities.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ In the simulator this costs virtual time two ways:
 
 * **wake-up latency** — if a waiter ended up waiting longer than
   ``spin_limit`` it must have parked, so its eventual handoff pays
-  ``wake_latency`` (the scheduler wake-up path that a successful spin
+  ``wake_latency`` (the kernel wake-up path that a successful spin
   would have skipped).  Consecutive parks on the same lock by the same
   thread multiply the latency by ``backoff`` each time (exponential
   backoff, capped by ``max_latency``), mirroring spin loops that grow

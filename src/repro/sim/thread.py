@@ -103,7 +103,6 @@ class SimThread:
         "held",
         "blocked_on",
         "block_start",
-        "pending_compute",
         "replay_tid",
         "_body",
         "_args",
@@ -133,12 +132,11 @@ class SimThread:
         self.joiners: list["SimThread"] = []
         self.result: Any = None
         self.pending: Any = None  # resume value parked while waiting for a core
-        self.priority = priority  # base scheduling/lock priority
+        self.priority = priority  # base lock priority
         self.boost = 0  # protocol-managed boost (inheritance/ceiling)
         self.held: set[Any] = set()  # lock-like objects currently held
         self.blocked_on: Any = None  # lock this thread is blocked acquiring
         self.block_start = 0.0  # virtual time the current block began
-        self.pending_compute = 0.0  # compute left after a quantum slice
         self.replay_tid: int | None = None  # original tid during trace replay
 
     def start_generator(self) -> None:

@@ -68,21 +68,16 @@ class Workload(abc.ABC):
         seed: int = 0,
         cores: int | None = None,
         protocol: Any = None,
-        scheduler: Any = None,
     ) -> SimResult:
         """Build and execute the workload; returns the traced result.
 
-        ``protocol``/``scheduler`` select non-default lock and ready-queue
-        policies (names or instances, see :mod:`repro.sim.protocols` and
-        :mod:`repro.sim.schedulers`) — used by the protocol benchmarks to
-        measure policies directly rather than through replay.
+        ``protocol`` selects a non-default lock protocol (a name or an
+        instance, see :mod:`repro.sim.protocols`) — used by the protocol
+        benchmarks to measure policies directly rather than through replay.
         """
         if nthreads < 1:
             raise WorkloadError(f"nthreads must be >= 1, got {nthreads}")
-        prog = Program(
-            cores=cores, seed=seed, name=self.name,
-            protocol=protocol, scheduler=scheduler,
-        )
+        prog = Program(cores=cores, seed=seed, name=self.name, protocol=protocol)
         self.build(prog, nthreads)
         meta = {"workload": self.name, "params": self.describe()}
         return prog.run(meta=meta)

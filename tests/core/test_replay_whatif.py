@@ -1,14 +1,11 @@
-"""Protocol/scheduler what-if forecasts (ground-truth replay)."""
+"""Protocol what-if forecasts (ground-truth replay)."""
 
 import pytest
 
 from repro.core.analyzer import analyze
-from repro.core.replay_whatif import (
-    forecast_matrix,
-    replay_identity,
-    replay_whatif,
-)
+from repro.core.replay_whatif import replay_identity, replay_whatif
 from repro.errors import AnalysisError, SimulationError
+from repro.replay import reconstruct
 from repro.workloads import get_workload
 
 from tests.conftest import make_micro_program
@@ -48,7 +45,6 @@ def test_fifo_forecast_is_a_noop_on_micro(micro_trace):
 def test_forecast_fields_and_render(micro_trace):
     fc = replay_whatif(micro_trace, protocol="pi")
     assert fc.protocol == "pi"
-    assert fc.scheduler == "fifo"
     assert fc.baseline_time == micro_trace.duration
     assert fc.predicted_time > 0
     assert {d.name for d in fc.deltas} == {"L1", "L2"}
@@ -83,18 +79,6 @@ def test_priorities_keyed_by_tid_or_name(micro_trace):
     assert by_tid.params["priorities"] == {1: 5}
 
 
-def test_rr_scheduler_with_quantum(micro_trace):
-    fc = replay_whatif(micro_trace, scheduler="rr", quantum=0.5, cores=2)
-    assert fc.scheduler == "rr"
-    assert fc.params["quantum"] == 0.5
-    assert fc.predicted_time > 0
-
-
-def test_quantum_requires_rr(micro_trace):
-    with pytest.raises(AnalysisError, match="quantum.*'rr'"):
-        replay_whatif(micro_trace, scheduler="priority", quantum=0.5)
-
-
 def test_recorded_protocol_takes_no_params(micro_trace):
     with pytest.raises(AnalysisError, match="recorded.*no parameters"):
         replay_whatif(micro_trace, protocol="recorded",
@@ -106,15 +90,9 @@ def test_unknown_protocol_rejected(micro_trace):
         replay_whatif(micro_trace, protocol="bogus")
 
 
-def test_forecast_matrix_shares_baseline(micro_trace):
-    out = forecast_matrix(
-        micro_trace, protocols=["fifo", "priority"], schedulers=["fifo"]
-    )
-    assert [fc.protocol for fc in out] == ["fifo", "priority"]
-    assert out[0].baseline_report is out[1].baseline_report
-
-
-def test_forecast_matrix_default_excludes_recorded(micro_trace):
-    out = forecast_matrix(micro_trace, schedulers=["fifo"])
-    assert all(fc.protocol != "recorded" for fc in out)
-    assert len(out) == 8  # every registry protocol except "recorded"
+def test_core_limit_on_core_limited_trace_rejected():
+    trace = get_workload("micro")().run(nthreads=4, cores=2).trace
+    with pytest.raises(AnalysisError, match="recorded on 2 core"):
+        reconstruct(trace).build(cores=2)
+    with pytest.raises(AnalysisError, match="no core limit"):
+        replay_whatif(trace, protocol="fifo", cores=4)

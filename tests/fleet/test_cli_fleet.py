@@ -11,6 +11,7 @@ from tests.conftest import make_micro_program
 
 from repro.cli import main
 from repro.service import ServiceAPI
+from repro.service.store import TraceStore
 from repro.trace import write_trace
 
 RULES = (
@@ -68,6 +69,20 @@ def test_fleet_store_is_read_not_reaped(store_dir, capsys):
     assert pending.exists()
 
 
+def test_fleet_store_leaves_fleet_state_untouched(store_dir, capsys):
+    # A trace the live service has not observed yet: the CLI ingests it
+    # in memory, but the state file belongs to the service, whose next
+    # save would overwrite (and race) anything the CLI wrote there.
+    state = Path(store_dir) / "fleet" / "fleet.json"
+    before = state.read_bytes()
+    TraceStore(Path(store_dir) / "traces").put_trace(
+        make_micro_program(cs2=2.6).run().trace, name="micro"
+    )
+    assert main(["fleet", "summary", "--store", store_dir, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["traces"] == 5
+    assert state.read_bytes() == before
+
+
 def test_fleet_summary_empty_store(tmp_path, capsys):
     assert main(["fleet", "summary", "--store", str(tmp_path / "none")]) == 0
     assert "no observations" in capsys.readouterr().out
@@ -120,7 +135,7 @@ def test_fleet_lint_rules_rejects(tmp_path, capsys):
 
 
 def test_fleet_state_is_cached_between_invocations(store_dir, capsys):
-    # First call ingests; the second reuses persisted fleet state.
+    # Both calls start from the service's persisted fleet state.
     assert main(["fleet", "summary", "--store", store_dir]) == 0
     assert main(["fleet", "summary", "--store", store_dir]) == 0
     out = capsys.readouterr().out

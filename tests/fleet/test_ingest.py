@@ -43,10 +43,19 @@ def test_ingest_counts_unreadable_traces_as_errors(tmp_path):
 
 def test_ingest_state_survives_restart(tmp_path):
     store, _ = _seed_store(tmp_path, n=2)
-    ingest_store(FleetAggregator(tmp_path / "fleet"), store.list())
+    first = FleetAggregator(tmp_path / "fleet")
+    ingest_store(first, store.list())
+    first.save()  # the owner saves; ingest_store itself never does
     # A fresh aggregator over the same state dir skips all of them.
     agg = FleetAggregator(tmp_path / "fleet")
     assert ingest_store(agg, store.list())["skipped"] == 2
+
+
+def test_ingest_store_never_saves(tmp_path):
+    store, _ = _seed_store(tmp_path, n=2)
+    agg = FleetAggregator(tmp_path / "fleet")
+    assert ingest_store(agg, store.list())["observed"] == 2
+    assert not agg.state_path.exists()
 
 
 def test_background_ingestor_processes_queue(tmp_path):

@@ -55,6 +55,25 @@ def test_replay_under_cores(micro_path, capsys):
     assert "replay 18" in capsys.readouterr().out
 
 
+def test_core_limited_trace_replays_without_a_core_limit(tmp_path, capsys):
+    path = tmp_path / "micro-1core.clt"
+    assert main(["run", "micro", "-t", "4", "--cores", "1", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 0
+    assert "original completion 18 -> replay 18" in capsys.readouterr().out
+    for cmd in (["replay", str(path)], ["whatif", str(path), "--protocol", "pi"]):
+        assert main([*cmd, "--cores", "2"]) == 1
+        assert "recorded on 1 core(s)" in capsys.readouterr().err
+
+
+def test_whatif_lists_protocols_only(capsys):
+    assert main(["whatif", "--list-protocols"]) == 0
+    out = capsys.readouterr().out
+    assert "reader-pref" in out and "sched" not in out
+    with pytest.raises(SystemExit):
+        main(["whatif", "t.clt", "--protocol", "fifo", "--scheduler", "rr"])
+
+
 def test_experiment_output_file(tmp_path, capsys):
     out_file = tmp_path / "results.txt"
     assert main(["experiment", "table2", "-o", str(out_file)]) == 0

@@ -99,14 +99,6 @@ class TestExecute:
         assert "protocol what-if" in out["rendered"]
         json.dumps(out)
 
-    def test_whatif_protocol_scheduler_quantum(self, micro_path):
-        out = execute(
-            "whatif_protocol", [micro_path],
-            {"scheduler": "rr", "quantum": 0.5, "cores": 2},
-        )
-        assert out["scheduler"] == "rr"
-        assert out["params"]["quantum"] == 0.5
-
     def test_compare_identical_traces(self, micro_path):
         out = execute("compare", [micro_path, micro_path], {})
         assert out["speedup"] == pytest.approx(1.0)

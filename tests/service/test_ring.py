@@ -2,6 +2,7 @@
 
 import json
 import socket
+import sys
 import threading
 from pathlib import Path
 
@@ -235,3 +236,50 @@ def test_redirected_submit_pins_its_answer_and_report_fetch(
     assert fetched["result"] == result
     assert requests() == (before[0] + 1, before[1] + 2)
     client.close()
+
+
+def test_job_pins_stay_bounded(two_served_nodes, micro_trace):
+    a, b = two_served_nodes
+    client = ServiceClient(a.url)
+    client.MAX_PINNED_JOBS = 2
+    digest = client.upload_trace(micro_trace)
+    top = next(
+        k for k in range(1, 64)
+        if a.api.ring.owner(JobSpec("analyze", (digest,), {"top": k}).cache_key())
+        == b.url
+    )
+    jobs = []
+    for _ in range(5):
+        jobs.append(client.submit("analyze", digest, {"top": top}))  # 307 a -> b
+        assert client.wait(jobs[-1], timeout=30)["critical_locks"]
+    # Only the newest pins survive, and they still reach node b.
+    assert list(client._job_nodes) == jobs[-2:]  # noqa: SLF001
+    assert client.job(jobs[-1])["state"] == "done"
+    client.close()
+
+
+def test_job_pins_bounded_under_concurrent_submits():
+    client = ServiceClient("http://127.0.0.1:9")
+    client.MAX_PINNED_JOBS = 8
+    errors = []
+
+    def pin_many(worker):
+        try:
+            for i in range(2000):
+                client._pin_job(f"{worker}-{i}", "http://b")  # noqa: SLF001
+        except Exception as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=pin_many, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(client._job_nodes) == 8  # noqa: SLF001

@@ -93,95 +93,117 @@ def test_priority_protocol_fifo_among_equals():
 
 
 def _inversion_program(protocol, acquired, **proto_kwargs):
-    """The classic priority-inversion scenario on one core.
+    """Priority inversion through a lock handoff (no core limit).
 
-    L (prio 0) takes the lock, then yields the core; H (prio 2) runs,
-    blocks on the lock; the freed core goes to whoever the scheduler
-    now ranks highest — M (prio 1), unless the protocol boosts L.
+    L (prio 0) holds A and waits on B; M (prio 1) also waits on B; H
+    (prio 2) blocks on A.  When X releases B at t=3, the protocol picks
+    B's next owner: M on plain priority ordering, L if the protocol has
+    boosted it — and H gets A only once L is done with both locks.
     """
-    prog = Program(cores=1, scheduler="priority",
-                   protocol=get_protocol(protocol, **proto_kwargs))
-    lock = prog.mutex("lock")
+    prog = Program(protocol=get_protocol(protocol, **proto_kwargs))
+    a, b = prog.mutex("A"), prog.mutex("B")
 
-    def high(env):
-        yield env.acquire(lock)
-        acquired.append(env.now)
-        yield env.release(lock)
+    def holder(env):  # X: holds B until t=3
+        yield env.acquire(b)
+        yield env.compute(3.0)
+        yield env.release(b)
 
-    def med(env):
+    def low(env):  # L: A, then B nested inside it
+        yield env.acquire(a)
         yield env.compute(1.0)
+        yield env.acquire(b)  # blocks at t=1
+        yield env.compute(1.0)
+        yield env.release(b)
+        yield env.release(a)
 
-    def low(env):
-        yield env.spawn(high, name="H", priority=2)
-        yield env.spawn(med, name="M", priority=1)
-        yield env.acquire(lock)  # L still holds the only core: lock is free
-        yield env.yield_core()
-        yield env.compute(2.0)  # critical section
-        yield env.release(lock)
+    def med(env):  # M: contends for B only
+        yield env.compute(1.5)
+        yield env.acquire(b)  # blocks at t=1.5
+        yield env.compute(1.0)
+        yield env.release(b)
 
+    def high(env):  # H: blocks on A at t=2
+        yield env.compute(2.0)
+        yield env.acquire(a)
+        acquired.append(env.now)
+        yield env.release(a)
+
+    prog.spawn(holder, name="X", priority=0)
     prog.spawn(low, name="L", priority=0)
+    prog.spawn(med, name="M", priority=1)
+    prog.spawn(high, name="H", priority=2)
     return prog
 
 
 def test_plain_priority_suffers_inversion():
-    # No boosting: after H blocks, M (prio 1) outranks L (prio 0) for
-    # the core, so H waits through M's compute as well.
+    # No boosting: M (prio 1) outranks L (prio 0) for B, so H waits
+    # through M's critical section as well.
     acquired = []
     _inversion_program("priority", acquired).run()
-    assert acquired == [3.0]
+    assert acquired == [5.0]
 
 
 def test_priority_inheritance_avoids_inversion():
-    # H's block boosts L to priority 2, so L wins the core over M and
-    # finishes its critical section first.
+    # H's block on A boosts L to priority 2, so L wins B over M and
+    # releases A first.
     acquired = []
     _inversion_program("pi", acquired).run()
-    assert acquired == [2.0]
+    assert acquired == [4.0]
 
 
 def test_priority_ceiling_boosts_on_acquire():
-    # Ceiling boosts L the moment it takes the lock — before H even
-    # blocks — so the outcome matches inheritance.
+    # Ceiling boosts L the moment it takes A — before H even blocks —
+    # so the outcome matches inheritance.
     acquired = []
-    _inversion_program("ceiling", acquired, ceilings={"lock": 2}).run()
-    assert acquired == [2.0]
+    _inversion_program("ceiling", acquired, ceilings={"A": 2}).run()
+    assert acquired == [4.0]
 
 
 def test_priority_ceiling_default_is_max_base_priority():
     acquired = []
     _inversion_program("ceiling", acquired).run()
-    assert acquired == [2.0]
+    assert acquired == [4.0]
 
 
 def test_pi_boost_dropped_after_release():
-    # After L releases, its boost must return to 0: with the lock free,
-    # M (prio 1) beats L's remaining compute for the single core.
-    prog = Program(cores=1, scheduler="priority", protocol="pi")
-    lock = prog.mutex("lock")
-    done = []
+    # H's block on A boosts L to 2; once L releases A the boost must
+    # return to 0, so when X frees B at t=3, M (prio 1) beats L for it.
+    prog = Program(protocol="pi")
+    a, b = prog.mutex("A"), prog.mutex("B")
+    granted = []
 
-    def high(env):
-        yield env.acquire(lock)
-        yield env.release(lock)
-
-    def med(env):
-        yield env.compute(1.0)
-        done.append(("M", env.now))
+    def holder(env):  # X: holds B until t=3
+        yield env.acquire(b)
+        yield env.compute(3.0)
+        yield env.release(b)
 
     def low(env):
-        yield env.acquire(lock)
-        yield env.spawn(high, name="H", priority=2)
-        yield env.spawn(med, name="M", priority=1)
-        yield env.yield_core()
+        yield env.acquire(a)
+        yield env.compute(1.0)  # H blocks on A meanwhile: L boosted
+        yield env.release(a)
+        yield env.acquire(b)  # blocks at t=1, boost already dropped
+        granted.append(("L", env.now))
         yield env.compute(1.0)
-        yield env.release(lock)
-        yield env.yield_core()  # re-queue: boost is gone, M goes first
-        yield env.compute(1.0)
-        done.append(("L", env.now))
+        yield env.release(b)
 
+    def med(env):
+        yield env.compute(2.0)
+        yield env.acquire(b)  # blocks at t=2, behind L
+        granted.append(("M", env.now))
+        yield env.compute(1.0)
+        yield env.release(b)
+
+    def high(env):
+        yield env.compute(0.5)
+        yield env.acquire(a)
+        yield env.release(a)
+
+    prog.spawn(holder, name="X", priority=0)
     prog.spawn(low, name="L", priority=0)
+    prog.spawn(med, name="M", priority=1)
+    prog.spawn(high, name="H", priority=2)
     prog.run()
-    assert done == [("M", 2.0), ("L", 3.0)]
+    assert granted == [("M", 3.0), ("L", 4.0)]
 
 
 def test_spin_short_wait_avoids_handoff_latency():

@@ -65,6 +65,19 @@ def test_top_level_convenience_imports():
     assert repro.__version__[0].isdigit()
 
 
+def test_retired_scheduler_axis_is_gone():
+    # One FIFO ready queue: no scheduler registry, no forecast matrix.
+    import repro.core
+    import repro.sim
+
+    assert "forecast_matrix" not in repro.core.__all__
+    assert not {"Scheduler", "get_scheduler", "available_schedulers"} & set(
+        repro.sim.__all__
+    )
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.sim.schedulers")
+
+
 def test_export_wins_over_same_named_submodule():
     # ``repro.core.forecast`` is both a submodule and an exported function;
     # importing the submodule first must not shadow the function.
