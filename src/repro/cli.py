@@ -695,7 +695,8 @@ def _local_fleet(store_dir: str):
     """Aggregator over a service data dir, caught up with its trace store.
 
     The store is read, never opened: a live service may be writing it,
-    and opening reaps its staging files and sidecar-less bodies.
+    and opening reaps its staging files and sidecar-less bodies.  A path
+    that holds no trace store is refused before anything is created.
     """
     from pathlib import Path
 
@@ -703,6 +704,8 @@ def _local_fleet(store_dir: str):
     from repro.service.store import stored_traces
 
     root = Path(store_dir)
+    if not (root / "traces").is_dir():
+        raise ReproError(f"{root} is not a service data dir (no traces/ directory)")
     agg = FleetAggregator(root / "fleet")
     ingest_store(agg, stored_traces(root / "traces"))
     return agg

@@ -2,10 +2,11 @@
 
 A :class:`ProfilingSession` plays the role of the paper's preloaded
 instrumentation library: it hands out traced synchronization primitives,
-assigns thread ids, buffers event records per thread in memory (one
-Python list per thread — appends are GIL-atomic and contention-free) and
-assembles the final :class:`~repro.trace.Trace` when the session closes,
-the analog of the paper's flush-on-completion trace file.
+assigns thread ids, buffers raw ``(seq, time, tid, etype, obj, arg)``
+record rows per thread in memory (one Python list per thread — appends
+are GIL-atomic and contention-free) and packs them into the final
+:class:`~repro.trace.Trace` with one array build when the session
+closes, the analog of the paper's flush-on-completion trace file.
 
 A session can additionally *stream while running*: :meth:`~ProfilingSession.stream_to`
 mirrors every emitted event into a bounded :class:`~repro.stream.EventRing`
@@ -24,11 +25,13 @@ from typing import Any, Callable
 
 from repro.errors import TraceError
 from repro.instrument.clock import Clock, MonotonicClock
-from repro.trace.events import NO_OBJECT, Event, EventType, ObjectKind
+from repro.trace.events import NO_OBJECT, EventType, ObjectKind
 from repro.trace.trace import ObjectInfo, Trace
 from repro.units import ns_to_time
 
 __all__ = ["ProfilingSession"]
+
+_LOCK_VERBS = frozenset((EventType.ACQUIRE, EventType.OBTAIN, EventType.RELEASE))
 
 
 class ProfilingSession:
@@ -49,8 +52,9 @@ class ProfilingSession:
         self.name = name
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self._tls = threading.local()
-        self._buffers: dict[int, list[Event]] = {}
+        self._buffers: dict[int, list[tuple]] = {}  # tid -> record rows
         self._objects: dict[int, ObjectInfo] = {}
+        self._lock_objs: set[int] = set()  # lock-like object ids, for the sampler
         self._thread_names: dict[int, str] = {}
         self._registry_lock = threading.Lock()  # untraced internal lock
         self._next_tid = itertools.count()
@@ -129,6 +133,8 @@ class ProfilingSession:
         obj = next(self._next_obj)
         with self._registry_lock:
             self._objects[obj] = ObjectInfo(obj=obj, kind=kind, name=name)
+            if kind.is_lock_like:
+                self._lock_objs.add(obj)
         return obj
 
     # -- event emission (the MAGIC() analog) ------------------------------------
@@ -143,32 +149,21 @@ class ProfilingSession:
     ) -> int:
         """Record one event for thread ``tid``; returns the timestamp used."""
         t_ns = self.clock.now_ns() if at_ns is None else at_ns
-        ev = Event(
-            seq=next(self._seq),
-            time=ns_to_time(t_ns - self._t0_ns),
-            tid=tid,
-            etype=etype,
-            obj=obj,
-            arg=arg,
-        )
+        row = (next(self._seq), ns_to_time(t_ns - self._t0_ns), tid, etype, obj, arg)
         sampler = self._sampler
-        if (
-            sampler is not None
-            and etype in (EventType.ACQUIRE, EventType.OBTAIN, EventType.RELEASE)
-            and self._objects[obj].kind.is_lock_like
-        ):
+        if sampler is not None and etype in _LOCK_VERBS and obj in self._lock_objs:
             # Streaming keep/drop decision; a kept contended OBTAIN may
             # flush a retained waker unit (events of another thread).
-            for out in sampler.process(ev):
-                self._buffers[out.tid].append(out)
+            for out in sampler.process(row):
+                self._buffers[out[2]].append(out)
                 ring = self._ring
                 if ring is not None:
                     ring.push(out)
             return t_ns
-        self._buffers[tid].append(ev)
+        self._buffers[tid].append(row)
         ring = self._ring
         if ring is not None:
-            ring.push(ev)  # lossy mirror; drops are counted in the ring
+            ring.push(row)  # lossy mirror; drops are counted in the ring
         return t_ns
 
     def emit_here(
@@ -258,9 +253,10 @@ class ProfilingSession:
         # with concurrent emits is harmless: finalization re-sorts by
         # (time, seq), so ring order need not be emission order.
         with self._registry_lock:
-            backlog = [ev for buf in self._buffers.values() for ev in buf]
-        for ev in sorted(backlog, key=lambda e: e.seq):
-            flusher.ring.push(ev)
+            backlog = [row for buf in self._buffers.values() for row in buf]
+        backlog.sort()  # by seq, the rows' unique first field
+        for row in backlog:
+            flusher.ring.push(row)
         self._ring = flusher.ring
         return flusher.start()
 
@@ -291,9 +287,8 @@ class ProfilingSession:
         if self._active:
             raise TraceError("session still active; exit the 'with' block first")
         with self._registry_lock:
-            events = [ev for buf in self._buffers.values() for ev in buf]
             return Trace.from_events(
-                events,
+                [row for buf in self._buffers.values() for row in buf],
                 objects=dict(self._objects),
                 threads=dict(self._thread_names),
                 meta=self._meta(),

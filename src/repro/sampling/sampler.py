@@ -56,7 +56,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.events import Event, EventType
+from repro.trace.events import EventType
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -125,66 +125,74 @@ class EventSampler:
 
     One instance per :class:`~repro.instrument.ProfilingSession`.
     :meth:`process` is called only for lock verbs on lock-like objects,
-    in per-thread event order, and returns the events to record — the
-    event itself when its unit is kept, preceded by a retroactively
-    retained waker unit when the event is a kept contended OBTAIN.
+    in per-thread event order, with ``(seq, time, tid, etype, obj, arg)``
+    record rows, and returns the rows to record — the row itself when
+    its unit is kept, preceded by a retroactively retained waker unit
+    when the row is a kept contended OBTAIN.  Each unit is hashed once,
+    when it opens; its later events reuse the decision.
 
-    The per-``(tid, obj)`` counters and stashes are touched only by
+    The per-``(tid, obj)`` state and stashes are touched only by
     their own thread; the per-lock pending-waker slot is handed between
     the releasing and the acquiring thread with atomic dict operations,
     so a unit is flushed at most once even under races.
     """
 
-    __slots__ = ("rate", "seed", "_threshold", "_depth_k", "_stash", "_pending")
+    __slots__ = ("rate", "seed", "_threshold", "_units", "_stash", "_pending")
 
     def __init__(self, rate: float, seed: int = 0):
         self.rate = float(rate)
         self.seed = int(seed)
         self._threshold = _threshold(self.rate)
-        # (tid, obj) -> [bracket depth, outermost-acquisition counter k]
-        self._depth_k: dict[tuple[int, int], list[int]] = {}
-        # (tid, obj) -> dropped events of the current (open) unit
-        self._stash: dict[tuple[int, int], list[Event]] = {}
+        # (tid, obj) -> [bracket depth, outermost-acquisition counter k,
+        #                whether unit (tid, obj, k) is kept]
+        self._units: dict[tuple[int, int], list] = {}
+        # (tid, obj) -> dropped rows of the current (open) unit
+        self._stash: dict[tuple[int, int], list[tuple]] = {}
         # obj -> completed dropped unit awaiting a possible contended waiter
-        self._pending: dict[int, list[Event]] = {}
+        self._pending: dict[int, list[tuple]] = {}
 
-    def process(self, ev: Event) -> list[Event]:
-        """Decide one lock event; returns the events to record now."""
-        key = (ev.tid, ev.obj)
-        state = self._depth_k.get(key)
-        if state is None:
-            state = self._depth_k[key] = [0, 0]
-        if ev.etype == EventType.ACQUIRE:
-            if state[0] == 0:
-                state[1] += 1
-            state[0] += 1
-        elif ev.etype == EventType.RELEASE:
-            state[0] -= 1
-        kept = unit_hash(self.seed, ev.tid, ev.obj, state[1]) < self._threshold
-        closes_unit = ev.etype == EventType.RELEASE and state[0] == 0
+    def _kept(self, tid: int, obj: int, k: int) -> bool:
+        return unit_hash(self.seed, tid, obj, k) < self._threshold
 
-        if kept:
+    def process(self, row: tuple) -> list[tuple]:
+        """Decide one lock event row; returns the rows to record now."""
+        _, _, tid, etype, obj, arg = row
+        key = (tid, obj)
+        unit = self._units.get(key)
+        if unit is None:
+            # An opening ACQUIRE hashes its own unit below.
+            unit = self._units[key] = [0, 0, etype != _ACQUIRE and self._kept(tid, obj, 0)]
+        if etype == _ACQUIRE:
+            if unit[0] == 0:
+                unit[1] += 1
+                unit[2] = self._kept(tid, obj, unit[1])
+            unit[0] += 1
+        elif etype == _RELEASE:
+            unit[0] -= 1
+        closes_unit = etype == _RELEASE and unit[0] == 0
+
+        if unit[2]:
             out = []
-            if ev.etype == EventType.OBTAIN and ev.arg:
+            if etype == _OBTAIN and arg:
                 # Contended: the previous holder's RELEASE is this wait's
                 # blocking-chain edge — retain its whole unit if dropped.
-                out = self._pending.pop(ev.obj, [])
-            out.append(ev)
+                out = self._pending.pop(obj, [])
+            out.append(row)
             if closes_unit:
                 # The latest release on this lock is now in the trace.
-                self._pending.pop(ev.obj, None)
+                self._pending.pop(obj, None)
             return out
 
-        unit = self._stash.get(key)
-        if unit is None or (ev.etype == EventType.ACQUIRE and state[0] == 1):
-            unit = self._stash[key] = []
-        unit.append(ev)
+        stash = self._stash.get(key)
+        if stash is None or (etype == _ACQUIRE and unit[0] == 1):
+            stash = self._stash[key] = []
+        stash.append(row)
         if closes_unit:
             del self._stash[key]
             # Only a well-formed bracket may be resurrected: flushing a
             # bare RELEASE would corrupt the per-thread lock protocol.
-            if any(e.etype == EventType.OBTAIN for e in unit):
-                self._pending[ev.obj] = unit
+            if any(r[3] == _OBTAIN for r in stash):
+                self._pending[obj] = stash
         return []
 
     def meta(self) -> dict[str, Any]:

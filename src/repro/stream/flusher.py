@@ -13,7 +13,9 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.trace.schema import records_from_events
+import numpy as np
+
+from repro.trace.schema import EVENT_DTYPE
 
 from repro.stream.ring import EventRing
 from repro.stream.sink import ChunkSink
@@ -59,7 +61,7 @@ class StreamFlusher:
                 batch = self.ring.drain(self.chunk_events)
                 if not batch:
                     return flushed
-                self.sink.write_chunk(records_from_events(batch))
+                self.sink.write_chunk(np.array(batch, dtype=EVENT_DTYPE))
                 self.chunks_written += 1
                 self.events_written += len(batch)
                 flushed += len(batch)

@@ -14,34 +14,36 @@ import threading
 from collections import deque
 from typing import Any
 
-from repro.trace.events import Event
-
 __all__ = ["EventRing"]
 
 
 class EventRing:
-    """Fixed-capacity MPSC buffer of :class:`Event` with drop accounting."""
+    """Fixed-capacity MPSC buffer of record rows with drop accounting.
+
+    A row is a ``(seq, time, tid, etype, obj, arg)`` tuple (an
+    :class:`~repro.trace.events.Event` is one too).
+    """
 
     def __init__(self, capacity: int = 65536):
         if capacity <= 0:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._buf: deque[Event] = deque()
+        self._buf: deque[tuple] = deque()
         self._lock = threading.Lock()
         self.pushed = 0
         self.dropped = 0
 
-    def push(self, event: Event) -> bool:
-        """Append one event; returns ``False`` (and counts) when full."""
+    def push(self, row: tuple) -> bool:
+        """Append one row; returns ``False`` (and counts) when full."""
         with self._lock:
             if len(self._buf) >= self.capacity:
                 self.dropped += 1
                 return False
-            self._buf.append(event)
+            self._buf.append(row)
             self.pushed += 1
             return True
 
-    def drain(self, max_events: int | None = None) -> list[Event]:
+    def drain(self, max_events: int | None = None) -> list[tuple]:
         """Pop up to ``max_events`` (default: everything) in push order."""
         with self._lock:
             if max_events is None or max_events >= len(self._buf):

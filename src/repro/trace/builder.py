@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.trace.events import NO_OBJECT, Event, EventType, ObjectKind
+from repro.trace.events import NO_OBJECT, EventType, ObjectKind
 from repro.trace.trace import ObjectInfo, Trace
 from repro.trace.validate import validate_trace
 
@@ -111,12 +111,11 @@ class TraceBuilder:
     """Declarative builder producing validated :class:`Trace` objects."""
 
     meta: dict[str, Any] = field(default_factory=dict)
-    _events: list[Event] = field(default_factory=list)
+    _rows: list[tuple] = field(default_factory=list)
     _objects: dict[int, ObjectInfo] = field(default_factory=dict)
     _threads: dict[int, str] = field(default_factory=dict)
     _next_obj: int = 0
     _next_tid: int = 0
-    _next_seq: int = 0
 
     # -- declarations -------------------------------------------------------
 
@@ -147,17 +146,14 @@ class TraceBuilder:
     # -- emission ------------------------------------------------------------
 
     def _emit(self, time: float, tid: int, etype: EventType, obj: int, arg: int) -> None:
-        self._events.append(
-            Event(seq=self._next_seq, time=float(time), tid=tid, etype=etype, obj=obj, arg=arg)
-        )
-        self._next_seq += 1
+        self._rows.append((len(self._rows), float(time), tid, etype, obj, arg))
 
     # -- finalization -----------------------------------------------------------
 
     def build(self, validate: bool = True) -> Trace:
         """Sort, renumber and (by default) validate the assembled trace."""
         trace = Trace.from_events(
-            self._events, objects=self._objects, threads=self._threads, meta=self.meta
+            self._rows, objects=self._objects, threads=self._threads, meta=self.meta
         )
         if validate:
             validate_trace(trace)

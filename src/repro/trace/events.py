@@ -33,7 +33,7 @@ identifier.  We use the same four fields plus:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["EventType", "ObjectKind", "Event", "NO_OBJECT"]
 
@@ -98,13 +98,14 @@ class ObjectKind(enum.IntEnum):
         return self in (ObjectKind.MUTEX, ObjectKind.SEMAPHORE, ObjectKind.RWLOCK)
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """A single synchronization event record.
 
-    Instances are the row type of :class:`repro.trace.Trace`; bulk storage
-    is a numpy structured array (see :mod:`repro.trace.schema`), this class
-    is the convenient per-row view.
+    An event *is* a record row: its fields are those of
+    :data:`repro.trace.schema.EVENT_DTYPE`, in the same order, so a list
+    of events (or of plain 6-tuples) packs into a record block with one
+    ``np.array`` call.  Bulk storage is that structured array; this class
+    is the named per-row view :class:`repro.trace.Trace` yields.
     """
 
     seq: int

@@ -190,17 +190,19 @@ def split_records(records: np.ndarray, chunk_events: int) -> Iterator[np.ndarray
 
 
 def sort_stream_records(records: np.ndarray) -> np.ndarray:
-    """Normalize streamed records into canonical trace order.
+    """Normalize records into canonical trace order, as ``EVENT_DTYPE``.
 
-    Streamed chunks preserve *arrival* order, which for a live ring
-    buffer can interleave threads slightly out of (time, seq) order.
-    This applies the same normalization as :meth:`Trace.from_events` —
-    stable sort by (time, seq), then renumber ``seq`` densely — but
-    vectorized, so finalizing a multi-hundred-thousand-event stream does
-    not round-trip through Python ``Event`` objects.  ``np.lexsort`` on
-    the two columns is several times faster than ``np.argsort`` with
-    ``order=``, which also compares the remaining fields on ties.
+    The one normalizer every record producer goes through: streamed
+    chunks (arrival order, which for a live ring buffer can interleave
+    threads slightly out of (time, seq) order) and the rows
+    :meth:`Trace.from_events` packs (``records`` in
+    :data:`~repro.trace.schema.ROW_DTYPE`, whose signed ``seq`` lets
+    synthetic events sort first).  Stable sort by (time, seq), then
+    renumber ``seq`` densely.  ``np.lexsort`` on the two columns is
+    several times faster than ``np.argsort`` with ``order=``, which also
+    compares the remaining fields on ties.  ``EVENT_DTYPE`` input comes
+    back without a further copy.
     """
     out = records[np.lexsort((records["seq"], records["time"]))]
     out["seq"] = np.arange(len(out), dtype=out["seq"].dtype)
-    return out
+    return out.astype(EVENT_DTYPE, copy=False)

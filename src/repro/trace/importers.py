@@ -28,8 +28,9 @@ The importer is strict about what it cannot repair and tolerant about
 what it can:
 
 * malformed JSON, non-object lines, unknown fields, unknown event
-  verbs, missing required fields and per-thread timestamp regressions
-  raise :class:`~repro.errors.TraceFormatError` with the offending
+  verbs, missing required fields, non-finite timestamps, thread ids
+  that do not fit a record and per-thread timestamp regressions raise
+  :class:`~repro.errors.TraceFormatError` with the offending
   ``path:line``;
 * unmatched releases are dropped and still-open holds are closed at the
   thread's last timestamp (counts land in ``meta["import"]``);
@@ -46,11 +47,13 @@ timestamp), so the result is a fully valid :class:`Trace` whose
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
 from repro.errors import TraceFormatError
-from repro.trace.events import Event, EventType, ObjectKind
+from repro.trace.events import EventType, ObjectKind
+from repro.trace.schema import FIELD_BOUNDS
 from repro.trace.trace import ObjectInfo, Trace
 from repro.trace.transform import demote_orphan_contention
 from repro.trace.validate import validate_trace
@@ -76,14 +79,11 @@ def import_perf_jsonl(path: str | Path, validate: bool = True) -> Trace:
     acquiring: dict[tuple[int, int], float] = {}
     # (tid, obj) -> open hold count (reentrant holds close LIFO)
     holding: dict[tuple[int, int], int] = {}
-    events: list[Event] = []
-    seq = 0
+    rows: list[tuple] = []
     dropped_releases = 0
 
     def emit(time: float, tid: int, etype: EventType, obj: int = -1, arg: int = 0) -> None:
-        nonlocal seq
-        events.append(Event(seq=seq, time=time, tid=tid, etype=etype, obj=obj, arg=arg))
-        seq += 1
+        rows.append((len(rows), time, tid, etype, obj, arg))
 
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -111,8 +111,13 @@ def import_perf_jsonl(path: str | Path, validate: bool = True) -> Trace:
             try:
                 ts = float(doc["ts"])
                 tid = int(doc["tid"])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise _fail(path, lineno, f"bad ts/tid: {exc}") from exc
+            if not math.isfinite(ts):
+                raise _fail(path, lineno, f"ts {ts} is not finite")
+            low, high = FIELD_BOUNDS["tid"]
+            if not low <= tid <= high:
+                raise _fail(path, lineno, f"tid {tid} out of range [{low}, {high}]")
             lock = str(doc["lock"])
 
             if tid not in threads:
@@ -146,7 +151,7 @@ def import_perf_jsonl(path: str | Path, validate: bool = True) -> Trace:
                 holding[key] -= 1
                 emit(ts, tid, EventType.RELEASE, obj)
 
-    if not events:
+    if not rows:
         raise TraceFormatError(f"{path}: no lock events found")
 
     # Close holds still open at the end of the capture window and bracket
@@ -161,9 +166,7 @@ def import_perf_jsonl(path: str | Path, validate: bool = True) -> Trace:
     # seqs past every real event (from_events renumbers afterwards).
     lead = -1_000_000_000
     for tid, (first, last) in sorted(spans.items()):
-        events.append(
-            Event(seq=lead, time=first, tid=tid, etype=EventType.THREAD_START, obj=-1, arg=0)
-        )
+        rows.append((lead, first, tid, EventType.THREAD_START, -1, 0))
         lead += 1
         emit(last, tid, EventType.THREAD_EXIT)
 
@@ -181,7 +184,7 @@ def import_perf_jsonl(path: str | Path, validate: bool = True) -> Trace:
             "dangling_acquires": len(acquiring),
         },
     }
-    trace = Trace.from_events(events, objects=obj_table, threads=threads, meta=meta)
+    trace = Trace.from_events(rows, objects=obj_table, threads=threads, meta=meta)
     trace, demoted = demote_orphan_contention(trace)
     if demoted:
         trace.meta["import"]["demoted_waits"] = demoted

@@ -18,10 +18,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import TraceError
-from repro.trace.events import Event, EventType
+from repro.trace.events import EventType
 from repro.trace.trace import ObjectInfo, Trace
 
 __all__ = ["merge_traces"]
+
+#: Event types whose ``arg`` is a thread id, remapped with its thread.
+_TID_ARGS = frozenset(
+    {EventType.THREAD_CREATE, EventType.JOIN_BEGIN, EventType.JOIN_END, EventType.COND_WAKE}
+)
 
 
 def merge_traces(
@@ -53,7 +58,7 @@ def merge_traces(
     if len(prefixes) != len(traces):
         raise TraceError(f"{len(traces)} traces but {len(prefixes)} prefixes")
 
-    events: list[Event] = []
+    rows: list[tuple] = []
     objects: dict[int, ObjectInfo] = {}
     threads: dict[int, str] = {}
     tid_base = 0
@@ -71,26 +76,11 @@ def merge_traces(
             objects[new_obj] = ObjectInfo(
                 obj=new_obj, kind=info.kind, name=prefix + info.display_name
             )
-        for ev in trace:
-            arg = ev.arg
-            # Thread-id-valued args must be remapped with their thread.
-            if ev.etype in (
-                EventType.THREAD_CREATE,
-                EventType.JOIN_BEGIN,
-                EventType.JOIN_END,
-                EventType.COND_WAKE,
-            ):
-                arg = tid_map.get(ev.arg, ev.arg)
-            events.append(
-                Event(
-                    seq=ev.seq,
-                    time=ev.time + offset,
-                    tid=tid_map[ev.tid],
-                    etype=ev.etype,
-                    obj=obj_map.get(ev.obj, -1) if ev.obj >= 0 else -1,
-                    arg=arg,
-                )
-            )
+        for seq, time, tid, etype, obj, arg in trace.records.tolist():
+            if etype in _TID_ARGS:
+                arg = tid_map.get(arg, arg)
+            new_obj = obj_map.get(obj, -1) if obj >= 0 else -1
+            rows.append((seq, time + offset, tid_map[tid], etype, new_obj, arg))
         tid_base += len(tid_map)
         obj_base += len(obj_map)
         sources.append(
@@ -101,7 +91,7 @@ def merge_traces(
     # (time, seq) and renumbers; within a trace relative order is kept
     # because offsets shift whole traces rigidly.
     return Trace.from_events(
-        events,
+        rows,
         objects=objects,
         threads=threads,
         meta={"name": "+".join(s["name"] or s["prefix"] for s in sources),

@@ -12,6 +12,7 @@ Two reading modes live here:
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import time
@@ -21,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import TraceFormatError
-from repro.trace.events import Event, EventType
+from repro.trace.events import EventType
 from repro.trace.framing import CHUNK_MAGIC, read_frame, sort_stream_records
-from repro.trace.schema import EVENT_DTYPE, known_etypes, records_from_events
+from repro.trace.schema import EVENT_DTYPE, FIELD_BOUNDS, known_etypes
 from repro.trace.trace import Trace
 from repro.trace.writer import MAGIC, header_fields
 
@@ -163,7 +164,7 @@ def _read_stream(path: Path) -> Trace:
 
 
 def _read_jsonl(path: Path) -> Trace:
-    events: list[Event] = []
+    rows: list[tuple] = []
     header = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -175,14 +176,14 @@ def _read_jsonl(path: Path) -> Trace:
                 if isinstance(obj, dict) and "header" in obj:
                     header = obj["header"]
                     continue
-                events.append(_event_from_jsonl(path, lineno, len(events), obj))
+                rows.append(_row_from_jsonl(path, lineno, len(rows), obj))
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
             f"{path}: neither a binary .clt trace (bad magic) nor UTF-8 JSONL: {exc}"
         ) from exc
     if header is None:
         raise TraceFormatError(f"{path}: missing JSONL header line")
-    return Trace.from_events(events, **_trace_fields(path, header))
+    return Trace.from_events(rows, **_trace_fields(path, header))
 
 
 def _parse_jsonl_line(path: Path, lineno: int, line: str):
@@ -192,24 +193,29 @@ def _parse_jsonl_line(path: Path, lineno: int, line: str):
         raise TraceFormatError(f"{path}:{lineno}: not JSON: {exc}") from exc
 
 
-def _event_from_jsonl(path: Path, lineno: int, index: int, obj) -> Event:
-    """Parse event line ``lineno``, the trace's ``index``-th record."""
+_INT_FIELDS = ("seq", "tid", "obj", "arg")
+
+
+def _row_from_jsonl(path: Path, lineno: int, index: int, obj) -> tuple:
+    """Parse event line ``lineno``, the trace's ``index``-th record, into a
+    ``(seq, time, tid, etype, obj, arg)`` row whose values fit the record."""
+    where = f"{path}:{lineno}: record {index}"
     try:
         name = obj["etype"]
         if not isinstance(name, str) or name not in EventType.__members__:
-            raise TraceFormatError(
-                f"{path}:{lineno}: record {index}: unknown event type {name!r}"
-            )
-        return Event(
-            seq=int(obj["seq"]),
-            time=float(obj["time"]),
-            tid=int(obj["tid"]),
-            etype=EventType[name],
-            obj=int(obj.get("obj", -1)),
-            arg=int(obj.get("arg", 0)),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+            raise TraceFormatError(f"{where}: unknown event type {name!r}")
+        time = float(obj["time"])
+        ints = (int(obj["seq"]), int(obj["tid"]), int(obj.get("obj", -1)), int(obj.get("arg", 0)))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise TraceFormatError(f"{path}:{lineno}: bad event record: {exc}") from exc
+    if not math.isfinite(time):
+        raise TraceFormatError(f"{where}: time {time} is not finite")
+    for field, value in zip(_INT_FIELDS, ints):
+        low, high = FIELD_BOUNDS[field]
+        if not low <= value <= high:
+            raise TraceFormatError(f"{where}: {field} {value} out of range [{low}, {high}]")
+    seq, tid, obj_id, arg = ints
+    return (seq, time, tid, EventType[name], obj_id, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +384,7 @@ def _iter_stream_chunks(path: Path, waiter: _Waiter) -> Iterator[np.ndarray]:
 def _iter_jsonl_chunks(
     path: Path, chunk_events: int, waiter: _Waiter
 ) -> Iterator[np.ndarray]:
-    batch: list[Event] = []
+    batch: list[tuple] = []
     with open(path, "rb") as fh:
         offset = 0
         lineno = 0
@@ -398,15 +404,15 @@ def _iter_jsonl_chunks(
                     if isinstance(obj, dict) and "header" in obj:
                         saw_header = True
                     else:
-                        batch.append(_event_from_jsonl(path, lineno, seen, obj))
+                        batch.append(_row_from_jsonl(path, lineno, seen, obj))
                         seen += 1
                         if len(batch) >= chunk_events:
-                            yield records_from_events(batch)
+                            yield np.array(batch, dtype=EVENT_DTYPE)
                             batch = []
                 waiter.note_progress()
                 continue
             if batch:
-                yield records_from_events(batch)
+                yield np.array(batch, dtype=EVENT_DTYPE)
                 batch = []
             if not waiter.wait():
                 if not waiter.follow and not saw_header and lineno == 0:

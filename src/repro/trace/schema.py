@@ -3,12 +3,11 @@
 Traces can contain millions of events (Radiosity at 24 threads produces
 hundreds of thousands of lock operations), so bulk storage is a numpy
 structured array rather than a list of Python objects.  This module owns
-the dtype and the conversions in both directions.
+the dtype, the signed-``seq`` dtype producers pack their rows into, and
+the per-row :class:`Event` view.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -16,9 +15,9 @@ from repro.trace.events import Event, EventType
 
 __all__ = [
     "EVENT_DTYPE",
-    "records_from_events",
-    "events_from_records",
-    "empty_records",
+    "FIELD_BOUNDS",
+    "ROW_DTYPE",
+    "event_from_row",
     "known_etypes",
 ]
 
@@ -34,6 +33,22 @@ EVENT_DTYPE = np.dtype(
     ]
 )
 
+#: :data:`EVENT_DTYPE` with a signed ``seq``: the dtype producers pack
+#: their ``(seq, time, tid, etype, obj, arg)`` rows into before
+#: :func:`repro.trace.framing.sort_stream_records` renumbers them.
+#: Repair and import code gives synthetic leading events negative seqs.
+ROW_DTYPE = np.dtype(
+    [(name, np.int64 if name == "seq" else EVENT_DTYPE[name]) for name in EVENT_DTYPE.names]
+)
+
+#: Inclusive bounds of the integer fields of a record read from a file,
+#: checked before packing so a reader can name the offending line.
+#: ``seq`` is stored unsigned and packed signed, so it must fit both.
+FIELD_BOUNDS: dict[str, tuple[int, int]] = {
+    name: (0 if name == "seq" else int(np.iinfo(ROW_DTYPE[name]).min),
+           int(np.iinfo(ROW_DTYPE[name]).max))
+    for name in ("seq", "tid", "obj", "arg")
+}
 
 _ETYPE_MIN = min(int(e) for e in EventType)
 _ETYPE_MAX = max(int(e) for e in EventType)
@@ -45,33 +60,7 @@ def known_etypes(records: np.ndarray) -> np.ndarray:
     return (etype >= _ETYPE_MIN) & (etype <= _ETYPE_MAX)
 
 
-def empty_records(n: int = 0) -> np.ndarray:
-    """Allocate an uninitialised record array of ``n`` events."""
-    return np.empty(n, dtype=EVENT_DTYPE)
-
-
-def records_from_events(events: Iterable[Event]) -> np.ndarray:
-    """Pack an iterable of :class:`Event` into a structured array."""
-    items = list(events)
-    out = empty_records(len(items))
-    for i, ev in enumerate(items):
-        out[i] = (ev.seq, ev.time, ev.tid, int(ev.etype), ev.obj, ev.arg)
-    return out
-
-
-def events_from_records(records: np.ndarray) -> Iterator[Event]:
-    """Yield :class:`Event` views over a structured array."""
-    for row in records:
-        yield event_from_row(row)
-
-
 def event_from_row(row: np.void) -> Event:
     """Convert one structured-array row into an :class:`Event`."""
-    return Event(
-        seq=int(row["seq"]),
-        time=float(row["time"]),
-        tid=int(row["tid"]),
-        etype=EventType(int(row["etype"])),
-        obj=int(row["obj"]),
-        arg=int(row["arg"]),
-    )
+    seq, time, tid, etype, obj, arg = row.item()
+    return Event(seq, time, tid, EventType(etype), obj, arg)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -11,8 +11,9 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.events import Event, EventType, ObjectKind
+from repro.trace.framing import sort_stream_records
 from repro.trace.index import TraceIndex
-from repro.trace.schema import EVENT_DTYPE, event_from_row, records_from_events
+from repro.trace.schema import EVENT_DTYPE, ROW_DTYPE, event_from_row
 
 __all__ = ["ObjectInfo", "Trace"]
 
@@ -69,19 +70,23 @@ class Trace:
     @classmethod
     def from_events(
         cls,
-        events: list[Event],
+        rows: Iterable[tuple],
         objects: Mapping[int, ObjectInfo] | None = None,
         threads: Mapping[int, str] | None = None,
         meta: Mapping[str, Any] | None = None,
     ) -> "Trace":
-        """Build a trace from Event objects (sorts and reassigns ``seq``)."""
-        ordered = sorted(events, key=lambda ev: (ev.time, ev.seq))
-        renumbered = [
-            Event(seq=i, time=ev.time, tid=ev.tid, etype=ev.etype, obj=ev.obj, arg=ev.arg)
-            for i, ev in enumerate(ordered)
-        ]
+        """Build a trace from ``(seq, time, tid, etype, obj, arg)`` rows.
+
+        Rows may be :class:`Event` objects or plain tuples; ``seq`` only
+        breaks ties in time (it may be negative) and is renumbered
+        densely after the stable (time, seq) sort.  Every producer —
+        capture, builder, readers, importers, merge and transforms —
+        assembles its trace here.
+        """
+        if not isinstance(rows, list):
+            rows = list(rows)
         return cls(
-            records=records_from_events(renumbered),
+            records=sort_stream_records(np.array(rows, dtype=ROW_DTYPE)),
             objects=dict(objects or {}),
             threads=dict(threads or {}),
             meta=dict(meta or {}),

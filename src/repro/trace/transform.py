@@ -24,7 +24,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.events import Event, EventType, ObjectKind
+from repro.trace.events import EventType, ObjectKind
 from repro.trace.trace import Trace
 
 __all__ = ["slice_time", "filter_threads", "demote_orphan_contention"]
@@ -34,7 +34,8 @@ def slice_time(trace: Trace, start: float, end: float) -> Trace:
     """Extract the [start, end] window as a standalone valid trace."""
     if end <= start:
         raise TraceError(f"empty slice window [{start}, {end}]")
-    kept: list[Event] = [ev for ev in trace if start <= ev.time <= end]
+    times = trace.records["time"]
+    kept = trace.records[(times >= start) & (times <= end)]
     return _repair(trace, kept, start, end, trace.thread_ids)
 
 
@@ -44,29 +45,38 @@ def filter_threads(trace: Trace, tids: Iterable[int]) -> Trace:
     unknown = wanted - set(trace.thread_ids)
     if unknown:
         raise TraceError(f"unknown thread ids: {sorted(unknown)}")
-    kept = [ev for ev in trace if ev.tid in wanted]
+    kept = trace.records[np.isin(trace.records["tid"], list(wanted))]
     return _repair(trace, kept, trace.start_time, trace.end_time, sorted(wanted))
+
+
+_LIFECYCLE = frozenset({
+    EventType.THREAD_START, EventType.THREAD_EXIT, EventType.THREAD_CREATE,
+    EventType.JOIN_BEGIN, EventType.JOIN_END,
+})
+_BARRIER = (EventType.BARRIER_ARRIVE, EventType.BARRIER_DEPART)
 
 
 def _repair(
     trace: Trace,
-    kept: list[Event],
+    kept: np.ndarray,
     start: float,
     end: float,
     tids: Iterable[int],
 ) -> Trace:
-    """Make a kept-event list structurally valid (see module docstring)."""
-    events: list[Event] = []
-    per_thread: dict[int, list[Event]] = defaultdict(list)
-    for ev in kept:
-        per_thread[ev.tid].append(ev)
+    """Make the kept records structurally valid (see module docstring).
+
+    Works on ``(seq, time, tid, etype, obj, arg)`` row tuples.
+    """
+    rows: list[tuple] = []
+    per_thread: dict[int, list[tuple]] = defaultdict(list)
+    for row in kept.tolist():
+        per_thread[row[2]].append(row)
 
     lock_ids = {
         info.obj
         for info in trace.objects.values()
         if info.kind in (ObjectKind.MUTEX, ObjectKind.SEMAPHORE, ObjectKind.RWLOCK)
     }
-    barrier_cohorts: dict[tuple[int, int], int] = defaultdict(int)
 
     # Synthetic-event ordering: leading synths (THREAD_START, pre-window
     # acquisitions) must sort before every real event at the same time,
@@ -77,12 +87,11 @@ def _repair(
     tail_seq = [int(trace.records["seq"][-1]) + 1 if len(trace) else 1]
 
     for tid in tids:
-        evs = per_thread.get(tid, [])
-        out: list[Event] = []
+        out: list[tuple] = []
         held: list[tuple[int, int]] = []  # (obj, mode) stack
-        # obj -> (rwlock mode, the ACQUIRE event itself); keeping the event
+        # obj -> (rwlock mode, the ACQUIRE row itself); keeping the row
         # lets the dangling filter below remove exactly that instance.
-        pending_acquire: dict[int, tuple[int, Event]] = {}
+        pending_acquire: dict[int, tuple[int, tuple]] = {}
         # The thread exists for the window portion of its original life.
         o_start, o_end = trace.thread_span(tid)
         t_first = max(start, o_start)
@@ -95,110 +104,90 @@ def _repair(
             else:
                 lead_seq[0] += 1
                 seq = lead_seq[0]
-            out.append(Event(seq=seq, time=time, tid=tid, etype=etype, obj=obj, arg=arg))
+            out.append((seq, time, tid, etype, obj, arg))
 
         synth(t_first, EventType.THREAD_START)
-        for ev in evs:
-            et = ev.etype
-            if et in (EventType.THREAD_START, EventType.THREAD_EXIT,
-                      EventType.THREAD_CREATE, EventType.JOIN_BEGIN,
-                      EventType.JOIN_END):
+        for row in per_thread.get(tid, []):
+            _, time, _, et, obj, arg = row
+            if et in _LIFECYCLE:
                 # Lifecycle is resynthesized; joins/creates reference
                 # threads that may be outside the slice: drop them.
                 continue
-            if ev.obj in lock_ids:
+            if obj in lock_ids:
                 if et == EventType.ACQUIRE:
-                    pending_acquire[ev.obj] = (ev.arg, ev)
-                    out.append(ev)
+                    pending_acquire[obj] = (arg, row)
+                    out.append(row)
                     continue
                 if et == EventType.OBTAIN:
-                    if ev.obj in pending_acquire:
-                        mode, _ = pending_acquire.pop(ev.obj)
+                    if obj in pending_acquire:
+                        mode, _ = pending_acquire.pop(obj)
                     else:
                         # The ACQUIRE fell before the window: synthesize it
                         # (leading), keeping the original OBTAIN so it stays
                         # ordered after the previous holder's RELEASE.
                         mode = 0
-                        synth(ev.time, EventType.ACQUIRE, obj=ev.obj)
-                    out.append(ev)
-                    held.append((ev.obj, mode))
+                        synth(time, EventType.ACQUIRE, obj=obj)
+                    out.append(row)
+                    held.append((obj, mode))
                     continue
                 if et == EventType.RELEASE:
                     match = next(
                         (i for i in range(len(held) - 1, -1, -1)
-                         if held[i][0] == ev.obj),
+                         if held[i][0] == obj),
                         None,
                     )
                     if match is None:
                         # Hold opened before the window: synthesize the
                         # acquisition at the window start.
-                        synth(t_first, EventType.ACQUIRE, obj=ev.obj, arg=ev.arg)
-                        synth(t_first, EventType.OBTAIN, obj=ev.obj)
+                        synth(t_first, EventType.ACQUIRE, obj=obj, arg=arg)
+                        synth(t_first, EventType.OBTAIN, obj=obj)
                         # Re-sort later puts these first (same time as start).
                     else:
                         held.pop(match)
-                    out.append(ev)
+                    out.append(row)
                     continue
-            if et in (EventType.BARRIER_ARRIVE, EventType.BARRIER_DEPART):
-                barrier_cohorts[(ev.obj, ev.arg)] += 1
-                out.append(ev)
-                continue
-            out.append(ev)
+            out.append(row)
         # Close still-open holds and dangling acquires at the window end.
-        t_last = max(t_end, max((e.time for e in out), default=t_end))
+        t_last = max(t_end, max((r[1] for r in out), default=t_end))
         for obj, mode in reversed(held):
             synth(t_last, EventType.RELEASE, obj=obj, arg=mode, trailing=True)
         # Dangling ACQUIREs (their OBTAIN fell past the window) are noise —
         # remove exactly those instances, not every ACQUIRE on the object.
-        dangling = {id(acq_ev) for _, acq_ev in pending_acquire.values()}
-        out = [e for e in out if id(e) not in dangling]
+        dangling = {id(acq_row) for _, acq_row in pending_acquire.values()}
+        out = [r for r in out if id(r) not in dangling]
         synth(t_last, EventType.THREAD_EXIT, trailing=True)
-        events.extend(out)
+        rows.extend(out)
 
     # Drop barrier events whose cohort was cut in half (unmatched
     # arrivals/departures fail validation and carry no usable dependency).
     counts: dict[tuple[int, int, int], int] = defaultdict(int)  # (obj,gen,etype)
-    for ev in events:
-        if ev.etype in (EventType.BARRIER_ARRIVE, EventType.BARRIER_DEPART):
-            counts[(ev.obj, ev.arg, int(ev.etype))] += 1
-    events = [
-        ev
-        for ev in events
-        if ev.etype not in (EventType.BARRIER_ARRIVE, EventType.BARRIER_DEPART)
-        or counts[(ev.obj, ev.arg, int(EventType.BARRIER_ARRIVE))]
-        == counts[(ev.obj, ev.arg, int(EventType.BARRIER_DEPART))]
+    for r in rows:
+        if r[3] in _BARRIER:
+            counts[(r[4], r[5], r[3])] += 1
+    arrive, depart = _BARRIER
+    rows = [
+        r
+        for r in rows
+        if r[3] not in _BARRIER
+        or counts[(r[4], r[5], arrive)] == counts[(r[4], r[5], depart)]
     ]
     # Cond events: drop wakes whose block was cut (and vice versa).
     cond_ok: dict[tuple[int, int], int] = defaultdict(int)
-    for ev in events:
-        if ev.etype == EventType.COND_BLOCK:
-            cond_ok[(ev.obj, ev.tid)] += 1
-    events = [
-        ev
-        for ev in events
-        if ev.etype != EventType.COND_WAKE or cond_ok[(ev.obj, ev.tid)] > 0
-    ]
-
-    # A contended OBTAIN whose releasing predecessor fell outside the
-    # window has no resolvable waker: demote it to uncontended (the wait
-    # context is gone along with the waker).
-    events.sort(key=lambda ev: (ev.time, ev.seq))
-    released: set[int] = set()
-    for i, ev in enumerate(events):
-        if ev.etype == EventType.RELEASE:
-            released.add(ev.obj)
-        elif ev.etype == EventType.OBTAIN and ev.arg and ev.obj not in released:
-            events[i] = Event(
-                seq=ev.seq, time=ev.time, tid=ev.tid,
-                etype=EventType.OBTAIN, obj=ev.obj, arg=0,
-            )
+    for r in rows:
+        if r[3] == EventType.COND_BLOCK:
+            cond_ok[(r[4], r[2])] += 1
+    rows = [r for r in rows if r[3] != EventType.COND_WAKE or cond_ok[(r[4], r[2])] > 0]
 
     meta = dict(trace.meta)
     meta["sliced_from"] = [trace.start_time, trace.end_time]
     meta["slice_window"] = [start, end]
-    return Trace.from_events(
-        events, objects=trace.objects, threads=trace.threads, meta=meta
+    # A contended OBTAIN whose releasing predecessor fell outside the
+    # window has no resolvable waker: demote it to uncontended (the wait
+    # context is gone along with the waker).
+    repaired, _ = demote_orphan_contention(
+        Trace.from_events(rows, objects=trace.objects, threads=trace.threads, meta=meta)
     )
+    return repaired
 
 
 def demote_orphan_contention(trace: Trace) -> tuple[Trace, int]:

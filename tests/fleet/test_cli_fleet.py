@@ -84,8 +84,21 @@ def test_fleet_store_leaves_fleet_state_untouched(store_dir, capsys):
 
 
 def test_fleet_summary_empty_store(tmp_path, capsys):
-    assert main(["fleet", "summary", "--store", str(tmp_path / "none")]) == 0
+    (tmp_path / "traces").mkdir()
+    assert main(["fleet", "summary", "--store", str(tmp_path)]) == 0
     assert "no observations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["summary", "regressions", "alerts"])
+def test_fleet_missing_store_fails_and_creates_nothing(tmp_path, capsys, command):
+    missing = tmp_path / "no" / "such" / "dir"
+    argv = ["fleet", command, "--store", str(missing)]
+    if command == "alerts":
+        rules = Path(__file__).parents[2] / "docs" / "examples" / "fleet-alerts.toml"
+        argv += ["--rules", str(rules)]
+    assert main(argv) == 1
+    assert "not a service data dir" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
 
 
 def test_fleet_regressions_flags_shift(store_dir, capsys):

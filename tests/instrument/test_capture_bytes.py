@@ -32,8 +32,9 @@ def _schedule(seed: int = 5) -> list[tuple[int, int, EventType, int, int]]:
     Workers run critical sections one at a time on randomly chosen
     locks; a lock busy at ACQUIRE time hands over FIFO at its RELEASE
     (a contended OBTAIN at the same instant), and some sections nest a
-    reentrant acquisition, as :class:`~repro.instrument.TracedRLock`
-    records one, so the sampler's bracket depth is exercised too.  Ties in time keep creation order, so a
+    second acquisition of the same object, as a thread taking a counting
+    semaphore twice records, so the sampler's bracket depth is exercised
+    too.  Ties in time keep creation order, so a
     RELEASE precedes the OBTAIN it enables.
     """
     rng = random.Random(seed)

@@ -220,3 +220,34 @@ def test_streaming_sampler_matches_vectorized(spec, rate, seed):
 def test_streaming_sampler_meta():
     sampler = EventSampler(0.25, seed=9)
     assert sampler.meta() == {"strategy": "unit-hash", "rate": 0.25, "seed": 9}
+
+
+def test_streaming_sampler_hashes_each_unit_once(monkeypatch):
+    """One ``unit_hash`` call per ``(tid, obj, k)`` unit, however many
+    events (nested re-acquisitions included) the unit holds."""
+    import repro.sampling.sampler as sampler_mod
+
+    calls = []
+
+    def counting(seed, tid, obj, k):
+        calls.append((tid, obj, k))
+        return unit_hash(seed, tid, obj, k)
+
+    monkeypatch.setattr(sampler_mod, "unit_hash", counting)
+    sampler = EventSampler(0.5, seed=4)
+    acquire, obtain, release = (int(e) for e in _LOCK_VERBS)
+    seq = 0
+    for k in range(12):
+        for tid in (0, 1):
+            verbs = [acquire, obtain]
+            if k % 3 == 0:
+                verbs += [acquire, obtain, release]  # nested in the same unit
+            for etype in verbs + [release]:
+                sampler.process((seq, float(seq), tid, etype, 7, 0))
+                seq += 1
+    # A bare RELEASE opens no unit: it reuses k = 0's decision, hashed once.
+    sampler.process((seq, float(seq), 2, release, 7, 0))
+    sampler.process((seq + 1, float(seq + 1), 2, release, 7, 0))
+    assert sorted(calls) == sorted(
+        [(tid, 7, k) for tid in (0, 1) for k in range(1, 13)] + [(2, 7, 0)]
+    )

@@ -17,6 +17,7 @@ from repro.trace.framing import (
     split_records,
 )
 from repro.trace.reader import read_trace
+from repro.trace.schema import EVENT_DTYPE
 from repro.trace.writer import header_dict
 
 
@@ -121,9 +122,7 @@ def test_split_records_covers_everything(micro_trace):
 
 
 def test_split_records_empty():
-    from repro.trace.schema import empty_records
-
-    assert list(split_records(empty_records(), 10)) == []
+    assert list(split_records(np.empty(0, dtype=EVENT_DTYPE), 10)) == []
 
 
 def test_sort_stream_records_matches_from_events(micro_trace):

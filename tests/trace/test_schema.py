@@ -3,12 +3,16 @@
 import numpy as np
 
 from repro.trace.events import Event, EventType
-from repro.trace.schema import (
-    EVENT_DTYPE,
-    empty_records,
-    events_from_records,
-    records_from_events,
-)
+from repro.trace.schema import EVENT_DTYPE, ROW_DTYPE, event_from_row
+
+
+def pack(events):
+    """An event is a record row: one ``np.array`` packs a list of them."""
+    return np.array(events, dtype=EVENT_DTYPE)
+
+
+def unpack(records):
+    return [event_from_row(row) for row in records]
 
 
 def sample_events():
@@ -23,20 +27,16 @@ def sample_events():
 
 def test_roundtrip():
     events = sample_events()
-    records = records_from_events(events)
+    records = pack(events)
     assert records.dtype == EVENT_DTYPE
-    back = list(events_from_records(records))
+    back = unpack(records)
     assert back == events
-
-
-def test_empty_records():
-    assert len(empty_records()) == 0
-    assert empty_records(5).shape == (5,)
+    assert all(type(ev.etype) is EventType for ev in back)
 
 
 def test_negative_obj_preserved():
     ev = Event(seq=0, time=0.0, tid=0, etype=EventType.THREAD_START, obj=-1)
-    back = next(events_from_records(records_from_events([ev])))
+    (back,) = unpack(pack([ev]))
     assert back.obj == -1
 
 
@@ -44,7 +44,7 @@ def test_large_values():
     ev = Event(
         seq=2**40, time=1e9, tid=2**20, etype=EventType.JOIN_END, obj=2**30, arg=-(2**40)
     )
-    back = next(events_from_records(records_from_events([ev])))
+    (back,) = unpack(pack([ev]))
     assert back == ev
 
 
@@ -55,5 +55,19 @@ def test_dtype_itemsize_stable():
 
 
 def test_times_stored_as_float64():
-    records = records_from_events(sample_events())
+    records = pack(sample_events())
     assert records["time"].dtype == np.float64
+
+
+def test_event_is_a_plain_row():
+    ev = Event(seq=3, time=0.5, tid=1, etype=EventType.OBTAIN, obj=2, arg=1)
+    assert ev == (3, 0.5, 1, EventType.OBTAIN, 2, 1)
+    assert Event(seq=0, time=0.0, tid=0, etype=EventType.THREAD_START) == (
+        0, 0.0, 0, EventType.THREAD_START, -1, 0,
+    )
+
+
+def test_row_dtype_is_event_dtype_with_signed_seq():
+    assert ROW_DTYPE.names == EVENT_DTYPE.names
+    assert ROW_DTYPE["seq"] == np.int64
+    assert all(ROW_DTYPE[n] == EVENT_DTYPE[n] for n in EVENT_DTYPE.names[1:])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace.events import Event, EventType, ObjectKind
-from repro.trace.schema import records_from_events
+from repro.trace.schema import EVENT_DTYPE
 from repro.trace.trace import ObjectInfo, Trace
 
 
@@ -37,14 +37,14 @@ class TestConstruction:
 
     def test_unsorted_seq_rejected(self):
         events = two_thread_events()
-        records = records_from_events(events)
+        records = np.array(events, dtype=EVENT_DTYPE)
         records["seq"] = records["seq"][::-1].copy()
         with pytest.raises(TraceError, match="seq"):
             Trace(records=records)
 
     def test_time_seq_mismatch_rejected(self):
         events = two_thread_events()
-        records = records_from_events(events)
+        records = np.array(events, dtype=EVENT_DTYPE)
         records["time"][2] = 10.0  # later than everything after it
         with pytest.raises(TraceError, match="time order"):
             Trace(records=records)
@@ -55,6 +55,24 @@ class TestConstruction:
         times = [ev.time for ev in trace]
         assert times == sorted(times)
         assert [ev.seq for ev in trace] == list(range(len(events)))
+
+    def test_from_events_takes_any_iterable_of_plain_rows(self):
+        rows = (tuple(ev) for ev in reversed(two_thread_events()))
+        trace = Trace.from_events(rows)
+        assert trace.records.dtype == EVENT_DTYPE
+        assert np.array_equal(trace.records, make_trace().records)
+
+    def test_from_events_signed_seq_breaks_time_ties(self):
+        rows = [
+            (7, 1.0, 0, EventType.OBTAIN, 0, 0),
+            (-3, 1.0, 0, EventType.ACQUIRE, 0, 0),
+            (2, 0.5, 0, EventType.THREAD_START, -1, 0),
+        ]
+        trace = Trace.from_events(rows)
+        assert [ev.etype for ev in trace] == [
+            EventType.THREAD_START, EventType.ACQUIRE, EventType.OBTAIN,
+        ]
+        assert trace.records["seq"].tolist() == [0, 1, 2]
 
 
 class TestAccessors:
