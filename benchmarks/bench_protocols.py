@@ -16,6 +16,12 @@ default) is the EXPERIMENTS.md result: on the rwlock-heavy ``ldap`` case,
 reader-preference re-ranks the critical lock
 (``entry_lock[0] -> entry_lock[1]``) with a positive end-to-end gain,
 while FIFO replay stays a no-op everywhere.
+
+Every case is also forecast under ``priority`` with the fixed
+:data:`PRIORITY_MAP` (recorded as ``priority_mapped``): at equal
+priorities ``priority`` is FIFO, so this is the evidence that the
+protocol earns its place.  The script fails unless that forecast moves
+ldap's predicted time off FIFO's.
 """
 
 from __future__ import annotations
@@ -47,6 +53,10 @@ CASES = {
 LIMITED_CORES = 2
 
 PROTOCOLS = [p for p in available_protocols() if p != "recorded"]
+
+#: Thread priorities for the ``priority_mapped`` forecast: alternating
+#: 0/10 by tid (unlisted tids get 0).
+PRIORITY_MAP = {tid: 10 * (tid % 2) for tid in range(16)}
 
 
 def build_trace(case: str, cores: int | None = None):
@@ -80,6 +90,9 @@ def run_case(case: str) -> dict:
     baseline = analyze(trace, validate=False).report
     forecasts = [replay_whatif(trace, p, baseline=baseline) for p in PROTOCOLS]
     t_forecasts = time.perf_counter() - t0
+    mapped = replay_whatif(
+        trace, "priority", priorities=PRIORITY_MAP, baseline=baseline
+    )
 
     return {
         "case": case,
@@ -91,17 +104,19 @@ def run_case(case: str) -> dict:
         "limited_duration": limited.duration,
         "limited_identity_faithful": identity_limited,
         "forecasts_s": round(t_forecasts, 4),
-        "forecasts": [
-            {
-                "protocol": f.protocol,
-                "predicted_time": f.predicted_time,
-                "gain": round(f.predicted_gain, 6),
-                "speedup": round(f.predicted_speedup, 4),
-                "critical_lock": f.predicted_critical_lock,
-                "reranked": f.reranked,
-            }
-            for f in forecasts
-        ],
+        "forecasts": [forecast_row(f) for f in forecasts],
+        "priority_mapped": forecast_row(mapped),
+    }
+
+
+def forecast_row(f) -> dict:
+    return {
+        "protocol": f.protocol,
+        "predicted_time": f.predicted_time,
+        "gain": round(f.predicted_gain, 6),
+        "speedup": round(f.predicted_speedup, 4),
+        "critical_lock": f.predicted_critical_lock,
+        "reranked": f.reranked,
     }
 
 
@@ -132,9 +147,11 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(res['forecasts'])} forecasts in {res['forecasts_s']:.2f}s")
         if "FAIL" in tags:
             failed = True
-        for f in res["forecasts"]:
+        rows = [(f["protocol"], f) for f in res["forecasts"]]
+        rows.append(("priority 0/10", res["priority_mapped"]))
+        for label, f in rows:
             mark = "  RE-RANK" if f["reranked"] else ""
-            print(f"  {f['protocol']:12s} "
+            print(f"  {label:13s} "
                   f"gain {f['gain']:+8.2%}  crit {f['critical_lock']}{mark}")
 
     if args.require_rerank and "ldap" in cases:
@@ -147,6 +164,18 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"\nok: ldap reader-pref re-ranks the critical lock "
                   f"({hit[0]['critical_lock']}, {hit[0]['gain']:+.2%})")
+
+    if "ldap" in cases:
+        ldap = next(r for r in results if r["case"] == "ldap")
+        fifo = next(f for f in ldap["forecasts"] if f["protocol"] == "fifo")
+        mapped = ldap["priority_mapped"]
+        if mapped["predicted_time"] == fifo["predicted_time"]:
+            print("FAIL: priority under the 0/10 map did not move ldap's "
+                  "forecast off FIFO's", file=sys.stderr)
+            failed = True
+        else:
+            print(f"ok: priority under the 0/10 map moves ldap off FIFO "
+                  f"({fifo['predicted_time']:.4f} -> {mapped['predicted_time']:.4f})")
 
     if args.json:
         with open(args.json, "w") as f:

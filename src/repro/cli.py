@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wi_p.add_argument(
         "--priority", action="append", default=[], metavar="THREAD=P",
-        help="base priority for a thread (tid or name; repeatable)",
+        help="lock priority for a thread under --protocol priority (tid or name; repeatable)",
     )
     wi_p.add_argument(
         "--proto-param", action="append", default=[], metavar="K=V",

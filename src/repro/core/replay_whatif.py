@@ -2,7 +2,7 @@
 
 The shrink/remove what-ifs (:mod:`repro.core.whatif`) answer "what if
 this critical section were cheaper"; this module answers "what if the
-*policy* were different" — priority inheritance instead of FIFO handoff,
+*policy* were different" — priority-ordered instead of FIFO handoff,
 a writer-preference rwlock, adaptive spinning.
 Serialization bottlenecks are frequently policy artifacts rather than
 inherent work, so these forecasts rank the *fixable* share of
@@ -201,12 +201,11 @@ def replay_whatif(
     protocol:
         Registry name (:func:`repro.sim.available_protocols`).
     priorities:
-        Base priorities for the priority-aware policies, keyed by the
+        Thread priorities for the ``priority`` protocol, keyed by the
         original trace tid or thread name; unlisted threads get 0.
     protocol_params:
         Keyword arguments for the protocol constructor (e.g.
-        ``{"spin_limit": 0.1}`` for ``spin``,
-        ``{"ceilings": {...}}`` for ``ceiling``).
+        ``{"spin_limit": 0.1}`` for ``spin``).
     cores:
         Replay on this many cores; ``None`` (default) replays with no
         core limit.  Refused on a trace recorded under a core limit,

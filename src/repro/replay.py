@@ -106,13 +106,14 @@ class ReplayProgram:
         protocol (a name or an instance; ``protocol="recorded"`` builds
         the identity protocol from this trace, pinning grants to the
         recorded order).  ``priorities`` maps original tids or thread
-        names to base priorities for the priority-aware protocols.
+        names to priorities for the ``priority`` protocol.
         ``preserve_name`` keeps the original trace name instead of the
         ``replay:`` prefix, so identity replays render byte-identical
         reports.
         """
         if factor < 0:
             raise AnalysisError(f"factor must be >= 0, got {factor}")
+        _check_spawns(self.scripts)
         recorded_cores = self.trace.meta.get("cores")
         if cores is not None and recorded_cores is not None:
             raise AnalysisError(
@@ -340,6 +341,33 @@ def _reconstruct_thread(
             emit_gap(time, is_wait_end=seq in wake_seqs)
         i += 1
     return script
+
+
+def _check_spawns(scripts: dict[int, _ThreadScript]) -> None:
+    """Refuse threads the replay cannot spawn or join: only a spawn op
+    yields a joinable handle, so a joined tid needs exactly one creator
+    and a created tid needs a script."""
+    creator: dict[int, int] = {}
+    joins = []
+    for tid, script in sorted(scripts.items()):
+        for op in script.ops:
+            if op[0] == _JOIN:
+                joins.append((tid, op[1]))
+            elif op[0] == _SPAWN:
+                child = op[1]
+                if child not in scripts:
+                    raise AnalysisError(
+                        f"thread {tid} creates thread {child}, which has no events"
+                    )
+                if child in creator:
+                    raise AnalysisError(
+                        f"thread {child} is created twice "
+                        f"(by threads {creator[child]} and {tid})"
+                    )
+                creator[child] = tid
+    for tid, target in joins:
+        if target not in creator:
+            raise AnalysisError(f"thread {tid} joins thread {target}, which no thread creates")
 
 
 def _barrier_cohorts(trace: Trace) -> dict[int, list[int]]:

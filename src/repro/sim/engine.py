@@ -17,10 +17,10 @@ the last party arrives, and ``cond_wait`` atomically releases the mutex,
 waits for a signal and reacquires.
 
 A :class:`repro.sim.protocols.LockProtocol` decides queue discipline,
-grant order, handoff latency, spinning and priority boosting for every
-lock-like object (the default :class:`FifoProtocol` reproduces the
-historical engine bit-identically); it is the policy seam that
-what-if forecasting (:mod:`repro.core.replay_whatif`) swaps.
+grant order, handoff latency and spinning for every lock-like object
+(the default :class:`FifoProtocol` reproduces the historical engine
+bit-identically); it is the policy seam that what-if forecasting
+(:mod:`repro.core.replay_whatif`) swaps.
 
 In core-limited mode (``cores=N``) a thread that is runnable but has no
 core waits in a FIFO ready queue, and its wait is folded into its next
@@ -257,7 +257,6 @@ class Simulator:
     def _make_runnable(self, thread: SimThread, value: Any) -> None:
         """Thread became runnable (woken or newly created)."""
         thread.block_reason = ""
-        thread.blocked_on = None
         if thread.has_core:
             # Was spinning on its core while blocked: resume in place.
             thread.state = ThreadState.RUNNING
@@ -324,11 +323,6 @@ class Simulator:
         arg = self.protocol.obtain_arg(lock, thread, contended)
         self.collector.emit(self._now, thread.tid, EventType.OBTAIN, obj=lock.obj, arg=arg)
 
-    def _grant_mutex(self, m: SimMutex, thread: SimThread, contended: bool) -> None:
-        self._emit_obtain(m, thread, contended)
-        thread.held.add(m)
-        self.protocol.on_obtain(m, thread)
-
     def _handle_acquire(self, thread: SimThread, req: sc.Acquire) -> None:
         m = req.mutex
         if m.owner is thread:
@@ -343,12 +337,10 @@ class Simulator:
         if m.owner is None and self.protocol.grant_free(m, thread):
             m.owner = thread
             m.depth = 1
-            self._grant_mutex(m, thread, contended=False)
+            self._emit_obtain(m, thread, contended=False)
             self._resume(thread, None)
         else:
             self.protocol.enqueue(m, thread)
-            thread.blocked_on = m
-            self.protocol.on_block(m, thread)
             self._block(
                 thread,
                 f"mutex {m.name or m.obj}",
@@ -364,7 +356,7 @@ class Simulator:
             self.collector.emit(self._now, thread.tid, EventType.ACQUIRE, obj=m.obj)
             m.owner = thread
             m.depth = 1
-            self._grant_mutex(m, thread, contended=False)
+            self._emit_obtain(m, thread, contended=False)
             self._resume(thread, True)
         else:
             self._resume(thread, False)
@@ -380,8 +372,6 @@ class Simulator:
             return
         m.depth = 0
         self.collector.emit(self._now, thread.tid, EventType.RELEASE, obj=m.obj)
-        thread.held.discard(m)
-        self.protocol.on_release(m, thread)
         nxt = self.protocol.select(m) if m.waiters else None
         if nxt is None:
             m.owner = None
@@ -394,8 +384,8 @@ class Simulator:
         else:
             self._complete_handoff(m, nxt)
 
-    def _complete_handoff(self, m: SimMutex, nxt: SimThread) -> None:
-        self._grant_mutex(m, nxt, contended=True)
+    def _complete_handoff(self, lock: Any, nxt: SimThread) -> None:
+        self._emit_obtain(lock, nxt, contended=True)
         self._make_runnable(nxt, None)
 
     def _handle_release(self, thread: SimThread, req: sc.Release) -> None:
@@ -452,13 +442,11 @@ class Simulator:
         if m.owner is None and self.protocol.grant_free(m, waiter):
             m.owner = waiter
             m.depth = 1
-            self._grant_mutex(m, waiter, contended=False)
+            self._emit_obtain(m, waiter, contended=False)
             self._make_runnable(waiter, None)
         else:
             self.protocol.enqueue(m, waiter)
-            waiter.blocked_on = m
             waiter.block_start = self._now
-            self.protocol.on_block(m, waiter)
             waiter.block_reason = f"mutex {m.name or m.obj}"
 
     def _handle_cond_signal(self, thread: SimThread, req: sc.CondSignal) -> None:
@@ -489,8 +477,6 @@ class Simulator:
             self._drain_sem_waiters(sem)
         else:
             self.protocol.enqueue(sem, thread)
-            thread.blocked_on = sem
-            self.protocol.on_block(sem, thread)
             self._block(
                 thread,
                 f"semaphore {sem.name or sem.obj}",
@@ -520,14 +506,10 @@ class Simulator:
         else:
             delay = self.protocol.handoff_latency(sem, nxt)
             if delay > 0:
-                self._post(self._now + delay, lambda: self._complete_sem_handoff(sem, nxt))
+                self._post(self._now + delay, lambda: self._complete_handoff(sem, nxt))
             else:
-                self._complete_sem_handoff(sem, nxt)
+                self._complete_handoff(sem, nxt)
         self._resume(thread, None)
-
-    def _complete_sem_handoff(self, sem: SimSemaphore, nxt: SimThread) -> None:
-        self._emit_obtain(sem, nxt, contended=True)
-        self._make_runnable(nxt, None)
 
     def _handle_rw_acquire(self, thread: SimThread, req: sc.RWAcquire) -> None:
         rw, write = req.rwlock, req.write
@@ -539,14 +521,10 @@ class Simulator:
             else:
                 rw.readers.add(thread)
             self._emit_obtain(rw, thread, contended=False)
-            thread.held.add(rw)
-            self.protocol.on_obtain(rw, thread)
             self._resume(thread, None)
             self._drain_rw_waiters(rw)
         else:
             self.protocol.rw_enqueue(rw, thread, write)
-            thread.blocked_on = rw
-            self.protocol.on_block(rw, thread)
             self._block(
                 thread,
                 f"rwlock {rw.name or rw.obj}",
@@ -569,16 +547,12 @@ class Simulator:
                 )
             rw.readers.discard(thread)
         self.collector.emit(self._now, thread.tid, EventType.RELEASE, obj=rw.obj, arg=mode)
-        thread.held.discard(rw)
-        self.protocol.on_release(rw, thread)
         self._drain_rw_waiters(rw)
         self._resume(thread, None)
 
     def _drain_rw_waiters(self, rw: SimRWLock) -> None:
         for waiter, _wants_write in self.protocol.rw_drain(rw):
             self._emit_obtain(rw, waiter, contended=True)
-            waiter.held.add(rw)
-            self.protocol.on_obtain(rw, waiter)
             self._make_runnable(waiter, None)
 
     def _handle_spawn(self, thread: SimThread, req: sc.Spawn) -> None:

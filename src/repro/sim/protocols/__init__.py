@@ -4,9 +4,7 @@ Registry names:
 
 ========== ==========================================================
 fifo        strict arrival order everywhere (the engine's baseline)
-priority    highest effective priority first, no boosting
-pi          priority inheritance (transitive holder boosting)
-ceiling     priority ceiling (boost on acquisition)
+priority    highest priority first (FIFO among equals)
 spin        adaptive spin-then-block with wake-up latency + backoff
 reader-pref readers never wait behind queued writers
 writer-pref queued writers run before queued readers
@@ -25,11 +23,7 @@ from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.protocols.base import FifoProtocol, LockProtocol
-from repro.sim.protocols.priority import (
-    PriorityCeilingProtocol,
-    PriorityInheritanceProtocol,
-    PriorityProtocol,
-)
+from repro.sim.protocols.priority import PriorityProtocol
 from repro.sim.protocols.recorded import RecordedProtocol
 from repro.sim.protocols.rw import PhaseFairRW, ReaderPreferenceRW, WriterPreferenceRW
 from repro.sim.protocols.spin import AdaptiveSpinProtocol
@@ -38,8 +32,6 @@ __all__ = [
     "LockProtocol",
     "FifoProtocol",
     "PriorityProtocol",
-    "PriorityInheritanceProtocol",
-    "PriorityCeilingProtocol",
     "AdaptiveSpinProtocol",
     "ReaderPreferenceRW",
     "WriterPreferenceRW",
@@ -54,8 +46,6 @@ __all__ = [
 PROTOCOLS: dict[str, type[LockProtocol]] = {
     FifoProtocol.name: FifoProtocol,
     PriorityProtocol.name: PriorityProtocol,
-    PriorityInheritanceProtocol.name: PriorityInheritanceProtocol,
-    PriorityCeilingProtocol.name: PriorityCeilingProtocol,
     AdaptiveSpinProtocol.name: AdaptiveSpinProtocol,
     ReaderPreferenceRW.name: ReaderPreferenceRW,
     WriterPreferenceRW.name: WriterPreferenceRW,
@@ -65,9 +55,7 @@ PROTOCOLS: dict[str, type[LockProtocol]] = {
 
 PROTOCOL_DOCS: dict[str, str] = {
     "fifo": "strict arrival-order grants (baseline)",
-    "priority": "highest-priority waiter first, no boosting",
-    "pi": "priority inheritance: blocked waiters boost the holder",
-    "ceiling": "priority ceiling: acquiring boosts to the lock's ceiling",
+    "priority": "highest-priority waiter first (FIFO among equals)",
     "spin": "adaptive spin-then-block (spin_limit, wake_latency, backoff)",
     "reader-pref": "readers join active read phases past queued writers",
     "writer-pref": "queued writers run before queued readers",

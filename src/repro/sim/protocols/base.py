@@ -13,9 +13,6 @@ locks) and when condition-variable waiters are woken:
   waiter's OBTAIN (:meth:`handoff_latency`), and an optional spin window
   during which a blocked thread keeps its core in core-limited mode
   (:meth:`spin_hold`);
-* priority bookkeeping — :meth:`on_block` / :meth:`on_obtain` /
-  :meth:`on_release` hooks where inheritance and ceiling protocols
-  adjust :attr:`SimThread.boost`;
 * reader-writer policy — :meth:`rw_can_grant` for arrivals and
   :meth:`rw_drain` for release-time grants (the *drain* mutates the
   rwlock's holder state; the engine only emits events and wakes
@@ -36,31 +33,14 @@ itself because batching decisions and state updates are inseparable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.sync import SimCondition, SimMutex, SimRWLock
     from repro.sim.thread import SimThread
 
-__all__ = ["LockProtocol", "FifoProtocol", "holders", "waiter_threads"]
-
-
-def holders(lock: Any) -> Iterable["SimThread"]:
-    """Threads currently holding a lock-like object (any mode)."""
-    owner = getattr(lock, "owner", None)
-    if owner is not None:
-        yield owner
-    writer = getattr(lock, "writer", None)
-    if writer is not None:
-        yield writer
-    yield from getattr(lock, "readers", ())
-
-
-def waiter_threads(lock: Any) -> Iterable["SimThread"]:
-    """Threads queued on a lock-like object (rwlock entries are pairs)."""
-    for w in getattr(lock, "waiters", ()):
-        yield w[0] if isinstance(w, tuple) else w
+__all__ = ["LockProtocol", "FifoProtocol"]
 
 
 class LockProtocol:
@@ -79,10 +59,6 @@ class LockProtocol:
     def bind(self, engine: "Simulator") -> None:
         """Attach to the engine (called once, before the run starts)."""
         self.engine = engine
-
-    def describe(self) -> dict[str, Any]:
-        """Parameters worth recording in forecasts / trace metadata."""
-        return {}
 
     # -- mutex / semaphore queue discipline ---------------------------------
 
@@ -113,17 +89,6 @@ class LockProtocol:
     def obtain_arg(self, lock: Any, thread: "SimThread", contended: bool) -> int:
         """The OBTAIN event's ``arg`` (1 = contended acquisition)."""
         return 1 if contended else 0
-
-    # -- priority bookkeeping ------------------------------------------------
-
-    def on_block(self, lock: Any, thread: "SimThread") -> None:
-        """``thread`` just blocked on ``lock`` (inheritance boost point)."""
-
-    def on_obtain(self, lock: Any, thread: "SimThread") -> None:
-        """``thread`` was granted ``lock`` (ceiling boost point)."""
-
-    def on_release(self, lock: Any, thread: "SimThread") -> None:
-        """``thread`` dropped ``lock`` (boost recomputation point)."""
 
     # -- reader-writer policy ------------------------------------------------
 

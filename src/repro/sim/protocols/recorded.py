@@ -29,10 +29,13 @@ through the old-to-new table the replay builder passes to
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
+
+import numpy as np
 
 from repro.sim.protocols.base import LockProtocol
 from repro.trace.events import EventType
+from repro.trace.ops import group_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.sync import SimCondition, SimMutex, SimRWLock
@@ -40,6 +43,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.trace import Trace
 
 __all__ = ["RecordedProtocol"]
+
+
+def _per_object(
+    records: np.ndarray, etype: EventType, *fields: str
+) -> Iterator[tuple[Any, ...]]:
+    """``(obj, field lists...)`` of one event type's rows, per object.
+
+    One stable sort by ``obj`` keeps trace order within each object.
+    """
+    rows = np.flatnonzero(records["etype"] == etype)
+    objs = records["obj"][rows]
+    order = np.argsort(objs, kind="stable")
+    rows = rows[order]
+    starts, keys = group_bounds(objs[order])
+    ends = np.append(starts[1:], len(rows)).tolist()
+    cols = [records[f][rows].tolist() for f in fields]
+    for obj, lo, hi in zip(keys.tolist(), starts.tolist(), ends):
+        yield (obj, *(col[lo:hi] for col in cols))
 
 
 def _rtid(thread: "SimThread") -> int:
@@ -69,13 +90,15 @@ class RecordedProtocol(LockProtocol):
         cls, trace: "Trace", obj_map: dict[int, int] | None = None
     ) -> "RecordedProtocol":
         """Extract grant/wake orders (``obj_map`` remaps old ids to new)."""
-        orders: dict[int, deque[tuple[int, int]]] = {}
-        cond_orders: dict[int, deque[int]] = {}
-        for ev in trace:
-            if ev.etype == EventType.OBTAIN:
-                orders.setdefault(ev.obj, deque()).append((ev.tid, ev.arg))
-            elif ev.etype == EventType.COND_WAKE:
-                cond_orders.setdefault(ev.obj, deque()).append(ev.tid)
+        records = trace.records
+        orders = {
+            obj: deque(zip(tid, arg))
+            for obj, tid, arg in _per_object(records, EventType.OBTAIN, "tid", "arg")
+        }
+        cond_orders = {
+            obj: deque(tid)
+            for obj, tid in _per_object(records, EventType.COND_WAKE, "tid")
+        }
         if obj_map is not None:
             orders = {obj_map[o]: q for o, q in orders.items() if o in obj_map}
             cond_orders = {

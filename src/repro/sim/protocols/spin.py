@@ -57,17 +57,6 @@ class AdaptiveSpinProtocol(LockProtocol):
         self.max_latency = None if max_latency is None else float(max_latency)
         self._streak: dict[tuple[int, int], int] = {}
 
-    def describe(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "spin_limit": self.spin_limit,
-            "wake_latency": self.wake_latency,
-        }
-        if self.backoff != 1.0:
-            out["backoff"] = self.backoff
-        if self.max_latency is not None:
-            out["max_latency"] = self.max_latency
-        return out
-
     def spin_hold(self, lock: Any, thread: "SimThread") -> float:
         return self.spin_limit
 

@@ -3,8 +3,8 @@
 These classes hold *state only* (owner, waiter queues, generation
 counters); the blocking/waking protocol and all trace emission live in
 :class:`repro.sim.engine.Simulator`, which keeps every state transition in
-one auditable place.  Waiter queues are strict FIFO, which makes every
-execution deterministic.
+one auditable place, and who is granted what is decided by its
+:class:`repro.sim.protocols.LockProtocol` (FIFO by default).
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class SimMutex(SimObject):
     reentrant: bool = False
     depth: int = 0  # recursion depth while held (reentrant only)
 
-    @property
-    def is_held(self) -> bool:
-        return self.owner is not None
-
 
 @dataclass(eq=False)
 class SimBarrier(SimObject):
@@ -87,23 +83,10 @@ class SimSemaphore(SimObject):
 
 @dataclass(eq=False)
 class SimRWLock(SimObject):
-    """A reader-writer lock with FIFO fairness.
-
-    A new request queues whenever the wait queue is non-empty, so writers
-    cannot starve behind a stream of late readers; consecutive queued
-    readers are granted as a batch.
-    """
+    """A reader-writer lock: one writer or any number of readers."""
 
     kind = ObjectKind.RWLOCK
 
     readers: set["SimThread"] = field(default_factory=set)
     writer: "SimThread | None" = None
     waiters: deque[tuple["SimThread", bool]] = field(default_factory=deque)  # (thread, write)
-
-    def can_grant(self, write: bool) -> bool:
-        """Whether an incoming request could be granted right now."""
-        if self.waiters:
-            return False  # FIFO fairness: queue behind earlier waiters
-        if write:
-            return self.writer is None and not self.readers
-        return self.writer is None

@@ -99,9 +99,6 @@ class SimThread:
         "result",
         "pending",
         "priority",
-        "boost",
-        "held",
-        "blocked_on",
         "block_start",
         "replay_tid",
         "_body",
@@ -132,10 +129,7 @@ class SimThread:
         self.joiners: list["SimThread"] = []
         self.result: Any = None
         self.pending: Any = None  # resume value parked while waiting for a core
-        self.priority = priority  # base lock priority
-        self.boost = 0  # protocol-managed boost (inheritance/ceiling)
-        self.held: set[Any] = set()  # lock-like objects currently held
-        self.blocked_on: Any = None  # lock this thread is blocked acquiring
+        self.priority = priority  # lock priority (the priority protocol)
         self.block_start = 0.0  # virtual time the current block began
         self.replay_tid: int | None = None  # original tid during trace replay
 
@@ -157,11 +151,6 @@ class SimThread:
     def now(self) -> float:
         """Current virtual time."""
         return self.engine.now
-
-    @property
-    def effective_priority(self) -> int:
-        """Base priority plus any protocol-granted boost."""
-        return self.priority if self.priority >= self.boost else self.boost
 
     # -- request constructors (the simulated "libc") ------------------------
 

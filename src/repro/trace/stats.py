@@ -18,6 +18,8 @@ from repro.units import format_duration
 
 __all__ = ["TraceStats", "compute_trace_stats"]
 
+_OBTAIN = int(EventType.OBTAIN)
+
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -56,42 +58,31 @@ class TraceStats:
 
 
 def compute_trace_stats(trace: Trace) -> TraceStats:
-    """Single-pass descriptive statistics over a trace."""
+    """Descriptive statistics from the trace's columns and its index."""
     records = trace.records
-    etypes = records["etype"]
-    by_type: dict[str, int] = {}
-    for et in EventType:
-        count = int(np.count_nonzero(etypes == int(et)))
-        if count:
-            by_type[et.name] = count
+    per_type = np.bincount(records["etype"], minlength=256).tolist()
+    by_type = {et.name: per_type[et] for et in EventType if per_type[et]}
 
-    by_object: dict[int, int] = {}
     objs = records["obj"]
-    for obj in np.unique(objs):
-        if obj < 0:
-            continue
-        by_object[int(obj)] = int(np.count_nonzero(objs == obj))
+    ids, counts = np.unique(objs[objs >= 0], return_counts=True)
     busiest = sorted(
-        ((trace.object_name(o), c) for o, c in by_object.items()),
+        zip(map(trace.object_name, ids.tolist()), counts.tolist()),
         key=lambda t: t[1],
         reverse=True,
     )
 
-    per_thread = {
-        tid: int(np.count_nonzero(records["tid"] == tid)) for tid in trace.thread_ids
-    }
+    ix = trace.index
+    per_thread = dict(
+        zip(ix.tids.tolist(), np.diff(ix.thread_starts, append=len(records)).tolist())
+    )
 
-    # Hold durations: OBTAIN..RELEASE pairs per (obj, tid), LIFO.
-    open_holds: dict[tuple[int, int], list[float]] = {}
-    durations: list[float] = []
-    for ev in trace:
-        if ev.etype == EventType.OBTAIN:
-            open_holds.setdefault((ev.obj, ev.tid), []).append(ev.time)
-        elif ev.etype == EventType.RELEASE:
-            stack = open_holds.get((ev.obj, ev.tid))
-            if stack:
-                durations.append(ev.time - stack.pop())
-    if durations:
+    # Hold durations: OBTAIN..RELEASE pairs per (tid, obj), LIFO.
+    close, _ = ix.lifo_closes()
+    obtains = ix.lock_rows[ix.lock_etype == _OBTAIN]
+    paired = close >= 0
+    times = records["time"]
+    durations = times[ix.lock_rows[close[paired]]] - times[obtains[paired]]
+    if len(durations):
         q = np.quantile(durations, [0.5, 0.9, 0.99])
         quantiles = (float(q[0]), float(q[1]), float(q[2]))
     else:
@@ -99,7 +90,7 @@ def compute_trace_stats(trace: Trace) -> TraceStats:
 
     return TraceStats(
         nevents=len(trace),
-        nthreads=len(trace.thread_ids),
+        nthreads=len(per_thread),
         nobjects=len(trace.objects),
         duration=trace.duration,
         events_by_type=by_type,

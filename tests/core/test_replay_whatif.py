@@ -43,16 +43,16 @@ def test_fifo_forecast_is_a_noop_on_micro(micro_trace):
 
 
 def test_forecast_fields_and_render(micro_trace):
-    fc = replay_whatif(micro_trace, protocol="pi")
-    assert fc.protocol == "pi"
+    fc = replay_whatif(micro_trace, protocol="priority")
+    assert fc.protocol == "priority"
     assert fc.baseline_time == micro_trace.duration
     assert fc.predicted_time > 0
     assert {d.name for d in fc.deltas} == {"L1", "L2"}
     text = fc.render()
     assert "protocol what-if" in text
-    assert "pi" in text
+    assert "priority" in text
     d = fc.to_dict()
-    assert d["protocol"] == "pi"
+    assert d["protocol"] == "priority"
     assert d["critical_lock"]["baseline"] in ("L1", "L2")
     assert len(d["locks"]) == 2
 

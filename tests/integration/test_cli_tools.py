@@ -61,7 +61,7 @@ def test_core_limited_trace_replays_without_a_core_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(path)]) == 0
     assert "original completion 18 -> replay 18" in capsys.readouterr().out
-    for cmd in (["replay", str(path)], ["whatif", str(path), "--protocol", "pi"]):
+    for cmd in (["replay", str(path)], ["whatif", str(path), "--protocol", "priority"]):
         assert main([*cmd, "--cores", "2"]) == 1
         assert "recorded on 1 core(s)" in capsys.readouterr().err
 

@@ -93,9 +93,9 @@ class TestExecute:
 
         out = execute(
             "whatif_protocol", [micro_path],
-            {"protocol": "pi", "priorities": {"1": 5}, "render": True},
+            {"protocol": "priority", "priorities": {"1": 5}, "render": True},
         )
-        assert out["protocol"] == "pi"
+        assert out["protocol"] == "priority"
         assert "protocol what-if" in out["rendered"]
         json.dumps(out)
 

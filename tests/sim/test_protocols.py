@@ -1,4 +1,4 @@
-"""Pluggable lock-protocol behavior: ordering, boosting, spinning, RW bias."""
+"""Pluggable lock-protocol behavior: ordering, spinning, RW bias."""
 
 import pytest
 
@@ -92,15 +92,14 @@ def test_priority_protocol_fifo_among_equals():
     assert order == ["first", "second"]
 
 
-def _inversion_program(protocol, acquired, **proto_kwargs):
+def _inversion_program(acquired):
     """Priority inversion through a lock handoff (no core limit).
 
     L (prio 0) holds A and waits on B; M (prio 1) also waits on B; H
-    (prio 2) blocks on A.  When X releases B at t=3, the protocol picks
-    B's next owner: M on plain priority ordering, L if the protocol has
-    boosted it — and H gets A only once L is done with both locks.
+    (prio 2) blocks on A.  When X releases B at t=3, priority ordering
+    hands B to M, and H gets A only once L is done with both locks.
     """
-    prog = Program(protocol=get_protocol(protocol, **proto_kwargs))
+    prog = Program(protocol="priority")
     a, b = prog.mutex("A"), prog.mutex("B")
 
     def holder(env):  # X: holds B until t=3
@@ -139,71 +138,8 @@ def test_plain_priority_suffers_inversion():
     # No boosting: M (prio 1) outranks L (prio 0) for B, so H waits
     # through M's critical section as well.
     acquired = []
-    _inversion_program("priority", acquired).run()
+    _inversion_program(acquired).run()
     assert acquired == [5.0]
-
-
-def test_priority_inheritance_avoids_inversion():
-    # H's block on A boosts L to priority 2, so L wins B over M and
-    # releases A first.
-    acquired = []
-    _inversion_program("pi", acquired).run()
-    assert acquired == [4.0]
-
-
-def test_priority_ceiling_boosts_on_acquire():
-    # Ceiling boosts L the moment it takes A — before H even blocks —
-    # so the outcome matches inheritance.
-    acquired = []
-    _inversion_program("ceiling", acquired, ceilings={"A": 2}).run()
-    assert acquired == [4.0]
-
-
-def test_priority_ceiling_default_is_max_base_priority():
-    acquired = []
-    _inversion_program("ceiling", acquired).run()
-    assert acquired == [4.0]
-
-
-def test_pi_boost_dropped_after_release():
-    # H's block on A boosts L to 2; once L releases A the boost must
-    # return to 0, so when X frees B at t=3, M (prio 1) beats L for it.
-    prog = Program(protocol="pi")
-    a, b = prog.mutex("A"), prog.mutex("B")
-    granted = []
-
-    def holder(env):  # X: holds B until t=3
-        yield env.acquire(b)
-        yield env.compute(3.0)
-        yield env.release(b)
-
-    def low(env):
-        yield env.acquire(a)
-        yield env.compute(1.0)  # H blocks on A meanwhile: L boosted
-        yield env.release(a)
-        yield env.acquire(b)  # blocks at t=1, boost already dropped
-        granted.append(("L", env.now))
-        yield env.compute(1.0)
-        yield env.release(b)
-
-    def med(env):
-        yield env.compute(2.0)
-        yield env.acquire(b)  # blocks at t=2, behind L
-        granted.append(("M", env.now))
-        yield env.compute(1.0)
-        yield env.release(b)
-
-    def high(env):
-        yield env.compute(0.5)
-        yield env.acquire(a)
-        yield env.release(a)
-
-    prog.spawn(holder, name="X", priority=0)
-    prog.spawn(low, name="L", priority=0)
-    prog.spawn(med, name="M", priority=1)
-    prog.spawn(high, name="H", priority=2)
-    prog.run()
-    assert granted == [("M", 3.0), ("L", 4.0)]
 
 
 def test_spin_short_wait_avoids_handoff_latency():

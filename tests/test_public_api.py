@@ -78,6 +78,29 @@ def test_retired_scheduler_axis_is_gone():
         importlib.import_module("repro.sim.schedulers")
 
 
+def test_retired_priority_boosting_is_gone():
+    # One priority rule: no inheritance or ceiling protocol, no boosts.
+    import repro.sim.protocols as protocols
+    from repro.errors import SimulationError
+    from repro.sim.protocols import LockProtocol, available_protocols, get_protocol
+    from repro.sim.thread import SimThread
+
+    for name in ("pi", "ceiling"):
+        with pytest.raises(SimulationError) as err:
+            get_protocol(name)
+        assert "available: " + ", ".join(available_protocols()) in str(err.value)
+    assert "priority" in available_protocols()
+    assert not {"PriorityInheritanceProtocol", "PriorityCeilingProtocol"} & set(
+        protocols.__all__
+    )
+    assert not {"boost", "held", "blocked_on"} & set(SimThread.__slots__)
+    assert not hasattr(SimThread, "effective_priority")
+    for hook in ("on_block", "on_obtain", "on_release"):
+        assert not hasattr(LockProtocol, hook)
+    assert not hasattr(protocols.base, "holders")
+    assert not hasattr(protocols.base, "waiter_threads")
+
+
 def test_export_wins_over_same_named_submodule():
     # ``repro.core.forecast`` is both a submodule and an exported function;
     # importing the submodule first must not shadow the function.

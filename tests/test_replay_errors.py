@@ -40,6 +40,45 @@ def test_cond_block_without_release_rejected():
         reconstruct(trace)
 
 
+def test_join_of_a_thread_no_one_creates_is_a_typed_error():
+    # The corruption points t2's THREAD_CREATE at tid 1 instead of 5; the
+    # trace still validates clean, but tid 5 then has no spawn handle.
+    from repro.check import corrupt_trace, generate_spec, run_spec
+    from repro.trace.validate import trace_problems
+
+    trace = corrupt_trace(run_spec(generate_spec(6)).trace, 51)
+    assert trace_problems(trace) == []
+    with pytest.raises(AnalysisError, match="joins thread 5, which no thread creates"):
+        reconstruct(trace).run()
+
+
+def test_thread_created_twice_is_a_typed_error():
+    b = TraceBuilder()
+    t0, t1, child = b.thread(), b.thread(), b.thread()
+    t0.start(at=0.0)
+    t1.start(at=0.0)
+    t0.create(child, at=1.0)
+    t1.create(child, at=1.5)
+    child.start(at=1.0)
+    child.exit(at=2.0)
+    t0.exit(at=3.0)
+    t1.exit(at=3.0)
+    trace = b.build(validate=False)
+    with pytest.raises(AnalysisError, match="thread 2 is created twice"):
+        reconstruct(trace).build()
+
+
+def test_creating_a_thread_without_events_is_a_typed_error():
+    b = TraceBuilder()
+    t0, silent = b.thread(), b.thread()  # silent records nothing
+    t0.start(at=0.0)
+    t0.create(silent, at=1.0)
+    t0.exit(at=2.0)
+    trace = b.build(validate=False)
+    with pytest.raises(AnalysisError, match="creates thread 1, which has no events"):
+        reconstruct(trace).build()
+
+
 def test_empty_threads_replayable():
     prog = Program()
     prog.spawn(lambda env: None)
