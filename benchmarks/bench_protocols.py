@@ -154,8 +154,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {label:13s} "
                   f"gain {f['gain']:+8.2%}  crit {f['critical_lock']}{mark}")
 
-    if args.require_rerank and "ldap" in cases:
-        ldap = next(r for r in results if r["case"] == "ldap")
+    ldap = next((r for r in results if r["case"] == "ldap"), None)
+    if args.require_rerank and ldap:
         hit = [f for f in ldap["forecasts"] if f["protocol"] == "reader-pref"]
         if not (hit and hit[0]["reranked"] and hit[0]["gain"] > 0):
             print("FAIL: ldap reader-pref did not re-rank the critical lock "
@@ -165,8 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"\nok: ldap reader-pref re-ranks the critical lock "
                   f"({hit[0]['critical_lock']}, {hit[0]['gain']:+.2%})")
 
-    if "ldap" in cases:
-        ldap = next(r for r in results if r["case"] == "ldap")
+    if ldap:
         fifo = next(f for f in ldap["forecasts"] if f["protocol"] == "fifo")
         mapped = ldap["priority_mapped"]
         if mapped["predicted_time"] == fifo["predicted_time"]:

@@ -1,11 +1,16 @@
 """Descriptive trace statistics."""
 
+import hashlib
+
 import pytest
 
-from repro.trace.events import EventType
+from repro.check import corrupt_trace, generate_spec, run_spec
+from repro.trace.builder import TraceBuilder
 from repro.trace.stats import compute_trace_stats
+from repro.workloads import get_workload
 
 from tests.conftest import make_micro_program
+from tests.golden.test_golden_reports import CASES
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +70,6 @@ def test_empty_holds():
 # golden cases, fuzzed programs and corrupted copies of both.  The
 # corruptions leave unmatched RELEASEs, doubled OBTAINs and foreign
 # object ids, which is where hold pairing and counting can drift.
-
-import hashlib  # noqa: E402
-
-from repro.check import corrupt_trace, generate_spec, run_spec  # noqa: E402
-from repro.trace.builder import TraceBuilder  # noqa: E402
-from repro.workloads import get_workload  # noqa: E402
-
-from tests.golden.test_golden_reports import CASES  # noqa: E402
 
 
 def _stats_digest(trace) -> str:
