@@ -22,7 +22,11 @@ It also times the online estimator on its own: ``observe_s`` is the
 best of 7 passes of ``OnlineAnalyzer.observe_batch`` over the trace in
 16,384-event chunks (a fresh analyzer each pass), ``observe_reference_s``
 the best of 3 per-event ``repro.check.reference.reference_online``
-replays.  CI floors their ratio.
+replays.  CI floors their ratio.  ``assemble_s`` is finalize's assembly
+step on its own: read the spool back (the trace's records, in arrival
+order) and normalize it with ``sort_stream_records``, best of 7.  CI
+asserts it costs at most a quarter of ``observe_s``: an in-order spool
+must not pay a full sort-and-gather of the trace at finalize.
 """
 
 from __future__ import annotations
@@ -35,13 +39,16 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 from repro.check.reference import reference_online
 from repro.core.online import OnlineAnalyzer
 from repro.service.api import ServiceAPI
 from repro.service.jobs import execute
 from repro.trace.digest import trace_digest
-from repro.trace.framing import encode_records_frame, split_records
+from repro.trace.framing import encode_records_frame, sort_stream_records, split_records
 from repro.trace.reader import iter_trace_chunks
+from repro.trace.schema import EVENT_DTYPE
 from repro.trace.writer import header_dict, write_trace
 from repro.workloads import SyntheticLocks
 
@@ -74,6 +81,7 @@ def measure_reader_memory(path: Path, chunk_events: int) -> tuple[int, int]:
 OBSERVE_CHUNK = 16_384
 OBSERVE_REPEATS = 7
 REFERENCE_REPEATS = 3
+ASSEMBLE_REPEATS = 7
 
 
 def best_of(repeats: int, fn) -> float:
@@ -90,6 +98,11 @@ def observe_chunks(records) -> OnlineAnalyzer:
     for block in split_records(records, OBSERVE_CHUNK):
         online.observe_batch(block)
     return online
+
+
+def assemble(spool: Path):
+    """Finalize's assembly: the spool read back and normalized."""
+    return sort_stream_records(np.fromfile(spool, dtype=EVENT_DTYPE))
 
 
 def stream_ingest(api: ServiceAPI, records, chunk_events: int, snap_every: int):
@@ -150,6 +163,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_stream_") as tmp:
         tmp_path = Path(tmp)
         clt = write_trace(trace, tmp_path / "bench.clt")
+        spool = tmp_path / "bench.spool"
+        trace.records.tofile(spool)
+        assert np.array_equal(assemble(spool), trace.records)
+        assemble_s = best_of(ASSEMBLE_REPEATS, lambda: assemble(spool))
+        print(f"assemble         {assemble_s:8.4f}s   best of {ASSEMBLE_REPEATS}, "
+              f"spool read + sort_stream_records ({assemble_s / observe_s:.2f}x "
+              f"observe_batch)")
 
         # -- claim 2: O(chunk) reader memory ------------------------------
         events, peak = measure_reader_memory(clt, args.chunk_events)
@@ -223,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
                     "observe_chunk_events": OBSERVE_CHUNK,
                     "observe_s": round(observe_s, 4),
                     "observe_reference_s": round(reference_s, 4),
+                    "assemble_s": round(assemble_s, 4),
                     "identical_digest": True,
                     "identical_render": True,
                 },

@@ -20,10 +20,12 @@ framed chunks (:mod:`repro.trace.framing`) and be diagnosed live:
   batch path, so the digest and every downstream analysis are identical
   to a whole-file upload) and hands it to the caller.
 
-Sessions are **checkpointed**: after every durably spooled chunk the
-ingest thread rewrites ``<sid>.ckpt.json`` (``write_atomic``; only then
-does an ack count the chunk as durable) recording the session identity,
-the chunks on disk and the exact spool byte offset.  A restarted server
+Sessions are **checkpointed**: the ingest thread takes every chunk
+pending for a session as one group, spools the group with one fsync,
+feeds it to the estimator chunk by chunk, and then rewrites
+``<sid>.ckpt.json`` once (``write_atomic``; only then does an ack count
+the group's chunks as durable), recording the session identity, the
+chunks on disk and the exact spool byte offset.  A restarted server
 rebuilds every open session from its checkpoint — truncating any torn
 spool tail past the checkpointed offset and replaying the spool through
 a fresh :class:`OnlineAnalyzer` — so producers ``GET /streams/<sid>``,
@@ -56,7 +58,7 @@ from repro.errors import ServiceError, TraceFormatError
 from repro.trace.framing import iter_frames, sort_stream_records
 from repro.trace.schema import EVENT_DTYPE, known_etypes
 from repro.trace.trace import Trace
-from repro.trace.writer import header_fields
+from repro.trace.writer import header_fields, record_bytes
 
 __all__ = ["StreamSession", "StreamStore"]
 
@@ -510,36 +512,45 @@ class StreamStore:
     def _ingest_loop(self) -> None:
         while True:
             with self._lock:
-                session, records = self._next_pending()
+                session, group = self._next_pending()
                 while session is None:
                     if self._closed:
                         return
                     self._work.wait()
-                    session, records = self._next_pending()
+                    session, group = self._next_pending()
             # Spool + estimate outside the lock: ingestion cost must not
-            # block producers posting to *other* sessions' queues.
+            # block producers posting to *other* sessions' queues.  The
+            # whole pending group shares one fsync and one checkpoint.
             with open(session.spool_path, "ab") as fh:
-                fh.write(records.tobytes())
+                for records in group:
+                    fh.write(record_bytes(records))
                 fh.flush()
                 os.fsync(fh.fileno())
                 offset = fh.tell()
-            with session.alock:
-                session.analyzer.observe_batch(records)
+            # One observe_batch per chunk, as the chunks arrived: the
+            # estimator's float sums are added per batch.
+            for records in group:
+                with session.alock:
+                    session.analyzer.observe_batch(records)
             session.spool_offset = offset
-            session.spooled_events += len(records)
+            session.spooled_events += sum(len(records) for records in group)
             # Spool, then checkpoint, then ack: the checkpoint never claims
             # bytes the spool lacks, an ack never a chunk a restart drops.
-            self._write_checkpoint(session, chunks=session.ingested_chunks + 1)
+            done = session.ingested_chunks + len(group)
+            self._write_checkpoint(session, chunks=done)
             with self._lock:
-                session.pending.popleft()
-                session.ingested_chunks += 1
+                for _ in group:
+                    session.pending.popleft()
+                session.ingested_chunks = done
                 if not session.pending:
                     self._drained.notify_all()
 
-    def _next_pending(self) -> tuple[StreamSession | None, np.ndarray | None]:
+    def _next_pending(self) -> tuple[StreamSession | None, list[np.ndarray]]:
+        """The first session with pending chunks, and all of them (at most
+        its ``max_pending``).  Caller holds ``self._lock``."""
         if self._paused and not self._closed:
-            return None, None
+            return None, []
         for session in self._sessions.values():
             if session.pending:
-                return session, session.pending[0]
-        return None, None
+                return session, list(session.pending)
+        return None, []

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from repro.trace.trace import Trace
-from repro.trace.writer import header_dict
+from repro.trace.writer import header_dict, record_bytes
 
 __all__ = ["trace_digest", "file_digest"]
 
@@ -33,7 +33,7 @@ def trace_digest(trace: Trace) -> str:
     h.update(_DIGEST_VERSION)
     header = json.dumps(header_dict(trace), sort_keys=True, separators=(",", ":"))
     h.update(header.encode("utf-8"))
-    h.update(trace.records.tobytes())
+    h.update(record_bytes(trace.records))
     return h.hexdigest()
 
 

@@ -200,9 +200,21 @@ def sort_stream_records(records: np.ndarray) -> np.ndarray:
     synthetic events sort first).  Stable sort by (time, seq), then
     renumber ``seq`` densely.  ``np.lexsort`` on the two columns is
     several times faster than ``np.argsort`` with ``order=``, which also
-    compares the remaining fields on ties.  ``EVENT_DTYPE`` input comes
-    back without a further copy.
+    compares the remaining fields on ties.
+
+    Input already in (time, seq) order — a spool of in-order chunks, a
+    capture — skips the sort: one O(n) comparison pass finds it, and the
+    records are renumbered where they lie instead of gathered through an
+    identity permutation (the gather costs ~8x the sort itself).  The
+    result is byte-identical either way; a NaN time fails the check and
+    takes the sort.  So pass an array you own: an ordered input is
+    renumbered in place, and ``EVENT_DTYPE`` input is returned as is.
+    An unordered input is left unmodified.
     """
-    out = records[np.lexsort((records["seq"], records["time"]))]
+    time, seq = records["time"], records["seq"]
+    later = time[1:] > time[:-1]
+    # Compare seq directly: np.diff of a uint64 seq wraps.
+    later |= (time[1:] == time[:-1]) & (seq[1:] >= seq[:-1])
+    out = records if later.all() else records[np.lexsort((seq, time))]
     out["seq"] = np.arange(len(out), dtype=out["seq"].dtype)
     return out.astype(EVENT_DTYPE, copy=False)

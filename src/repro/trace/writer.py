@@ -20,8 +20,12 @@ import struct
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from repro._durable import write_atomic
 from repro.errors import TraceFormatError
 from repro.trace.events import EventType
+from repro.trace.schema import known_etypes
 from repro.trace.trace import ObjectInfo, Trace
 
 __all__ = ["MAGIC", "write_trace", "header_dict"]
@@ -44,6 +48,12 @@ def header_dict(trace: Trace) -> dict[str, Any]:
         "meta": trace.meta,
         "nevents": len(trace),
     }
+
+
+def record_bytes(records: np.ndarray) -> memoryview:
+    """The raw bytes of a record block, without copying a contiguous one
+    (``tobytes()`` would copy the whole trace for every hash or write)."""
+    return memoryview(np.ascontiguousarray(records)).cast("B")
 
 
 def write_trace(trace: Trace, path: str | Path, fmt: str | None = None) -> Path:
@@ -79,26 +89,40 @@ def _write_binary(trace: Trace, path: Path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack(_LEN_FMT, len(header)))
         fh.write(header)
-        fh.write(trace.records.tobytes())
+        fh.write(record_bytes(trace.records))
 
 
 def _write_jsonl(trace: Trace, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"header": header_dict(trace)}) + "\n")
-        for ev in trace:
-            fh.write(
-                json.dumps(
-                    {
-                        "seq": ev.seq,
-                        "time": ev.time,
-                        "tid": ev.tid,
-                        "etype": EventType(ev.etype).name,
-                        "obj": ev.obj,
-                        "arg": ev.arg,
-                    }
+    """Write the ``.jsonl`` form durably, or nothing: an event type the
+    format cannot name is refused before the file is touched, and any
+    later failure leaves no partial file that would read as a clean
+    short trace."""
+    known = known_etypes(trace.records)
+    if not known.all():
+        i = int(np.argmin(known))
+        raise TraceFormatError(
+            f"{path}: record {i}: unknown event type {int(trace.records['etype'][i])}"
+        )
+
+    def write(staging: Path) -> None:
+        with open(staging, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"header": header_dict(trace)}) + "\n")
+            for ev in trace:
+                fh.write(
+                    json.dumps(
+                        {
+                            "seq": ev.seq,
+                            "time": ev.time,
+                            "tid": ev.tid,
+                            "etype": EventType(ev.etype).name,
+                            "obj": ev.obj,
+                            "arg": ev.arg,
+                        }
+                    )
+                    + "\n"
                 )
-                + "\n"
-            )
+
+    write_atomic(path, write)
 
 
 def header_fields(raw: Any) -> dict[str, Any]:

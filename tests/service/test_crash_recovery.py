@@ -547,6 +547,50 @@ class TestStreamCrash:
             store.close()
         assert session.ingested_chunks == 1
 
+    def test_crash_between_group_spool_and_checkpoint(
+        self, tmp_path, micro, power_loss, monkeypatch
+    ):
+        """Power fails after a multi-chunk group reached the spool but
+        before its one checkpoint: the restart resumes at the group's
+        first chunk, and re-sending it gives the batch digest."""
+        chunks = _chunks(micro, chunk_events=5)
+        api = ServiceAPI(tmp_path / "svc", workers=0)
+        _, session = api.handle("POST", "/streams", b"{}")
+        sid = session["id"]
+        _send(api, sid, chunks[:2])
+        _wait_drained(api, sid)
+        spool = tmp_path / "svc" / "streams" / f"{sid}.spool"
+        checkpointed = spool.stat().st_size
+
+        claimed, crashed = [], threading.Event()
+
+        def power_cut(session, chunks):  # the checkpoint never lands
+            claimed.append((chunks, spool.stat().st_size))
+            crashed.set()
+
+        monkeypatch.setattr(api.streams, "_write_checkpoint", power_cut)
+        api.streams.pause_ingest()
+        _send(api, sid, chunks[:6], start=2)
+        api.streams.resume_ingest()
+        assert crashed.wait(10)
+        assert claimed == [(6, sum(c.nbytes for c in chunks[:6]))]
+        api.close()
+        power_loss.cut()
+
+        api2 = ServiceAPI(tmp_path / "svc", workers=0)
+        _, resumed = api2.handle("GET", f"/streams/{sid}")
+        assert resumed["chunks"] == 2  # the group's first chunk
+        assert spool.stat().st_size == checkpointed
+        _send(api2, sid, chunks, start=2)
+        _wait_drained(api2, sid)
+        _, out = api2.handle(
+            "POST", f"/traces/{sid}/finalize",
+            json.dumps({"header": header_dict(micro)}).encode(),
+        )
+        assert out["trace"]["digest"] == trace_digest(micro)
+        assert out["snapshot"]["events"] == len(micro)
+        api2.close()
+
     def test_acked_durable_chunk_survives_power_loss(self, tmp_path, micro, power_loss):
         chunks = _chunks(micro)
         half = len(chunks) // 2

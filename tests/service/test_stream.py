@@ -1,12 +1,14 @@
 """Streaming ingestion: chunked append, backpressure, finalize identity."""
 
 import json
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.analyzer import analyze
+from repro.core.online import OnlineAnalyzer
 from repro.errors import ServiceError
 from repro.service.api import ServiceAPI
 from repro.service.jobs import execute
@@ -163,6 +165,76 @@ class TestBackpressure:
         api.streams.resume_ingest()
         _, m = api.handle("GET", "/metrics")
         assert m["streams"]["backpressure_429"] == 1
+
+
+class _CountingOS:
+    """``os`` for the stream module, counting the spool's fsyncs."""
+
+    def __init__(self):
+        self.fsyncs = 0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def fsync(self, fd):
+        self.fsyncs += 1
+        os.fsync(fd)
+
+
+class TestGroupCommit:
+    def test_pending_group_shares_one_fsync_and_one_checkpoint(
+        self, tmp_path, micro, monkeypatch
+    ):
+        from repro.service import stream
+
+        store = stream.StreamStore(tmp_path / "s")
+        try:
+            session = store.open()
+            counting = _CountingOS()
+            checkpoints = []
+            write_checkpoint = store._write_checkpoint
+
+            def counted(s, chunks):
+                checkpoints.append(chunks)
+                write_checkpoint(s, chunks)
+
+            monkeypatch.setattr(stream, "os", counting)
+            monkeypatch.setattr(store, "_write_checkpoint", counted)
+            frames = [encode_records_frame(block, cid)
+                      for cid, block in enumerate(split_records(micro.records, 6))]
+            assert len(frames) == 6
+            store.pause_ingest()
+            acks = [store.append_chunks(session.id, f) for f in frames]
+            assert [a["durable_chunk"] for a in acks] == [0] * 6
+            store.resume_ingest()
+            deadline = time.monotonic() + 10
+            while session.pending and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert (counting.fsyncs, checkpoints) == (1, [6])
+            ack = store.append_chunks(session.id, frames[-1])  # a duplicate
+            assert (ack["duplicates"], ack["durable_chunk"]) == (1, 6)
+            assert session.spool_path.stat().st_size == micro.records.nbytes
+        finally:
+            store.close()
+
+    def test_grouped_snapshot_equals_per_chunk_observation(self, api, micro):
+        """A group is still observed one batch per chunk: the estimator's
+        float sums come out bit-identical to feeding the chunks singly."""
+        blocks = list(split_records(micro.records, 5))
+        sid = _open(api, max_pending=len(blocks))
+        api.streams.pause_ingest()
+        _stream_all(api, sid, micro.records, chunk_events=5)
+        api.streams.resume_ingest()
+        status, fin = _post_json(
+            api, f"/traces/{sid}/finalize", {"header": header_dict(micro)}
+        )
+        assert status == 200, fin
+        ref = OnlineAnalyzer()
+        for block in blocks:
+            ref.observe_batch(block)
+        ref.register_names(header_dict(micro)["objects"])
+        assert fin["snapshot"] == ref.snapshot()
+        assert fin["trace"]["digest"] == trace_digest(micro)
 
 
 class TestSnapshot:

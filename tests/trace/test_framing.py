@@ -17,7 +17,7 @@ from repro.trace.framing import (
     split_records,
 )
 from repro.trace.reader import read_trace
-from repro.trace.schema import EVENT_DTYPE
+from repro.trace.schema import EVENT_DTYPE, ROW_DTYPE
 from repro.trace.writer import header_dict
 
 
@@ -177,6 +177,86 @@ def test_sort_stream_records_lexsort_permutation(micro_trace):
     kept = stream[perm]
     for name in ("time", "tid", "etype", "obj", "arg"):
         assert np.array_equal(restored[name], kept[name])
+
+
+def _reference_sort(records):
+    """The plain lexsort-and-gather normalization."""
+    out = records[np.lexsort((records["seq"], records["time"]))]
+    out["seq"] = np.arange(len(out), dtype=out["seq"].dtype)
+    return out.astype(EVENT_DTYPE, copy=False)
+
+
+def _fast_path_cases(records):
+    gapped = records.copy()
+    gapped["seq"] = gapped["seq"] * 3 + 5
+    equal_desc = records.copy()
+    equal_desc["time"] = 1.0
+    equal_desc["seq"] = equal_desc["seq"][::-1]
+    nan = records.copy()
+    nan["time"][4] = np.nan
+    # Decreasing above 2**63 at equal times: a diff-based check wraps
+    # 2**63 - (2**63 + 10) to a huge positive step and calls it ordered.
+    high = records[:4].copy()
+    high["time"] = 2.0
+    high["seq"] = np.array([2**63 + 10, 2**63, 2**63 - 1, 2**64 - 1], dtype=np.uint64)
+    across = records[:3].copy()
+    across["time"] = 2.0
+    across["seq"] = np.array([2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    rows = records.astype(ROW_DTYPE)
+    rows["seq"] -= 3  # synthetic leading events sort first
+    rows_unordered = rows.copy()
+    rows_unordered["time"][:3] = rows_unordered["time"][0]
+    rows_unordered["seq"][:3] = [-1, -3, -2]
+    return {
+        "canonical": records.copy(),
+        "gapped": gapped,
+        "equal-time-seq-descending": equal_desc,
+        "nan-time": nan,
+        "uint64-seq-decreasing-above-2**63": high,
+        "uint64-seq-increasing-across-2**63": across,
+        "row-dtype-negative-seq": rows,
+        "row-dtype-negative-seq-unordered": rows_unordered,
+        "empty": records[:0].copy(),
+        "one": records[:1].copy(),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "canonical", "gapped", "equal-time-seq-descending", "nan-time",
+    "uint64-seq-decreasing-above-2**63", "uint64-seq-increasing-across-2**63",
+    "row-dtype-negative-seq", "row-dtype-negative-seq-unordered", "empty", "one",
+])
+def test_sort_stream_records_fast_path_is_byte_identical(micro_trace, case):
+    """Skipping the sort for ordered input never changes a byte."""
+    records = _fast_path_cases(micro_trace.records)[case]
+    expected = _reference_sort(records.copy())
+    out = sort_stream_records(records.copy())
+    assert out.dtype == EVENT_DTYPE
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_sort_stream_records_ordered_input_renumbered_in_place(micro_trace):
+    records = micro_trace.records.copy()
+    records["seq"] = records["seq"] * 2 + 1
+    out = sort_stream_records(records)
+    assert out is records
+    assert np.array_equal(records["seq"], np.arange(len(records)))
+
+
+@pytest.mark.parametrize("case", [
+    "equal-time-seq-descending", "nan-time", "uint64-seq-decreasing-above-2**63",
+    "row-dtype-negative-seq-unordered",
+])
+def test_sort_stream_records_leaves_unordered_input_unmodified(micro_trace, case):
+    records = _fast_path_cases(micro_trace.records)[case]
+    before = records.copy()
+    sort_stream_records(records)
+    assert records.tobytes() == before.tobytes()
+    rng = np.random.default_rng(5)
+    shuffled = micro_trace.records[rng.permutation(len(micro_trace.records))]
+    before = shuffled.copy()
+    sort_stream_records(shuffled)
+    assert shuffled.tobytes() == before.tobytes()
 
 
 def test_cls_container_readable(micro_trace, tmp_path):

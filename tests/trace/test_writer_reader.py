@@ -199,6 +199,12 @@ class TestUnknownEventType:
         with pytest.raises(TraceFormatError, match="record 5: unknown event type 15"):
             list(iter_trace_chunks(path))
 
+    def test_jsonl_writer_refuses_without_a_torn_file(self, bad_trace, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(TraceFormatError, match=r"bad\.jsonl: record 5: unknown event type 15"):
+            write_trace(bad_trace, path)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("etype", ["NOPE", 15, None])
     def test_jsonl(self, micro_trace, tmp_path, etype):
         import json
