@@ -110,3 +110,36 @@ def test_three_lock_chain_depth():
     pairs = {(o, i) for o, i, _ in graph.nesting_pairs}
     assert pairs == {("A", "B"), ("A", "C"), ("B", "C")}
     assert not graph.has_potential_deadlock
+
+
+# -- exact pin -------------------------------------------------------------
+#
+# sha256 of the full render plus the edge list (insertion order, counts,
+# example thread) on the golden cases, the fuzz programs and all their
+# corrupted copies (tests/pins.py).  Corruptions leave RELEASEs without
+# an OBTAIN and OBTAINs of objects the thread already holds.
+
+import pytest  # noqa: E402
+
+from tests.pins import FUZZ_SEEDS, digest, fuzz_trace, golden_trace, with_corruptions  # noqa: E402
+
+_PINS = {
+    "ldap": "f71ae8d215a40552",
+    "micro": "d1b42748dac6983e",
+    "radiosity": "340b224fdcefaef8",
+    "fuzz": "09381c901fe4dc89",
+}
+
+
+def _graph_outputs(trace):
+    graph = build_lock_order(trace)
+    return graph.render(n=10**6), repr(list(graph.edges.values()))
+
+
+@pytest.mark.parametrize("case", sorted(_PINS))
+def test_lock_order_pinned(case):
+    bases = [fuzz_trace(s) for s in FUZZ_SEEDS] if case == "fuzz" else [golden_trace(case)]
+    got = digest(
+        out for base in bases for t in with_corruptions(base) for out in _graph_outputs(t)
+    )
+    assert got == _PINS[case]

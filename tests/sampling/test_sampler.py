@@ -251,3 +251,38 @@ def test_streaming_sampler_hashes_each_unit_once(monkeypatch):
     assert sorted(calls) == sorted(
         [(tid, 7, k) for tid in (0, 1) for k in range(1, 13)] + [(2, 7, 0)]
     )
+
+
+# -- exact pin -------------------------------------------------------------
+#
+# sha256 of the downsampled record bytes at four rates on the golden
+# cases (sampling seed 10) and the fuzz programs (sampling seed = program
+# seed), over every variant in tests/pins.py that has no trace problems.
+
+from tests.pins import FUZZ_SEEDS, digest, fuzz_trace, golden_trace, with_corruptions  # noqa: E402
+from repro.trace.validate import trace_problems  # noqa: E402
+
+_PIN_RATES = (0.0, 0.1, 0.5, 1.0)
+_DOWNSAMPLE_PINS = {
+    "ldap": ("d3b7fa7bd8efcd52", "fc98e401f264190c", "7afdad1defdb29ac", "881b233d43ecbb2d"),
+    "micro": ("a2cbbb12cfeb11a3", "a2cbbb12cfeb11a3", "a21151063f939291", "fe1ea8975b08c874"),
+    "radiosity": ("5d820793a0af4648", "7de278b8463c0391", "20ea9a8a79d4321f", "49a89ab44b9daa4d"),
+    "fuzz": ("77c15ae6b2c5a808", "420bf2e56af00832", "b76b1a0ce5236e23", "a44114c0257366a8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DOWNSAMPLE_PINS))
+def test_downsample_pinned(case):
+    if case == "fuzz":
+        bases = [(fuzz_trace(s), s) for s in FUZZ_SEEDS]
+    else:
+        bases = [(golden_trace(case), 10)]
+    valid = [
+        (t, seed) for base, seed in bases for t in with_corruptions(base)
+        if not trace_problems(t)
+    ]
+    got = tuple(
+        digest(downsample_trace(t, rate, seed).records.tobytes() for t, seed in valid)
+        for rate in _PIN_RATES
+    )
+    assert got == _DOWNSAMPLE_PINS[case]

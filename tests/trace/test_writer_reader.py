@@ -294,3 +294,26 @@ class TestHeaderObjects:
         _write_with_header(micro_trace, {**header_dict(micro_trace), "nevents": "many"}, path)
         with pytest.raises(TraceFormatError, match="nevents 'many' is not a count"):
             read_trace(path)
+
+
+# -- exact pin -------------------------------------------------------------
+#
+# sha256 of the .jsonl bytes written for the golden cases and the fuzz
+# programs (tests/pins.py): the text form is the diff-able one, so its
+# exact number formatting and key order are part of the format.
+
+from tests.pins import FUZZ_SEEDS, digest, fuzz_trace, golden_trace  # noqa: E402
+
+_JSONL_PINS = {
+    "ldap": "6733688f191aaa99",
+    "micro": "b8520c3762654325",
+    "radiosity": "1c9c4589479ac009",
+    "fuzz": "2ca803776521fbca",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JSONL_PINS))
+def test_jsonl_bytes_pinned(case, tmp_path):
+    bases = [fuzz_trace(s) for s in FUZZ_SEEDS] if case == "fuzz" else [golden_trace(case)]
+    got = digest(write_trace(t, tmp_path / "t.jsonl").read_bytes() for t in bases)
+    assert got == _JSONL_PINS[case]
