@@ -16,11 +16,16 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.tables import format_table
 from repro.trace.events import EventType
 from repro.trace.trace import Trace
 
 __all__ = ["LockOrderGraph", "build_lock_order"]
+
+_OBTAIN = int(EventType.OBTAIN)
+_RELEASE = int(EventType.RELEASE)
 
 
 @dataclass(frozen=True)
@@ -106,23 +111,26 @@ def build_lock_order(trace: Trace) -> LockOrderGraph:
     held: dict[int, list[int]] = defaultdict(list)  # tid -> stack of held objs
     counts: dict[tuple[int, int], int] = defaultdict(int)
     examples: dict[tuple[int, int], int] = {}
-    lock_ids = {info.obj for info in trace.locks}
+    records = trace.records
+    rows = records[
+        np.isin(records["etype"], (_OBTAIN, _RELEASE))
+        & np.isin(records["obj"], [info.obj for info in trace.locks])
+    ]
 
-    for ev in trace:
-        if ev.obj not in lock_ids:
-            continue
-        if ev.etype == EventType.OBTAIN:
-            stack = held[ev.tid]
+    # Trace order: each edge's example thread is the first one seen.
+    for tid, etype, obj in zip(
+        rows["tid"].tolist(), rows["etype"].tolist(), rows["obj"].tolist()
+    ):
+        stack = held[tid]
+        if etype == _OBTAIN:
             for outer in stack:
-                key = (outer, ev.obj)
+                key = (outer, obj)
                 counts[key] += 1
-                examples.setdefault(key, ev.tid)
-            stack.append(ev.obj)
+                examples.setdefault(key, tid)
+            stack.append(obj)
             graph.max_depth = max(graph.max_depth, len(stack))
-        elif ev.etype == EventType.RELEASE:
-            stack = held[ev.tid]
-            if ev.obj in stack:
-                stack.remove(ev.obj)  # releases may be out of LIFO order
+        elif obj in stack:
+            stack.remove(obj)  # releases may be out of LIFO order
 
     graph.edges = {
         key: _Edge(outer=key[0], inner=key[1], count=c, example_tid=examples[key])

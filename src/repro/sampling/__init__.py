@@ -25,7 +25,6 @@ if TYPE_CHECKING:
         SAMPLING_STRATEGY,
         EventSampler,
         downsample_trace,
-        sample_mask,
         sampling_meta,
         trace_sample_rate,
         unit_hash,
@@ -36,7 +35,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CrossValidation", "LockCoverage", "RateValidation", "cross_validate",
     ),
     "repro.sampling.sampler": (
-        "SAMPLING_STRATEGY", "EventSampler", "downsample_trace", "sample_mask",
+        "SAMPLING_STRATEGY", "EventSampler", "downsample_trace",
         "sampling_meta", "trace_sample_rate", "unit_hash",
     ),
 })

@@ -18,12 +18,19 @@ protocol stays intact, so the exact analyzer runs on the sampled trace
 unchanged.
 
 The keep/drop decision is hash-Bernoulli: a splitmix64-style mix of
-``(seed, tid, obj, k)`` compared against ``rate * 2**64``.  The same
-hash is computed by the streaming scalar sampler (used inside
-:meth:`repro.instrument.ProfilingSession.emit`, before the event is ever
-buffered) and by the vectorized :func:`downsample_trace` (used to thin
-an already-captured trace), so both paths select the *same* units for a
-given ``(rate, seed)``.
+``(seed, tid, obj, k)`` compared against ``rate * 2**64``.  One
+:class:`EventSampler` makes every decision: live capture feeds it
+inside :meth:`repro.instrument.ProfilingSession.emit`, before the event
+is ever buffered, and :func:`downsample_trace` feeds it an
+already-captured trace's lock rows in trace order.  Both paths are the
+same code, so they select the *same* units for a given ``(rate, seed)``.
+
+On a trace that breaks the lock protocol, a row outside any ACQUIRE
+bracket (a bare OBTAIN or RELEASE) reuses the hash decision of the
+thread's latest unit on that object (``k = 0`` before its first
+ACQUIRE).  A unit kept only as a waker (below) does not carry later
+bare rows with it: retention flushes the unit's own rows and nothing
+else.
 
 Blocking-chain retention
 ------------------------
@@ -63,7 +70,6 @@ __all__ = [
     "SAMPLING_STRATEGY",
     "EventSampler",
     "downsample_trace",
-    "sample_mask",
     "sampling_meta",
     "trace_sample_rate",
     "unit_hash",
@@ -89,11 +95,7 @@ _LOCK_VERBS = (_ACQUIRE, _OBTAIN, _RELEASE)
 
 
 def unit_hash(seed: int, tid: int, obj: int, k: int) -> int:
-    """64-bit mix of one sampling unit (pure-Python reference).
-
-    :func:`sample_mask` computes the identical value vectorized; the
-    equality of the two implementations is pinned by tests.
-    """
+    """64-bit mix of one sampling unit."""
     x = (seed * _C_GAMMA + tid * _C_TID + obj * _C_OBJ + k * _C_K) & _MASK64
     x = ((x ^ (x >> 30)) * _C_MIX1) & _MASK64
     x = ((x ^ (x >> 27)) * _C_MIX2) & _MASK64
@@ -123,9 +125,10 @@ def trace_sample_rate(trace: Trace) -> float | None:
 class EventSampler:
     """Streaming keep/drop decisions for the instrumentation hot path.
 
-    One instance per :class:`~repro.instrument.ProfilingSession`.
-    :meth:`process` is called only for lock verbs on lock-like objects,
-    in per-thread event order, with ``(seq, time, tid, etype, obj, arg)``
+    One instance per :class:`~repro.instrument.ProfilingSession` or
+    :func:`downsample_trace` call.  :meth:`process` is called only for
+    lock verbs on lock-like objects, in per-thread event order, with
+    ``(seq, time, tid, etype, obj, arg)``
     record rows, and returns the rows to record — the row itself when
     its unit is kept, preceded by a retroactively retained waker unit
     when the row is a kept contended OBTAIN.  Each unit is hashed once,
@@ -200,129 +203,6 @@ class EventSampler:
         return sampling_meta(self.rate, self.seed)
 
 
-def _unit_columns(records: np.ndarray, is_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(k, uid)`` for the lock events selected by ``is_unit``.
-
-    ``k`` is the per-``(tid, obj)`` outermost-acquisition counter
-    (vectorized equivalent of :class:`EventSampler`'s bracket tracking);
-    ``uid`` densely numbers the distinct ``(tid, obj, k)`` units.
-    """
-    idx = np.flatnonzero(is_unit)
-    n = len(idx)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    tid = records["tid"][idx].astype(np.int64)
-    obj = records["obj"][idx].astype(np.int64)
-    etype = records["etype"][idx]
-    is_acq = (etype == _ACQUIRE).astype(np.int64)
-    is_rel = (etype == _RELEASE).astype(np.int64)
-    # Dense group ids per (tid, obj), then group-segmented cumsums in
-    # stable trace order.
-    pair = np.stack([tid, obj], axis=1)
-    _, inv = np.unique(pair, axis=0, return_inverse=True)
-    order = np.lexsort((np.arange(n), inv))
-    starts = np.flatnonzero(np.diff(inv[order], prepend=-1))
-    counts = np.diff(np.append(starts, n))
-
-    def seg_cumsum(sorted_values: np.ndarray) -> np.ndarray:
-        # Input must already be in sorted-group space (i.e. values[order]).
-        csum = np.cumsum(sorted_values)
-        base = np.where(starts > 0, csum[starts - 1], 0)
-        return csum - np.repeat(base, counts)
-
-    acq_incl = seg_cumsum(is_acq[order])
-    rel_incl = seg_cumsum(is_rel[order])
-    depth_before = (acq_incl - is_acq[order]) - (rel_incl - is_rel[order])
-    outermost = is_acq[order] * (depth_before == 0)
-    k_sorted = seg_cumsum(outermost)
-    k = np.empty(n, dtype=np.int64)
-    k[order] = k_sorted
-    triple = np.stack([tid, obj, k], axis=1)
-    _, uid = np.unique(triple, axis=0, return_inverse=True)
-    return k, uid.astype(np.int64)
-
-
-def _hash_events(
-    records: np.ndarray, idx: np.ndarray, k: np.ndarray, seed: int
-) -> np.ndarray:
-    """Vectorized splitmix64 mix, identical to :func:`unit_hash`."""
-    with np.errstate(over="ignore"):
-        x = (
-            np.uint64(seed & _MASK64) * np.uint64(_C_GAMMA)
-            + records["tid"][idx].astype(np.uint64) * np.uint64(_C_TID)
-            + records["obj"][idx].astype(np.uint64) * np.uint64(_C_OBJ)
-            + k.astype(np.uint64) * np.uint64(_C_K)
-        )
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_C_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_C_MIX2)
-        return x ^ (x >> np.uint64(31))
-
-
-def sample_mask(
-    records: np.ndarray, lock_objs: set[int] | frozenset[int], rate: float, seed: int = 0
-) -> np.ndarray:
-    """Boolean keep-mask over ``records`` (vectorized unit sampling).
-
-    Selects the same events as a stream of :meth:`EventSampler.process`
-    calls with the same ``(rate, seed)``, waker retention included.
-    """
-    n = len(records)
-    keep = np.ones(n, dtype=bool)
-    thresh = _threshold(rate)
-    if thresh >= 1 << 64 or n == 0:
-        return keep
-    is_unit = np.isin(records["etype"], _LOCK_VERBS)
-    if lock_objs:
-        is_unit &= np.isin(records["obj"], np.fromiter(lock_objs, dtype=np.int64))
-    else:
-        is_unit &= False
-    idx = np.flatnonzero(is_unit)
-    if len(idx) == 0:
-        return keep
-    k, uid = _unit_columns(records, is_unit)
-    if thresh <= 0:
-        hash_kept = np.zeros(len(idx), dtype=bool)
-    else:
-        hash_kept = _hash_events(records, idx, k, seed) < np.uint64(thresh)
-
-    nunits = int(uid.max()) + 1
-    unit_kept = np.zeros(nunits, dtype=bool)
-    unit_kept[uid[hash_kept]] = True
-    etype = records["etype"][idx]
-    obj = records["obj"][idx].astype(np.int64)
-    arg = records["arg"][idx]
-    # Replay EventSampler's waker-retention rule: a kept contended OBTAIN
-    # resurrects the dropped unit of the latest prior unit-closing
-    # RELEASE on its lock (well-formed brackets only).
-    unit_has_obtain = np.zeros(nunits, dtype=bool)
-    unit_has_obtain[uid[etype == _OBTAIN]] = True
-    is_acq = (etype == _ACQUIRE).astype(np.int64)
-    is_rel = (etype == _RELEASE).astype(np.int64)
-    depth = {}
-    last_closed: dict[int, int] = {}
-    retained: set[int] = set()
-    for j in range(len(idx)):
-        o = int(obj[j])
-        if is_acq[j]:
-            depth[(int(records["tid"][idx[j]]), o)] = depth.get(
-                (int(records["tid"][idx[j]]), o), 0
-            ) + 1
-        elif is_rel[j]:
-            key = (int(records["tid"][idx[j]]), o)
-            d = depth.get(key, 0) - 1
-            depth[key] = d
-            if d == 0:
-                last_closed[o] = int(uid[j])
-        elif etype[j] == _OBTAIN and arg[j] and hash_kept[j]:
-            u = last_closed.get(o)
-            if u is not None and not unit_kept[u] and unit_has_obtain[u]:
-                retained.add(u)
-    if retained:
-        unit_kept[np.fromiter(retained, dtype=np.int64)] = True
-    keep[idx] = unit_kept[uid]
-    return keep
-
-
 def downsample_trace(trace: Trace, rate: float, seed: int = 0) -> Trace:
     """Thin an already-captured full trace to inclusion probability ``rate``.
 
@@ -337,12 +217,21 @@ def downsample_trace(trace: Trace, rate: float, seed: int = 0) -> Trace:
             "trace is already sampled; downsampling twice would make the "
             "inclusion probability unknowable"
         )
-    lock_objs = {info.obj for info in trace.objects.values() if info.kind.is_lock_like}
-    mask = sample_mask(trace.records, lock_objs, rate, seed)
+    sampler = EventSampler(rate, seed)
+    records = trace.records
+    lock_objs = [info.obj for info in trace.objects.values() if info.kind.is_lock_like]
+    is_unit = np.isin(records["etype"], _LOCK_VERBS) & np.isin(records["obj"], lock_objs)
+    pos = np.flatnonzero(is_unit)
+    rows = records[pos]
+    # The record position rides in the seq slot, so every row the
+    # sampler hands back names the record it keeps.
+    rows["seq"] = pos
+    keep = ~is_unit
+    keep[[out[0] for row in rows.tolist() for out in sampler.process(row)]] = True
     meta = dict(trace.meta)
     meta["sampling"] = sampling_meta(rate, seed)
     return Trace(
-        records=trace.records[mask].copy(),
+        records=records[keep],
         objects=dict(trace.objects),
         threads=dict(trace.threads),
         meta=meta,

@@ -104,19 +104,21 @@ def _write_jsonl(trace: Trace, path: Path) -> None:
             f"{path}: record {i}: unknown event type {int(trace.records['etype'][i])}"
         )
 
+    names = {int(et): et.name for et in EventType}
+
     def write(staging: Path) -> None:
         with open(staging, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"header": header_dict(trace)}) + "\n")
-            for ev in trace:
+            for seq, time, tid, etype, obj, arg in trace.records.tolist():
                 fh.write(
                     json.dumps(
                         {
-                            "seq": ev.seq,
-                            "time": ev.time,
-                            "tid": ev.tid,
-                            "etype": EventType(ev.etype).name,
-                            "obj": ev.obj,
-                            "arg": ev.arg,
+                            "seq": seq,
+                            "time": time,
+                            "tid": tid,
+                            "etype": names[etype],
+                            "obj": obj,
+                            "arg": arg,
                         }
                     )
                     + "\n"

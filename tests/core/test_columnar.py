@@ -79,20 +79,28 @@ def test_columnar_path_builds_no_per_event_objects():
     )
 
 
-def test_default_analyze_constructs_no_per_event_objects(monkeypatch):
+def test_default_analyze_constructs_no_per_event_objects(monkeypatch, tmp_path):
     """The probe above charges an allocation to the file that makes it,
     so a ``Wait``/``CPPiece``/``Junction`` built inside ``core/columnar/``
     slips past it.  Make every per-event constructor raise instead: the
     default path (validation on) must still analyze and render the
-    50k-event trace, and every analysis view must run on the result."""
+    50k-event trace, every analysis view must run on the result, and so
+    must lock order, the ``.jsonl`` writer, downsampling with the
+    estimator, and trace statistics.  Only the ``Trace`` read view and
+    ``repro.check`` build ``Event``s."""
     from repro.core.blame import compute_blame
+    from repro.core.estimate import estimate_report
     from repro.core.eyerman import fit_model
     from repro.core.forecast import forecast
+    from repro.core.lockorder import build_lock_order
     from repro.core.model import CPPiece, HoldInterval, Junction, ThreadTimeline, Wait
     from repro.core.phases import split_phases
     from repro.core.windows import windowed_criticality
     from repro.export import to_chrome_trace
+    from repro.sampling import downsample_trace
     from repro.trace.events import Event
+    from repro.trace.stats import compute_trace_stats
+    from repro.trace.writer import write_trace
     from repro.viz.svg import render_svg
     from repro.viz.timeline import render_timeline
 
@@ -117,8 +125,14 @@ def test_default_analyze_constructs_no_per_event_objects(monkeypatch):
     assert render_svg(trace, result).startswith("<svg")
     assert "locks:" in render_timeline(trace, result)
     assert result.critical_path.piece_count > 1000
+    assert build_lock_order(trace).render()
+    assert write_trace(trace, tmp_path / "x.jsonl").stat().st_size > 0
+    assert estimate_report(downsample_trace(trace, 0.1)).locks
+    assert compute_trace_stats(trace).nevents == len(trace)
     with pytest.raises(AssertionError, match="per-event object"):
         result.critical_path.pieces  # the patches are live
+    with pytest.raises(AssertionError, match="per-event object"):
+        next(iter(trace))  # the read view still builds them
 
 
 #: The per-event reference chain; no production layer may call into it.

@@ -1,10 +1,10 @@
 """Sampler invariants: unit integrity, determinism, rate edge cases.
 
 The contract under test (see ``docs/sampling.md``): hash-Bernoulli
-sampling of whole lock-invocation units, identical decisions from the
-streaming scalar sampler and the vectorized ``downsample_trace``,
-byte-identical records at rate 1.0, and blocking-chain events immune to
-sampling at every rate.
+sampling of whole lock-invocation units by one ``EventSampler``, which
+both live capture and ``downsample_trace`` run, byte-identical records
+at rate 1.0, and blocking-chain events immune to sampling at every
+rate.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from repro.errors import TraceError
 from repro.sampling import (
     EventSampler,
     downsample_trace,
-    sample_mask,
     trace_sample_rate,
     unit_hash,
 )
-from repro.sampling.sampler import _hash_events, _unit_columns
-from repro.trace.events import EventType
+from repro.trace.events import EventType, ObjectKind
+from repro.trace.trace import ObjectInfo, Trace
 from repro.trace.transform import demote_orphan_contention
-from repro.trace.validate import validate_trace
+from repro.trace.validate import trace_problems, validate_trace
 from repro.workloads import get_workload
 
 from tests.core.test_properties import program_st, run_random_program
@@ -74,39 +73,25 @@ def unit_ids(trace):
     return out
 
 
-# -- hash agreement ---------------------------------------------------------
+# -- unit identity ----------------------------------------------------------
 
 
-def test_vectorized_hash_matches_scalar_reference(radiosity_trace):
-    trace = radiosity_trace
-    records = trace.records
-    is_unit = np.isin(records["etype"], [int(e) for e in _LOCK_VERBS])
-    is_unit &= np.isin(
-        records["obj"], np.fromiter(lock_objs(trace), dtype=np.int64)
-    )
-    idx = np.flatnonzero(is_unit)
-    k, _ = _unit_columns(records, is_unit)
-    vec = _hash_events(records, idx, k, seed=42)
-    ids = unit_ids(trace)
-    for j, row in enumerate(idx):
-        tid, obj, kk = ids[int(row)]
-        assert int(vec[j]) == unit_hash(42, tid, obj, kk)
-
-
-def test_unit_counter_increments_at_outermost_acquire(radiosity_trace):
+def test_unit_counter_increments_at_outermost_acquire(radiosity_trace, monkeypatch):
     """k must be assigned at ACQUIRE (depth 0) and shared by the whole
-    bracket — the regression the multi-group seg_cumsum bug caused."""
-    trace = radiosity_trace
-    records = trace.records
-    is_unit = np.isin(records["etype"], [int(e) for e in _LOCK_VERBS])
-    is_unit &= np.isin(
-        records["obj"], np.fromiter(lock_objs(trace), dtype=np.int64)
-    )
-    idx = np.flatnonzero(is_unit)
-    k, _ = _unit_columns(records, is_unit)
-    ids = unit_ids(trace)
-    for j, row in enumerate(idx):
-        assert int(k[j]) == ids[int(row)][2]
+    bracket: downsampling hashes exactly the reference's units, once each."""
+    import repro.sampling.sampler as sampler_mod
+
+    calls = []
+
+    def counting(seed, tid, obj, k):
+        calls.append((tid, obj, k))
+        return unit_hash(seed, tid, obj, k)
+
+    monkeypatch.setattr(sampler_mod, "unit_hash", counting)
+    downsample_trace(radiosity_trace, 0.5, seed=42)
+    units = set(unit_ids(radiosity_trace).values())
+    assert len(units) > 100
+    assert sorted(calls) == sorted(units)
 
 
 # -- rate edge cases --------------------------------------------------------
@@ -167,7 +152,8 @@ def test_mask_is_constant_per_unit_and_never_orphans(spec, rate, seed):
     """Within one invocation unit the keep-mask is constant, so a sampled
     trace can never contain a RELEASE without its ACQUIRE/OBTAIN."""
     trace = run_random_program(spec).trace
-    mask = sample_mask(trace.records, lock_objs(trace), rate, seed)
+    sampled = downsample_trace(trace, rate, seed)
+    mask = np.isin(trace.records["seq"], sampled.records["seq"])
     ids = unit_ids(trace)
     per_unit: dict[tuple, set] = {}
     for row, key in ids.items():
@@ -197,24 +183,49 @@ def test_sampling_is_deterministic(spec, rate, seed):
 @settings(max_examples=15, deadline=None)
 @given(program_st, st.sampled_from([0.1, 0.3, 0.5]), st.integers(0, 100))
 def test_streaming_sampler_matches_vectorized(spec, rate, seed):
-    """EventSampler.process over the event stream selects exactly the
-    events ``sample_mask`` selects (waker retention included)."""
+    """``downsample_trace`` keeps exactly the events an ``EventSampler``
+    fed the trace's events one by one keeps (waker retention included),
+    as live capture feeds it."""
     trace = run_random_program(spec).trace
-    mask = sample_mask(trace.records, lock_objs(trace), rate, seed)
     objs = lock_objs(trace)
     sampler = EventSampler(rate, seed)
     kept = []
     for ev in trace:
-        if (
-            ev.etype in (EventType.ACQUIRE, EventType.OBTAIN, EventType.RELEASE)
-            and ev.obj in objs
-        ):
+        if ev.etype in _LOCK_VERBS and ev.obj in objs:
             kept.extend(sampler.process(ev))
         else:
             kept.append(ev)
     streamed = sorted(ev.seq for ev in kept)
-    vectorized = sorted(int(s) for s in trace.records["seq"][mask])
-    assert streamed == vectorized
+    sampled = downsample_trace(trace, rate, seed)
+    assert streamed == sampled.records["seq"].tolist()
+
+
+def test_bare_rows_after_a_retained_unit_are_not_resurrected():
+    """On a trace with problems, a bare OBTAIN/RELEASE (no ACQUIRE) after
+    a unit kept only as a waker reuses the unit's hash decision, which
+    dropped it: the retention flushed that unit and nothing later."""
+    acquire, obtain, release = (int(e) for e in _LOCK_VERBS)
+    lock, t1, t2 = 0, 1, 2
+    rate = 0.5
+    thresh = int(rate * 2**64)
+    seed = next(
+        s for s in range(1000)
+        if unit_hash(s, t1, lock, 1) >= thresh > unit_hash(s, t2, lock, 1)
+    )
+    rows = [
+        (0, 0.0, t1, acquire, lock, 0),
+        (1, 1.0, t1, obtain, lock, 0),
+        (2, 2.0, t2, acquire, lock, 0),
+        (3, 3.0, t1, release, lock, 0),
+        (4, 3.0, t2, obtain, lock, 1),  # contended: retains T1's unit
+        (5, 4.0, t2, release, lock, 0),
+        (6, 5.0, t1, obtain, lock, 0),  # bare: no ACQUIRE opens it
+        (7, 6.0, t1, release, lock, 0),
+    ]
+    trace = Trace.from_events(rows, objects={lock: ObjectInfo(lock, ObjectKind.MUTEX, "L")})
+    assert trace_problems(trace)
+    sampled = downsample_trace(trace, rate, seed)
+    assert sampled.records["seq"].tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_streaming_sampler_meta():
@@ -260,7 +271,6 @@ def test_streaming_sampler_hashes_each_unit_once(monkeypatch):
 # seed), over every variant in tests/pins.py that has no trace problems.
 
 from tests.pins import FUZZ_SEEDS, digest, fuzz_trace, golden_trace, with_corruptions  # noqa: E402
-from repro.trace.validate import trace_problems  # noqa: E402
 
 _PIN_RATES = (0.0, 0.1, 0.5, 1.0)
 _DOWNSAMPLE_PINS = {
