@@ -34,7 +34,7 @@ import time
 from repro.core.analyzer import analyze
 from repro.instrument import ProfilingSession
 from repro.sampling import cross_validate, downsample_trace
-from repro.trace.events import EventType, ObjectKind
+from repro.trace.events import EventType
 from repro.workloads import get_workload
 
 #: Keep in sync with tests/golden/test_golden_reports.py::CASES.

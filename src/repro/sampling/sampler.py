@@ -128,11 +128,11 @@ class EventSampler:
     One instance per :class:`~repro.instrument.ProfilingSession` or
     :func:`downsample_trace` call.  :meth:`process` is called only for
     lock verbs on lock-like objects, in per-thread event order, with
-    ``(seq, time, tid, etype, obj, arg)``
-    record rows, and returns the rows to record — the row itself when
-    its unit is kept, preceded by a retroactively retained waker unit
-    when the row is a kept contended OBTAIN.  Each unit is hashed once,
-    when it opens; its later events reuse the decision.
+    ``(seq, time, tid, etype, obj, arg)`` record rows, and returns the
+    rows to record — the row itself when its unit is kept, preceded by a
+    retroactively retained waker unit when the row is a kept contended
+    OBTAIN.  Each unit is hashed once, when it opens; its later events
+    reuse the decision.
 
     The per-``(tid, obj)`` state and stashes are touched only by
     their own thread; the per-lock pending-waker slot is handed between
@@ -206,11 +206,13 @@ class EventSampler:
 def downsample_trace(trace: Trace, rate: float, seed: int = 0) -> Trace:
     """Thin an already-captured full trace to inclusion probability ``rate``.
 
-    Whole invocation units are kept or dropped together; blocking-chain
-    events (lifecycle, barriers, condition variables, waker units of
-    kept contended acquisitions) always survive.  The result carries the
-    sampling metadata header and (sparse) original sequence numbers.  At
-    ``rate=1.0`` the records are byte-identical to the input's.
+    The trace's lock rows go through one :class:`EventSampler` in trace
+    order, as live capture feeds them.  Whole invocation units are kept
+    or dropped together; blocking-chain events (lifecycle, barriers,
+    condition variables, waker units of kept contended acquisitions)
+    always survive.  The result carries the sampling metadata header and
+    (sparse) original sequence numbers.  At ``rate=1.0`` the records are
+    byte-identical to the input's.
     """
     if trace_sample_rate(trace) is not None:
         raise TraceError(
@@ -219,8 +221,9 @@ def downsample_trace(trace: Trace, rate: float, seed: int = 0) -> Trace:
         )
     sampler = EventSampler(rate, seed)
     records = trace.records
-    lock_objs = [info.obj for info in trace.objects.values() if info.kind.is_lock_like]
-    is_unit = np.isin(records["etype"], _LOCK_VERBS) & np.isin(records["obj"], lock_objs)
+    is_unit = np.isin(records["etype"], _LOCK_VERBS) & np.isin(
+        records["obj"], [info.obj for info in trace.locks]
+    )
     pos = np.flatnonzero(is_unit)
     rows = records[pos]
     # The record position rides in the seq slot, so every row the
