@@ -14,6 +14,7 @@ Two concerns:
 
 import pytest
 
+from repro.check.reference import critical_events
 from repro.check.runner import run_seeds
 from repro.core.dag import build_event_graph
 from repro.workloads import SyntheticLocks
@@ -30,7 +31,7 @@ def test_critical_events_cached_sources(benchmark, graph):
     dist = graph.longest_dist()
 
     def run():
-        return graph.critical_events(dist=dist)
+        return critical_events(graph, dist=dist)
 
     path = benchmark(run)
     assert path
@@ -44,7 +45,7 @@ def test_critical_events_rederived_sources(benchmark, graph):
 
     def run():
         graph.source_pos = None
-        return graph.critical_events(dist=dist)
+        return critical_events(graph, dist=dist)
 
     path = benchmark(run)
     assert path

@@ -9,7 +9,7 @@ layers, and returns one :class:`Discrepancy` per violated invariant
 ``cp-length``      walk length == DAG completion time == trace duration
 ``piece-tiling``   CP pieces tile [trace start, trace end] contiguously
 ``junctions``      junctions consistent with pieces and walk waits
-``dag-path``       ``critical_events`` path is source-anchored and sums
+``dag-path``       the ``critical_events`` path is source-anchored and sums
                    to the completion time
 ``dag-rescale``    the longest path survives a time-unit rescaling
                    round-trip (distances recomputed in another unit,
@@ -28,10 +28,10 @@ layers, and returns one :class:`Discrepancy` per violated invariant
                    analyzes, with completion == truncated duration
 ``engine-equiv``   the columnar (numpy) ``analyze`` and the per-event
                    ``reference_analyze`` produce *bit-identical* results:
-                   critical-path pieces/junctions/waits, report dict,
-                   byte-equal render, identical reconstructed timelines
-                   and waker tables — and neither emits a zero-duration
-                   Wait
+                   critical-path columns, pieces/junctions/waits (the
+                   columns turned into objects), report dict, byte-equal
+                   render, identical reconstructed timelines and waker
+                   tables — and neither emits a zero-duration Wait
 ``replay-identity`` reconstructing the trace into a schedulable program
                    and re-running it under the ``recorded`` identity
                    protocol reproduces the baseline completion time and
@@ -61,10 +61,13 @@ import numpy as np
 
 from repro.check.generator import corrupt_trace
 from repro.check.reference import (
+    critical_events,
+    path_from_columns,
     reference_analyze,
     reference_online,
     reference_trace_problems,
     timelines_from_columns,
+    waker_table_from_columns,
 )
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
@@ -124,6 +127,7 @@ def check_trace(
         return [Discrepancy("analysis-error", f"{type(exc).__name__}: {exc}")] + equiv
 
     cp = result.critical_path
+    path = path_from_columns(result)
     duration = trace.duration
 
     # -- cp-length: the two formulations agree with each other and reality
@@ -144,7 +148,7 @@ def check_trace(
         )
 
     # -- piece-tiling
-    pieces = cp.pieces
+    pieces = path.pieces
     if not pieces:
         if len(trace):
             out.append(Discrepancy("piece-tiling", "non-empty trace, no CP pieces"))
@@ -180,15 +184,15 @@ def check_trace(
                 )
 
     # -- junctions: crossings line up with pieces and traversed waits
-    if len(cp.junctions) != max(0, len(pieces) - 1):
+    if len(path.junctions) != max(0, len(pieces) - 1):
         out.append(
             Discrepancy(
                 "junctions",
-                f"{len(cp.junctions)} junctions for {len(pieces)} pieces",
+                f"{len(path.junctions)} junctions for {len(pieces)} pieces",
             )
         )
     else:
-        for i, j in enumerate(cp.junctions):
+        for i, j in enumerate(path.junctions):
             before, after = pieces[i], pieces[i + 1]
             if j.to_tid != after.tid or j.from_tid != before.tid:
                 out.append(
@@ -205,12 +209,12 @@ def check_trace(
                         f"junction {i} at {j.time!r} != next piece start {after.start!r}",
                     )
                 )
-    n_sync = sum(1 for j in cp.junctions if j.kind is not None)
-    if n_sync != len(cp.waits):
+    n_sync = sum(1 for j in path.junctions if j.kind is not None)
+    if n_sync != len(path.waits):
         out.append(
             Discrepancy(
                 "junctions",
-                f"{n_sync} synchronization junctions but {len(cp.waits)} waits",
+                f"{n_sync} synchronization junctions but {len(path.waits)} waits",
             )
         )
 
@@ -230,7 +234,7 @@ def check_trace(
     out += _check_truncated(trace)
 
     # -- engine-equiv
-    out += _check_engines(trace, result)
+    out += _check_engines(trace, result, path)
 
     # -- replay-identity
     out += _check_replay_identity(trace, result)
@@ -322,7 +326,7 @@ def _check_online_equiv(trace: Trace, seed: int) -> list[Discrepancy]:
 
 def _check_dag_path(trace: Trace, graph, completion: float) -> list[Discrepancy]:
     out: list[Discrepancy] = []
-    path = graph.critical_events()
+    path = critical_events(graph)
     if not path:
         if len(trace):
             return [Discrepancy("dag-path", "non-empty trace, empty critical path")]
@@ -373,7 +377,7 @@ def _check_dag_path(trace: Trace, graph, completion: float) -> list[Discrepancy]
     # exact-equality backtracking truncates the walk mid-path.
     scale = 1e-3
     rescaled = graph.longest_dist(graph.edge_w * scale) / scale
-    path2 = graph.critical_events(dist=rescaled)
+    path2 = critical_events(graph, dist=rescaled)
     sources = set(int(p) for p in graph.sources)
     if not path2:
         out.append(Discrepancy("dag-rescale", "rescaled backtracking found no path"))
@@ -532,10 +536,11 @@ def _offline_max_chain(trace: Trace, obj: int) -> float:
     return best
 
 
-def _check_engines(trace: Trace, result) -> list[Discrepancy]:
+def _check_engines(trace: Trace, result, path) -> list[Discrepancy]:
     """The columnar pipeline and the per-event reference must agree bit-for-bit.
 
-    ``result`` came from the production (columnar) ``analyze``; this runs
+    ``result`` came from the production (columnar) ``analyze`` and
+    ``path`` is its critical path as objects; this runs
     :func:`reference_analyze` over the same trace and demands ``==``
     everywhere — the columnar pipeline's contract is *bit-identity*, not
     numerical closeness, which is what lets the goldens pin both.
@@ -549,19 +554,19 @@ def _check_engines(trace: Trace, result) -> list[Discrepancy]:
             )
         ]
     out: list[Discrepancy] = []
-    col_cp, obj_cp = result.critical_path, obj.critical_path
-    if col_cp.pieces != obj_cp.pieces:
-        out.append(
-            Discrepancy(
-                "engine-equiv",
-                f"critical-path pieces differ: {len(col_cp.pieces)} columnar "
-                f"vs {len(obj_cp.pieces)} object",
+    for name in ("pieces", "junctions", "waits"):
+        got, want = getattr(path, name), getattr(obj.path, name)
+        if got != want:
+            out.append(
+                Discrepancy(
+                    "engine-equiv",
+                    f"critical-path {name} differ: {len(got)} columnar vs {len(want)} object",
+                )
             )
-        )
-    if col_cp.junctions != obj_cp.junctions:
-        out.append(Discrepancy("engine-equiv", "junction lists differ"))
-    if col_cp.waits != obj_cp.waits:
-        out.append(Discrepancy("engine-equiv", "traversed wait lists differ"))
+    col_cp, obj_cp = result.critical_path, obj.critical_path
+    for name in ("piece_tid", "piece_start", "piece_end", "piece_wait"):
+        if not np.array_equal(getattr(col_cp, name), getattr(obj_cp, name)):
+            out.append(Discrepancy("engine-equiv", f"critical-path {name} columns differ"))
     if result.report.to_dict() != obj.report.to_dict():
         out.append(Discrepancy("engine-equiv", "report dicts differ"))
     if result.report.render(None) != obj.report.render(None):
@@ -569,7 +574,7 @@ def _check_engines(trace: Trace, result) -> list[Discrepancy]:
     timelines = timelines_from_columns(result.timeline_columns)
     if timelines != obj.timelines:
         out.append(Discrepancy("engine-equiv", "reconstructed timelines differ"))
-    wakers = result.waker_columns.to_table(trace.records)
+    wakers = waker_table_from_columns(result.waker_columns, trace.records)
     if wakers.wakes != obj.wakers.wakes or wakers.creations != obj.wakers.creations:
         out.append(Discrepancy("engine-equiv", "waker tables differ"))
     for by_tid, engine in ((timelines, "columnar"), (obj.timelines, "object")):

@@ -1,16 +1,24 @@
 """Per-event reference implementations — the ``engine-equiv`` and
 ``validate-equiv`` oracles.
 
-* The analysis chain, written one ``Event`` at a time:
+* The analysis chain, written one ``Event`` at a time over its own
+  object model (:class:`Wait`, :class:`HoldInterval`,
+  :class:`ThreadTimeline`, :class:`WakerTable` and the path's
+  :class:`CPPiece` / :class:`Junction`):
   :func:`resolve_wakers` (the paper's §IV.B waker rules),
   :func:`build_timelines`, the backward walk :func:`compute_critical_path`
   (paper Fig. 2) and :func:`compute_metrics` /
   :func:`compute_thread_stats` (paper Table 2).
   :func:`reference_analyze` runs them in order.  Production ``analyze``
   and every layer on top of it (DAG, what-if, plan, replay, the views)
-  run the columnar twins in :mod:`repro.core.columnar`; the oracle and
-  the tests demand bit-identical results from both, comparing timelines
-  through :func:`timelines_from_columns`.
+  run the columnar twins in :mod:`repro.core.columnar`, which keep
+  columns only; the oracle and the tests demand bit-identical results
+  from both, turning the production columns into these objects with
+  :func:`timelines_from_columns`, :func:`path_from_columns` and
+  :func:`waker_table_from_columns`.
+* :func:`critical_events` backtracks one longest path through the
+  event DAG (:class:`~repro.core.dag.EventGraph`), for the ``dag-path``
+  invariant.
 * :func:`reference_online` streams a trace through the online
   estimator one event at a time; the batch kernel behind
   ``OnlineAnalyzer.observe_batch`` must reach the same state at any
@@ -26,24 +34,24 @@ Being slow but obviously correct is their job.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.core.analyzer import AnalysisResult
 from repro.core.columnar.timelines import ColumnarTimelines
+from repro.core.columnar.wakers import ColumnarWakers
+from repro.core.dag import EventGraph
 from repro.core.model import (
-    CPPiece,
+    WAIT_KIND_CODES,
     CriticalPath,
-    HoldInterval,
-    Junction,
     LockMetrics,
     ThreadStats,
-    ThreadTimeline,
-    Wait,
     WaitKind,
     WakeInfo,
-    WakerTable,
-    waits_from_columns,
 )
 from repro.core.online import OnlineAnalyzer
 from repro.core.report import AnalysisReport
@@ -52,28 +60,187 @@ from repro.trace.events import NO_OBJECT, Event, EventType, ObjectKind
 from repro.trace.trace import Trace
 
 __all__ = [
+    "CPPiece",
+    "HoldInterval",
+    "Junction",
+    "PathObjects",
     "ReferenceResult",
+    "ThreadTimeline",
+    "Wait",
+    "WakerTable",
     "build_timelines",
     "compute_critical_path",
     "compute_metrics",
     "compute_thread_stats",
+    "critical_events",
+    "path_from_columns",
     "reference_analyze",
     "reference_online",
     "reference_trace_problems",
     "resolve_wakers",
     "timelines_from_columns",
+    "waker_table_from_columns",
 ]
 
 _KNOWN_ETYPES = frozenset(int(e) for e in EventType)
+_THREAD_EXIT = int(EventType.THREAD_EXIT)
+
+
+# -- the object model ------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Wait:
+    """One blocked interval of one thread.
+
+    ``waker_*`` identify the event that ended the wait: the matching lock
+    RELEASE, the last BARRIER_ARRIVE of the cohort, the COND_SIGNAL /
+    COND_BROADCAST, or the joinee's THREAD_EXIT.  ``wake_seq`` is the
+    sequence number of this thread's own wake event (OBTAIN,
+    BARRIER_DEPART, COND_WAKE, JOIN_END); the backward walk cursors on it.
+    """
+
+    tid: int
+    kind: WaitKind
+    obj: int
+    start: float  # when the thread started blocking
+    end: float  # when the thread was woken
+    wake_seq: int  # seq of this thread's wake event
+    waker_tid: int
+    waker_time: float
+    waker_seq: int
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
+@dataclass(frozen=True, slots=True)
+class HoldInterval:
+    """One critical section: a lock held from ``start`` to ``end``."""
+
+    tid: int
+    obj: int
+    start: float  # OBTAIN time
+    end: float  # RELEASE time
+    contended: bool  # whether the acquisition blocked
+    acquire_time: float  # ACQUIRE time (start - acquire_time is the wait)
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+    @property
+    def wait(self) -> float:
+        return self.start - self.acquire_time
+
+
+@dataclass(slots=True)
+class ThreadTimeline:
+    """One thread's waits and holds as objects: the per-event reference's
+    form of what the analysis keeps as ``ColumnarTimelines`` columns.
+
+    ``waits`` and each ``holds[obj]`` list are in increasing time order.
+    """
+
+    tid: int
+    name: str
+    start: float
+    end: float
+    creator_tid: int | None = None  # None for root threads
+    create_time: float = 0.0
+    create_seq: int = -1  # seq of the creator's THREAD_CREATE event
+    waits: list[Wait] = field(default_factory=list)
+    holds: dict[int, list[HoldInterval]] = field(default_factory=dict)
+
+    @property
+    def lifetime(self) -> float:
+        """Wall time between the thread's first and last event."""
+        return self.end - self.start
+
+    def wait_time_by_kind(self) -> dict[WaitKind, float]:
+        """Total blocked time per synchronization kind."""
+        out: dict[WaitKind, float] = {}
+        for w in self.waits:
+            out[w.kind] = out.get(w.kind, 0.0) + w.duration
+        return out
+
+
+@dataclass(frozen=True, slots=True)
+class CPPiece:
+    """One contiguous execution span on the critical path.
+
+    Pieces tile the whole execution: consecutive pieces share boundary
+    times, the first starts at the trace start and the last ends at the
+    trace end, so their durations sum to the end-to-end completion time.
+    """
+
+    tid: int
+    start: float
+    end: float
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
+@dataclass(frozen=True, slots=True)
+class Junction:
+    """A point where the critical path crosses from one thread to another.
+
+    ``kind``/``obj`` describe the synchronization dependency at the
+    crossing; ``obj`` is ``-1`` for thread-creation junctions.
+    """
+
+    time: float
+    from_tid: int  # the waker (earlier on the path)
+    to_tid: int  # the woken thread (later on the path)
+    kind: WaitKind | None  # None for thread creation
+    obj: int
+
+
+@dataclass(frozen=True, slots=True)
+class WakerTable:
+    """Resolved wakers of one trace, keyed by event seq.
+
+    ``wakes`` maps the *seq of a wake event* (OBTAIN with contended flag,
+    BARRIER_DEPART, COND_WAKE, JOIN_END) to its waker; ``creations`` maps
+    a child tid to the parent's THREAD_CREATE info.
+    """
+
+    wakes: dict[int, WakeInfo]
+    creations: dict[int, WakeInfo]
+
+
+@dataclass
+class PathObjects:
+    """A critical path as objects: ``pieces`` in forward time order;
+    ``junctions`` marking the thread crossings between consecutive
+    pieces (``len(junctions) == len(pieces) - 1``); ``waits``, the
+    blocked intervals the walk traversed (one per synchronization
+    junction, none for creations)."""
+
+    pieces: list[CPPiece]
+    junctions: list[Junction]
+    waits: list[Wait]
+
+    @property
+    def length(self) -> float:
+        """Sum of piece durations, added left to right."""
+        total = 0.0
+        for p in self.pieces:
+            total += p.duration
+        return total
 
 
 @dataclass
 class ReferenceResult:
     """What :func:`reference_analyze` produces: the object structures of
-    every stage and the report."""
+    every stage, the path's columns and the report."""
 
     trace: Trace
     critical_path: CriticalPath
+    path: PathObjects
     report: AnalysisReport
     wakers: WakerTable
     timelines: dict[int, ThreadTimeline]
@@ -90,17 +257,45 @@ def reference_analyze(trace: Trace) -> ReferenceResult:
     """
     wakers = resolve_wakers(trace)
     timelines = build_timelines(trace, wakers)
-    cp = compute_critical_path(trace, timelines, wakers)
+    path = compute_critical_path(trace, timelines, wakers)
+    cp = _path_columns(path, timelines, trace.duration)
     report = AnalysisReport(
         name=str(trace.meta.get("name", "")),
         nthreads=len(timelines),
         duration=trace.duration,
         cp=cp,
-        locks=compute_metrics(trace, timelines, cp),
-        thread_stats=compute_thread_stats(timelines, cp),
+        locks=compute_metrics(trace, timelines, path),
+        thread_stats=compute_thread_stats(timelines, path),
     )
     return ReferenceResult(
-        trace=trace, critical_path=cp, report=report, wakers=wakers, timelines=timelines
+        trace=trace, critical_path=cp, path=path, report=report, wakers=wakers,
+        timelines=timelines,
+    )
+
+
+def _path_columns(
+    path: PathObjects, timelines: dict[int, ThreadTimeline], duration: float
+) -> CriticalPath:
+    """``path`` as the columns production keeps.  A wait's row is its
+    position among all waits ordered by (tid, wake seq), as in
+    ``ColumnarTimelines``."""
+    row_of = {
+        w.wake_seq: k
+        for k, w in enumerate(w for tl in timelines.values() for w in tl.waits)
+    }
+    waits = iter(path.waits)
+    # The first piece begins at its thread's start; piece k + 1 begins
+    # after junction k.
+    piece_wait = [-1] + [
+        row_of[next(waits).wake_seq] if j.kind is not None else -1
+        for j in path.junctions
+    ]
+    return CriticalPath(
+        piece_tid=np.array([p.tid for p in path.pieces], dtype=np.int64),
+        piece_start=np.array([p.start for p in path.pieces], dtype=np.float64),
+        piece_end=np.array([p.end for p in path.pieces], dtype=np.float64),
+        piece_wait=np.array(piece_wait[:len(path.pieces)], dtype=np.int64),
+        trace_duration=duration,
     )
 
 
@@ -183,10 +378,57 @@ def resolve_wakers(trace: Trace) -> WakerTable:
     return WakerTable(wakes=wakes, creations=creations)
 
 
+# -- columns -> objects ------------------------------------------------------
+
+
+def _waits_from_columns(ct: ColumnarTimelines, rows=slice(None)) -> list[Wait]:
+    """:class:`Wait` objects for the given rows of ``ct``'s wait columns."""
+    fields = [
+        col[rows].tolist()
+        for col in (
+            ct.w_tid, ct.w_kind, ct.w_obj, ct.w_start, ct.w_end, ct.w_wake_seq,
+            ct.w_waker_tid, ct.w_waker_time, ct.w_waker_seq,
+        )
+    ]
+    fields[1] = [WAIT_KIND_CODES[k] for k in fields[1]]
+    return [Wait(*row) for row in zip(*fields)]
+
+
+def waker_table_from_columns(cw: ColumnarWakers, records: np.ndarray) -> WakerTable:
+    """The :func:`resolve_wakers` table that ``cw`` holds as columns."""
+    seq = records["seq"]
+    wakes: dict[int, WakeInfo] = {}
+    for i in np.flatnonzero(cw.waker_seq >= 0):
+        wakes[int(seq[i])] = WakeInfo(
+            int(cw.waker_tid[i]), float(cw.waker_time[i]), int(cw.waker_seq[i])
+        )
+    return WakerTable(wakes=wakes, creations=dict(cw.creations))
+
+
+def path_from_columns(result: AnalysisResult) -> PathObjects:
+    """The :func:`compute_critical_path` objects that ``result`` holds as
+    columns: pieces from the critical-path columns, traversed waits from
+    its ``piece_wait`` rows into ``result.timeline_columns``."""
+    cp = result.critical_path
+    tids, starts = cp.piece_tid.tolist(), cp.piece_start.tolist()
+    pieces = [CPPiece(*row) for row in zip(tids, starts, cp.piece_end.tolist())]
+    waits = _waits_from_columns(result.timeline_columns, cp.piece_wait[cp.piece_wait >= 0])
+    by_wait = iter(waits)
+    junctions: list[Junction] = []
+    # The first piece begins at its thread's start, never after a wait.
+    for k, row in enumerate(cp.piece_wait.tolist()[1:], start=1):
+        if row >= 0:
+            w = next(by_wait)
+            junctions.append(Junction(w.end, w.waker_tid, tids[k], w.kind, w.obj))
+        else:
+            junctions.append(Junction(starts[k], tids[k - 1], tids[k], None, -1))
+    return PathObjects(pieces, junctions, waits)
+
+
 def timelines_from_columns(ct: ColumnarTimelines) -> dict[int, ThreadTimeline]:
     """The :func:`build_timelines` objects that ``ct`` holds as columns,
     ``tl.holds`` key order included, for comparing the two pipelines."""
-    waits = waits_from_columns(ct.wait_columns())
+    waits = _waits_from_columns(ct)
     holds = [
         HoldInterval(*row)
         for row in zip(*(c.tolist() for c in (
@@ -239,12 +481,7 @@ def _build_one(
     events: list[Event],
     wakers: WakerTable,
 ) -> ThreadTimeline:
-    tl = ThreadTimeline(
-        tid=tid,
-        name=trace.thread_name(tid),
-        start=events[0].time,
-        end=events[-1].time,
-    )
+    tl = ThreadTimeline(tid, trace.thread_name(tid), events[0].time, events[-1].time)
     creation = wakers.creations.get(tid)
     if creation is not None:
         tl.creator_tid = creation.waker_tid
@@ -262,15 +499,8 @@ def _build_one(
         if info is None:
             raise AnalysisError(f"seq {ev.seq}: wake event without resolved waker")
         wait = Wait(
-            tid=tid,
-            kind=kind,
-            obj=obj,
-            start=start,
-            end=ev.time,
-            wake_seq=ev.seq,
-            waker_tid=info.waker_tid,
-            waker_time=info.waker_time,
-            waker_seq=info.waker_seq,
+            tid, kind, obj, start, ev.time, ev.seq,
+            info.waker_tid, info.waker_time, info.waker_seq,
         )
         # A wait that never actually delayed the thread must not redirect
         # the backward walk: the thread was the barrier's last arriver
@@ -302,14 +532,7 @@ def _build_one(
                 )
             obtain_time, contended, acquire_time = stack.pop()
             tl.holds.setdefault(ev.obj, []).append(
-                HoldInterval(
-                    tid=tid,
-                    obj=ev.obj,
-                    start=obtain_time,
-                    end=ev.time,
-                    contended=contended,
-                    acquire_time=acquire_time,
-                )
+                HoldInterval(tid, ev.obj, obtain_time, ev.time, contended, acquire_time)
             )
         elif et == EventType.BARRIER_ARRIVE:
             pending_barrier[(ev.obj, ev.arg)] = ev.time
@@ -332,14 +555,7 @@ def _build_one(
     for obj, stack in open_holds.items():
         for obtain_time, contended, acquire_time in stack:
             tl.holds.setdefault(obj, []).append(
-                HoldInterval(
-                    tid=tid,
-                    obj=obj,
-                    start=obtain_time,
-                    end=tl.end,
-                    contended=contended,
-                    acquire_time=acquire_time,
-                )
+                HoldInterval(tid, obj, obtain_time, tl.end, contended, acquire_time)
             )
     for hold_list in tl.holds.values():
         hold_list.sort(key=lambda h: (h.start, h.end))
@@ -350,18 +566,11 @@ def _build_one(
 # -- the backward walk -----------------------------------------------------
 
 
-@dataclass
-class _Cursor:
-    tid: int
-    time: float
-    seq: int
-
-
 def compute_critical_path(
     trace: Trace,
     timelines: dict[int, ThreadTimeline] | None = None,
     wakers: WakerTable | None = None,
-) -> CriticalPath:
+) -> PathObjects:
     """Run the backward walk and return the critical path.
 
     Starting from the last event of the last finished thread, walk
@@ -372,7 +581,7 @@ def compute_critical_path(
     :func:`build_timelines` result.
     """
     if len(trace) == 0:
-        return CriticalPath.from_objects([], [], [], trace_duration=0.0)
+        return PathObjects([], [], [])
     if timelines is None:
         timelines = build_timelines(trace, wakers)
 
@@ -382,7 +591,7 @@ def compute_critical_path(
     }
 
     last = trace[len(trace) - 1]
-    cur = _Cursor(tid=last.tid, time=last.time, seq=last.seq)
+    tid, time, seq = last.tid, last.time, last.seq  # the cursor
     pieces: list[CPPiece] = []
     junctions: list[Junction] = []
     waits: list[Wait] = []
@@ -399,43 +608,74 @@ def compute_critical_path(
                 "backward walk did not terminate: trace has wake events "
                 "recorded before their wakers"
             )
-        tl = timelines[cur.tid]
-        seqs = wake_seqs[cur.tid]
-        idx = bisect_right(seqs, cur.seq) - 1
+        tl = timelines[tid]
+        idx = bisect_right(wake_seqs[tid], seq) - 1
         if idx >= 0:
             w = tl.waits[idx]
-            pieces.append(CPPiece(tid=cur.tid, start=w.end, end=cur.time))
-            junctions.append(
-                Junction(
-                    time=w.end,
-                    from_tid=w.waker_tid,
-                    to_tid=cur.tid,
-                    kind=w.kind,
-                    obj=w.obj,
-                )
-            )
+            pieces.append(CPPiece(tid, w.end, time))
+            junctions.append(Junction(w.end, w.waker_tid, tid, w.kind, w.obj))
             waits.append(w)
-            cur = _Cursor(tid=w.waker_tid, time=w.waker_time, seq=w.waker_seq)
+            tid, time, seq = w.waker_tid, w.waker_time, w.waker_seq
         else:
-            pieces.append(CPPiece(tid=cur.tid, start=tl.start, end=cur.time))
-            if tl.creator_tid is not None:
-                junctions.append(
-                    Junction(
-                        time=tl.start,
-                        from_tid=tl.creator_tid,
-                        to_tid=cur.tid,
-                        kind=None,
-                        obj=-1,
-                    )
-                )
-                cur = _Cursor(tl.creator_tid, tl.create_time, tl.create_seq)
-            else:
+            pieces.append(CPPiece(tid, tl.start, time))
+            if tl.creator_tid is None:
                 break
+            junctions.append(Junction(tl.start, tl.creator_tid, tid, None, -1))
+            tid, time, seq = tl.creator_tid, tl.create_time, tl.create_seq
 
-    pieces.reverse()
-    junctions.reverse()
-    waits.reverse()
-    return CriticalPath.from_objects(pieces, junctions, waits, trace.duration)
+    return PathObjects(pieces[::-1], junctions[::-1], waits[::-1])
+
+
+# -- the event DAG's longest path --------------------------------------------
+
+
+def critical_events(
+    graph: EventGraph,
+    weights: np.ndarray | None = None,
+    dist: np.ndarray | None = None,
+) -> list[int]:
+    """Record positions of one longest path through ``graph``, in forward
+    order.
+
+    ``dist`` lets callers that already ran ``graph.longest_dist`` — or
+    an equivalent recomputation, e.g. in rescaled time units — reuse it
+    instead of paying the O(E) sweep again.  A supplied ``dist`` only
+    has to be consistent with the weights up to float tolerance; see
+    the backtracking comparison below.
+    """
+    w = (graph.edge_w if weights is None else weights).tolist()
+    if dist is None:
+        dist = graph.longest_dist(weights)
+    exits = np.flatnonzero(graph.trace.records["etype"] == _THREAD_EXIT)
+    if len(exits) == 0:  # truncated trace: end at the farthest event
+        exits = np.flatnonzero(np.isfinite(dist))
+        if len(exits) == 0:
+            return []
+    pos = int(exits[np.argmax(dist[exits])])
+    # Incoming edges of event p are edges first_in[p]:first_in[p + 1].
+    first_in = np.searchsorted(graph.edge_dst, np.arange(graph.n_events + 1)).tolist()
+    src = graph.edge_src.tolist()
+    dist = dist.tolist()
+    path = [pos]
+    while True:
+        best_src = None
+        for e in range(first_in[pos], first_in[pos + 1]):
+            s = src[e]
+            # Tolerant comparison: an independently-derived distance
+            # array (a caller-supplied ``dist``, e.g. recomputed in
+            # rescaled time units) accumulates float error along long
+            # edge chains, leaving the true predecessor a few ulps
+            # off dist[pos]; exact equality would truncate the walk.
+            if math.isclose(
+                dist[s] + w[e], dist[pos], rel_tol=1e-9, abs_tol=1e-12
+            ) and (best_src is None or dist[s] > dist[best_src]):
+                best_src = s
+        if best_src is None:
+            break
+        pos = best_src
+        path.append(pos)
+    path.reverse()
+    return path
 
 
 # -- metrics ---------------------------------------------------------------
@@ -478,13 +718,13 @@ def _hold_cp_overlap(
 def compute_metrics(
     trace: Trace,
     timelines: dict[int, ThreadTimeline],
-    cp: CriticalPath,
+    path: PathObjects,
 ) -> dict[int, LockMetrics]:
     """Compute :class:`LockMetrics` for every lock-like object in the trace."""
     nthreads = max(1, len(timelines))
-    cp_length = cp.length
+    cp_length = path.length
     pieces_by_thread: dict[int, list[CPPiece]] = defaultdict(list)
-    for p in sorted(cp.pieces, key=lambda p: (p.start, p.end)):
+    for p in sorted(path.pieces, key=lambda p: (p.start, p.end)):
         pieces_by_thread[p.tid].append(p)
 
     out: dict[int, LockMetrics] = {}
@@ -529,7 +769,9 @@ def compute_metrics(
             contended_on_cp=cont_on_cp,
             invocation_increase=(inv_on_cp / avg_inv) if avg_inv > 0 else 0.0,
             size_increase=(cp_frac / avg_hold_frac) if avg_hold_frac > 0 else 0.0,
-            cp_crossings=cp.junction_count(obj, WaitKind.LOCK),
+            cp_crossings=sum(
+                1 for j in path.junctions if j.obj == obj and j.kind == WaitKind.LOCK
+            ),
             total_invocations=total_inv,
             contended_invocations=cont_inv,
             avg_invocations=avg_inv,
@@ -542,11 +784,11 @@ def compute_metrics(
 
 
 def compute_thread_stats(
-    timelines: dict[int, ThreadTimeline], cp: CriticalPath
+    timelines: dict[int, ThreadTimeline], path: PathObjects
 ) -> list[ThreadStats]:
     """Per-thread breakdown: execution vs each kind of blocking, CP share."""
     cp_by_tid: dict[int, float] = {}
-    for p in cp.pieces:
+    for p in path.pieces:
         cp_by_tid[p.tid] = cp_by_tid.get(p.tid, 0.0) + p.duration
     stats = []
     for tid, tl in sorted(timelines.items()):

@@ -42,15 +42,7 @@ if TYPE_CHECKING:
     from repro.core.lockorder import LockOrderGraph, build_lock_order
     from repro.core.online import OnlineAnalyzer
     from repro.core.planner import OptimizationPlan, plan_optimizations
-    from repro.core.model import (
-        CPPiece,
-        CriticalPath,
-        HoldInterval,
-        LockMetrics,
-        ThreadTimeline,
-        Wait,
-        WaitKind,
-    )
+    from repro.core.model import CriticalPath, LockMetrics, WaitKind
     from repro.core.phases import PhaseReport, split_phases
     from repro.core.replay_whatif import (
         LockDelta,
@@ -76,10 +68,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.lockorder": ("LockOrderGraph", "build_lock_order"),
     "repro.core.online": ("OnlineAnalyzer",),
     "repro.core.planner": ("OptimizationPlan", "plan_optimizations"),
-    "repro.core.model": (
-        "CPPiece", "CriticalPath", "HoldInterval", "LockMetrics",
-        "ThreadTimeline", "Wait", "WaitKind",
-    ),
+    "repro.core.model": ("CriticalPath", "LockMetrics", "WaitKind"),
     "repro.core.phases": ("PhaseReport", "split_phases"),
     "repro.core.replay_whatif": (
         "LockDelta", "ProtocolForecast", "replay_identity", "replay_whatif",

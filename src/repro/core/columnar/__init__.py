@@ -10,9 +10,8 @@ hands us as a structured array.  This package keeps the columns:
 * :mod:`repro.core.columnar.timelines` builds blocked intervals and
   lock-hold intervals as flat arrays (one slot-matching pass per wait
   kind, one LIFO paren-matching pass for holds); every analysis view
-  reads these columns, and no production layer turns them back into
-  :class:`~repro.core.model.Wait` / :class:`~repro.core.model.HoldInterval`
-  objects;
+  reads these columns, and only the test reference turns them back into
+  per-event objects;
 * :mod:`repro.core.columnar.walk` precomputes every jump of the paper's
   backward walk with one ``searchsorted``, follows them as plain ints
   and returns the path as columns;

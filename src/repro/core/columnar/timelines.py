@@ -110,13 +110,6 @@ class ColumnarTimelines:
     #: total event count of the underlying trace (walk-guard sizing)
     n_events: int = 0
 
-    def wait_columns(self) -> tuple[np.ndarray, ...]:
-        """The wait columns in :class:`~repro.core.model.Wait` field order."""
-        return (
-            self.w_tid, self.w_kind, self.w_obj, self.w_start, self.w_end, self.w_wake_seq,
-            self.w_waker_tid, self.w_waker_time, self.w_waker_seq,
-        )
-
     def exec_times(self) -> np.ndarray:
         """Per thread: lifetime minus blocked time, each thread's waits
         added in order."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.trace.ops import dense_keys, group_bounds, latest_prior, sort_order
-from repro.core.model import WakeInfo, WakerTable
+from repro.core.model import WakeInfo
 from repro.errors import WakerResolutionError
 from repro.trace.events import EventType
 from repro.trace.trace import Trace
@@ -60,18 +60,6 @@ class ColumnarWakers:
     waker_time: np.ndarray  # float64
     waker_seq: np.ndarray  # int64, -1 where not a wake event
     creations: dict[int, WakeInfo] = field(default_factory=dict)
-
-    def to_table(self, records: np.ndarray) -> WakerTable:
-        """Materialize the object engine's :class:`WakerTable` view."""
-        seq = records["seq"]
-        wakes: dict[int, WakeInfo] = {}
-        for i in np.flatnonzero(self.waker_seq >= 0):
-            wakes[int(seq[i])] = WakeInfo(
-                int(self.waker_tid[i]),
-                float(self.waker_time[i]),
-                int(self.waker_seq[i]),
-            )
-        return WakerTable(wakes=wakes, creations=dict(self.creations))
 
 
 def _raise_first(trace: Trace, failures: list[tuple[np.ndarray, str]]) -> None:

@@ -10,9 +10,7 @@ gives, for each wait, the wait the walk lands on after jumping to its
 waker, and for each thread the wait it lands on after jumping to its
 creator.  The walk itself then follows plain Python ints and records
 one integer per piece; the :class:`~repro.core.model.CriticalPath`
-columns (the traversed waits' fields included) are assembled from
-those with a few gathers, and no ``CPPiece`` / ``Junction`` / ``Wait``
-object is built unless a caller asks for one.
+columns are assembled from those with a few gathers.
 """
 
 from __future__ import annotations
@@ -31,7 +29,8 @@ __all__ = ["compute_critical_path_columnar"]
 def compute_critical_path_columnar(trace: Trace, ct: ColumnarTimelines) -> CriticalPath:
     """Columnar twin of :func:`repro.check.reference.compute_critical_path`."""
     if len(trace) == 0:
-        return CriticalPath.from_objects([], [], [], trace_duration=0.0)
+        none_i, none_f = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+        return CriticalPath(none_i, none_f, none_f, none_i, trace_duration=0.0)
     # Every cursor the walk can stand on: at each wait's waker, at each
     # thread's creator, and at the last event.  Its landing wait is the
     # last wait of that thread woken at or before it; waits are sorted
@@ -97,6 +96,5 @@ def compute_critical_path_columnar(trace: Trace, ct: ColumnarTimelines) -> Criti
         piece_start=gather(ct.w_end, ct.t_start),
         piece_end=piece_end,
         piece_wait=np.where(on_wait, step, -1),
-        wait_fields=tuple(col[rows] for col in ct.wait_columns()),
         trace_duration=trace.duration,
     )

@@ -126,53 +126,6 @@ class EventGraph:
             return float(np.max(finite)) if len(finite) else 0.0
         return float(np.max(dist[exits]))
 
-    def critical_events(
-        self,
-        weights: np.ndarray | None = None,
-        dist: np.ndarray | None = None,
-    ) -> list[int]:
-        """Record positions of one longest path, in forward order.
-
-        ``dist`` lets callers that already ran :meth:`longest_dist` — or
-        an equivalent recomputation, e.g. in rescaled time units — reuse
-        it instead of paying the O(E) sweep again.  A supplied ``dist``
-        only has to be consistent with the weights up to float
-        tolerance; see the backtracking comparison below.
-        """
-        w = (self.edge_w if weights is None else weights).tolist()
-        if dist is None:
-            dist = self.longest_dist(weights)
-        exits = np.flatnonzero(self.trace.records["etype"] == _THREAD_EXIT)
-        if len(exits) == 0:  # truncated trace: end at the farthest event
-            exits = np.flatnonzero(np.isfinite(dist))
-            if len(exits) == 0:
-                return []
-        pos = int(exits[np.argmax(dist[exits])])
-        # Incoming edges of event p are edges first_in[p]:first_in[p + 1].
-        first_in = np.searchsorted(self.edge_dst, np.arange(self.n_events + 1)).tolist()
-        src = self._edge_lists[0]
-        dist = dist.tolist()
-        path = [pos]
-        while True:
-            best_src = None
-            for e in range(first_in[pos], first_in[pos + 1]):
-                s = src[e]
-                # Tolerant comparison: an independently-derived distance
-                # array (a caller-supplied ``dist``, e.g. recomputed in
-                # rescaled time units) accumulates float error along long
-                # edge chains, leaving the true predecessor a few ulps
-                # off dist[pos]; exact equality would truncate the walk.
-                if math.isclose(
-                    dist[s] + w[e], dist[pos], rel_tol=1e-9, abs_tol=1e-12
-                ) and (best_src is None or dist[s] > dist[best_src]):
-                    best_src = s
-            if best_src is None:
-                break
-            pos = best_src
-            path.append(pos)
-        path.reverse()
-        return path
-
     def span_hold_overlap(self, obj: int) -> np.ndarray:
         """Per execution span, its overlap with lock ``obj``'s holds by the
         same thread (cached per lock).
@@ -213,18 +166,6 @@ class EventGraph:
         weights = self.edge_w.copy()
         weights[self.span_edge[hit]] -= (1.0 - factor) * overlap[hit]
         return weights
-
-    def to_networkx(self):  # pragma: no cover - convenience for users
-        """Export as a ``networkx.DiGraph`` (nodes are record positions)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.n_events))
-        for e in range(len(self.edge_src)):
-            g.add_edge(
-                int(self.edge_src[e]), int(self.edge_dst[e]), weight=float(self.edge_w[e])
-            )
-        return g
 
 
 def _root_start_positions(trace: Trace) -> np.ndarray:

@@ -114,6 +114,7 @@ class ReplayProgram:
         if factor < 0:
             raise AnalysisError(f"factor must be >= 0, got {factor}")
         _check_spawns(self.scripts)
+        _check_objects(self.trace, self.scripts)
         recorded_cores = self.trace.meta.get("cores")
         if cores is not None and recorded_cores is not None:
             raise AnalysisError(
@@ -224,7 +225,13 @@ class ReplayProgram:
                     )
                     handles[child_tid] = handle
                 elif verb == _JOIN:
-                    yield env.join(handles[op[1]])
+                    handle = handles.get(op[1])
+                    if handle is None:
+                        raise AnalysisError(
+                            f"thread {script.tid} joins thread {op[1]} before "
+                            "its creator has spawned it in the replay"
+                        )
+                    yield env.join(handle)
 
         for tid, script in sorted(self.scripts.items()):
             if script.root:
@@ -368,6 +375,39 @@ def _check_spawns(scripts: dict[int, _ThreadScript]) -> None:
     for tid, target in joins:
         if target not in creator:
             raise AnalysisError(f"thread {tid} joins thread {target}, which no thread creates")
+
+
+_LOCK = ("lock", (ObjectKind.MUTEX, ObjectKind.SEMAPHORE, ObjectKind.RWLOCK))
+_CONDITION = ("condition", (ObjectKind.CONDITION,))
+
+#: Op verb -> (position in the op, what the object must be, the kinds
+#: that qualify) for each object the op names.
+_OP_OBJECTS = {
+    _ACQUIRE: [(1, *_LOCK)],
+    _RELEASE: [(1, *_LOCK)],
+    _BARRIER: [(1, "barrier", (ObjectKind.BARRIER,))],
+    _COND_WAIT: [(1, *_CONDITION), (2, "mutex", (ObjectKind.MUTEX,))],
+    _COND_SIGNAL: [(1, *_CONDITION)],
+    _COND_BROADCAST: [(1, *_CONDITION)],
+}
+
+
+def _check_objects(trace: Trace, scripts: dict[int, _ThreadScript]) -> None:
+    """Refuse ops the replay cannot run: each object an op names must be
+    in the trace's object table, with a kind the op works on."""
+    for tid, script in sorted(scripts.items()):
+        for op in script.ops:
+            for i, what, kinds in _OP_OBJECTS.get(op[0], ()):
+                info = trace.objects.get(op[i])
+                if info is None or info.kind not in kinds:
+                    found = (
+                        "the trace declares no such object" if info is None
+                        else f"it is a {info.kind.name.lower()}"
+                    )
+                    raise AnalysisError(
+                        f"thread {tid}: {op[0]} on {trace.object_name(op[i])} "
+                        f"needs a {what}, but {found}"
+                    )
 
 
 def _barrier_cohorts(trace: Trace) -> dict[int, list[int]]:

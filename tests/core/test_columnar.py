@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.check.reference import reference_analyze, reference_online
+from repro.check.reference import path_from_columns, reference_analyze, reference_online
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
 from repro.trace import Trace
@@ -93,7 +93,7 @@ def test_default_analyze_constructs_no_per_event_objects(monkeypatch, tmp_path):
     from repro.core.eyerman import fit_model
     from repro.core.forecast import forecast
     from repro.core.lockorder import build_lock_order
-    from repro.core.model import CPPiece, HoldInterval, Junction, ThreadTimeline, Wait
+    from repro.check.reference import CPPiece, HoldInterval, Junction, ThreadTimeline, Wait
     from repro.core.phases import split_phases
     from repro.core.windows import windowed_criticality
     from repro.export import to_chrome_trace
@@ -130,7 +130,7 @@ def test_default_analyze_constructs_no_per_event_objects(monkeypatch, tmp_path):
     assert estimate_report(downsample_trace(trace, 0.1)).locks
     assert compute_trace_stats(trace).nevents == len(trace)
     with pytest.raises(AssertionError, match="per-event object"):
-        result.critical_path.pieces  # the patches are live
+        path_from_columns(result)  # the patches are live
     with pytest.raises(AssertionError, match="per-event object"):
         next(iter(trace))  # the read view still builds them
 
@@ -221,7 +221,7 @@ def test_equal_timestamp_traces_agree_across_engines(seed):
 
     a, b = results.values()
     assert a.render(None) == b.render(None)
-    assert a.critical_path.pieces == b.critical_path.pieces
+    assert path_from_columns(a).pieces == b.path.pieces
     ct = a.timeline_columns
     assert np.all(ct.w_end > ct.w_start), (
         "zero-duration wait survived in the columnar pipeline"
@@ -258,10 +258,10 @@ def test_barrier_workloads_match_reference(name, params, build):
     col = analyze(trace, validate=False)
     assert col.critical_path.length == ref.critical_path.length
     assert col.critical_path.piece_count == ref.critical_path.piece_count
-    # The columnar path's object views are built here, on first access.
-    assert col.critical_path.pieces == ref.critical_path.pieces
-    assert col.critical_path.junctions == ref.critical_path.junctions
-    assert col.critical_path.waits == ref.critical_path.waits
+    path = path_from_columns(col)
+    assert path.pieces == ref.path.pieces
+    assert path.junctions == ref.path.junctions
+    assert path.waits == ref.path.waits
     assert col.report.render(None) == ref.report.render(None)
     assert col.report.to_dict() == ref.report.to_dict()
 

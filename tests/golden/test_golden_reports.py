@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.check.reference import reference_analyze
+from repro.check.reference import critical_events, reference_analyze
 from repro.cli import main
 from repro.core.analyzer import analyze
 from repro.trace.writer import write_trace
@@ -99,7 +99,7 @@ def render_whatif_case(case: str) -> str:
             f"{r.baseline_time!r} -> {r.predicted_time!r}"
         )
     lines.append(plan_optimizations(analysis, steps=3).render())
-    lines.append(f"critical events: {len(graph.critical_events())}")
+    lines.append(f"critical events: {len(critical_events(graph))}")
     top = analysis.report.top_locks(1)[0]
     replayed = reconstruct(trace).run(shrink_lock=top.obj, factor=0.5)
     lines.append(f"replay shrink {top.name} x0.5: {replayed.trace.duration!r}")

@@ -241,3 +241,26 @@ def test_wait_on_failed_terminal_submit_sends_nothing(tmp_path):
             srv.shutdown()
             srv.server_close()
             thread.join(timeout=5)
+
+
+def test_stream_trace_digest_matches_a_whole_file_upload(client, micro, digest):
+    assert len(micro) > 3 * 5
+    streamed = client.stream_trace(micro, chunk_events=5, name="micro-streamed")
+    assert streamed["trace"]["digest"] == digest
+
+
+def test_resume_stream_returns_the_chunks_sent(client, micro, digest):
+    from repro.trace.framing import split_records
+    from repro.trace.writer import header_dict
+
+    blocks = list(split_records(micro.records, 5))
+    sid = client.open_stream(name="micro-resumed")
+    assert client.resume_stream(sid) == 0
+    for chunk_id, block in enumerate(blocks[:3]):
+        client.send_chunk(sid, chunk_id, block)
+    resume_at = client.resume_stream(sid)
+    assert resume_at == 3
+    for chunk_id in range(resume_at, len(blocks)):
+        client.send_chunk(sid, chunk_id, blocks[chunk_id])
+    done = client.finalize_stream(sid, header=header_dict(micro))
+    assert done["trace"]["digest"] == digest

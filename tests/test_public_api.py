@@ -101,6 +101,30 @@ def test_retired_priority_boosting_is_gone():
     assert not hasattr(protocols.base, "waiter_threads")
 
 
+def test_reference_object_model_is_gone_from_core():
+    # One critical-path representation: production keeps columns, and the
+    # per-event objects live with the reference in repro.check.
+    import repro.core
+    import repro.core.model as model
+    from repro.core.columnar.timelines import ColumnarTimelines
+    from repro.core.columnar.wakers import ColumnarWakers
+    from repro.core.dag import EventGraph
+    from repro.core.model import CriticalPath
+
+    moved = {"CPPiece", "HoldInterval", "Junction", "ThreadTimeline", "Wait",
+             "WakerTable", "waits_from_columns"}
+    assert not moved & set(repro.core.__all__)
+    assert not moved & set(model.__all__)
+    assert not [name for name in moved if hasattr(model, name)]
+    for attr in ("wait_fields", "from_objects", "pieces", "junctions", "waits",
+                 "junction_count"):
+        assert not hasattr(CriticalPath, attr), attr
+    for attr in ("critical_events", "to_networkx"):
+        assert not hasattr(EventGraph, attr), attr
+    assert not hasattr(ColumnarWakers, "to_table")
+    assert not hasattr(ColumnarTimelines, "wait_columns")
+
+
 def test_export_wins_over_same_named_submodule():
     # ``repro.core.forecast`` is both a submodule and an exported function;
     # importing the submodule first must not shadow the function.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ReproError
 from repro.replay import reconstruct
 from repro.sim import Program
 from repro.trace.builder import TraceBuilder
@@ -40,16 +40,64 @@ def test_cond_block_without_release_rejected():
         reconstruct(trace)
 
 
-def test_join_of_a_thread_no_one_creates_is_a_typed_error():
-    # The corruption points t2's THREAD_CREATE at tid 1 instead of 5; the
-    # trace still validates clean, but tid 5 then has no spawn handle.
+def _corrupted(spec_seed, corruption):
     from repro.check import corrupt_trace, generate_spec, run_spec
     from repro.trace.validate import trace_problems
 
-    trace = corrupt_trace(run_spec(generate_spec(6)).trace, 51)
+    trace = corrupt_trace(run_spec(generate_spec(spec_seed)).trace, corruption)
     assert trace_problems(trace) == []
+    return trace
+
+
+def test_join_of_a_thread_no_one_creates_is_a_typed_error():
+    # The corruption points t2's THREAD_CREATE at tid 1 instead of 5; the
+    # trace still validates clean, but tid 5 then has no spawn handle.
+    trace = _corrupted(6, 51)
     with pytest.raises(AnalysisError, match="joins thread 5, which no thread creates"):
         reconstruct(trace).run()
+
+
+def test_cond_signal_on_a_barrier_is_a_typed_error():
+    # The corruption moves a COND_SIGNAL onto a barrier object.
+    trace = _corrupted(18, 1)
+    with pytest.raises(
+        AnalysisError,
+        match="thread 2: cond_signal on .* needs a condition, but it is a barrier",
+    ):
+        reconstruct(trace).run()
+
+
+def test_cond_signal_on_an_unknown_object_is_a_typed_error():
+    trace = _corrupted(7, 7)
+    with pytest.raises(
+        AnalysisError,
+        match="thread 3: cond_signal on obj#-1 needs a condition, but the trace declares",
+    ):
+        reconstruct(trace).run()
+
+
+def test_join_before_the_spawn_is_a_typed_error():
+    # T3 joins T5, which T0 creates; the replay reaches the join first.
+    trace = _corrupted(78, 6)
+    with pytest.raises(ReproError, match="thread 3 joins thread 5 before"):
+        reconstruct(trace).run()
+
+
+def test_cond_wait_needs_a_mutex():
+    b = TraceBuilder()
+    cv, sem = b.condition("cv"), b.semaphore("S")
+    t0, t1 = b.thread(), b.thread()
+    t0.start(at=0.0)
+    t1.start(at=0.0)
+    t0.acquire(sem, at=0.5)
+    t0.cond_block(cv, at=1.0)
+    t0.release(sem, at=1.0)  # the RELEASE that names cond_wait's "mutex"
+    t0.cond_wake(cv, at=2.0, by=t1)
+    t0.exit(at=3.0)
+    t1.exit(at=3.0)
+    trace = b.build(validate=False)
+    with pytest.raises(AnalysisError, match="cond_wait on S needs a mutex"):
+        reconstruct(trace).build()
 
 
 def test_thread_created_twice_is_a_typed_error():
