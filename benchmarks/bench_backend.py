@@ -1,4 +1,4 @@
-"""Storage-backend throughput and restart-durability benchmark.
+"""Storage throughput and restart-durability benchmark.
 
 Standalone script (not a pytest bench — CI runs it directly)::
 
@@ -7,35 +7,28 @@ Standalone script (not a pytest bench — CI runs it directly)::
 
 Three claims, measured and asserted:
 
-1. **Object-backend throughput** — raw put/get of trace-sized blobs
-   through the object backend (directory-bucket client, the on-prem
-   stand-in for S3) sustains at least ``--min-put-mbps`` and
-   ``--min-get-mbps``.  The local-disk backend is measured alongside
-   for comparison (reported, not asserted — it is the zero-copy path).
-2. **Store durability** — a trace put through a :class:`TraceStore`
-   over the object backend survives a simulated restart (new store,
-   same bucket, scratch directory wiped) and resolves to a file whose
-   content digest matches the original.
+1. **Directory throughput** — raw put/get of trace-sized blobs through
+   the one storage class (:class:`LocalDiskBackend`, every put fsynced
+   and renamed into place) sustains at least ``--min-put-mbps`` and
+   ``--min-get-mbps``.
+2. **Store durability** — traces put through a :class:`TraceStore` on a
+   shared directory are all listed by a second store opened on the same
+   directory (a restart, or a ring peer), and resolve to files whose
+   content digests match the originals.
 3. **Rescan cost** — rebuilding the index over N stored traces at
-   startup is reported (events the fleet operator watches when sizing
-   a bucket), with a generous ceiling asserted.
+   startup is reported, with a generous ceiling asserted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from repro.service.backend import (
-    DirectoryObjectClient,
-    LocalDiskBackend,
-    ObjectBackend,
-)
+from repro.service.backend import LocalDiskBackend
 from repro.service.store import TraceStore
 from repro.trace.digest import trace_digest
 from repro.trace.reader import read_trace
@@ -69,10 +62,9 @@ def measure_backend(backend, blobs: list[bytes]) -> dict:
 
 
 def store_durability(tmp: Path, quick: bool) -> dict:
-    """Put traces through an object-backed store, 'crash', rescan, resolve."""
+    """Put traces through a shared-directory store, reopen, resolve."""
     n_traces = 2 if quick else 8
-    bucket = tmp / "bucket"
-    scratch = tmp / "scratch"
+    shared = tmp / "shared" / "traces"
     traces = [
         SyntheticLocks(nlocks=4, ops_per_thread=100 if quick else 600).run(
             nthreads=4, seed=seed
@@ -80,22 +72,14 @@ def store_durability(tmp: Path, quick: bool) -> dict:
         for seed in range(n_traces)
     ]
 
-    def fresh_store() -> TraceStore:
-        return TraceStore(scratch, backend=ObjectBackend(DirectoryObjectClient(bucket)))
-
-    store = fresh_store()
+    store = TraceStore(shared, shared=True)
     t0 = time.perf_counter()
     digests = [store.put_trace(t, name=f"t{i}").digest for i, t in enumerate(traces)]
     put_s = time.perf_counter() - t0
-
-    # The "crash": drop the store AND its scratch materializations.  Only
-    # the bucket survives — as when a node is replaced under a real
-    # object store.
-    del store
-    shutil.rmtree(scratch)
+    del store  # the "restart": only the directory survives
 
     t0 = time.perf_counter()
-    reopened = fresh_store()
+    reopened = TraceStore(shared, shared=True)
     rescan_s = time.perf_counter() - t0
     assert len(reopened) == n_traces, f"rescan found {len(reopened)}/{n_traces}"
     paths = reopened.resolve(digests)
@@ -115,11 +99,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="small blobs, machinery check only (CI smoke job)")
     ap.add_argument("--min-put-mbps", type=float, default=20.0,
-                    help="object-backend put throughput floor (default: 20)")
+                    help="directory put throughput floor (default: 20)")
     ap.add_argument("--min-get-mbps", type=float, default=40.0,
-                    help="object-backend get throughput floor (default: 40)")
+                    help="directory get throughput floor (default: 40)")
     ap.add_argument("--max-rescan-s", type=float, default=5.0,
-                    help="startup rescan ceiling over the bucket (default: 5)")
+                    help="startup rescan ceiling over the store (default: 5)")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="also write the numbers as JSON (perf trajectory)")
     args = ap.parse_args(argv)
@@ -127,18 +111,14 @@ def main(argv: list[str] | None = None) -> int:
     blobs = build_blobs(args.quick)
     with tempfile.TemporaryDirectory(prefix="bench_backend_") as tmp:
         tmp_path = Path(tmp)
-        obj = measure_backend(
-            ObjectBackend(DirectoryObjectClient(tmp_path / "obj-bucket")), blobs
-        )
-        local = measure_backend(LocalDiskBackend(tmp_path / "local"), blobs)
+        disk = measure_backend(LocalDiskBackend(tmp_path / "blobs"), blobs)
         durability = store_durability(tmp_path, args.quick)
 
     print(f"blobs: {len(blobs)} x {len(blobs[0]) >> 10} KiB "
-          f"({obj['total_mb']:.1f} MB total)")
-    for name, r in (("object", obj), ("local", local)):
-        print(f"  {name:6s} put {r['put_mbps']:8.1f} MB/s   "
-              f"get {r['get_mbps']:8.1f} MB/s")
-    print(f"store: {durability['n_traces']} traces through the object backend, "
+          f"({disk['total_mb']:.1f} MB total)")
+    print(f"  directory put {disk['put_mbps']:8.1f} MB/s   "
+          f"get {disk['get_mbps']:8.1f} MB/s")
+    print(f"store: {durability['n_traces']} traces through a shared directory, "
           f"restart rescan {durability['rescan_s'] * 1e3:.1f} ms, "
           f"digests identical: {durability['restart_digest_identical']}")
 
@@ -149,11 +129,11 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(f"rescan took {durability['rescan_s']:.2f}s "
                         f"(> {args.max_rescan_s:g}s)")
     if not args.quick:
-        if obj["put_mbps"] < args.min_put_mbps:
-            failures.append(f"object put {obj['put_mbps']:.1f} MB/s "
+        if disk["put_mbps"] < args.min_put_mbps:
+            failures.append(f"directory put {disk['put_mbps']:.1f} MB/s "
                             f"(< {args.min_put_mbps:g})")
-        if obj["get_mbps"] < args.min_get_mbps:
-            failures.append(f"object get {obj['get_mbps']:.1f} MB/s "
+        if disk["get_mbps"] < args.min_get_mbps:
+            failures.append(f"directory get {disk['get_mbps']:.1f} MB/s "
                             f"(< {args.min_get_mbps:g})")
 
     if args.json:
@@ -163,9 +143,8 @@ def main(argv: list[str] | None = None) -> int:
                     "bench": "backend",
                     "quick": args.quick,
                     "blob_count": len(blobs),
-                    "total_mb": obj["total_mb"],
-                    "object": obj,
-                    "local": local,
+                    "total_mb": disk["total_mb"],
+                    "directory": disk,
                     **durability,
                 },
                 f,
@@ -178,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print("ok: object backend meets throughput floors; restart is lossless")
+    print("ok: directory meets throughput floors; restart is lossless")
     return 0
 
 

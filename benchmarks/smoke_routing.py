@@ -1,15 +1,15 @@
-"""Two-instance routing smoke test: real HTTP, one shared bucket.
+"""Two-instance routing smoke test: real HTTP, one shared directory.
 
 Standalone script (CI runs it directly)::
 
     PYTHONPATH=src python benchmarks/smoke_routing.py
 
 Boots TWO ``python -m repro serve`` subprocesses on ephemeral ports,
-both on the object backend over one shared directory bucket, each
+both keeping traces and results in one ``--shared-dir``, each
 configured with the other as a ring peer.  Then, end to end:
 
 * ``GET /ring`` on both nodes reports the same two-node ring;
-* a trace uploaded to node A resolves on node B (shared namespace);
+* a trace uploaded to node A resolves on node B (shared directory);
 * jobs submitted through a :class:`ServiceClient` pointed at EITHER
   node land on the ring owner — the client follows the 307 redirect —
   and both entry points return the same report;
@@ -54,15 +54,14 @@ def wait_healthy(base: str, deadline_s: float = 30.0) -> None:
     raise RuntimeError(f"service at {base} never became healthy")
 
 
-def spawn(port: int, peer_port: int, data_dir: Path, bucket: Path) -> subprocess.Popen:
+def spawn(port: int, peer_port: int, data_dir: Path, shared: Path) -> subprocess.Popen:
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--port", str(port),
             "--data-dir", str(data_dir),
             "--workers", "1",
-            "--backend", "object",
-            "--object-root", str(bucket),
+            "--shared-dir", str(shared),
             "--self-url", f"http://127.0.0.1:{port}",
             "--peers", f"http://127.0.0.1:{peer_port}",
         ],
@@ -76,7 +75,7 @@ def spawn(port: int, peer_port: int, data_dir: Path, bucket: Path) -> subprocess
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="smoke_routing_") as tmp:
         tmp_path = Path(tmp)
-        bucket = tmp_path / "bucket"
+        shared = tmp_path / "shared"
         trace = SyntheticLocks(nlocks=4, ops_per_thread=200).run(
             nthreads=4, seed=7
         ).trace
@@ -85,8 +84,8 @@ def main() -> int:
         ports = [free_port(), free_port()]
         urls = [f"http://127.0.0.1:{p}" for p in ports]
         procs = [
-            spawn(ports[0], ports[1], tmp_path / "node-a", bucket),
-            spawn(ports[1], ports[0], tmp_path / "node-b", bucket),
+            spawn(ports[0], ports[1], tmp_path / "node-a", shared),
+            spawn(ports[1], ports[0], tmp_path / "node-b", shared),
         ]
         try:
             for url in urls:
@@ -126,7 +125,7 @@ def main() -> int:
                     proc.kill()
                     proc.wait()
 
-    print("ok: two instances share one namespace; the client follows the ring")
+    print("ok: two instances share one directory; the client follows the ring")
     return 0
 
 

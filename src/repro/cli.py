@@ -261,15 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="TOML alert-rule spec served at /fleet/alerts and the dashboard",
     )
     srv_p.add_argument(
-        "--backend", default="local", choices=["local", "object", "memory"],
-        help="storage backend: private local disk (default), an S3-style "
-        "object bucket (see --object-root), or in-memory (demos)",
-    )
-    srv_p.add_argument(
-        "--object-root", metavar="DIR",
-        help="bucket directory for --backend object; point every instance "
-        "of a fleet at the same path to share one namespace "
-        "(default: <data-dir>/objects)",
+        "--shared-dir", metavar="DIR",
+        help="keep traces and cached results in DIR/traces and DIR/cache "
+        "instead of the data dir; point every node of a ring at the same "
+        "path to share them",
     )
     srv_p.add_argument(
         "--peers", metavar="URLS",
@@ -682,8 +677,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_capacity=args.cache_size,
         rules_path=args.rules,
-        backend=args.backend,
-        object_root=args.object_root,
+        shared_dir=args.shared_dir,
         self_url=args.self_url,
         peers=tuple(
             p.strip() for p in (args.peers or "").split(",") if p.strip()

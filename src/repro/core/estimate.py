@@ -100,10 +100,6 @@ class LockEstimate:
             return 0.0
         return self.contended_units / self.units
 
-    @property
-    def ci_width(self) -> float:
-        return self.ci_high - self.ci_low
-
 
 @dataclass
 class EstimatedReport:

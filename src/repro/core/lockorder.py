@@ -61,9 +61,6 @@ class LockOrderGraph:
             key=lambda t: -t[2],
         )
 
-    def successors(self, obj: int) -> set[int]:
-        return {inner for (outer, inner) in self.edges if outer == obj}
-
     def cycles(self) -> list[list[str]]:
         """Strongly-connected components with >1 lock (or a self-loop).
 

@@ -64,10 +64,6 @@ class LockDelta:
     def cp_delta(self) -> float:
         return self.new_cp_fraction - self.base_cp_fraction
 
-    @property
-    def wait_delta(self) -> float:
-        return self.new_wait_fraction - self.base_wait_fraction
-
 
 @dataclass(frozen=True)
 class ProtocolForecast:

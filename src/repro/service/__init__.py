@@ -17,9 +17,9 @@ Layering::
       api.py    routing + request/response schemas      <- also usable in-process
     jobs.py     job model, JobStore, execute() facade   <- pure, picklable
     pool.py     multiprocessing worker pool + supervisor
-    cache.py    LRU result cache with pluggable spill tier
+    cache.py    LRU result cache with a spill directory
     store.py    content-addressed trace storage
-    backend.py  durable storage backends (local disk, S3-style objects)
+    backend.py  the cache's spill directory (private or shared)
     ring.py     consistent-hash job routing across a fleet of instances
     stream.py   chunked-append streaming ingestion sessions (checkpointed)
     metrics.py  counters + latency histograms (self-observation)
@@ -32,15 +32,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.service.api import ServiceAPI
-    from repro.service.backend import (
-        BackendMissing,
-        DirectoryObjectClient,
-        LocalDiskBackend,
-        MemoryObjectClient,
-        ObjectBackend,
-        StorageBackend,
-        make_backend,
-    )
+    from repro.service.backend import BackendMissing, LocalDiskBackend
     from repro.service.cache import ResultCache
     from repro.service.client import ServiceClient
     from repro.service.jobs import JOB_KINDS, Job, JobSpec, JobStore, execute
@@ -53,10 +45,7 @@ if TYPE_CHECKING:
 # A pool worker imports ``repro.service.pool`` only, not the HTTP side.
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.service.api": ("ServiceAPI",),
-    "repro.service.backend": (
-        "BackendMissing", "DirectoryObjectClient", "LocalDiskBackend",
-        "MemoryObjectClient", "ObjectBackend", "StorageBackend", "make_backend",
-    ),
+    "repro.service.backend": ("BackendMissing", "LocalDiskBackend"),
     "repro.service.cache": ("ResultCache",),
     "repro.service.client": ("ServiceClient",),
     "repro.service.jobs": ("JOB_KINDS", "Job", "JobSpec", "JobStore", "execute"),

@@ -55,10 +55,10 @@ Multi-node (consistent-hash routing, :mod:`repro.service.ring`)::
     POST /jobs               -> 307 {redirect, node} when another ring
                                 node owns the job's cache key
 
-Storage is pluggable (:mod:`repro.service.backend`): ``backend=`` (an
-instance or a ``serve --backend`` spec string) routes the trace store
-and result cache through shared object storage; the default keeps the
-original private local-disk layout.
+Traces and the result cache's spill tier live under ``data_dir``, or,
+with ``shared_dir`` (``serve --shared-dir``), in a directory every ring
+node shares (``<shared_dir>/traces``, ``<shared_dir>/cache``; the cache
+then writes through).  Stream sessions and fleet state stay private.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.dashboard import render_dashboard
 from repro.fleet.ingest import FleetIngestor, ingest_store
 from repro.fleet.rules import evaluate_rules, load_rules
-from repro.service.backend import StorageBackend, make_backend
 from repro.service.cache import ResultCache
 from repro.service.jobs import (
     DONE, FAILED, QUEUED, RUNNING, Job, JobSpec, JobStore, execute,
@@ -104,24 +103,17 @@ class ServiceAPI:
         start_method: str = DEFAULT_START_METHOD,
         max_pending_chunks: int = 64,
         rules_path: str | Path | None = None,
-        backend: StorageBackend | str | None = None,
-        object_root: str | Path | None = None,
+        shared_dir: str | Path | None = None,
         self_url: str | None = None,
         peers: Sequence[str] = (),
     ):
         self.data_dir = Path(data_dir)
-        if isinstance(backend, str):
-            backend = make_backend(backend, self.data_dir, object_root=object_root)
-        self.backend = backend
-        self.store = TraceStore(
-            self.data_dir / "traces",
-            backend=backend.scoped("traces") if backend is not None else None,
-        )
-        cache_backend = backend.scoped("cache") if backend is not None else None
+        self.shared_dir = Path(shared_dir) if shared_dir is not None else None
+        shared = self.shared_dir is not None
+        storage = self.shared_dir or self.data_dir
+        self.store = TraceStore(storage / "traces", shared=shared)
         self.cache = ResultCache(
-            capacity=cache_capacity,
-            disk_dir=None if cache_backend is not None else self.data_dir / "cache",
-            backend=cache_backend,
+            capacity=cache_capacity, disk_dir=storage / "cache", shared=shared
         )
         self.self_url = (self_url or "").rstrip("/") or None
         peers = [p.rstrip("/") for p in peers if p]
@@ -497,7 +489,7 @@ class ServiceAPI:
         out["cache"] = self.cache.stats()
         out["traces"] = self.store.stats()
         out["storage"] = {
-            "backend": self.backend.name if self.backend is not None else "local"
+            "shared_dir": str(self.shared_dir) if self.shared_dir is not None else None
         }
         out["ring"] = (
             {"routing": True, "self": self.self_url, "nodes": len(self.ring)}

@@ -7,17 +7,18 @@ traces.  Values are finished report dicts (JSON-serializable by
 construction), which is what makes the spill tier trivial: evicted
 entries are written as ``<key>.json`` and promoted back on access.
 
-The spill tier is a :class:`~repro.service.backend.StorageBackend`.
-``disk_dir`` keeps the original local layout; passing ``backend=``
-points the tier at shared object storage instead, and flips on
-write-through (every ``put`` persists immediately), so a restarted
-instance — or a *different* instance sharing the namespace — serves
-results computed before the restart.  Trim order is maintained
-incrementally (an insertion-ordered key set, refreshed on promotion),
-so eviction is O(1) amortized instead of stat+sort over the whole tier
-on every spill.  Tier writes happen outside the cache's lock
-(:meth:`ResultCache.flush`); until one lands, its entry is served from
-memory, so a slow disk never stalls a lookup that does not read it.
+The spill tier is a directory: ``disk_dir``, or a
+:class:`~repro.service.backend.LocalDiskBackend` over one.  A private
+tier (``<data-dir>/cache``) spills on evict.  A shared tier
+(``<shared-dir>/cache``, written by every ring node) is write-through
+— every ``put`` persists immediately — so a restarted instance, or a
+*different* instance sharing the directory, serves results computed
+before the restart.  Trim order is maintained incrementally (an
+insertion-ordered key set, refreshed on promotion), so eviction is O(1)
+amortized instead of stat+sort over the whole tier on every spill.
+Tier writes happen outside the cache's lock (:meth:`ResultCache.flush`);
+until one lands, its entry is served from memory, so a slow disk never
+stalls a lookup that does not read it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ServiceError
-from repro.service.backend import BackendMissing, LocalDiskBackend, StorageBackend
+from repro.service.backend import BackendMissing, LocalDiskBackend
 
 __all__ = ["ResultCache"]
 
@@ -40,25 +41,21 @@ class ResultCache:
     def __init__(
         self,
         capacity: int = 256,
-        disk_dir: str | Path | None = None,
+        disk_dir: str | Path | LocalDiskBackend | None = None,
         disk_capacity: int = 4096,
-        backend: StorageBackend | None = None,
-        write_through: bool | None = None,
+        shared: bool = False,
     ):
         if capacity < 1:
             raise ServiceError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.disk_capacity = disk_capacity
-        if backend is not None:
-            self._tier: StorageBackend | None = backend
-        elif disk_dir is not None:
-            self._tier = LocalDiskBackend(disk_dir)
-        else:
-            self._tier = None
-        # Shared/object tiers default to write-through: results must
-        # survive this process and be visible to ring peers.  The local
-        # tier keeps the original spill-on-evict behavior.
-        self.write_through = (backend is not None) if write_through is None else write_through
+        if disk_dir is not None and not isinstance(disk_dir, LocalDiskBackend):
+            disk_dir = LocalDiskBackend(disk_dir, shared=shared)
+        self._tier = disk_dir
+        # A shared tier is write-through: results must survive this
+        # process and be visible to ring peers.  A private tier spills
+        # on evict.
+        self.write_through = disk_dir is not None and disk_dir.shared
         self._mem: OrderedDict[str, dict] = OrderedDict()
         # Spill order, oldest first; maintained incrementally so evicting
         # into a 4096-entry tier never stats and sorts the whole tier.
@@ -118,7 +115,7 @@ class ResultCache:
         """
         with self._lock:
             self._insert(key, value)
-            if self.write_through and self._tier is not None:
+            if self.write_through:
                 self._unwritten[key] = value
 
     def flush(self) -> None:
@@ -176,7 +173,6 @@ class ResultCache:
                 "evictions": self.evictions,
                 "hit_rate": (self.hits / lookups) if lookups else 0.0,
                 "write_through": self.write_through,
-                "backend": self._tier.name if self._tier is not None else None,
             }
 
     # -- internals ------------------------------------------------------------

@@ -249,8 +249,7 @@ def serve(
     cache_capacity: int = 256,
     start_method: str = DEFAULT_START_METHOD,
     rules_path: str | Path | None = None,
-    backend: str = "local",
-    object_root: str | Path | None = None,
+    shared_dir: str | Path | None = None,
     self_url: str | None = None,
     peers: tuple[str, ...] = (),
 ) -> int:
@@ -267,8 +266,7 @@ def serve(
         cache_capacity=cache_capacity,
         start_method=start_method,
         rules_path=rules_path,
-        backend=backend,
-        object_root=object_root,
+        shared_dir=shared_dir,
         self_url=self_url,
         peers=peers,
     )
@@ -276,8 +274,8 @@ def serve(
     resumed = api.streams.recovered_sessions
     print(
         f"critical-lock-analysis service on {server.url} "
-        f"({workers} worker process(es), data in {Path(data_dir).resolve()}, "
-        f"storage backend {api.backend.name if api.backend else 'local'}"
+        f"({workers} worker process(es), data in {Path(data_dir).resolve()}"
+        + (f", shared dir {Path(shared_dir).resolve()}" if shared_dir else "")
         + (f", {len(api.fleet_rules)} alert rule(s)" if rules_path else "")
         + (f", ring of {len(api.ring)} nodes" if api.ring else "")
         + (f", {resumed} stream session(s) resumed" if resumed else "")

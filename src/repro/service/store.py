@@ -4,29 +4,32 @@ Uploaded traces are parsed (any supported container format), digested
 with :func:`repro.trace.digest.trace_digest` — a *content* hash, so the
 same execution uploaded as ``.clt`` and ``.jsonl`` deduplicates — and
 persisted once in canonical binary form as ``<digest>.clt`` with a
-``<digest>.meta.json`` sidecar.  Restarting the service rebuilds the
-index from the sidecars; worker processes receive plain file paths.
+``<digest>.meta.json`` sidecar, both directly under the store's
+directory.  Restarting the service rebuilds the index from the
+sidecars; worker processes receive the body files' paths.
 
-Durability goes through a :class:`~repro.service.backend.StorageBackend`.
-The default (``backend=None``) is the original local layout — both
-files directly under ``root``.  With an object backend the backend
-holds the durable copy and ``root`` becomes a scratch directory where
-traces are *materialized* on demand (workers read local files).
+The directory is *private* to one service (``<data-dir>/traces``) or
+*shared* by every node of a ring (``<shared-dir>/traces``), where a
+trace a peer uploaded after this node opened the store is adopted from
+its sidecar on first lookup.
 
-Crash-safety contract, either backend, across a kill or a power cut:
+Crash-safety contract, across a kill or a power cut:
 
 * every file is written by :func:`repro._durable.write_atomic`, so a
   ``put_trace`` that returned is on disk and no torn file is visible;
 * the sidecar is written strictly *after* the trace body, so a sidecar
   implies a complete body;
-* an orphaned body (crash between the two writes) is reaped on the
-  next rescan, as are staging files;
 * a sidecar whose schema this build cannot load (older/newer service)
   is skipped with a warning instead of crashing startup.
 
-Opening a :class:`TraceStore` reaps, so only the owning service may open
-its directory; :func:`stored_traces` reads a local-layout store without
+Opening a private store reaps what a crash left: staging files and
+orphaned bodies (a crash between the two writes).  So only the owning
+service may open its directory; :func:`stored_traces` reads it without
 changing it (the ``fleet --store`` CLI, next to a live service).
+Opening a shared store deletes nothing, because a peer's upload may be
+between its body and its sidecar write.  That leaves a leak: a crashed
+upload's staging file stays, and so does its sidecar-less body,
+invisible, until the next upload of that digest rewrites it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from typing import Any
 
 from repro._durable import reap_staging, write_atomic
 from repro.errors import ServiceError, TraceError
-from repro.service.backend import BackendMissing, LocalDiskBackend, StorageBackend
 from repro.trace.digest import trace_digest
 from repro.trace.reader import read_trace
 from repro.trace.trace import Trace
@@ -75,59 +77,62 @@ class StoredTrace:
         }
 
 
-def _entry(key: str, raw: bytes, path: Path) -> StoredTrace | None:
-    """The index entry a sidecar's bytes describe; None (logged) if unusable."""
+def _read_sidecar(sidecar: Path) -> StoredTrace | None:
+    """The index entry a sidecar describes; None (logged) if it is
+    unusable or its body is missing, None (silent) if it does not exist."""
     try:
-        return StoredTrace(path=path, **json.loads(raw.decode("utf-8")))
+        raw = sidecar.read_bytes()
+    except FileNotFoundError:
+        return None
+    except OSError:
+        log.warning("trace store: unreadable sidecar %s; skipping", sidecar.name)
+        return None
+    body = sidecar.with_name(sidecar.name[: -len(".meta.json")] + ".clt")
+    if not body.is_file():
+        # Impossible while the body is written first — tolerate it, but
+        # don't index it.
+        log.warning("trace store: sidecar %s has no trace body", sidecar.name)
+        return None
+    try:
+        return StoredTrace(path=body, **json.loads(raw.decode("utf-8")))
     except (UnicodeDecodeError, json.JSONDecodeError):
-        log.warning("trace store: unreadable sidecar %s; skipping", key)
+        log.warning("trace store: unreadable sidecar %s; skipping", sidecar.name)
     except TypeError:
         # Sidecar from an older/newer schema (missing or extra keys).
         # Skipping keeps the service bootable; the trace can be
         # re-uploaded (same digest, fresh sidecar).
         log.warning(
             "trace store: sidecar %s does not match this build's schema; "
-            "skipping", key,
+            "skipping", sidecar.name,
         )
     return None
 
 
 def stored_traces(root: str | Path) -> list[StoredTrace]:
-    """The traces a local-layout store directory holds, read-only.
+    """The traces a store directory holds, read-only.
 
-    Unlike opening a :class:`TraceStore` this deletes nothing, so it is
-    safe next to a live service: an upload in flight (a staging file, or
-    a body whose sidecar has not landed) is simply not listed yet.
+    Unlike opening a private :class:`TraceStore` this deletes nothing,
+    so it is safe next to a live service: an upload in flight (a staging
+    file, or a body whose sidecar has not landed) is simply not listed
+    yet.
     """
-    entries = []
-    for sidecar in sorted(Path(root).glob("*.meta.json")):
-        body = sidecar.with_name(sidecar.name[: -len(".meta.json")] + ".clt")
-        if not body.is_file():
-            continue
-        try:
-            raw = sidecar.read_bytes()
-        except OSError:
-            continue
-        entry = _entry(sidecar.name, raw, body)
-        if entry is not None:
-            entries.append(entry)
-    return entries
+    entries = (_read_sidecar(s) for s in sorted(Path(root).glob("*.meta.json")))
+    return [entry for entry in entries if entry is not None]
 
 
 class TraceStore:
-    """Digest-keyed trace files behind a pluggable storage backend."""
+    """Digest-keyed trace files in one directory, private or shared."""
 
-    def __init__(self, root: str | Path, backend: StorageBackend | None = None):
+    def __init__(self, root: str | Path, shared: bool = False):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        reap_staging(self.root)
-        # Local scratch double-duty: with the default backend it *is*
-        # the store; with an object backend it caches materializations.
-        self.backend: StorageBackend = backend or LocalDiskBackend(self.root)
-        self._remote = backend is not None
-        self._index: dict[str, StoredTrace] = {}
+        self.shared = shared
+        entries = stored_traces(self.root)
+        self._index: dict[str, StoredTrace] = {e.digest: e for e in entries}
         self._lock = threading.Lock()
-        self._rescan()
+        if not shared:
+            reap_staging(self.root)
+            self._reap_orphans({e.path for e in entries})
 
     # -- writes --------------------------------------------------------------
 
@@ -139,13 +144,10 @@ class TraceStore:
         if existing is not None:
             return existing
         # Body first, sidecar second: a crash in between leaves an orphan
-        # body the next rescan reaps — never a sidecar pointing at a
-        # missing or torn body.  No lock: two puts of one digest write
-        # identical bytes.  An object backend gets a copy of the body.
+        # body, never a sidecar pointing at a missing or torn body.  No
+        # lock: two puts of one digest write identical bytes.
         path = self.root / f"{digest}.clt"
         write_atomic(path, lambda staging: write_trace(trace, staging, fmt="clt"))
-        if self._remote:
-            self.backend.put_path(f"{digest}.clt", path)
         entry = StoredTrace(
             digest=digest,
             path=path,
@@ -163,7 +165,8 @@ class TraceStore:
         """Store an uploaded trace blob (either supported format)."""
         if not data:
             raise ServiceError("empty upload is not a trace", status=400)
-        # Dotted: invisible to rescans, reaped if a crash leaves it.
+        # Dotted: invisible to rescans, reaped by a private open if a
+        # crash leaves it.
         with tempfile.NamedTemporaryFile(
             dir=self.root, prefix=".upload-", suffix=".tmp"
         ) as tmp:
@@ -185,40 +188,26 @@ class TraceStore:
     def get(self, digest: str) -> StoredTrace:
         with self._lock:
             entry = self._index.get(digest)
-        if entry is None and self._remote:
-            # Shared backend: a ring peer may have uploaded this trace
-            # after our rescan.  Adopt its sidecar lazily.
+        if entry is None and self.shared:
+            # A ring peer may have uploaded this trace after we opened
+            # the store.  Adopt its sidecar lazily.
             entry = self._adopt(digest)
         if entry is None:
             raise ServiceError(f"no such trace: {digest}", status=404)
         return entry
 
     def _adopt(self, digest: str) -> StoredTrace | None:
-        try:
-            blob = json.loads(self.backend.get(f"{digest}.meta.json").decode("utf-8"))
-            entry = StoredTrace(path=self.root / f"{digest}.clt", **blob)
-        except (BackendMissing, UnicodeDecodeError, json.JSONDecodeError, TypeError):
+        if not digest.isalnum():  # a name in this directory, nothing else
+            return None
+        entry = _read_sidecar(self.root / f"{digest}.meta.json")
+        if entry is None:
             return None
         with self._lock:
             return self._index.setdefault(digest, entry)
 
     def resolve(self, digests: list[str] | tuple[str, ...]) -> list[str]:
         """Digests -> worker-ready file paths (404s on any unknown digest)."""
-        return [str(self._materialize(self.get(d))) for d in digests]
-
-    def _materialize(self, entry: StoredTrace) -> Path:
-        """Ensure the trace exists as a local file (object-backend fetch)."""
-        if entry.path.exists():
-            return entry.path
-        try:
-            data = self.backend.get(f"{entry.digest}.clt")
-        except BackendMissing:
-            raise ServiceError(
-                f"trace {entry.digest} vanished from the storage backend",
-                status=410,
-            ) from None
-        write_atomic(entry.path, data)
-        return entry.path
+        return [str(self.get(d).path) for d in digests]
 
     def list(self) -> list[StoredTrace]:
         with self._lock:
@@ -233,48 +222,20 @@ class TraceStore:
             return {
                 "count": len(self._index),
                 "bytes": sum(e.size_bytes for e in self._index.values()),
-                "backend": self.backend.name,
+                "shared": self.shared,
             }
 
     # -- persistence ---------------------------------------------------------
 
     def _write_sidecar(self, entry: StoredTrace) -> None:
         blob = json.dumps(entry.to_dict()).encode("utf-8")
-        self.backend.put(f"{entry.digest}.meta.json", blob)
+        write_atomic(self.root / f"{entry.digest}.meta.json", blob)
 
-    def _rescan(self) -> None:
-        """Rebuild the index from sidecars; reap anything half-written.
-
-        Called on startup (constructor).  Orphans are trace bodies whose
-        sidecar never landed: the residue of a crash inside
-        :meth:`put_trace`.
-        """
-        keys = set(self.backend.keys())
-        seen_bodies: set[str] = set()
-        for key in sorted(keys):
-            if not key.endswith(".meta.json"):
-                continue
-            digest = key[: -len(".meta.json")]
-            try:
-                raw = self.backend.get(key)
-            except (BackendMissing, OSError):
-                log.warning("trace store: unreadable sidecar %s; skipping", key)
-                continue
-            if f"{digest}.clt" not in keys:
-                # Sidecar without a body should be impossible (body is
-                # written first) — tolerate it, but don't index it.
-                log.warning("trace store: sidecar %s has no trace body", key)
-                continue
-            entry = _entry(key, raw, self.root / f"{digest}.clt")
-            if entry is None:
-                continue
-            self._index[digest] = entry
-            seen_bodies.add(f"{digest}.clt")
-        # Orphaned bodies: a crash after the body write but before the
-        # sidecar.  Without a sidecar they are invisible forever — reap
-        # them so the store cannot leak disk across crashes.
-        for key in keys:
-            if key.endswith(".clt") and key not in seen_bodies:
-                log.warning("trace store: reaping orphaned trace body %s", key)
-                self.backend.delete(key)
-                (self.root / key).unlink(missing_ok=True)
+    def _reap_orphans(self, indexed: set[Path]) -> None:
+        """Delete bodies no sidecar indexes: the residue of a crash inside
+        :meth:`put_trace`.  Invisible forever otherwise, they would leak
+        disk across crashes.  Private stores only."""
+        for body in sorted(self.root.glob("*.clt")):
+            if body not in indexed and not body.name.startswith("."):
+                log.warning("trace store: reaping orphaned trace body %s", body.name)
+                body.unlink(missing_ok=True)

@@ -107,6 +107,35 @@ def test_serve_subcommand_registered(capsys):
     out = capsys.readouterr().out
     assert "--workers" in out
     assert "--data-dir" in out
+    assert "--shared-dir" in out
+
+
+@pytest.mark.parametrize("flag", ["--backend", "--object-root"])
+def test_serve_refuses_retired_storage_options(flag, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["serve", flag, "object"])
+    assert ei.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_serve_shared_dir_reaches_service_api(monkeypatch, tmp_path):
+    import repro.service.server as server
+
+    class Built(Exception):
+        pass
+
+    seen = {}
+
+    def fake_api(**kwargs):
+        seen.update(kwargs)
+        raise Built
+
+    monkeypatch.setattr(server, "ServiceAPI", fake_api)
+    with pytest.raises(Built):
+        main(["serve", "--data-dir", str(tmp_path / "node"),
+              "--shared-dir", str(tmp_path / "shared")])
+    assert seen["shared_dir"] == str(tmp_path / "shared")
+    assert seen["data_dir"] == str(tmp_path / "node")
 
 
 #: Subsystems that ``analyze`` never runs; a cold start must not load them.

@@ -1,9 +1,12 @@
-"""Storage-backend contract suite.
+"""Storage contract suite.
 
-Every backend — local disk, object-over-memory, object-over-directory —
-must satisfy the same observable contract, and so must the trace store
-and result cache running over each of them.  The parametrized fixtures
-below are the whole point: one behavioral spec, N implementations.
+The service keeps its durable state in directories, each either private
+to one service (under ``--data-dir``) or shared by every node of a ring
+(``--shared-dir``).  The parametrized fixtures run one behavioral spec
+over both kinds: the directory class itself, the trace store and the
+result cache's spill tier.  Where the two kinds differ (a shared
+directory is never reaped and its cache writes through), the tests say
+so.
 """
 
 import json
@@ -14,29 +17,39 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ServiceError
-from repro.service.backend import (
-    BACKEND_KINDS,
-    BackendMissing,
-    DirectoryObjectClient,
-    LocalDiskBackend,
-    MemoryObjectClient,
-    ObjectBackend,
-    make_backend,
-)
+from repro.service.api import ServiceAPI
+from repro.service.backend import BackendMissing, LocalDiskBackend
 from repro.service.cache import ResultCache
 from repro.service.store import TraceStore
 from repro.trace import trace_digest, write_trace
 
 from tests.conftest import make_micro_program
 
+# How a test opens a storage directory.  The case ids are the ones this
+# suite gave its storage kinds before they all became directories, so a
+# case keeps its name: ``local`` is a private directory,
+# ``object-directory`` a shared one opened by its own path, and
+# ``object-memory`` a shared one that every opener reaches through a
+# path of its own (a symlink, as ring nodes mounting the directory at
+# different places do).  Nothing stored may depend on the path it was
+# written through.
+KINDS = ["local", "object-directory", "object-memory"]
 
-@pytest.fixture(params=["local", "object-memory", "object-directory"])
+
+def _open(kind, root):
+    """``(path, shared)`` for one more opener of directory ``root``."""
+    root.mkdir(parents=True, exist_ok=True)
+    if kind != "object-memory":
+        return root, kind != "local"
+    peers = len(list(root.parent.glob(f"{root.name}-peer*")))
+    peer = root.with_name(f"{root.name}-peer{peers}")
+    peer.symlink_to(root, target_is_directory=True)
+    return peer, True
+
+
+@pytest.fixture(params=KINDS)
 def backend(request, tmp_path):
-    if request.param == "local":
-        return LocalDiskBackend(tmp_path / "store")
-    if request.param == "object-memory":
-        return ObjectBackend(MemoryObjectClient())
-    return ObjectBackend(DirectoryObjectClient(tmp_path / "bucket"))
+    return LocalDiskBackend(*_open(request.param, tmp_path / "store"))
 
 
 class TestBackendContract:
@@ -68,22 +81,6 @@ class TestBackendContract:
         assert backend.keys() == ["a.clt", "a.meta.json", "b.clt"]
         assert backend.keys("a") == ["a.clt", "a.meta.json"]
         assert backend.keys("zzz") == []
-
-    def test_scoped_namespaces_are_disjoint(self, backend):
-        a = backend.scoped("traces")
-        b = backend.scoped("cache")
-        a.put("k", b"from-a")
-        b.put("k", b"from-b")
-        assert a.get("k") == b"from-a"
-        assert b.get("k") == b"from-b"
-        assert a.keys() == ["k"]
-        assert b.keys() == ["k"]
-
-    def test_put_path_adopts_file(self, backend, tmp_path):
-        src = tmp_path / "payload.bin"
-        src.write_bytes(b"body")
-        backend.put_path("k", src)
-        assert backend.get("k") == b"body"
 
     def test_binary_safe(self, backend):
         blob = bytes(range(256)) * 17
@@ -131,76 +128,35 @@ class TestLocalDiskBackend:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestDirectoryObjectClient:
-    def test_flat_namespace_with_slashes(self, tmp_path):
-        client = DirectoryObjectClient(tmp_path)
-        client.put_object("traces/abc.clt", b"x")
-        assert client.list_objects() == ["traces/abc.clt"]
-        assert client.get_object("traces/abc.clt") == b"x"
-        # No hierarchy on disk: one file, percent-encoded.
-        assert len([p for p in tmp_path.iterdir() if p.is_file()]) == 1
-
     def test_shared_between_instances(self, tmp_path):
-        a = DirectoryObjectClient(tmp_path)
-        b = DirectoryObjectClient(tmp_path)
-        a.put_object("k", b"written-by-a")
-        assert b.get_object("k") == b"written-by-a"
+        a = LocalDiskBackend(tmp_path, shared=True)
+        b = LocalDiskBackend(tmp_path, shared=True)
+        a.put("k", b"written-by-a")
+        assert b.get("k") == b"written-by-a"
 
-    def test_crashed_put_staging_reaped(self, tmp_path):
-        DirectoryObjectClient(tmp_path).put_object("k", b"x")
-        (tmp_path / ".put-deadc0de.tmp").write_bytes(b"half an object")
-        DirectoryObjectClient(tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["k"]
-
-
-class TestMakeBackend:
-    def test_local_is_none(self, tmp_path):
-        assert make_backend("local", tmp_path) is None
-
-    def test_object_defaults_under_data_dir(self, tmp_path):
-        backend = make_backend("object", tmp_path)
-        backend.put("k", b"x")
-        assert (tmp_path / "objects").is_dir()
-
-    def test_object_with_shared_root(self, tmp_path):
-        a = make_backend("object", tmp_path / "node-a", object_root=tmp_path / "bucket")
-        b = make_backend("object", tmp_path / "node-b", object_root=tmp_path / "bucket")
-        a.put("k", b"x")
-        assert b.get("k") == b"x"
-
-    def test_memory(self, tmp_path):
-        backend = make_backend("memory", tmp_path)
-        backend.put("k", b"x")
-        assert backend.get("k") == b"x"
-
-    def test_unknown_spec_rejected(self, tmp_path):
-        with pytest.raises(ServiceError, match="unknown storage backend"):
-            make_backend("s3://prod", tmp_path)
-
-    def test_kinds_exported(self):
-        assert set(BACKEND_KINDS) == {"local", "object", "memory"}
+    def test_only_a_private_open_reaps_staging_files(self, tmp_path):
+        """A dotted staging file in a shared directory may be a peer's
+        write in flight: opening the directory shared keeps it."""
+        staging = tmp_path / ".k.0123.tmp"
+        staging.write_bytes(b"half an entry")
+        LocalDiskBackend(tmp_path, shared=True)
+        assert staging.exists()
+        LocalDiskBackend(tmp_path)
+        assert not staging.exists()
 
 
 # ---------------------------------------------------------------------------
-# TraceStore over every backend: one contract, parametrized.
+# TraceStore over both kinds of directory: one contract, parametrized.
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(params=["local", "object-memory", "object-directory"])
+@pytest.fixture(params=KINDS)
 def store_factory(request, tmp_path):
-    """Factory building a TraceStore over one backend *kind*; calling it
-    again simulates a process restart over the same durable state."""
-    clients = {}
+    """Factory building a TraceStore over one kind of directory; calling
+    it again simulates a process restart (or a peer) over the same one."""
 
     def build():
-        root = tmp_path / "scratch"
-        if request.param == "local":
-            return TraceStore(root)
-        if request.param == "object-memory":
-            client = clients.setdefault("c", MemoryObjectClient())
-        else:
-            client = DirectoryObjectClient(tmp_path / "bucket")
-        return TraceStore(root, backend=ObjectBackend(client))
+        return TraceStore(*_open(request.param, tmp_path / "traces"))
 
     return build
 
@@ -226,6 +182,7 @@ class TestTraceStoreContract:
         store = store_factory()
         entry = store.put_trace(micro_trace)
         [path] = store.resolve([entry.digest])
+        assert path == str(entry.path)  # the stored file itself, no copy
         got = read_trace(path)
         assert trace_digest(got) == entry.digest
 
@@ -236,32 +193,18 @@ class TestTraceStoreContract:
         [path] = reopened.resolve([digest])
         assert Path(path).stat().st_size > 0
 
-    def test_restart_rematerializes_missing_scratch(
-        self, store_factory, micro_trace, tmp_path
-    ):
-        """Losing the local scratch copy is harmless: the backend holds
-        the durable bytes and resolve() re-materializes on demand."""
-        store = store_factory()
-        if not store._remote:
-            pytest.skip("local backend: the scratch copy IS the durable copy")
-        entry = store.put_trace(micro_trace)
-        entry.path.unlink()  # scratch gone (disk swap, new box...)
-        reopened = store_factory()
-        [path] = reopened.resolve([entry.digest])
-        from repro.trace.reader import read_trace
-
-        assert trace_digest(read_trace(path)) == entry.digest
-
     def test_orphan_body_reaped_on_restart(self, store_factory, micro_trace):
         """A crash between the body write and the sidecar write leaves an
-        orphan the next rescan must reap — not skip forever."""
+        orphan body.  A private store reaps it on the next open.  A shared
+        one cannot tell it from a peer's upload in flight, so it keeps
+        it, unlisted, until an upload of that digest rewrites it."""
         store = store_factory()
         entry = store.put_trace(micro_trace)
-        orphan = f"{'f' * 64}.clt"
-        store.backend.put(orphan, entry.path.read_bytes())
+        orphan = store.root / f"{'f' * 64}.clt"
+        orphan.write_bytes(entry.path.read_bytes())
         reopened = store_factory()
         assert len(reopened) == 1
-        assert not reopened.backend.exists(orphan)
+        assert orphan.exists() is store.shared
 
     def test_schema_mismatched_sidecar_skipped(self, store_factory, micro_trace):
         """A sidecar written by an older/newer build (missing or extra
@@ -269,10 +212,9 @@ class TestTraceStoreContract:
         store = store_factory()
         good = store.put_trace(micro_trace)
         bad_digest = "e" * 64
-        store.backend.put(f"{bad_digest}.clt", good.path.read_bytes())
-        store.backend.put(
-            f"{bad_digest}.meta.json",
-            json.dumps({"digest": bad_digest, "name": "old", "surprise": 1}).encode(),
+        (store.root / f"{bad_digest}.clt").write_bytes(good.path.read_bytes())
+        (store.root / f"{bad_digest}.meta.json").write_text(
+            json.dumps({"digest": bad_digest, "name": "old", "surprise": 1})
         )
         reopened = store_factory()  # must boot
         assert reopened.get(good.digest).digest == good.digest
@@ -282,18 +224,19 @@ class TestTraceStoreContract:
     def test_corrupt_sidecar_skipped(self, store_factory, micro_trace):
         store = store_factory()
         good = store.put_trace(micro_trace)
-        store.backend.put(f"{'d' * 64}.meta.json", b"{torn")
+        (store.root / f"{'d' * 64}.meta.json").write_bytes(b"{torn")
         reopened = store_factory()
         assert len(reopened) == 1
         assert reopened.get(good.digest)
 
     def test_stats_name_backend(self, store_factory, micro_trace):
+        """The stats say which kind of directory holds the traces."""
         store = store_factory()
         store.put_trace(micro_trace)
         stats = store.stats()
         assert stats["count"] == 1
         assert stats["bytes"] > 0
-        assert stats["backend"]
+        assert stats["shared"] is store.shared
 
 
 def test_local_store_layout_unchanged(tmp_path, micro_trace):
@@ -307,41 +250,92 @@ def test_local_store_layout_unchanged(tmp_path, micro_trace):
     assert entry.path == tmp_path / f"{entry.digest}.clt"
 
 
+class _SidecarHook(TraceStore):
+    """A store that runs ``hook(entry)`` between a put's body write and
+    its sidecar write: the window a crash or a peer can fall into."""
+
+    hook = staticmethod(lambda entry: None)
+
+    def _write_sidecar(self, entry):
+        self.hook(entry)
+        super()._write_sidecar(entry)
+
+
+def test_opening_a_shared_store_keeps_a_peers_upload_in_flight(
+    tmp_path, micro_trace
+):
+    """A peer that opens the shared directory while an upload sits
+    between its body and its sidecar must not reap the body: the upload
+    returns, so every node must then resolve it."""
+    root = tmp_path / "shared" / "traces"
+    writer = _SidecarHook(root, shared=True)
+    writer.hook = lambda entry: TraceStore(root, shared=True)
+    entry = writer.put_trace(micro_trace)
+    third = TraceStore(root, shared=True)
+    [path] = third.resolve([entry.digest])
+    assert Path(path).read_bytes() == entry.path.read_bytes()
+
+
+def test_shared_store_adopts_only_names_in_its_directory(tmp_path, micro_trace):
+    """A lookup key comes from a request: one that names a path outside
+    the shared directory is an unknown trace, not a file to adopt."""
+    outside = TraceStore(tmp_path / "elsewhere").put_trace(micro_trace)
+    store = TraceStore(tmp_path / "shared" / "traces", shared=True)
+    with pytest.raises(ServiceError, match="no such trace"):
+        store.get(f"../../elsewhere/{outside.digest}")
+
+
+def test_opening_shared_storage_deletes_nothing(tmp_path):
+    """Staging files in a shared directory may be peers' writes in
+    flight; a node starting up over the directory leaves them alone."""
+    shared = tmp_path / "shared"
+    for sub in ("traces", "cache"):
+        (shared / sub).mkdir(parents=True)
+        (shared / sub / ".peer.0123.tmp").write_bytes(b"a peer's write")
+    with ServiceAPI(tmp_path / "node", workers=0, shared_dir=shared):
+        pass
+    for sub in ("traces", "cache"):
+        assert (shared / sub / ".peer.0123.tmp").exists()
+
+
 # ---------------------------------------------------------------------------
-# ResultCache spill tier over every backend.
+# ResultCache spill tier over both kinds of directory.
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(params=["local", "object-memory"])
 def cache_backend(request, tmp_path):
-    if request.param == "local":
-        return LocalDiskBackend(tmp_path / "cache")
-    return ObjectBackend(MemoryObjectClient())
+    return LocalDiskBackend(*_open(request.param, tmp_path / "cache"))
 
 
 class TestCacheTierContract:
     def test_spill_and_promote(self, cache_backend):
-        cache = ResultCache(capacity=1, backend=cache_backend)
+        cache = ResultCache(capacity=1, disk_dir=cache_backend)
         cache.put("a", {"n": 1})
         cache.put("b", {"n": 2})  # evicts 'a' into the tier
         assert cache.get("a") == {"n": 1}
         assert cache.stats()["disk_hits"] == 1
 
     def test_write_through_default_for_backends(self, cache_backend):
-        cache = ResultCache(capacity=8, backend=cache_backend)
-        assert cache.write_through
+        """A shared tier writes through: a peer must see the result now,
+        not after an eviction.  A private one spills on evict."""
+        cache = ResultCache(capacity=8, disk_dir=cache_backend)
+        assert cache.write_through is cache_backend.shared
         cache.put("k", {"n": 1})
-        assert cache_backend.exists("k.json")
+        assert cache_backend.exists("k.json") is cache_backend.shared
 
     def test_shared_namespace_between_caches(self, cache_backend):
-        a = ResultCache(capacity=8, backend=cache_backend)
-        b = ResultCache(capacity=8, backend=cache_backend)
+        """Two caches over one tier (a restart, or a ring peer) read the
+        entries each other put there."""
+        a = ResultCache(capacity=1, disk_dir=cache_backend)
+        b = ResultCache(capacity=1, disk_dir=cache_backend)
         a.put("k", {"answer": 42})
+        a.put("other", {"answer": 0})  # a private tier gets 'k' on evict
         assert b.get("k") == {"answer": 42}
         assert b.stats()["disk_hits"] == 1
 
     def test_tier_capacity_enforced(self, cache_backend):
-        cache = ResultCache(capacity=1, backend=cache_backend, disk_capacity=2)
+        cache = ResultCache(capacity=1, disk_dir=cache_backend, disk_capacity=2)
         for i in range(6):
             cache.put(f"k{i}", {"n": i})
         assert len([k for k in cache_backend.keys() if k.endswith(".json")]) <= 2
@@ -353,23 +347,53 @@ class TestCacheTierContract:
         assert not (tmp_path / "k.json").exists()
 
 
-def test_slow_backend_write_does_not_block_other_uploads(tmp_path, micro_trace):
-    """The store lock covers only the index: a backend write stuck on
-    trace A must not hold up the upload of trace B."""
-    other = make_micro_program(cs1=3.0).run().trace
-    stuck_key = trace_digest(micro_trace)
-    stuck, release = threading.Event(), threading.Event()
-    client = MemoryObjectClient()
-    put_object = client.put_object
+def test_shared_tier_writes_through(tmp_path):
+    cache = ResultCache(capacity=8, disk_dir=tmp_path, shared=True)
+    assert cache.write_through
+    cache.put("k", {"n": 1})
+    assert (tmp_path / "k.json").is_file()
 
-    def slow_put(key, data):
-        if stuck_key in key:
+
+def test_shared_dir_holds_traces_and_cache_for_every_node(tmp_path, micro_trace):
+    """``shared_dir`` moves the trace store and the cache tier out of the
+    data dir: a second node (or a restart) over the same shared dir
+    lists the trace and answers the analysis from the cache tier."""
+    shared = tmp_path / "shared"
+    data = write_trace(micro_trace, tmp_path / "up.clt").read_bytes()
+    body = json.dumps({"kind": "analyze", "trace": trace_digest(micro_trace)}).encode()
+    with ServiceAPI(tmp_path / "a", workers=0, shared_dir=shared) as a:
+        assert a.handle("POST", "/traces", data)[0] == 201
+        status, job = a.handle("POST", "/jobs", body)
+        assert job["state"] == "done"
+        result = job["result"]
+        assert a.snapshot_metrics()["storage"] == {"shared_dir": str(shared)}
+    assert [p.suffix for p in sorted((shared / "traces").iterdir())] == [".clt", ".json"]
+    assert len(list((shared / "cache").glob("*.json"))) == 1
+    assert not (tmp_path / "a" / "traces").exists()
+    assert (tmp_path / "a" / "streams").is_dir()
+    with ServiceAPI(tmp_path / "b", workers=0, shared_dir=shared) as b:
+        assert [t["digest"] for t in b.handle("GET", "/traces")[1]["traces"]] == [
+            trace_digest(micro_trace)
+        ]
+        status, job = b.handle("POST", "/jobs", body)
+        assert job["result"] == result
+        assert b.cache.stats()["disk_hits"] == 1
+
+
+def test_slow_backend_write_does_not_block_other_uploads(tmp_path, micro_trace):
+    """The store lock covers only the index: a write stuck on trace A
+    must not hold up the upload of trace B."""
+    other = make_micro_program(cs1=3.0).run().trace
+    stuck_digest = trace_digest(micro_trace)
+    stuck, release = threading.Event(), threading.Event()
+
+    def slow_sidecar(entry):
+        if entry.digest == stuck_digest:
             stuck.set()
             release.wait(10)
-        put_object(key, data)
 
-    client.put_object = slow_put
-    store = TraceStore(tmp_path, backend=ObjectBackend(client))
+    store = _SidecarHook(tmp_path, shared=True)
+    store.hook = slow_sidecar
     first = threading.Thread(target=store.put_trace, args=(micro_trace,))
     first.start()
     try:

@@ -104,7 +104,7 @@ def test_get_does_not_wait_on_a_slow_spill(tmp_path):
             assert release.wait(10)
             super().put(key, data)
 
-    cache = ResultCache(capacity=1, backend=SlowDisk(tmp_path), write_through=False)
+    cache = ResultCache(capacity=1, disk_dir=SlowDisk(tmp_path))
     cache.put("a", {"n": 1})
     spiller = threading.Thread(target=cache.put, args=("b", {"n": 2}))
     spiller.start()  # evicts 'a'; its spill blocks in the backend
@@ -130,7 +130,7 @@ def test_failed_spill_is_dropped_not_retried(tmp_path):
         def put(self, key, data):
             raise OSError(28, "No space left on device")
 
-    cache = ResultCache(capacity=1, backend=FullDisk(tmp_path), write_through=False)
+    cache = ResultCache(capacity=1, disk_dir=FullDisk(tmp_path))
     cache.put("a", {"n": 1})
     with pytest.raises(OSError):
         cache.put("b", {"n": 2})

@@ -10,7 +10,6 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service.api import ServiceAPI
-from repro.service.backend import MemoryObjectClient, ObjectBackend
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.ring import HashRing
@@ -76,14 +75,13 @@ class TestHashRing:
 
 
 # ---------------------------------------------------------------------------
-# Service-level routing (in-process, two APIs sharing one object bucket).
+# Service-level routing (in-process, two APIs sharing one directory).
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def two_nodes(tmp_path):
-    """Two ServiceAPI instances in one ring over one shared namespace."""
-    client = MemoryObjectClient()
+    """Two ServiceAPI instances in one ring over one shared directory."""
     urls = ["http://node-a", "http://node-b"]
     apis = []
     for i, url in enumerate(urls):
@@ -91,7 +89,7 @@ def two_nodes(tmp_path):
             ServiceAPI(
                 tmp_path / f"node{i}",
                 workers=0,
-                backend=ObjectBackend(client),
+                shared_dir=tmp_path / "shared",
                 self_url=url,
                 peers=[u for u in urls if u != url],
             )
@@ -141,7 +139,7 @@ class TestServiceRouting:
         assert len(owners) == 1
 
     def test_shared_store_serves_either_node(self, two_nodes, micro_trace, tmp_path):
-        """Content addressing + shared backend: a trace uploaded to one
+        """Content addressing + shared directory: a trace uploaded to one
         node is resolvable on the other."""
         digest = _upload(two_nodes["http://node-a"], micro_trace, tmp_path)
         # node-b's index predates the upload; it adopts the sidecar lazily.
@@ -178,18 +176,17 @@ class TestServiceRouting:
 
 @pytest.fixture
 def two_served_nodes(tmp_path):
-    """Two ring nodes over real HTTP (inline pools, one shared bucket)."""
+    """Two ring nodes over real HTTP (inline pools, one shared directory)."""
     ports = []
     for _ in range(2):
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             ports.append(sock.getsockname()[1])
     urls = [f"http://127.0.0.1:{p}" for p in ports]
-    bucket = MemoryObjectClient()
     servers = []
     for i, url in enumerate(urls):
         api = ServiceAPI(
-            tmp_path / f"node{i}", workers=0, backend=ObjectBackend(bucket),
+            tmp_path / f"node{i}", workers=0, shared_dir=tmp_path / "shared",
             self_url=url, peers=[u for u in urls if u != url],
         )
         srv = make_server(api, "127.0.0.1", ports[i])

@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.errors import ServiceError
-from repro.service import MemoryObjectClient, ObjectBackend, ServiceAPI, ServiceClient
+from repro.service import ServiceAPI, ServiceClient
 from repro.service import server as server_mod
 from repro.service.jobs import JobSpec
 from repro.service.server import make_server
@@ -164,11 +164,10 @@ class TestConnectionReuse:
                 sock.bind(("127.0.0.1", 0))
                 ports.append(sock.getsockname()[1])
         urls = [f"http://127.0.0.1:{p}" for p in ports]
-        bucket = MemoryObjectClient()
         nodes = []
         for i, url in enumerate(urls):
             api = ServiceAPI(
-                tmp_path / f"node{i}", workers=0, backend=ObjectBackend(bucket),
+                tmp_path / f"node{i}", workers=0, shared_dir=tmp_path / "shared",
                 self_url=url, peers=[u for u in urls if u != url],
             )
             srv = make_server(api, "127.0.0.1", ports[i])

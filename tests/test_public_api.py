@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -123,6 +124,36 @@ def test_reference_object_model_is_gone_from_core():
         assert not hasattr(EventGraph, attr), attr
     assert not hasattr(ColumnarWakers, "to_table")
     assert not hasattr(ColumnarTimelines, "wait_columns")
+
+
+def test_object_storage_is_gone():
+    # One durable store: a directory, private or shared (serve --shared-dir).
+    import repro.service
+    import repro.service.backend as backend
+    from repro.service.cache import ResultCache
+    from repro.service.store import TraceStore
+
+    gone = {"ObjectClient", "MemoryObjectClient", "DirectoryObjectClient",
+            "ObjectBackend", "StorageBackend", "make_backend", "BACKEND_KINDS"}
+    assert not gone & set(repro.service.__all__)
+    assert not [name for name in gone if hasattr(backend, name)]
+    for attr in ("scoped", "put_path", "name"):
+        assert not hasattr(backend.LocalDiskBackend, attr), attr
+    for attr in ("_materialize", "_remote", "backend"):
+        assert not hasattr(TraceStore, attr), attr
+    for cls, params in ((TraceStore, ["root", "shared"]),
+                        (ResultCache, ["capacity", "disk_dir", "disk_capacity", "shared"])):
+        assert list(inspect.signature(cls).parameters) == params
+
+
+def test_unused_helpers_are_gone():
+    from repro.core.estimate import LockEstimate
+    from repro.core.lockorder import LockOrderGraph
+    from repro.core.replay_whatif import LockDelta
+
+    assert not hasattr(LockOrderGraph, "successors")
+    assert not hasattr(LockEstimate, "ci_width")
+    assert not hasattr(LockDelta, "wait_delta")
 
 
 def test_export_wins_over_same_named_submodule():
