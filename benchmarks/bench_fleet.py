@@ -5,7 +5,7 @@ Standalone script (not a pytest bench — CI runs it directly)::
     PYTHONPATH=src python benchmarks/bench_fleet.py --quick
     PYTHONPATH=src python benchmarks/bench_fleet.py --json BENCH_FLEET.json
 
-Two claims are measured and asserted (docs/fleet.md, EXPERIMENTS.md):
+Three claims are measured and asserted (docs/fleet.md, EXPERIMENTS.md):
 
 * **Aggregation throughput** — folding stored analysis reports into
   :class:`repro.fleet.FleetAggregator` sustains at least
@@ -18,6 +18,11 @@ Two claims are measured and asserted (docs/fleet.md, EXPERIMENTS.md):
   precision and recall >= ``--min-precision`` / ``--min-recall``
   (default 0.9 each): the calibrated noise band flags the shifted
   workloads and stays silent on the rest.
+* **Durable observe stays flat** — one ``observe`` that returns only
+  once its observation is on disk costs about the same over a fleet
+  state of 4,000 observations as over one of 100 (the median at most
+  ``--max-durable-growth`` times as much): it appends one line to the
+  observation log instead of rewriting the state.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from repro.fleet import FleetAggregator
 SHIFT = 0.2
 #: Per-run gaussian noise on each lock's cp_fraction.
 NOISE_SIGMA = 0.01
+#: Fleet sizes (observations held) the durable observe is timed at.
+DURABLE_SIZES = (100, 4000)
 
 
 def synth_report(locks: dict[str, float], workload: str) -> dict:
@@ -115,10 +122,37 @@ def bench_aggregation(state_dir: Path, rows) -> dict:
         "summary_s": round(t_summary, 4),
         "regressions_s": round(t_regressions, 4),
         "state_reload_s": round(t_reload, 4),
-        "state_bytes": (state_dir / "fleet.json").stat().st_size,
+        "state_bytes": sum(f.stat().st_size for f in state_dir.iterdir()),
         "clusters": summary["clusters"],
         "agg": agg,
         "regressions": regressions,
+    }
+
+
+def bench_durable_observe(state_dir: Path, rows, size: int, repeats: int) -> dict:
+    """Time ``observe(save=True)`` on a fleet already holding ``size``
+    observations: the cost each upload pays in the service's ingestor."""
+    agg = FleetAggregator(state_dir)
+    for digest, workload, report in rows[:size]:
+        agg.observe(report, digest=digest, workload=workload, save=False)
+    agg.save()
+    times = []
+    for digest, workload, report in rows[size:size + repeats]:
+        t0 = time.perf_counter()
+        agg.observe(report, digest=digest, workload=workload)
+        times.append(time.perf_counter() - t0)
+    times.sort()
+    t0 = time.perf_counter()
+    agg.compact()
+    compact_s = time.perf_counter() - t0
+    return {
+        "observations": size,
+        "repeats": repeats,
+        "mean_s": sum(times) / len(times),
+        "median_s": times[len(times) // 2],
+        "max_s": times[-1],
+        "compact_s": compact_s,
+        "state_bytes": agg.state_path.stat().st_size,
     }
 
 
@@ -152,6 +186,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="observations/s floor (default %(default)s)")
     ap.add_argument("--min-precision", type=float, default=0.9)
     ap.add_argument("--min-recall", type=float, default=0.9)
+    ap.add_argument("--max-durable-growth", type=float, default=None,
+                    help="fail if a durable observe at the largest fleet size "
+                    "costs more than this times its cost at the smallest")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="also write the numbers as JSON (perf trajectory)")
     args = ap.parse_args(argv)
@@ -203,11 +240,44 @@ def main(argv: list[str] | None = None) -> int:
         )
         failed = True
 
+    repeats = 20 if args.quick else 100
+    durable_rows, _ = make_fleet(
+        25, -(-(max(DURABLE_SIZES) + repeats) // 25), 0, seed=11
+    )
+    durable = {}
+    for size in DURABLE_SIZES:
+        with tempfile.TemporaryDirectory() as tmp:
+            durable[str(size)] = bench_durable_observe(
+                Path(tmp) / "fleet", durable_rows, size, repeats
+            )
+        d = durable[str(size)]
+        print(
+            f"durable observe at {size} observations ({d['state_bytes']} bytes "
+            f"of state): mean {d['mean_s']*1e3:.2f}ms, median "
+            f"{d['median_s']*1e3:.2f}ms over {repeats}; compaction "
+            f"{d['compact_s']*1e3:.1f}ms"
+        )
+    # Medians: a stray slow fsync or a full garbage collection of the
+    # larger heap lands in a mean, not in the per-observe cost.
+    small, large = (
+        durable[str(n)]["median_s"] for n in (min(DURABLE_SIZES), max(DURABLE_SIZES))
+    )
+    growth = large / small
+    print(f"durable observe growth {max(DURABLE_SIZES)} vs {min(DURABLE_SIZES)}: {growth:.2f}x")
+    if args.max_durable_growth is not None and growth > args.max_durable_growth:
+        print(
+            f"FAIL: durable observe costs {growth:.2f}x more at "
+            f"{max(DURABLE_SIZES)} observations than at {min(DURABLE_SIZES)} "
+            f"(limit {args.max_durable_growth:g}x)", file=sys.stderr,
+        )
+        failed = True
+
     if args.json:
         with open(args.json, "w") as f:
             json.dump(
                 {"bench": "fleet", "quick": args.quick,
-                 "aggregation": agg_stats, "detection": quality},
+                 "aggregation": agg_stats, "detection": quality,
+                 "durable_observe": {**durable, "growth": growth}},
                 f, indent=2,
             )
             f.write("\n")
@@ -217,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"\nok: >={args.min_throughput:g} obs/s aggregation, shift detection "
-        f"precision/recall >= {args.min_precision:g}/{args.min_recall:g}"
+        f"precision/recall >= {args.min_precision:g}/{args.min_recall:g}, "
+        f"durable observe growth {growth:.2f}x"
     )
     return 0
 

@@ -63,8 +63,12 @@ def wait_healthy(base: str, deadline_s: float = 30.0) -> None:
     raise RuntimeError(f"service at {base} never became healthy")
 
 
-def read_one_sse_event(base: str, timeout: float = 20.0) -> dict:
-    """Read SSE frames off /fleet/events until one full event arrives."""
+def read_sse_event(base: str, min_version: int, timeout: float = 20.0) -> dict:
+    """Read SSE events off /fleet/events until one of ``min_version`` or later.
+
+    The first event is the state at connect time, which may predate the
+    background ingest of an upload; the ingest's commit pushes the next.
+    """
     req = urllib.request.Request(f"{base}/fleet/events")
     data_lines: list[str] = []
     with urllib.request.urlopen(req, timeout=timeout) as resp:
@@ -74,8 +78,11 @@ def read_one_sse_event(base: str, timeout: float = 20.0) -> dict:
             if line.startswith("data:"):
                 data_lines.append(line[5:].lstrip())
             elif not line and data_lines:
-                return json.loads("\n".join(data_lines))
-    raise RuntimeError("SSE stream closed without emitting an event")
+                event = json.loads("\n".join(data_lines))
+                if event.get("version", 0) >= min_version:
+                    return event
+                data_lines = []
+    raise RuntimeError(f"SSE stream closed before a version-{min_version} event")
 
 
 def main() -> int:
@@ -109,7 +116,7 @@ def main() -> int:
         digest = client.upload_trace(path, name="micro")
         print(f"uploaded micro trace {digest[:12]} to {base}")
 
-        event = read_one_sse_event(base)
+        event = read_sse_event(base, min_version=1)
         assert event["type"] == "fleet", event
         assert event["version"] >= 1, event
         print(f"SSE ok: fleet event v{event['version']}, "

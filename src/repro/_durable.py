@@ -1,7 +1,14 @@
-"""One durable write (stage, fsync, rename, fsync the directory) for
-every file :mod:`repro.service` and :mod:`repro.fleet` keep: once it
-returns the bytes survive a power cut, and no reader ever finds a torn
-or empty file at the destination."""
+"""Durable writes for every file :mod:`repro.service` and
+:mod:`repro.fleet` keep.
+
+* :func:`write_atomic` replaces a file (stage, fsync, rename, fsync the
+  directory): once it returns the bytes survive a power cut, and no
+  reader ever finds a torn or empty file at the destination.
+* :func:`append_durable` appends to a log (write, fsync, and fsync the
+  directory when the append created the file): once it returns the
+  appended bytes survive a power cut.  A reader may see a torn tail
+  while an append is in flight, so a log's reader drops it.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ import uuid
 from collections.abc import Callable
 from pathlib import Path
 
-__all__ = ["fsync_path", "reap_staging", "write_atomic"]
+__all__ = ["append_durable", "fsync_path", "reap_staging", "write_atomic"]
 
 
 def write_atomic(dest: Path, data: bytes | Callable[[Path], object]) -> None:
@@ -30,6 +37,34 @@ def write_atomic(dest: Path, data: bytes | Callable[[Path], object]) -> None:
         staging.unlink(missing_ok=True)
         raise
     fsync_path(dest.parent)  # and the rename survives a power cut
+
+
+def append_durable(path: Path, data: bytes) -> None:
+    """Durably append ``data`` to ``path``, creating the file if needed.
+
+    On an error the file is cut back to its old length, so a failed
+    append leaves no partial record for a later one to follow.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644)
+        created = True
+    except FileExistsError:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        created = False
+    try:
+        size = os.fstat(fd).st_size
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        except BaseException:
+            os.ftruncate(fd, size)
+            raise
+    finally:
+        os.close(fd)
+    if created:
+        fsync_path(path.parent)  # the new name survives a power cut too
 
 
 def reap_staging(directory: Path) -> None:

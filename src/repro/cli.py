@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     def _fleet_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
             "--store", default=".cla-service", metavar="DIR",
-            help="service data dir holding the trace store (default: %(default)s)",
+            help="service data dir or shared dir to read (never written; "
+            "default: %(default)s)",
         )
         sp.add_argument("--service", metavar="URL",
                         help="query a running service instead of local state")
@@ -686,11 +687,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _local_fleet(store_dir: str):
-    """Aggregator over a service data dir, caught up with its trace store.
+    """Read-only fleet view of a service data dir or a shared dir.
 
-    The store is read, never opened: a live service may be writing it,
-    and opening reaps its staging files and sidecar-less bodies.  A path
-    that holds no trace store is refused before anything is created.
+    The fleet state under ``fleet/`` is folded, never written, and the
+    ``traces/`` store (if any) is read, never opened: a live service may
+    be writing both, and opening the store reaps its staging files and
+    sidecar-less bodies.  Un-observed traces fold in memory only.  A
+    ``--shared-dir`` node's data dir has no ``traces/``; a shared dir
+    has no ``fleet/``.  A path with neither is refused, and nothing is
+    created either way.
     """
     from pathlib import Path
 
@@ -698,10 +703,14 @@ def _local_fleet(store_dir: str):
     from repro.service.store import stored_traces
 
     root = Path(store_dir)
-    if not (root / "traces").is_dir():
-        raise ReproError(f"{root} is not a service data dir (no traces/ directory)")
-    agg = FleetAggregator(root / "fleet")
-    ingest_store(agg, stored_traces(root / "traces"))
+    traces = root / "traces"
+    if not (traces.is_dir() or (root / "fleet").is_dir()):
+        raise ReproError(
+            f"{root} is not a service data dir (no traces/ or fleet/ directory)"
+        )
+    agg = FleetAggregator(root / "fleet", read_only=True)
+    if traces.is_dir():
+        ingest_store(agg, stored_traces(traces))
     return agg
 
 

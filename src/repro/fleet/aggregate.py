@@ -2,12 +2,31 @@
 
 :class:`FleetAggregator` is the fleet's memory.  Every analyzed trace
 becomes one compact :class:`Observation` — the fingerprinted lock
-ranking plus per-lock ``cp_fraction`` — appended to its workload's
-time-series and persisted as JSON under the service data directory, so
-a restart (or a worker process handling a ``fleet_*`` job) reloads the
-exact state.  Aggregation is incremental and idempotent by trace
-digest: re-observing a stored trace is a no-op, which is what lets the
-service update fleet state on every store write without rescans.
+ranking plus per-lock ``cp_fraction`` — folded into its workload's
+time-series by :func:`apply`, the one reducer.
+
+State persists under the service data directory as a checkpoint and an
+append-only observation log:
+
+* ``fleet.json`` — the state as of observation ``seq``, written with
+  :func:`~repro._durable.write_atomic`;
+* ``fleet.<seq>.log`` — one JSON line per observation committed after
+  that checkpoint, appended with :func:`~repro._durable.append_durable`.
+
+Opening folds the log into the checkpoint through :func:`apply`, so a
+restart (or a worker process answering a ``fleet_*`` job) rebuilds the
+exact state, and committing an observation costs one appended line
+instead of a rewrite of the whole state.  Once the log holds more lines
+than the state holds observations it is compacted: the state becomes
+the new checkpoint and a new log, named by the checkpoint's ``seq``,
+begins.  A reader that raced a compaction sees the checkpoint change
+under it and reads again.
+
+Aggregation is idempotent by trace digest over the observations the
+series still hold: re-observing a stored trace is a no-op, which is
+what lets the service update fleet state on every store write without
+rescans.  A trace observed more than ``_MAX_OBSERVATIONS`` observations
+of its workload ago has been trimmed out, and counts again.
 
 Regression detection compares a workload's latest observation against
 the rest of its series.  The noise band is calibrated from the repeated
@@ -19,19 +38,32 @@ re-uploads never alarm while a genuine ranking shift does.
 from __future__ import annotations
 
 import json
+import logging
 import math
+import os
 import threading
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from repro._durable import write_atomic
+from repro._durable import append_durable, fsync_path, reap_staging, write_atomic
+from repro.errors import ReproError
 from repro.fleet.fingerprint import fingerprint_lock
 from repro.tables import format_table
 from repro.units import format_percent
 
-__all__ = ["Observation", "FleetAggregator", "render_summary", "render_regressions"]
+__all__ = [
+    "Observation",
+    "FleetState",
+    "FleetAggregator",
+    "apply",
+    "render_summary",
+    "render_regressions",
+]
+
+log = logging.getLogger("repro.fleet")
 
 #: Per-observation lock cap: the ranking tail carries no fleet signal.
 _MAX_LOCKS = 32
@@ -39,8 +71,17 @@ _MAX_LOCKS = 32
 _MAX_OBSERVATIONS = 512
 #: Per-cluster series length exported in summaries (sparkline width).
 _SERIES_LEN = 32
+#: The log is compacted once it holds more lines than this and than the
+#: state holds observations, so a compaction's O(state) write is spread
+#: over at least as many O(1) appends.
+_COMPACT_MIN_LINES = 256
+#: Reads of a checkpoint and its log before giving up on a directory
+#: whose checkpoint keeps changing under the reader.
+_FOLD_ATTEMPTS = 100
 
-_STATE_VERSION = 1
+#: 1 was a whole-state ``fleet.json`` and reads as a checkpoint with no log.
+_STATE_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -70,16 +111,33 @@ class Observation:
         }
 
     @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "Observation":
+        return cls(
+            digest=d["digest"],
+            workload=d["workload"],
+            seq=d["seq"],
+            ts=d["ts"],
+            name=d.get("name", ""),
+            duration=d.get("duration", 0.0),
+            nthreads=d.get("nthreads", 0),
+            locks=d.get("locks", {}),
+        )
+
+    @classmethod
     def from_report(
         cls,
         report: dict[str, Any],
         *,
         digest: str,
         workload: str,
-        seq: int,
-        ts: float,
+        seq: int = 0,
+        ts: float | None = None,
     ) -> "Observation":
-        """Reduce an ``analyze`` report dict to an observation."""
+        """Reduce an ``analyze`` report dict to an observation.
+
+        ``seq`` is assigned when the observation is committed;
+        ``ts`` defaults to now.
+        """
         locks: dict[str, dict[str, Any]] = {}
         ranked = sorted(
             (report.get("locks") or {}).items(),
@@ -101,12 +159,70 @@ class Observation:
             digest=digest,
             workload=workload,
             seq=seq,
-            ts=ts,
+            ts=time.time() if ts is None else ts,
             name=str(report.get("name", "")),
             duration=float(report.get("duration", 0.0)),
             nthreads=int(report.get("nthreads", 0)),
             locks=locks,
         )
+
+
+@dataclass
+class FleetState:
+    """Everything the fleet knows, as the observations it folded in."""
+
+    #: ``seq`` of the last observation folded in.
+    seq: int = 0
+    #: Change counter for subscribers: one step per observation.
+    version: int = 0
+    series: dict[str, list[Observation]] = field(default_factory=dict)
+    #: digest -> workload, for the observations the series still hold.
+    digests: dict[str, str] = field(default_factory=dict)
+
+    def to_checkpoint(self) -> dict[str, Any]:
+        return {
+            "state_version": _STATE_VERSION,
+            "seq": self.seq,
+            "version": self.version,
+            "workloads": {
+                w: [o.to_dict() for o in series] for w, series in self.series.items()
+            },
+        }
+
+    @classmethod
+    def from_checkpoint(cls, blob: dict[str, Any]) -> "FleetState":
+        if blob.get("state_version") not in _READABLE_VERSIONS:
+            raise ValueError(f"unknown state_version {blob.get('state_version')!r}")
+        state = cls(seq=int(blob.get("seq", 0)), version=int(blob.get("version", 0)))
+        for workload, rows in blob.get("workloads", {}).items():
+            series = state.series[workload] = [Observation.from_dict(o) for o in rows]
+            # Rebuilt rather than read: a version-1 file also listed the
+            # digests its series had already trimmed.
+            state.digests.update((o.digest, workload) for o in series)
+        return state
+
+
+def apply(state: FleetState, obs: Observation) -> FleetState:
+    """Fold one committed observation into ``state``: the one reducer.
+
+    Record the digest, append to the workload's series and trim it to
+    ``_MAX_OBSERVATIONS``, forgetting the trimmed digests.  Both a live
+    commit and the fold at open go through here.  It reads nothing but
+    its arguments (no clock, no disk), so folding the same observations
+    always gives the same state.  It updates ``state`` in place: a copy
+    per observation would cost O(history), the cost the log removes.
+    """
+    series = state.series.setdefault(obs.workload, [])
+    series.append(obs)
+    state.digests[obs.digest] = obs.workload
+    if len(series) > _MAX_OBSERVATIONS:
+        cut = len(series) - _MAX_OBSERVATIONS
+        for old in series[:cut]:
+            state.digests.pop(old.digest, None)
+        del series[:cut]
+    state.seq = obs.seq
+    state.version += 1
+    return state
 
 
 def _std(values: list[float]) -> float:
@@ -116,8 +232,43 @@ def _std(values: list[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
+def _stat_key(path: Path) -> tuple[int, int] | None:
+    """Which file ``path`` names now (a rename gives a new inode)."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_mtime_ns
+
+
+def _fold_log(state: FleetState, data: bytes) -> tuple[int, int]:
+    """Apply every whole line of a log; return (bytes, lines) folded.
+
+    Folding stops at the first line that is torn (no newline: a power
+    cut mid-append) or unreadable; what follows it is dropped.
+    """
+    good = lines = 0
+    *whole, _tail = data.split(b"\n")
+    for line in whole:
+        try:
+            obs = Observation.from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError):
+            break
+        apply(state, obs)
+        good += len(line) + 1
+        lines += 1
+    return good, lines
+
+
 class FleetAggregator:
-    """Persistent, thread-safe fleet state over analyzed traces."""
+    """Persistent, thread-safe fleet state over analyzed traces.
+
+    ``read_only=True`` folds the checkpoint and log and never creates,
+    repairs or writes anything (a missing directory is an empty fleet):
+    the view for a worker process or the ``fleet --store`` CLI, next to
+    a service that owns the directory.  Observations still fold into
+    the in-memory state with ``save=False``.
+    """
 
     def __init__(
         self,
@@ -126,26 +277,29 @@ class FleetAggregator:
         noise_floor: float = 0.05,
         sigma: float = 3.0,
         topk: int = 5,
+        read_only: bool = False,
     ):
         self.state_dir = Path(state_dir)
-        self.state_dir.mkdir(parents=True, exist_ok=True)
         self.state_path = self.state_dir / "fleet.json"
+        self.read_only = read_only
         self.noise_floor = noise_floor
         self.sigma = sigma
         self.topk = topk
-        self._lock = threading.RLock()
+        self._lock = threading.RLock()  # the state: queries and apply
         self._cond = threading.Condition(self._lock)
-        self._seq = 0
-        self._version = 0
-        self._digests: dict[str, str] = {}  # digest -> workload
-        self._series: dict[str, list[Observation]] = {}
-        self._load()
+        # One committer at a time, so log order is seq order; held across
+        # the fsync, which queries never wait for.
+        self._commit_lock = threading.Lock()
+        self._unsaved: list[Observation] = []  # applied, not yet in the log
+        # Sets the state, the checkpoint seq the log follows (_log_seq)
+        # and the log's line count (_log_lines).
+        self._open()
 
     # -- ingest ---------------------------------------------------------------
 
     def has(self, digest: str) -> bool:
         with self._lock:
-            return digest in self._digests
+            return digest in self._state.digests
 
     def observe(
         self,
@@ -161,64 +315,88 @@ class FleetAggregator:
         Returns the new :class:`Observation`, or ``None`` when the
         digest was already observed (idempotent re-upload).
         """
-        with self._lock:
-            if digest in self._digests:
-                return None
-            self._seq += 1
-            obs = Observation.from_report(
-                report,
-                digest=digest,
-                workload=workload,
-                seq=self._seq,
-                ts=time.time() if ts is None else ts,
-            )
-            self._digests[digest] = workload
-            series = self._series.setdefault(workload, [])
-            series.append(obs)
-            if len(series) > _MAX_OBSERVATIONS:
-                del series[: len(series) - _MAX_OBSERVATIONS]
-            self._version += 1
-            self._cond.notify_all()
+        obs = Observation.from_report(report, digest=digest, workload=workload, ts=ts)
+        return self.commit([obs], save=save)[0]
+
+    def commit(
+        self, observations: Sequence[Observation], *, save: bool = True
+    ) -> list[Observation | None]:
+        """Fold a group of observations in, with one fsync for the group.
+
+        Each observation gets the next ``seq``; one whose digest is
+        already held (or repeats earlier in the group) gives ``None``.
+        With ``save`` the group's lines are durable before any of it is
+        visible to queries or subscribers.  Without it they apply now
+        and reach the log with the next save.
+        """
+        if save:
+            self._check_writable()
+        with self._commit_lock:
+            out: list[Observation | None] = []
+            fresh: list[Observation] = []
+            held = self._state.digests  # only committers change it
+            seen: set[str] = set()
+            seq = self._state.seq
+            for obs in observations:
+                if obs.digest in held or obs.digest in seen:
+                    out.append(None)
+                    continue
+                seen.add(obs.digest)
+                seq += 1
+                obs = replace(obs, seq=seq)
+                fresh.append(obs)
+                out.append(obs)
+            if not fresh:
+                return out
             if save:
-                self._save_locked()
-            return obs
+                self._append_locked(self._unsaved + fresh)
+            elif not self.read_only:
+                self._unsaved.extend(fresh)
+            with self._cond:
+                for obs in fresh:
+                    apply(self._state, obs)
+                self._cond.notify_all()
+            if save:
+                self._maybe_compact_locked()
+            return out
 
     # -- change notification (SSE) --------------------------------------------
 
     @property
     def version(self) -> int:
         with self._lock:
-            return self._version
+            return self._state.version
 
     def wait_version(self, last: int, timeout: float | None = None) -> int:
         """Block until the state version exceeds ``last`` (or timeout)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while self._version <= last:
+            while self._state.version <= last:
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
                 )
                 if remaining is not None and remaining <= 0:
                     break
                 self._cond.wait(timeout=remaining)
-            return self._version
+            return self._state.version
 
     # -- queries --------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
+            state = self._state
             return {
-                "workloads": len(self._series),
-                "observations": sum(len(s) for s in self._series.values()),
-                "digests": len(self._digests),
-                "version": self._version,
+                "workloads": len(state.series),
+                "observations": sum(len(s) for s in state.series.values()),
+                "digests": len(state.digests),
+                "version": state.version,
             }
 
     def summary(self, top: int = 20) -> dict[str, Any]:
         """Fleet-wide cluster summary: recurring bottlenecks first."""
         with self._lock:
             clusters: dict[tuple[str, str], dict[str, Any]] = {}
-            for workload, series in self._series.items():
+            for workload, series in self._state.series.items():
                 for obs in series:
                     for fp, m in obs.locks.items():
                         c = clusters.setdefault(
@@ -254,10 +432,10 @@ class FleetAggregator:
                 )
             out.sort(key=lambda c: (-c["cp_mean"], c["workload"], c["site"]))
             return {
-                "traces": len(self._digests),
-                "workloads": len(self._series),
+                "traces": len(self._state.digests),
+                "workloads": len(self._state.series),
                 "clusters": len(out),
-                "version": self._version,
+                "version": self._state.version,
                 "top": out[:top],
             }
 
@@ -282,7 +460,7 @@ class FleetAggregator:
         flags: list[dict[str, Any]] = []
         workloads: dict[str, Any] = {}
         with self._lock:
-            for workload, series in sorted(self._series.items()):
+            for workload, series in sorted(self._state.series.items()):
                 if len(series) < min_runs:
                     workloads[workload] = {"runs": len(series), "checked": False}
                     continue
@@ -431,48 +609,114 @@ class FleetAggregator:
     # -- persistence ----------------------------------------------------------
 
     def save(self) -> None:
-        with self._lock:
-            self._save_locked()
+        """Append every ``save=False`` observation to the log."""
+        self._check_writable()
+        with self._commit_lock:
+            if self._unsaved:
+                self._append_locked(self._unsaved)
+                self._maybe_compact_locked()
 
-    def _save_locked(self) -> None:
-        blob = {
-            "state_version": _STATE_VERSION,
-            "seq": self._seq,
-            "version": self._version,
-            "digests": self._digests,
-            "workloads": {
-                w: [o.to_dict() for o in series]
-                for w, series in self._series.items()
-            },
-        }
-        write_atomic(self.state_path, json.dumps(blob).encode("utf-8"))
+    def compact(self) -> None:
+        """Write the state as a new checkpoint and start a new log.
 
-    def _load(self) -> None:
-        if not self.state_path.exists():
+        Commits do this on their own once the log outgrows the state.
+        """
+        self._check_writable()
+        with self._commit_lock:
+            self._compact_locked()
+
+    def _check_writable(self) -> None:
+        if self.read_only:
+            raise ReproError(f"{self.state_dir}: fleet state is open read-only")
+
+    def _log_path(self, seq: int) -> Path:
+        return self.state_dir / f"fleet.{seq}.log"
+
+    def _append_locked(self, observations: list[Observation]) -> None:
+        lines = [
+            json.dumps(o.to_dict(), separators=(",", ":")).encode("utf-8")
+            for o in observations
+        ]
+        append_durable(self._log_path(self._log_seq), b"\n".join(lines) + b"\n")
+        self._log_lines += len(lines)
+        self._unsaved = []
+
+    def _maybe_compact_locked(self) -> None:
+        live = sum(len(s) for s in self._state.series.values())
+        if self._log_lines <= max(_COMPACT_MIN_LINES, live):
             return
         try:
-            blob = json.loads(self.state_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return  # corrupt state: start fresh, traces re-ingest on demand
-        if blob.get("state_version") != _STATE_VERSION:
+            self._compact_locked()
+        except OSError as exc:  # every line is already durable: retry later
+            log.warning("fleet compaction failed: %s", exc)
+
+    def _compact_locked(self) -> None:
+        # Committers hold the commit lock to change the state, so it
+        # stays still while serialized here without blocking queries.
+        blob = json.dumps(self._state.to_checkpoint()).encode("utf-8")
+        old = self._log_path(self._log_seq)
+        write_atomic(self.state_path, blob)
+        self._unsaved = []  # the checkpoint holds them
+        # The old log is now redundant.  An unlink a power cut undoes
+        # leaves a stale log the next open removes.
+        self._log_seq, self._log_lines = self._state.seq, 0
+        if old != self._log_path(self._log_seq):
+            old.unlink(missing_ok=True)
+
+    def _read_checkpoint(self) -> FleetState | None:
+        """The checkpoint's state (empty if none), or None if unreadable."""
+        try:
+            data = self.state_path.read_bytes()
+        except FileNotFoundError:
+            return FleetState()
+        try:
+            return FleetState.from_checkpoint(json.loads(data))
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return None
+
+    def _read_log(self, path: Path) -> bytes:
+        try:
+            return path.read_bytes()
+        except FileNotFoundError:
+            return b""
+
+    def _open(self) -> None:
+        """Fold the checkpoint and its log; a writer also repairs the dir.
+
+        The checkpoint's identity is checked after the log is read: a
+        compaction between the two reads replaced it (and may have
+        removed the log read), so the fold starts over.
+        """
+        for _ in range(_FOLD_ATTEMPTS):
+            before = _stat_key(self.state_path)
+            state = self._read_checkpoint()
+            data = b"" if state is None else self._read_log(self._log_path(state.seq))
+            if _stat_key(self.state_path) == before:
+                break
+        else:
+            raise ReproError(f"{self.state_dir}: fleet checkpoint kept changing")
+        readable = state is not None
+        if not readable:
+            # Unreadable or from an unknown version: start fresh.  The
+            # traces re-ingest on demand (POST /fleet/ingest).
+            log.warning("fleet state %s unreadable: starting fresh", self.state_path)
+            state = FleetState()
+        self._log_seq = state.seq
+        good, self._log_lines = _fold_log(state, data)
+        self._state = state
+        if self.read_only:
             return
-        self._seq = int(blob.get("seq", 0))
-        self._version = int(blob.get("version", 0))
-        self._digests = dict(blob.get("digests", {}))
-        for workload, series in blob.get("workloads", {}).items():
-            self._series[workload] = [
-                Observation(
-                    digest=o["digest"],
-                    workload=o["workload"],
-                    seq=o["seq"],
-                    ts=o["ts"],
-                    name=o.get("name", ""),
-                    duration=o.get("duration", 0.0),
-                    nthreads=o.get("nthreads", 0),
-                    locks=o.get("locks", {}),
-                )
-                for o in series
-            ]
+        self.state_dir.mkdir(parents=True, exist_ok=True)
+        reap_staging(self.state_dir)
+        keep = self._log_path(self._log_seq) if readable else None
+        for stale in self.state_dir.glob("fleet.*.log"):
+            if stale != keep:
+                stale.unlink()
+        if not readable:
+            self._compact_locked()  # an empty checkpoint replaces it
+        elif len(data) > good:  # cut a torn tail before appending after it
+            os.truncate(keep, good)
+            fsync_path(keep)
 
 
 # -- rendering ---------------------------------------------------------------

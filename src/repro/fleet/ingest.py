@@ -1,16 +1,17 @@
 """Feeding the aggregator: background ingest and store-wide catch-up.
 
-Two paths produce observations:
+Both paths run :func:`ingest_store` over stored traces:
 
 * :class:`FleetIngestor` — a single daemon thread the service owns.
   Every trace-store write (upload or finalized stream session) enqueues
-  the stored entry; the thread analyzes it off the request path and
-  folds the result into the aggregator.  Each digest is analyzed at
-  most once ever — the observation persists in fleet state, so a
-  service restart does not re-analyze the store.
-* :func:`ingest_store` — synchronous catch-up over a whole trace store
-  (the ``fleet`` CLI working against a data directory, or a service
-  that inherited a store populated before fleet observability existed).
+  the stored entry; the thread drains the queue, analyzes each entry off
+  the request path, and commits the group to the aggregator with one
+  fsync.  Each digest is analyzed at most once while its observation is
+  held — the observation persists in fleet state, so a service restart
+  does not re-analyze the store.
+* a catch-up over a whole trace store (the ``fleet`` CLI working against
+  a data directory, or ``POST /fleet/ingest`` on a service that
+  inherited a store populated before fleet observability existed).
   Already-observed digests are skipped, so repeated invocations are
   incremental, not rescans.
 """
@@ -21,10 +22,9 @@ import logging
 import queue
 import threading
 import time
-from typing import Any
 
 from repro.errors import ReproError
-from repro.fleet.aggregate import FleetAggregator
+from repro.fleet.aggregate import FleetAggregator, Observation
 from repro.fleet.fingerprint import workload_of
 
 __all__ = ["FleetIngestor", "ingest_store", "observe_stored_trace"]
@@ -32,13 +32,13 @@ __all__ = ["FleetIngestor", "ingest_store", "observe_stored_trace"]
 log = logging.getLogger("repro.fleet")
 
 
-def observe_stored_trace(
-    aggregator: FleetAggregator, entry, *, save: bool = True
-) -> Any | None:
-    """Analyze one stored trace and observe it; None if already observed.
+def observe_stored_trace(aggregator: FleetAggregator, entry) -> Observation | None:
+    """Analyze one stored trace into an observation to commit.
 
-    ``entry`` is a :class:`repro.service.store.StoredTrace` (or anything
-    with ``digest``/``path``/``name`` attributes).
+    ``None`` if the aggregator already holds the digest.  ``entry`` is a
+    :class:`repro.service.store.StoredTrace` (or anything with
+    ``digest``/``path``/``name`` attributes).  Nothing changes until the
+    caller passes the observation to :meth:`FleetAggregator.commit`.
     """
     if aggregator.has(entry.digest):
         return None
@@ -47,33 +47,35 @@ def observe_stored_trace(
 
     trace = read_trace(entry.path)
     report = analyze(trace, validate=False).report.to_dict()
-    return aggregator.observe(
-        report,
-        digest=entry.digest,
-        workload=workload_of(trace.meta, entry.name),
-        save=save,
+    return Observation.from_report(
+        report, digest=entry.digest, workload=workload_of(trace.meta, entry.name)
     )
 
 
 def ingest_store(
-    aggregator: FleetAggregator, entries, *, metrics=None
+    aggregator: FleetAggregator, entries, *, metrics=None, save: bool = False
 ) -> dict[str, int]:
     """Catch the aggregator up with stored traces (incremental).
 
     ``entries`` are :class:`~repro.service.store.StoredTrace` records: a
     live store's ``list()``, or ``stored_traces(dir)`` read off disk.
-    Nothing is saved: the caller that owns the aggregator's state file
-    (the service) saves, while a read-only view of a data directory a
-    live service may own (the ``fleet --store`` CLI) must not.
+    Their observations commit as one group, counted as observed only
+    after it.  With ``save`` the group is durable first; without it, it
+    folds into memory only (the ``fleet --store`` CLI's read-only view)
+    or waits for the owner's :meth:`~FleetAggregator.save`.
     """
-    observed = skipped = errors = 0
+    staged: list[tuple[Observation, float]] = []
+    skipped = errors = 0
     for entry in entries:
+        t0 = time.perf_counter()
         try:
-            t0 = time.perf_counter()
-            obs = observe_stored_trace(aggregator, entry, save=False)
-        except ReproError as exc:
+            obs = observe_stored_trace(aggregator, entry)
+        except Exception as exc:  # noqa: BLE001 — one bad trace spoils no other
             errors += 1
-            log.warning("fleet ingest failed for %s: %s", entry.digest, exc)
+            log.warning(
+                "fleet ingest failed for %s: %s", entry.digest, exc,
+                exc_info=not isinstance(exc, ReproError),  # a bug: keep its trace
+            )
             if metrics is not None:
                 metrics.count_fleet(errors=1)
             continue
@@ -82,9 +84,27 @@ def ingest_store(
             if metrics is not None:
                 metrics.count_fleet(duplicates=1)
         else:
+            staged.append((obs, time.perf_counter() - t0))
+    t0 = time.perf_counter()
+    try:
+        committed = aggregator.commit([obs for obs, _ in staged], save=save)
+    except OSError as exc:
+        log.warning("fleet commit of %d observation(s) failed: %s", len(staged), exc)
+        errors += len(staged)
+        if metrics is not None:
+            metrics.count_fleet(errors=len(staged))
+        staged, committed = [], []
+    commit_s = time.perf_counter() - t0
+    observed = 0
+    for (_, seconds), obs in zip(staged, committed):
+        if obs is None:  # observed by another committer meanwhile
+            skipped += 1
+            if metrics is not None:
+                metrics.count_fleet(duplicates=1)
+        else:
             observed += 1
             if metrics is not None:
-                metrics.count_fleet(observed=1, seconds=time.perf_counter() - t0)
+                metrics.count_fleet(observed=1, seconds=seconds + commit_s)
     return {"observed": observed, "skipped": skipped, "errors": errors}
 
 
@@ -124,22 +144,26 @@ class FleetIngestor:
 
     def _run(self) -> None:
         while True:
-            entry = self._queue.get()
+            # Everything queued by now is one group: one fsync commits it.
+            batch = [self._queue.get()]
+            while True:
+                try:
+                    batch.append(self._queue.get_nowait())
+                except queue.Empty:
+                    break
             try:
-                if entry is None:
-                    return
-                t0 = time.perf_counter()
-                obs = observe_stored_trace(self.aggregator, entry)
-                if self.metrics is not None:
-                    if obs is None:
-                        self.metrics.count_fleet(duplicates=1)
-                    else:
-                        self.metrics.count_fleet(
-                            observed=1, seconds=time.perf_counter() - t0
-                        )
-            except Exception as exc:  # noqa: BLE001 — keep the worker alive
-                log.warning("fleet ingest error: %s", exc)
+                ingest_store(
+                    self.aggregator,
+                    [e for e in batch if e is not None],
+                    metrics=self.metrics,
+                    save=True,
+                )
+            except Exception:  # noqa: BLE001 — keep the worker alive
+                log.exception("fleet ingest error")
                 if self.metrics is not None:
                     self.metrics.count_fleet(errors=1)
             finally:
-                self._queue.task_done()
+                for _ in batch:
+                    self._queue.task_done()
+            if any(e is None for e in batch):
+                return

@@ -69,7 +69,6 @@ import time
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro._durable import reap_staging
 from repro.errors import ServiceError
 from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.dashboard import render_dashboard
@@ -131,8 +130,6 @@ class ServiceAPI:
         self.jobs = JobStore()
         self.metrics = ServiceMetrics()
         self.fleet = FleetAggregator(self.data_dir / "fleet")
-        # Not in the aggregator: workers open this directory mid-save.
-        reap_staging(self.fleet.state_dir)
         self.fleet_rules = load_rules(rules_path) if rules_path else []
         self.fleet_ingestor = FleetIngestor(self.fleet, metrics=self.metrics)
         self._cache_keys: dict[str, str] = {}  # job id -> cache key
@@ -256,10 +253,8 @@ class ServiceAPI:
                 # Catch-up over traces stored before fleet observability
                 # (or under a different service instance).
                 counts = ingest_store(
-                    self.fleet, self.store.list(), metrics=self.metrics
+                    self.fleet, self.store.list(), metrics=self.metrics, save=True
                 )
-                if counts["observed"]:
-                    self.fleet.save()
                 return 200, counts
             case ("GET", ["ring"]):
                 if self.ring is None:

@@ -116,8 +116,7 @@ class JobStore:
     """Thread-safe in-memory job registry with bounded history."""
 
     def __init__(self, max_finished: int = 1024):
-        self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []  # insertion order, for trimming/listing
+        self._jobs: dict[str, Job] = {}  # in submission order
         self._max_finished = max_finished
         self._lock = threading.Lock()
 
@@ -125,7 +124,6 @@ class JobStore:
         job = Job(id=uuid.uuid4().hex[:12], spec=spec)
         with self._lock:
             self._jobs[job.id] = job
-            self._order.append(job.id)
             self._trim()
         return job
 
@@ -150,7 +148,7 @@ class JobStore:
 
     def list(self) -> list[Job]:
         with self._lock:
-            return [self._jobs[i] for i in self._order]
+            return list(self._jobs.values())
 
     def count(self, state: str) -> int:
         with self._lock:
@@ -193,18 +191,19 @@ class JobStore:
     def _trim(self) -> None:
         # Drop oldest *finished* jobs beyond the history bound; never drop
         # queued/running jobs (the pool still owes them a completion).
-        excess = len(self._order) - self._max_finished
+        # The walk stops at the last job it drops, so it costs the jobs
+        # still unfinished ahead of it, not the whole history.
+        excess = len(self._jobs) - self._max_finished
         if excess <= 0:
             return
-        kept = []
-        for jid in self._order:
-            job = self._jobs[jid]
-            if excess > 0 and job.state in (DONE, FAILED):
-                del self._jobs[jid]
-                excess -= 1
-            else:
-                kept.append(jid)
-        self._order = kept
+        drop = []
+        for jid, job in self._jobs.items():
+            if job.state in (DONE, FAILED):
+                drop.append(jid)
+                if len(drop) == excess:
+                    break
+        for jid in drop:
+            del self._jobs[jid]
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +363,19 @@ def _exec_check(paths: list[str], params: dict) -> dict:
 
 
 def _exec_fleet_summary(paths: list[str], params: dict) -> dict:
-    # Fleet state persists as JSON under the service data dir, so a
-    # worker process answers from the same state the API process writes.
+    # Fleet state persists under the service data dir, so a worker
+    # process answers from the same state the API process writes; it
+    # only reads, because the API process owns the directory.
     from repro.fleet.aggregate import FleetAggregator
 
-    agg = FleetAggregator(params["state_dir"])
+    agg = FleetAggregator(params["state_dir"], read_only=True)
     return agg.summary(top=int(params.get("top", 20)))
 
 
 def _exec_fleet_regressions(paths: list[str], params: dict) -> dict:
     from repro.fleet.aggregate import FleetAggregator
 
-    agg = FleetAggregator(params["state_dir"])
+    agg = FleetAggregator(params["state_dir"], read_only=True)
     kwargs: dict = {}
     if params.get("topk") is not None:
         kwargs["topk"] = int(params["topk"])

@@ -56,10 +56,14 @@ def test_state_round_trips_through_disk(tmp_path):
 
 def test_corrupt_state_starts_fresh(tmp_path):
     state = tmp_path / "fleet"
-    seeded_aggregator(state, runs=2)
+    seeded_aggregator(state, runs=2).compact()  # the runs live in fleet.json
     (state / "fleet.json").write_text("{not json", encoding="utf-8")
     agg = FleetAggregator(state)
     assert agg.stats()["observations"] == 0
+    # The fresh state replaced the corrupt checkpoint: what it observes
+    # next survives a reopen.
+    agg.observe(synth_report({"L": 0.5}), digest="after", workload="w")
+    assert FleetAggregator(state).stats()["observations"] == 1
 
 
 def test_wait_version_wakes_on_observe(tmp_path):

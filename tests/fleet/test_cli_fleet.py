@@ -53,6 +53,10 @@ def test_fleet_summary_json(store_dir, capsys):
     assert {c["site"] for c in doc["top"]} == {"L1", "L2"}
 
 
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 def test_fleet_store_is_read_not_reaped(store_dir, capsys):
     # What a live service leaves mid-upload: a staging file, and a body
     # whose sidecar has not landed yet.  Opening the store would delete
@@ -71,16 +75,51 @@ def test_fleet_store_is_read_not_reaped(store_dir, capsys):
 
 def test_fleet_store_leaves_fleet_state_untouched(store_dir, capsys):
     # A trace the live service has not observed yet: the CLI ingests it
-    # in memory, but the state file belongs to the service, whose next
-    # save would overwrite (and race) anything the CLI wrote there.
-    state = Path(store_dir) / "fleet" / "fleet.json"
-    before = state.read_bytes()
+    # in memory, but the checkpoint and log belong to the service, whose
+    # next commit would race anything the CLI wrote there.
+    state = Path(store_dir) / "fleet"
+    before = _files(state)
+    assert any(name.endswith(".log") for name in before)
     TraceStore(Path(store_dir) / "traces").put_trace(
         make_micro_program(cs2=2.6).run().trace, name="micro"
     )
     assert main(["fleet", "summary", "--store", store_dir, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["traces"] == 5
-    assert state.read_bytes() == before
+    assert _files(state) == before
+
+
+@pytest.fixture()
+def shared_node(tmp_path):
+    """A ``--shared-dir`` node: traces in the shared dir, fleet state in
+    the node's data dir."""
+    api = ServiceAPI(tmp_path / "node", workers=0, shared_dir=tmp_path / "shared")
+    try:
+        for i in range(2):
+            trace = make_micro_program(cs2=2.5 + 0.001 * i).run().trace
+            path = write_trace(trace, tmp_path / f"t{i}.clt")
+            api.handle("POST", "/traces", path.read_bytes(), {"name": "micro"})
+        assert api.flush_fleet(timeout=60)
+    finally:
+        api.close()
+    assert not (tmp_path / "node" / "traces").exists()
+    return tmp_path / "node", tmp_path / "shared"
+
+
+def test_fleet_store_on_a_shared_dir_creates_nothing(shared_node, capsys):
+    _, shared = shared_node
+    before = sorted(p.relative_to(shared) for p in shared.rglob("*"))
+    assert main(["fleet", "summary", "--store", str(shared), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["traces"] == 2
+    assert sorted(p.relative_to(shared) for p in shared.rglob("*")) == before
+    assert not (shared / "fleet").exists()
+
+
+def test_fleet_store_reads_a_shared_dir_nodes_data_dir(shared_node, capsys):
+    node, _ = shared_node
+    before = _files(node / "fleet")
+    assert main(["fleet", "summary", "--store", str(node), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["traces"] == 2
+    assert _files(node / "fleet") == before
 
 
 def test_fleet_summary_empty_store(tmp_path, capsys):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 
 import pytest
 
 from tests.conftest import make_micro_program
 
+from repro.fleet import FleetAggregator
 from repro.service import ServiceAPI, ServiceClient
 from repro.service.server import make_server
 from repro.trace import write_trace
@@ -125,7 +127,7 @@ def test_fleet_ingest_route_catches_up(tmp_path):
     seeder.handle("POST", "/traces", path.read_bytes(), {"name": "micro"})
     seeder.flush_fleet(timeout=30)
     seeder.close()
-    (tmp_path / "svc" / "fleet" / "fleet.json").unlink()  # fleet never saw it
+    shutil.rmtree(tmp_path / "svc" / "fleet")  # fleet never saw it
 
     api = ServiceAPI(tmp_path / "svc", workers=0)
     try:
@@ -137,6 +139,9 @@ def test_fleet_ingest_route_catches_up(tmp_path):
         assert summary["traces"] == 1
     finally:
         api.close()
+    # The route committed what it observed before answering.
+    reread = FleetAggregator(tmp_path / "svc" / "fleet", read_only=True)
+    assert reread.summary()["traces"] == 1
 
 
 def test_metrics_expose_fleet_counters(api, tmp_path):

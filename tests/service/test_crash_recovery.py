@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 import repro._durable
+import repro.fleet.aggregate as aggregate
 import repro.service.stream
 from repro.fleet import FleetAggregator
 from repro.service.api import ServiceAPI
@@ -665,6 +666,50 @@ def test_fleet_state_keeps_every_saved_observation(tmp_path, power_loss):
     reloaded = FleetAggregator(tmp_path / "fleet")
     assert reloaded.summary() == saved.summary()
     assert all(reloaded.has(f"run-{i}") for i in range(3))
+
+
+def _upload_variants(api, tmp_path, n):
+    for i in range(n):
+        trace = make_micro_program(cs2=2.5 + 0.001 * i).run().trace
+        data = write_trace(trace, tmp_path / f"f{i}.clt").read_bytes()
+        api.handle("POST", "/traces", data, {"name": "micro"})
+        assert api.flush_fleet(timeout=30)
+
+
+@pytest.mark.parametrize("cut_at", ["idle", "compaction"])
+def test_counted_fleet_observations_survive_power_loss(
+    tmp_path, power_loss, monkeypatch, cut_at
+):
+    """Every observation ``/metrics`` counts as observed survives a cut,
+    also one between a compaction's checkpoint write and its new log."""
+    cuts = []
+    if cut_at == "compaction":
+        # Trim at 2, so the third observation's commit compacts.
+        monkeypatch.setattr(aggregate, "_MAX_OBSERVATIONS", 2)
+        monkeypatch.setattr(aggregate, "_COMPACT_MIN_LINES", 0)
+        write_atomic = aggregate.write_atomic
+
+        def write_then_cut(dest, data):
+            write_atomic(dest, data)
+            power_loss.cut()  # the old log is still there, no new one yet
+            cuts.append(sorted(p.name for p in dest.parent.iterdir()))
+            raise OSError("power cut")
+
+        monkeypatch.setattr(aggregate, "write_atomic", write_then_cut)
+    api = ServiceAPI(tmp_path / "svc", workers=0)
+    try:
+        _upload_variants(api, tmp_path, 3)
+        _, metrics = api.handle("GET", "/metrics")
+        live = api.fleet.summary()
+    finally:
+        api.close()
+    if cut_at == "idle":
+        power_loss.cut()
+    assert cuts == ([] if cut_at == "idle" else [["fleet.0.log", "fleet.json"]])
+    assert metrics["fleet"]["observed"] == 3
+    reopened = FleetAggregator(tmp_path / "svc" / "fleet")
+    assert reopened.version == 3
+    assert reopened.summary() == live
 
 
 # ---------------------------------------------------------------------------

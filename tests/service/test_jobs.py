@@ -67,6 +67,34 @@ class TestJobStore:
         assert store.get(keep.id).state == "queued"
         assert len(store.list()) <= 3  # 2 finished + the queued one
 
+    def test_trim_at_full_history_touches_only_what_it_drops(self):
+        # At a full history every create and mark_done trims; the trim
+        # stops once it has dropped enough instead of walking every job.
+        store = JobStore(max_finished=256)
+        running = store.create(JobSpec("selftest", (), {"i": -1}))
+        store.mark_running(running.id)
+        for i in range(300):
+            job = store.create(JobSpec("selftest", (), {"i": i}))
+            store.mark_done(job.id, {})
+        visits = []
+
+        class Counting(dict):
+            def __getitem__(self, key):
+                visits.append(key)
+                return super().__getitem__(key)
+
+            def items(self):
+                for key, value in super().items():
+                    visits.append(key)
+                    yield key, value
+
+        store._jobs = Counting(store._jobs)
+        job = store.create(JobSpec("selftest", (), {"i": 300}))
+        store.mark_done(job.id, {})
+        assert len(visits) <= 4  # the running job, then the oldest finished
+        order = [j.spec.params["i"] for j in store.list()]
+        assert order == [-1, *range(301 - 255, 301)]
+
 
 class TestExecute:
     def test_analyze_matches_in_process(self, micro_trace, micro_path):
