@@ -8,7 +8,8 @@ Standalone script (not a pytest bench — CI runs it directly)::
 Three claims are measured and asserted (docs/fleet.md, EXPERIMENTS.md):
 
 * **Aggregation throughput** — folding stored analysis reports into
-  :class:`repro.fleet.FleetAggregator` sustains at least
+  :class:`repro.fleet.FleetAggregator` as one durable group commit (a
+  store catch-up) sustains at least
   ``--min-throughput`` observations/s (default 200/s) over >= 1k
   synthetic reports, and a fleet-wide summary + regression sweep over
   the resulting state stays interactive (recorded, not asserted).
@@ -35,7 +36,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.fleet import FleetAggregator
+from repro.fleet import FleetAggregator, Observation
 
 #: Injected cp_fraction shift (moved from the top lock to the second).
 SHIFT = 0.2
@@ -98,13 +99,19 @@ def make_fleet(
     return rows, shifted_set
 
 
+def _commit_group(agg: FleetAggregator, rows) -> None:
+    """Commit ``rows`` as one group (one fsync), as a store catch-up does."""
+    agg.commit([
+        Observation.from_report(report, digest=digest, workload=workload)
+        for digest, workload, report in rows
+    ])
+
+
 def bench_aggregation(state_dir: Path, rows) -> dict:
     agg = FleetAggregator(state_dir)
     t0 = time.perf_counter()
-    for digest, workload, report in rows:
-        agg.observe(report, digest=digest, workload=workload, save=False)
+    _commit_group(agg, rows)
     t_observe = time.perf_counter() - t0
-    agg.save()
 
     t0 = time.perf_counter()
     summary = agg.summary(top=20)
@@ -130,12 +137,10 @@ def bench_aggregation(state_dir: Path, rows) -> dict:
 
 
 def bench_durable_observe(state_dir: Path, rows, size: int, repeats: int) -> dict:
-    """Time ``observe(save=True)`` on a fleet already holding ``size``
+    """Time a durable ``observe`` on a fleet already holding ``size``
     observations: the cost each upload pays in the service's ingestor."""
     agg = FleetAggregator(state_dir)
-    for digest, workload, report in rows[:size]:
-        agg.observe(report, digest=digest, workload=workload, save=False)
-    agg.save()
+    _commit_group(agg, rows[:size])
     times = []
     for digest, workload, report in rows[size:size + repeats]:
         t0 = time.perf_counter()

@@ -42,8 +42,9 @@ def write_atomic(dest: Path, data: bytes | Callable[[Path], object]) -> None:
 def append_durable(path: Path, data: bytes) -> None:
     """Durably append ``data`` to ``path``, creating the file if needed.
 
-    On an error the file is cut back to its old length, so a failed
-    append leaves no partial record for a later one to follow.
+    On an error the file is cut back to its old length (or removed, if
+    this append created it), so a failed append leaves no record behind
+    for a later one to follow.
     """
     try:
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644)
@@ -64,7 +65,11 @@ def append_durable(path: Path, data: bytes) -> None:
     finally:
         os.close(fd)
     if created:
-        fsync_path(path.parent)  # the new name survives a power cut too
+        try:
+            fsync_path(path.parent)  # the new name survives a power cut too
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
 
 
 def reap_staging(directory: Path) -> None:

@@ -17,16 +17,17 @@ Opening folds the log into the checkpoint through :func:`apply`, so a
 restart (or a worker process answering a ``fleet_*`` job) rebuilds the
 exact state, and committing an observation costs one appended line
 instead of a rewrite of the whole state.  Once the log holds more lines
-than the state holds observations it is compacted: the state becomes
-the new checkpoint and a new log, named by the checkpoint's ``seq``,
-begins.  A reader that raced a compaction sees the checkpoint change
-under it and reads again.
+than the checkpoint holds observations it is compacted: the state
+becomes the new checkpoint and a new log, named by the checkpoint's
+``seq``, begins.  A reader that raced a compaction sees the checkpoint
+change under it and reads again.
 
-Aggregation is idempotent by trace digest over the observations the
-series still hold: re-observing a stored trace is a no-op, which is
-what lets the service update fleet state on every store write without
-rescans.  A trace observed more than ``_MAX_OBSERVATIONS`` observations
-of its workload ago has been trimmed out, and counts again.
+Aggregation is idempotent by trace digest: every digest ever observed
+is remembered (one string per trace, while each workload's series keeps
+only its last ``_MAX_OBSERVATIONS`` observations), so re-observing a
+stored trace is a no-op.  That is what lets the service update fleet
+state on every store write, and a catch-up over a whole store, without
+rescans.
 
 Regression detection compares a workload's latest observation against
 the rest of its series.  The noise band is calibrated from the repeated
@@ -71,9 +72,10 @@ _MAX_LOCKS = 32
 _MAX_OBSERVATIONS = 512
 #: Per-cluster series length exported in summaries (sparkline width).
 _SERIES_LEN = 32
-#: The log is compacted once it holds more lines than this and than the
-#: state holds observations, so a compaction's O(state) write is spread
-#: over at least as many O(1) appends.
+#: The log is compacted once it holds more lines than this, than the
+#: state holds observations and than an eighth of its digests (a digest
+#: is a fraction of an observation's bytes), so a compaction's O(state)
+#: write is spread over at least as many O(1) appends.
 _COMPACT_MIN_LINES = 256
 #: Reads of a checkpoint and its log before giving up on a directory
 #: whose checkpoint keeps changing under the reader.
@@ -176,7 +178,7 @@ class FleetState:
     #: Change counter for subscribers: one step per observation.
     version: int = 0
     series: dict[str, list[Observation]] = field(default_factory=dict)
-    #: digest -> workload, for the observations the series still hold.
+    #: digest -> workload, for every observation ever folded in.
     digests: dict[str, str] = field(default_factory=dict)
 
     def to_checkpoint(self) -> dict[str, Any]:
@@ -187,18 +189,20 @@ class FleetState:
             "workloads": {
                 w: [o.to_dict() for o in series] for w, series in self.series.items()
             },
+            "digests": self.digests,
         }
 
     @classmethod
     def from_checkpoint(cls, blob: dict[str, Any]) -> "FleetState":
         if blob.get("state_version") not in _READABLE_VERSIONS:
             raise ValueError(f"unknown state_version {blob.get('state_version')!r}")
-        state = cls(seq=int(blob.get("seq", 0)), version=int(blob.get("version", 0)))
+        state = cls(
+            seq=int(blob.get("seq", 0)),
+            version=int(blob.get("version", 0)),
+            digests=dict(blob.get("digests", {})),
+        )
         for workload, rows in blob.get("workloads", {}).items():
-            series = state.series[workload] = [Observation.from_dict(o) for o in rows]
-            # Rebuilt rather than read: a version-1 file also listed the
-            # digests its series had already trimmed.
-            state.digests.update((o.digest, workload) for o in series)
+            state.series[workload] = [Observation.from_dict(o) for o in rows]
         return state
 
 
@@ -206,7 +210,7 @@ def apply(state: FleetState, obs: Observation) -> FleetState:
     """Fold one committed observation into ``state``: the one reducer.
 
     Record the digest, append to the workload's series and trim it to
-    ``_MAX_OBSERVATIONS``, forgetting the trimmed digests.  Both a live
+    ``_MAX_OBSERVATIONS`` (the digest stays recorded).  Both a live
     commit and the fold at open go through here.  It reads nothing but
     its arguments (no clock, no disk), so folding the same observations
     always gives the same state.  It updates ``state`` in place: a copy
@@ -216,10 +220,7 @@ def apply(state: FleetState, obs: Observation) -> FleetState:
     series.append(obs)
     state.digests[obs.digest] = obs.workload
     if len(series) > _MAX_OBSERVATIONS:
-        cut = len(series) - _MAX_OBSERVATIONS
-        for old in series[:cut]:
-            state.digests.pop(old.digest, None)
-        del series[:cut]
+        del series[: len(series) - _MAX_OBSERVATIONS]
     state.seq = obs.seq
     state.version += 1
     return state
@@ -266,8 +267,8 @@ class FleetAggregator:
     ``read_only=True`` folds the checkpoint and log and never creates,
     repairs or writes anything (a missing directory is an empty fleet):
     the view for a worker process or the ``fleet --store`` CLI, next to
-    a service that owns the directory.  Observations still fold into
-    the in-memory state with ``save=False``.
+    a service that owns the directory.  Its commits fold into memory
+    only; a writer's are durable before they are visible.
     """
 
     def __init__(
@@ -290,7 +291,6 @@ class FleetAggregator:
         # One committer at a time, so log order is seq order; held across
         # the fsync, which queries never wait for.
         self._commit_lock = threading.Lock()
-        self._unsaved: list[Observation] = []  # applied, not yet in the log
         # Sets the state, the checkpoint seq the log follows (_log_seq)
         # and the log's line count (_log_lines).
         self._open()
@@ -308,7 +308,6 @@ class FleetAggregator:
         digest: str,
         workload: str,
         ts: float | None = None,
-        save: bool = True,
     ) -> Observation | None:
         """Fold one analysis report into fleet state.
 
@@ -316,21 +315,17 @@ class FleetAggregator:
         digest was already observed (idempotent re-upload).
         """
         obs = Observation.from_report(report, digest=digest, workload=workload, ts=ts)
-        return self.commit([obs], save=save)[0]
+        return self.commit([obs])[0]
 
-    def commit(
-        self, observations: Sequence[Observation], *, save: bool = True
-    ) -> list[Observation | None]:
+    def commit(self, observations: Sequence[Observation]) -> list[Observation | None]:
         """Fold a group of observations in, with one fsync for the group.
 
-        Each observation gets the next ``seq``; one whose digest is
-        already held (or repeats earlier in the group) gives ``None``.
-        With ``save`` the group's lines are durable before any of it is
-        visible to queries or subscribers.  Without it they apply now
-        and reach the log with the next save.
+        Each observation gets the next ``seq``; one whose digest was
+        already observed (or repeats earlier in the group) gives
+        ``None``.  The group's lines are durable before any of it is
+        visible to queries or subscribers; a read-only view folds it
+        into memory only.
         """
-        if save:
-            self._check_writable()
         with self._commit_lock:
             out: list[Observation | None] = []
             fresh: list[Observation] = []
@@ -348,15 +343,13 @@ class FleetAggregator:
                 out.append(obs)
             if not fresh:
                 return out
-            if save:
-                self._append_locked(self._unsaved + fresh)
-            elif not self.read_only:
-                self._unsaved.extend(fresh)
+            if not self.read_only:
+                self._append_locked(fresh)
             with self._cond:
                 for obs in fresh:
                     apply(self._state, obs)
                 self._cond.notify_all()
-            if save:
+            if not self.read_only:
                 self._maybe_compact_locked()
             return out
 
@@ -608,26 +601,15 @@ class FleetAggregator:
 
     # -- persistence ----------------------------------------------------------
 
-    def save(self) -> None:
-        """Append every ``save=False`` observation to the log."""
-        self._check_writable()
-        with self._commit_lock:
-            if self._unsaved:
-                self._append_locked(self._unsaved)
-                self._maybe_compact_locked()
-
     def compact(self) -> None:
         """Write the state as a new checkpoint and start a new log.
 
         Commits do this on their own once the log outgrows the state.
         """
-        self._check_writable()
-        with self._commit_lock:
-            self._compact_locked()
-
-    def _check_writable(self) -> None:
         if self.read_only:
             raise ReproError(f"{self.state_dir}: fleet state is open read-only")
+        with self._commit_lock:
+            self._compact_locked()
 
     def _log_path(self, seq: int) -> Path:
         return self.state_dir / f"fleet.{seq}.log"
@@ -639,11 +621,10 @@ class FleetAggregator:
         ]
         append_durable(self._log_path(self._log_seq), b"\n".join(lines) + b"\n")
         self._log_lines += len(lines)
-        self._unsaved = []
 
     def _maybe_compact_locked(self) -> None:
         live = sum(len(s) for s in self._state.series.values())
-        if self._log_lines <= max(_COMPACT_MIN_LINES, live):
+        if self._log_lines <= max(_COMPACT_MIN_LINES, live, len(self._state.digests) // 8):
             return
         try:
             self._compact_locked()
@@ -655,8 +636,17 @@ class FleetAggregator:
         # stays still while serialized here without blocking queries.
         blob = json.dumps(self._state.to_checkpoint()).encode("utf-8")
         old = self._log_path(self._log_seq)
-        write_atomic(self.state_path, blob)
-        self._unsaved = []  # the checkpoint holds them
+        before = _stat_key(self.state_path)
+        try:
+            write_atomic(self.state_path, blob)
+        except BaseException:
+            if _stat_key(self.state_path) != before:
+                # Replaced, but the directory fsync failed: readers now
+                # find a checkpoint naming the new log, so commits go
+                # there.  The old log stays for a power cut that undoes
+                # the rename; the next open removes it.
+                self._log_seq, self._log_lines = self._state.seq, 0
+            raise
         # The old log is now redundant.  An unlink a power cut undoes
         # leaves a stale log the next open removes.
         self._log_seq, self._log_lines = self._state.seq, 0

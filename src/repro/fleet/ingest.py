@@ -12,7 +12,7 @@ Both paths run :func:`ingest_store` over stored traces:
 * a catch-up over a whole trace store (the ``fleet`` CLI working against
   a data directory, or ``POST /fleet/ingest`` on a service that
   inherited a store populated before fleet observability existed).
-  Already-observed digests are skipped, so repeated invocations are
+  Every digest already observed is skipped, so repeated invocations are
   incremental, not rescans.
 """
 
@@ -52,17 +52,14 @@ def observe_stored_trace(aggregator: FleetAggregator, entry) -> Observation | No
     )
 
 
-def ingest_store(
-    aggregator: FleetAggregator, entries, *, metrics=None, save: bool = False
-) -> dict[str, int]:
+def ingest_store(aggregator: FleetAggregator, entries, *, metrics=None) -> dict[str, int]:
     """Catch the aggregator up with stored traces (incremental).
 
     ``entries`` are :class:`~repro.service.store.StoredTrace` records: a
     live store's ``list()``, or ``stored_traces(dir)`` read off disk.
     Their observations commit as one group, counted as observed only
-    after it.  With ``save`` the group is durable first; without it, it
-    folds into memory only (the ``fleet --store`` CLI's read-only view)
-    or waits for the owner's :meth:`~FleetAggregator.save`.
+    after it: durable first on a writable aggregator, folded into memory
+    only on a read-only one (the ``fleet --store`` CLI's view).
     """
     staged: list[tuple[Observation, float]] = []
     skipped = errors = 0
@@ -87,7 +84,7 @@ def ingest_store(
             staged.append((obs, time.perf_counter() - t0))
     t0 = time.perf_counter()
     try:
-        committed = aggregator.commit([obs for obs, _ in staged], save=save)
+        committed = aggregator.commit([obs for obs, _ in staged])
     except OSError as exc:
         log.warning("fleet commit of %d observation(s) failed: %s", len(staged), exc)
         errors += len(staged)
@@ -156,7 +153,6 @@ class FleetIngestor:
                     self.aggregator,
                     [e for e in batch if e is not None],
                     metrics=self.metrics,
-                    save=True,
                 )
             except Exception:  # noqa: BLE001 — keep the worker alive
                 log.exception("fleet ingest error")

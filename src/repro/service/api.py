@@ -252,10 +252,7 @@ class ServiceAPI:
             case ("POST", ["fleet", "ingest"]):
                 # Catch-up over traces stored before fleet observability
                 # (or under a different service instance).
-                counts = ingest_store(
-                    self.fleet, self.store.list(), metrics=self.metrics, save=True
-                )
-                return 200, counts
+                return 200, ingest_store(self.fleet, self.store.list(), metrics=self.metrics)
             case ("GET", ["ring"]):
                 if self.ring is None:
                     return 200, {"routing": False, "self": self.self_url}

@@ -44,18 +44,20 @@ def test_ingest_counts_unreadable_traces_as_errors(tmp_path):
 def test_ingest_state_survives_restart(tmp_path):
     store, _ = _seed_store(tmp_path, n=2)
     first = FleetAggregator(tmp_path / "fleet")
-    ingest_store(first, store.list())
-    first.save()  # the owner saves; ingest_store itself never does
+    ingest_store(first, store.list())  # durable before it returns
     # A fresh aggregator over the same state dir skips all of them.
     agg = FleetAggregator(tmp_path / "fleet")
     assert ingest_store(agg, store.list())["skipped"] == 2
 
 
 def test_ingest_store_never_saves(tmp_path):
+    """On a read-only view (the ``fleet --store`` CLI's) the catch-up
+    folds into memory and writes nothing."""
     store, _ = _seed_store(tmp_path, n=2)
-    agg = FleetAggregator(tmp_path / "fleet")
+    agg = FleetAggregator(tmp_path / "fleet", read_only=True)
     assert ingest_store(agg, store.list())["observed"] == 2
-    assert not agg.state_path.exists()
+    assert agg.summary()["traces"] == 2
+    assert not (tmp_path / "fleet").exists()
 
 
 def test_background_ingestor_processes_queue(tmp_path):

@@ -49,6 +49,7 @@ def test_replay_equality_after_trimming_past_the_window(tmp_path):
     state_dir = tmp_path / "fleet"
     agg = FleetAggregator(state_dir)
     workloads = ["hot", "cold", "warm"]
+    group: list[Observation] = []
     for i in range(900):
         workload = "hot" if i % 4 else rng.choice(workloads)
         report = synth_report(
@@ -56,12 +57,16 @@ def test_replay_equality_after_trimming_past_the_window(tmp_path):
             name=workload,
         )
         digest = f"d{rng.randrange(4000)}"  # some byte-identical re-uploads
-        # Mostly group commits through save(), some durable one by one.
-        agg.observe(report, digest=digest, workload=workload, ts=float(i),
-                    save=i % 50 == 0)
+        # Mostly group commits, some one by one.
+        if i % 50 == 0:
+            agg.observe(report, digest=digest, workload=workload, ts=float(i))
+        else:
+            group.append(Observation.from_report(
+                report, digest=digest, workload=workload, ts=float(i)))
         if i % 64 == 63:
-            agg.save()
-    agg.save()
+            agg.commit(group)
+            group = []
+    agg.commit(group)
     assert agg.stats()["observations"] > aggregate._MAX_OBSERVATIONS
     assert len(agg._state.series["hot"]) == aggregate._MAX_OBSERVATIONS
     assert agg.state_path.exists()  # a compaction happened on its own
@@ -78,16 +83,23 @@ def test_replay_equality_after_trimming_past_the_window(tmp_path):
     assert _views(FleetAggregator(state_dir, read_only=True)) == _views(agg)
 
 
-def test_digests_are_bounded_by_the_series(tmp_path, monkeypatch):
+def test_trimmed_digests_stay_observed(tmp_path, monkeypatch):
+    """The series trim, the digests do not: a trace observed before its
+    workload's window moved on is still a duplicate, also after the
+    checkpoint and log are folded again."""
     monkeypatch.setattr(aggregate, "_MAX_OBSERVATIONS", 3)
-    agg = FleetAggregator(tmp_path / "fleet")
+    monkeypatch.setattr(aggregate, "_COMPACT_MIN_LINES", 0)
+    state_dir = tmp_path / "fleet"
+    agg = FleetAggregator(state_dir)
     for i in range(5):
         agg.observe(synth_report({"L": 0.5}), digest=f"d{i}", workload="w")
-    assert agg.stats()["digests"] == 3
-    assert not agg.has("d0") and agg.has("d4")
-    # Outside the window a byte-identical re-upload counts again.
-    assert agg.observe(synth_report({"L": 0.5}), digest="d0", workload="w")
-    assert agg.observe(synth_report({"L": 0.5}), digest="d4", workload="w") is None
+    assert agg.stats() == {"workloads": 1, "observations": 3, "digests": 5,
+                           "version": 5}
+    assert agg.state_path.exists()  # compacted: d0 and d1 live in the checkpoint
+    for reopened in (agg, FleetAggregator(state_dir, read_only=True)):
+        assert reopened.has("d0")
+        assert reopened.observe(synth_report({"L": 0.5}), digest="d0",
+                                workload="w") is None
 
 
 def test_apply_is_the_reducer_of_the_fold():
@@ -170,15 +182,28 @@ def test_version1_state_file_opens_as_the_checkpoint(tmp_path):
     live = seeded_aggregator(tmp_path / "reference", runs=3)
     blob = live._state.to_checkpoint()
     blob["state_version"] = 1
-    blob["digests"] = {"trimmed-long-ago": "micro", **live._state.digests}
     (state_dir / "fleet.json").write_text(json.dumps(blob))
 
     agg = FleetAggregator(state_dir)
     assert _views(agg) == _views(live)
-    assert not agg.has("trimmed-long-ago")
     agg.observe(synth_report({"L2": 0.8}), digest="run-3", workload="micro")
     assert _logs(state_dir) == ["fleet.3.log"]
     assert FleetAggregator(state_dir, read_only=True).stats()["observations"] == 4
+
+
+def test_version1_trimmed_digests_are_kept(tmp_path):
+    """A version-1 file listed digests its series had trimmed: they
+    stay observed."""
+    state_dir = tmp_path / "fleet"
+    state_dir.mkdir()
+    blob = seeded_aggregator(tmp_path / "reference", runs=2)._state.to_checkpoint()
+    blob["state_version"] = 1
+    blob["digests"] = {"trimmed-long-ago": "micro", **blob["digests"]}
+    (state_dir / "fleet.json").write_text(json.dumps(blob))
+    agg = FleetAggregator(state_dir)
+    assert agg.has("trimmed-long-ago")
+    assert agg.stats() == {"workloads": 1, "observations": 2, "digests": 3,
+                           "version": 2}
 
 
 def test_unknown_state_version_starts_fresh(tmp_path):
@@ -207,12 +232,10 @@ def test_read_only_creates_and_writes_nothing(tmp_path):
     agg = FleetAggregator(missing, read_only=True)
     assert agg.stats()["observations"] == 0
     # Observations fold into memory only.
-    assert agg.observe(synth_report({"L": 0.5}), digest="d", workload="w", save=False)
+    assert agg.observe(synth_report({"L": 0.5}), digest="d", workload="w")
     assert agg.summary()["traces"] == 1
-    for write in (agg.save, agg.compact,
-                  lambda: agg.observe(synth_report({"L": 0.5}), digest="e", workload="w")):
-        with pytest.raises(ReproError, match="read-only"):
-            write()
+    with pytest.raises(ReproError, match="read-only"):
+        agg.compact()
     assert not missing.exists()
 
 
@@ -256,6 +279,54 @@ def test_failed_append_leaves_nothing_behind(tmp_path, monkeypatch):
     assert FleetAggregator(tmp_path / "fleet", read_only=True).stats()["version"] == 3
 
 
+def _failing_dir_fsync(monkeypatch):
+    import repro._durable as durable
+
+    real_fsync_path = durable.fsync_path
+
+    def fsync_path(path):
+        if path.is_dir():
+            raise OSError("directory fsync failed")
+        real_fsync_path(path)
+
+    monkeypatch.setattr(durable, "fsync_path", fsync_path)
+
+
+def test_failed_log_creation_leaves_no_log(tmp_path, monkeypatch):
+    """An append that creates the log and then fails to fsync the
+    directory removes the log again: the failed group is not folded in
+    on the next open, next to the lines that reuse its seqs."""
+    agg = seeded_aggregator(tmp_path / "fleet", runs=2)
+    agg.compact()  # the next commit creates fleet.2.log
+    with monkeypatch.context() as m:
+        _failing_dir_fsync(m)
+        with pytest.raises(OSError):
+            agg.observe(synth_report({"L": 0.5}), digest="lost", workload="micro")
+    assert not (tmp_path / "fleet" / "fleet.2.log").exists()
+    assert not agg.has("lost") and agg.version == 2
+    agg.observe(synth_report({"L": 0.5}), digest="next", workload="micro")
+    reread = FleetAggregator(tmp_path / "fleet", read_only=True)
+    assert not reread.has("lost")
+    assert _views(reread) == _views(agg)
+
+
+def test_compaction_whose_dir_fsync_fails_moves_to_the_new_log(tmp_path, monkeypatch):
+    """The checkpoint was replaced, only its directory fsync failed: it
+    now names the new log, so the next commit must append there."""
+    state_dir = tmp_path / "fleet"
+    agg = seeded_aggregator(state_dir, runs=2)
+    with monkeypatch.context() as m:
+        _failing_dir_fsync(m)
+        with pytest.raises(OSError):
+            agg.compact()
+    assert json.loads(agg.state_path.read_bytes())["seq"] == 2
+    agg.observe(synth_report({"L": 0.5}), digest="run-2", workload="micro")
+    for reread in (FleetAggregator(state_dir, read_only=True), FleetAggregator(state_dir)):
+        assert reread.has("run-2")
+        assert _views(reread) == _views(agg)
+    assert _logs(state_dir) == ["fleet.2.log"]  # the writer's open removed fleet.0.log
+
+
 def test_concurrent_committers_and_readers_lose_nothing(tmp_path, monkeypatch):
     """More committing threads than cores, half of their digests shared,
     with queries running beside them and a compaction every few lines:
@@ -278,9 +349,7 @@ def test_concurrent_committers_and_readers_lose_nothing(tmp_path, monkeypatch):
                 obs = Observation.from_report(
                     synth_report({"L": 0.5}), digest=digest, workload=f"w{i % 3}"
                 )
-                committed.extend(o for o in agg.commit([obs], save=i % 5 != 0) if o)
-                if i % 7 == 0:
-                    agg.save()
+                committed.extend(o for o in agg.commit([obs]) if o)
         except BaseException as exc:  # noqa: BLE001 — reported below
             errors.append(exc)
 
@@ -305,7 +374,6 @@ def test_concurrent_committers_and_readers_lose_nothing(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads + readers)
     assert errors == []
-    agg.save()
     # 6 threads x 20 own digests, plus 20 shared ones committed once each.
     assert sorted(o.seq for o in committed) == list(range(1, 6 * 20 + 20 + 1))
     assert agg.version == len(committed)

@@ -10,9 +10,12 @@ import pytest
 
 from tests.conftest import make_micro_program
 
+import repro.fleet.aggregate as aggregate
+from repro.cli import main
 from repro.fleet import FleetAggregator
 from repro.service import ServiceAPI, ServiceClient
 from repro.service.server import make_server
+from repro.service.store import TraceStore
 from repro.trace import write_trace
 
 RULES = (
@@ -142,6 +145,29 @@ def test_fleet_ingest_route_catches_up(tmp_path):
     # The route committed what it observed before answering.
     reread = FleetAggregator(tmp_path / "svc" / "fleet", read_only=True)
     assert reread.summary()["traces"] == 1
+
+
+def test_catch_up_past_the_series_window_is_idempotent(tmp_path, capsys, monkeypatch):
+    """More stored traces of one workload than its series keeps: the
+    trimmed ones stay observed, so a second catch-up observes nothing
+    and the CLI's read-only view equals the service's state."""
+    monkeypatch.setattr(aggregate, "_MAX_OBSERVATIONS", 4)
+    store = TraceStore(tmp_path / "svc" / "traces")
+    for i in range(7):
+        store.put_trace(make_micro_program(cs2=2.5 + 0.001 * i).run().trace, name="micro")
+    api = ServiceAPI(tmp_path / "svc", workers=0)
+    try:
+        _, first = api.handle("POST", "/fleet/ingest", b"", {})
+        _, second = api.handle("POST", "/fleet/ingest", b"", {})
+        _, summary = api.handle("GET", "/fleet/summary", b"", {"top": "15"})
+    finally:
+        api.close()
+    assert first == {"observed": 7, "skipped": 0, "errors": 0}
+    assert second == {"observed": 0, "skipped": 7, "errors": 0}
+    assert summary["traces"] == 7
+    assert {c["runs"] for c in summary["top"]} == {4}
+    assert main(["fleet", "summary", "--store", str(tmp_path / "svc"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == summary
 
 
 def test_metrics_expose_fleet_counters(api, tmp_path):

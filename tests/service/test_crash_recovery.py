@@ -43,7 +43,7 @@ from repro.trace.schema import EVENT_DTYPE
 from repro.trace.writer import header_dict
 
 from tests.conftest import make_micro_program
-from tests.fleet.fleethelpers import seeded_aggregator
+from tests.fleet.fleethelpers import seeded_aggregator, synth_report
 
 SRC = Path(repro._durable.__file__).parent
 
@@ -709,6 +709,40 @@ def test_counted_fleet_observations_survive_power_loss(
     assert metrics["fleet"]["observed"] == 3
     reopened = FleetAggregator(tmp_path / "svc" / "fleet")
     assert reopened.version == 3
+    assert reopened.summary() == live
+
+
+@pytest.mark.parametrize(
+    "crash", ["restart", "cut_before_next_commit", "cut_after_next_commit"]
+)
+def test_compaction_with_a_failed_dir_fsync_loses_no_commit(
+    tmp_path, power_loss, monkeypatch, crash
+):
+    """A compaction replaces the checkpoint but cannot fsync its
+    directory, so the rename may or may not survive a cut.  Every
+    commit before it and after it survives a restart or a cut."""
+    agg = seeded_aggregator(tmp_path / "fleet", runs=3)
+    fsync_path = repro._durable.fsync_path
+
+    def fsync_files_only(path):
+        if path.is_dir():
+            raise OSError("directory fsync failed")
+        fsync_path(path)
+
+    with monkeypatch.context() as m:
+        m.setattr(repro._durable, "fsync_path", fsync_files_only)
+        with pytest.raises(OSError):
+            agg.compact()
+    assert (tmp_path / "fleet" / "fleet.json").exists()
+    committed = ["run-0", "run-1", "run-2"]
+    if crash != "cut_before_next_commit":
+        agg.observe(synth_report({"L2": 0.6}), digest="run-3", workload="micro")
+        committed.append("run-3")
+    live = agg.summary()
+    if crash != "restart":
+        power_loss.cut()
+    reopened = FleetAggregator(tmp_path / "fleet")
+    assert all(reopened.has(d) for d in committed)
     assert reopened.summary() == live
 
 
