@@ -14,19 +14,15 @@ Three claims, measured and asserted:
 2. **Reader memory is O(chunk)** — ``iter_trace_chunks`` over a
    multi-hundred-thousand-event ``.clt`` peaks at a small multiple of
    one chunk, not at the file size (tracemalloc, numpy-aware).
-3. **Throughput** — chunked append + online analysis keeps up; the
-   script reports ingest events/sec and rolling-snapshot latency taken
-   *while* the stream is being ingested.
+3. **Throughput** — chunked append + spool + checkpoint keeps up; the
+   script reports ingest events/sec and snapshot latency taken *while*
+   the stream is being ingested.
 
-It also times the online estimator on its own: ``observe_s`` is the
-best of 7 passes of ``OnlineAnalyzer.observe_batch`` over the trace in
-16,384-event chunks (a fresh analyzer each pass), ``observe_reference_s``
-the best of 3 per-event ``repro.check.reference.reference_online``
-replays.  CI floors their ratio.  ``assemble_s`` is finalize's assembly
-step on its own: read the spool back (the trace's records, in arrival
-order) and normalize it with ``sort_stream_records``, best of 7.  CI
-asserts it costs at most a quarter of ``observe_s``: an in-order spool
-must not pay a full sort-and-gather of the trace at finalize.
+It also times the exact snapshot: ``snapshot_s`` is the first
+``GET /streams/<sid>/snapshot`` after the last chunk is durable (the
+whole spool read back and analyzed), and ``analyze_s`` the best of 3
+in-process ``analyze(trace, validate=False)`` runs.  CI asserts
+``snapshot_s <= 2 * analyze_s``: a snapshot costs about one analysis.
 """
 
 from __future__ import annotations
@@ -39,16 +35,13 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 
-from repro.check.reference import reference_online
-from repro.core.online import OnlineAnalyzer
+from repro.core.analyzer import analyze
 from repro.service.api import ServiceAPI
 from repro.service.jobs import execute
 from repro.trace.digest import trace_digest
-from repro.trace.framing import encode_records_frame, sort_stream_records, split_records
+from repro.trace.framing import encode_records_frame, split_records
 from repro.trace.reader import iter_trace_chunks
-from repro.trace.schema import EVENT_DTYPE
 from repro.trace.writer import header_dict, write_trace
 from repro.workloads import SyntheticLocks
 
@@ -77,11 +70,8 @@ def measure_reader_memory(path: Path, chunk_events: int) -> tuple[int, int]:
     return events, peak
 
 
-#: observe_batch chunk size and best-of counts for the estimator timings.
-OBSERVE_CHUNK = 16_384
-OBSERVE_REPEATS = 7
-REFERENCE_REPEATS = 3
-ASSEMBLE_REPEATS = 7
+#: Best-of count for the in-process analysis the snapshot is held to.
+ANALYZE_REPEATS = 3
 
 
 def best_of(repeats: int, fn) -> float:
@@ -91,18 +81,6 @@ def best_of(repeats: int, fn) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def observe_chunks(records) -> OnlineAnalyzer:
-    online = OnlineAnalyzer()
-    for block in split_records(records, OBSERVE_CHUNK):
-        online.observe_batch(block)
-    return online
-
-
-def assemble(spool: Path):
-    """Finalize's assembly: the spool read back and normalized."""
-    return sort_stream_records(np.fromfile(spool, dtype=EVENT_DTYPE))
 
 
 def stream_ingest(api: ServiceAPI, records, chunk_events: int, snap_every: int):
@@ -154,22 +132,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: expected >= 200k events, built {len(trace)}", file=sys.stderr)
         return 1
 
-    observe_s = best_of(OBSERVE_REPEATS, lambda: observe_chunks(trace.records))
-    reference_s = best_of(REFERENCE_REPEATS, lambda: reference_online(trace))
-    print(f"observe_batch    {observe_s:8.4f}s   best of {OBSERVE_REPEATS}, "
-          f"{OBSERVE_CHUNK}-event chunks ({reference_s / observe_s:.1f}x the "
-          f"per-event reference, {reference_s:.3f}s)")
+    analyze_s = best_of(ANALYZE_REPEATS, lambda: analyze(trace, validate=False))
+    print(f"analyze          {analyze_s:8.4f}s   best of {ANALYZE_REPEATS}, "
+          f"validate=False")
 
     with tempfile.TemporaryDirectory(prefix="bench_stream_") as tmp:
         tmp_path = Path(tmp)
         clt = write_trace(trace, tmp_path / "bench.clt")
-        spool = tmp_path / "bench.spool"
-        trace.records.tofile(spool)
-        assert np.array_equal(assemble(spool), trace.records)
-        assemble_s = best_of(ASSEMBLE_REPEATS, lambda: assemble(spool))
-        print(f"assemble         {assemble_s:8.4f}s   best of {ASSEMBLE_REPEATS}, "
-              f"spool read + sort_stream_records ({assemble_s / observe_s:.2f}x "
-              f"observe_batch)")
 
         # -- claim 2: O(chunk) reader memory ------------------------------
         events, peak = measure_reader_memory(clt, args.chunk_events)
@@ -197,6 +166,12 @@ def main(argv: list[str] | None = None) -> int:
                   f"({rate / 1e3:.0f}k events/s, {backpressure} backpressure waits)")
             print(f"snapshot latency {snap_mean * 1e3:8.2f}ms mean, "
                   f"{max(snaps) * 1e3:.2f}ms max over {len(snaps)} mid-stream polls")
+            s0 = time.perf_counter()
+            status, snap = api.handle("GET", f"/streams/{sid}/snapshot")
+            snapshot_s = time.perf_counter() - s0
+            assert status == 200 and snap["events"] == len(trace), snap
+            print(f"snapshot         {snapshot_s:8.4f}s   whole durable spool "
+                  f"({snapshot_s / analyze_s:.2f}x analyze)")
 
             t0 = time.perf_counter()
             status, fin = api.handle(
@@ -216,10 +191,6 @@ def main(argv: list[str] | None = None) -> int:
                 print("FAIL: streamed+finalized report differs from batch analysis",
                       file=sys.stderr)
                 return 1
-            rec = fin["reconciliation"]
-            print(f"reconciliation   counters_exact={rec['counters_exact']} "
-                  f"top_lock_agrees={rec['top_lock_agrees']} "
-                  f"cp_time_error={rec['cp_time_error']:.3g}")
 
     if args.json:
         with open(args.json, "w") as f:
@@ -240,10 +211,8 @@ def main(argv: list[str] | None = None) -> int:
                     "snapshot_mean_ms": round(snap_mean * 1e3, 3),
                     "snapshot_max_ms": round(max(snaps) * 1e3, 3),
                     "finalize_s": round(finalize_s, 4),
-                    "observe_chunk_events": OBSERVE_CHUNK,
-                    "observe_s": round(observe_s, 4),
-                    "observe_reference_s": round(reference_s, 4),
-                    "assemble_s": round(assemble_s, 4),
+                    "snapshot_s": round(snapshot_s, 4),
+                    "analyze_s": round(analyze_s, 4),
                     "identical_digest": True,
                     "identical_render": True,
                 },

@@ -4,9 +4,9 @@
 * :func:`write_atomic` replaces a file (stage, fsync, rename, fsync the
   directory): once it returns the bytes survive a power cut, and no
   reader ever finds a torn or empty file at the destination.
-* :func:`append_durable` appends to a log (write, fsync, and fsync the
-  directory when the append created the file): once it returns the
-  appended bytes survive a power cut.  A reader may see a torn tail
+* :func:`append_durable` appends to a log or a spool (write, fsync, and
+  fsync the directory when the append created the file): once it
+  returns the appended bytes survive a power cut.  A reader may see a torn tail
   while an append is in flight, so a log's reader drops it.
 """
 
@@ -39,8 +39,9 @@ def write_atomic(dest: Path, data: bytes | Callable[[Path], object]) -> None:
     fsync_path(dest.parent)  # and the rename survives a power cut
 
 
-def append_durable(path: Path, data: bytes) -> None:
-    """Durably append ``data`` to ``path``, creating the file if needed.
+def append_durable(path: Path, *blocks: bytes | memoryview) -> None:
+    """Durably append ``blocks``, in order, to ``path`` with one fsync,
+    creating the file if needed.
 
     On an error the file is cut back to its old length (or removed, if
     this append created it), so a failed append leaves no record behind
@@ -55,9 +56,10 @@ def append_durable(path: Path, data: bytes) -> None:
     try:
         size = os.fstat(fd).st_size
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            for block in blocks:
+                view = memoryview(block)
+                while view:
+                    view = view[os.write(fd, view):]
             os.fsync(fd)
         except BaseException:
             os.ftruncate(fd, size)

@@ -2,7 +2,7 @@
 
 ``check_trace`` runs a trace through both critical-path formulations —
 the backward walk (:func:`compute_critical_path`) and the forward event
-DAG (:class:`EventGraph`) — plus the metric, online and serialization
+DAG (:class:`EventGraph`) — plus the metric, snapshot and serialization
 layers, and returns one :class:`Discrepancy` per violated invariant
 (empty list = clean).  Invariant ids (see ``docs/check.md``):
 
@@ -15,14 +15,11 @@ layers, and returns one :class:`Discrepancy` per violated invariant
                    round-trip (distances recomputed in another unit,
                    scaled back, and fed to the backtracker)
 ``metrics``        per-lock invariant bounds (cp_fraction ∈ [0, 1], ...)
-``online``         TYPE 2 sums match ``OnlineAnalyzer`` counters exactly
-``online-chain``   online dependent-chain max matches an independent
-                   offline replay (mutexes only)
-``online-equiv``   the batch kernel behind ``observe_batch``, fed the
-                   trace at seeded random chunk splits, reaches the
-                   state of the per-event ``reference_online`` replay:
-                   counters, slot dicts and time bounds exactly, float
-                   sums and chains to 1e-9
+``snapshot``       an ``OnlineAnalyzer`` fed the trace's records as a
+                   seeded random chunk split, chunks in shuffled order,
+                   with the trace's header, reports exactly what
+                   ``analyze(trace, validate=False)`` reports
+                   (``report.to_dict()`` equal)
 ``roundtrip``      trace → .clt/.jsonl → trace is lossless
 ``truncated``      the prefix cut before the first THREAD_EXIT still
                    analyzes, with completion == truncated duration
@@ -64,7 +61,6 @@ from repro.check.reference import (
     critical_events,
     path_from_columns,
     reference_analyze,
-    reference_online,
     reference_trace_problems,
     timelines_from_columns,
     waker_table_from_columns,
@@ -72,11 +68,11 @@ from repro.check.reference import (
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
 from repro.errors import ReproError
-from repro.trace.events import EventType, ObjectKind
+from repro.trace.events import EventType
 from repro.trace.reader import read_trace
 from repro.trace.trace import Trace
 from repro.trace.validate import trace_problems
-from repro.trace.writer import write_trace
+from repro.trace.writer import header_dict, write_trace
 
 __all__ = ["Discrepancy", "check_trace"]
 
@@ -86,9 +82,8 @@ _ABS = 1e-9
 #: Corrupted variants per trace checked by ``validate-equiv``.
 CORRUPTIONS_PER_TRACE = 8
 
-#: Random chunk splits per trace checked by ``online-equiv`` (plus the
-#: whole trace as one batch).
-ONLINE_SPLITS = 3
+#: Most chunk boundaries in the split the ``snapshot`` invariant feeds.
+SNAPSHOT_MAX_CUTS = 12
 
 
 @dataclass(frozen=True)
@@ -115,10 +110,10 @@ def check_trace(
     cp_length`` bound, which only holds when no thread ever holds two
     lock-like objects at once (nested holds legitimately double-count
     critical-path time across locks).  ``seed`` picks the corruptions
-    ``validate-equiv`` applies and the chunk splits ``online-equiv``
-    feeds (the fuzz seed, so a repro replays them).
+    ``validate-equiv`` applies and the chunk split ``snapshot`` feeds
+    (the fuzz seed, so a repro replays them).
     """
-    equiv = _check_validate_equiv(trace, seed) + _check_online_equiv(trace, seed)
+    equiv = _check_validate_equiv(trace, seed)
     out: list[Discrepancy] = []
     try:
         result = analyze(trace)
@@ -224,8 +219,8 @@ def check_trace(
     # -- metrics
     out += _check_metrics(result, cp, has_nested_holds)
 
-    # -- online + online-chain
-    out += _check_online(trace, result)
+    # -- snapshot
+    out += _check_snapshot(trace, seed)
 
     # -- roundtrip
     out += _check_roundtrip(trace)
@@ -242,7 +237,7 @@ def check_trace(
     # -- sample-coverage
     out += _check_sampling(trace, result)
 
-    # -- validate-equiv + online-equiv
+    # -- validate-equiv
     out += equiv
 
     return out
@@ -276,52 +271,35 @@ def _check_validate_equiv(trace: Trace, seed: int) -> list[Discrepancy]:
     return out
 
 
-def online_state_diff(got, want) -> str | None:
-    """First difference between two ``OnlineAnalyzer`` states, or ``None``.
-
-    Counters, slot dicts, last releases and time bounds must be equal;
-    float sums and chains may differ by summation order (1e-9).
-    """
-    for attr in ("events_seen", "first_time", "last_time"):
-        if getattr(got, attr) != getattr(want, attr):
-            return f"{attr} {getattr(got, attr)!r} != {getattr(want, attr)!r}"
-    if set(got._locks) != set(want._locks):
-        return f"locks {sorted(got._locks)} != {sorted(want._locks)}"
-    for obj, w in want._locks.items():
-        g = got._locks[obj]
-        for attr in ("name", "invocations", "contended", "_last_release",
-                     "_pending_acquire", "_obtain_time"):
-            if getattr(g, attr) != getattr(w, attr):
-                return f"{w.name}.{attr} {getattr(g, attr)!r} != {getattr(w, attr)!r}"
-        for attr in ("wait_time", "hold_time", "chain_time", "max_chain_time"):
-            if not _close(getattr(g, attr), getattr(w, attr)):
-                return f"{w.name}.{attr} {getattr(g, attr)!r} != {getattr(w, attr)!r}"
-    return None
-
-
-def _check_online_equiv(trace: Trace, seed: int) -> list[Discrepancy]:
-    """The batch kernel matches the per-event replay at any chunk split."""
-    want = reference_online(trace)
-    n = len(trace.records)
+def _check_snapshot(trace: Trace, seed: int) -> list[Discrepancy]:
+    """The live analyzer, fed the records in shuffled chunks, reports
+    exactly what the batch analyzer reports."""
+    records = trace.records
+    n = len(records)
     rng = random.Random(seed)
-    plans = [[0, n]]
-    for _ in range(ONLINE_SPLITS):
-        cuts = rng.sample(range(1, n), min(n - 1, rng.randint(1, 12))) if n > 1 else []
-        plans.append([0, *sorted(cuts), n])
-    out: list[Discrepancy] = []
-    for bounds in plans:
-        got = OnlineAnalyzer(trace)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            got.observe_batch(trace.records[lo:hi])
-        diff = online_state_diff(got, want)
-        if diff is not None:
-            out.append(
-                Discrepancy(
-                    "online-equiv",
-                    f"split at {bounds[1:-1]}: batch kernel vs reference: {diff}",
-                )
-            )
-    return out
+    ncuts = min(n - 1, rng.randint(1, SNAPSHOT_MAX_CUTS)) if n > 1 else 0
+    cuts = sorted(rng.sample(range(1, n), ncuts))
+    chunks = [records[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])]
+    rng.shuffle(chunks)
+    header = header_dict(trace)
+    online = OnlineAnalyzer()
+    for chunk in chunks:
+        online.observe_batch(chunk, header=header)
+    try:
+        got = online.result().report.to_dict()
+        want = analyze(trace, validate=False).report.to_dict()
+    except ReproError as exc:
+        return [Discrepancy("snapshot", f"split at {cuts}: {type(exc).__name__}: {exc}")]
+    if got == want:
+        return []
+    diff = next((k for k in want if got.get(k) != want[k]), None)
+    return [
+        Discrepancy(
+            "snapshot",
+            f"split at {cuts}: online report differs from analyze at {diff!r}: "
+            f"{got.get(diff)!r} != {want.get(diff)!r}",
+        )
+    ]
 
 
 def _check_dag_path(trace: Trace, graph, completion: float) -> list[Discrepancy]:
@@ -446,94 +424,6 @@ def _check_metrics(result, cp, has_nested_holds: bool) -> list[Discrepancy]:
             )
         )
     return out
-
-
-def _check_online(trace: Trace, result) -> list[Discrepancy]:
-    out: list[Discrepancy] = []
-    online = OnlineAnalyzer().observe_all(trace)
-    for lm in result.report.locks.values():
-        try:
-            ls = online.stats(lm.obj)
-        except KeyError:
-            if lm.total_invocations:
-                out.append(
-                    Discrepancy(
-                        "online", f"{lm.name}: {lm.total_invocations} offline "
-                        "invocations but no online stats",
-                    )
-                )
-            continue
-        if ls.invocations != lm.total_invocations:
-            out.append(
-                Discrepancy(
-                    "online",
-                    f"{lm.name}: invocations online {ls.invocations} != "
-                    f"offline {lm.total_invocations}",
-                )
-            )
-        if ls.contended != lm.contended_invocations:
-            out.append(
-                Discrepancy(
-                    "online",
-                    f"{lm.name}: contended online {ls.contended} != "
-                    f"offline {lm.contended_invocations}",
-                )
-            )
-        if not _close(ls.wait_time, lm.total_wait_time):
-            out.append(
-                Discrepancy(
-                    "online",
-                    f"{lm.name}: wait_time online {ls.wait_time!r} != "
-                    f"offline {lm.total_wait_time!r}",
-                )
-            )
-        if not _close(ls.hold_time, lm.total_hold_time):
-            out.append(
-                Discrepancy(
-                    "online",
-                    f"{lm.name}: hold_time online {ls.hold_time!r} != "
-                    f"offline {lm.total_hold_time!r}",
-                )
-            )
-        if lm.kind == ObjectKind.MUTEX:
-            offline_chain = _offline_max_chain(trace, lm.obj)
-            if not _close(ls.max_chain_time, offline_chain):
-                out.append(
-                    Discrepancy(
-                        "online-chain",
-                        f"{lm.name}: online max chain {ls.max_chain_time!r} != "
-                        f"offline replay {offline_chain!r}",
-                    )
-                )
-    return out
-
-
-def _offline_max_chain(trace: Trace, obj: int) -> float:
-    """Independent replay of the dependent-chain heuristic for a mutex.
-
-    Works directly on the record arrays rather than the event stream: a
-    run starts at an uncontended OBTAIN (for a mutex an uncontended
-    acquisition always means the previous holder released at or before
-    this instant — an equal timestamp is still not a dependency) and
-    accumulates hold time through consecutive contended handoffs.
-    """
-    records = trace.records
-    sub = records[records["obj"] == obj]
-    obtain_at: dict[int, float] = {}
-    chain = 0.0
-    best = 0.0
-    for row in sub:
-        etype = int(row["etype"])
-        tid = int(row["tid"])
-        if etype == int(EventType.OBTAIN):
-            if not row["arg"]:
-                chain = 0.0
-            obtain_at[tid] = float(row["time"])
-        elif etype == int(EventType.RELEASE):
-            start = obtain_at.pop(tid, float(row["time"]))
-            chain += float(row["time"]) - start
-            best = max(best, chain)
-    return best
 
 
 def _check_engines(trace: Trace, result, path) -> list[Discrepancy]:

@@ -19,10 +19,6 @@
 * :func:`critical_events` backtracks one longest path through the
   event DAG (:class:`~repro.core.dag.EventGraph`), for the ``dag-path``
   invariant.
-* :func:`reference_online` streams a trace through the online
-  estimator one event at a time; the batch kernel behind
-  ``OnlineAnalyzer.observe_batch`` must reach the same state at any
-  chunk split (the ``online-equiv`` invariant).
 * :func:`reference_trace_problems` holds the structural checks of
   :mod:`repro.trace.validate`, written with plain dicts.  The oracle and
   the tests demand that it and the vectorized checker produce the
@@ -53,7 +49,6 @@ from repro.core.model import (
     WaitKind,
     WakeInfo,
 )
-from repro.core.online import OnlineAnalyzer
 from repro.core.report import AnalysisReport
 from repro.errors import AnalysisError, WakerResolutionError
 from repro.trace.events import NO_OBJECT, Event, EventType, ObjectKind
@@ -75,7 +70,6 @@ __all__ = [
     "critical_events",
     "path_from_columns",
     "reference_analyze",
-    "reference_online",
     "reference_trace_problems",
     "resolve_wakers",
     "timelines_from_columns",
@@ -808,53 +802,6 @@ def compute_thread_stats(
             )
         )
     return stats
-
-
-# -- online statistics -----------------------------------------------------
-
-
-def reference_online(trace: Trace) -> OnlineAnalyzer:
-    """Stream ``trace`` through an :class:`OnlineAnalyzer` one ``Event`` at
-    a time, in record order, with plain dict updates per event."""
-    online = OnlineAnalyzer(trace)
-    for ev in trace:
-        _observe(online, ev)
-    return online
-
-
-def _observe(online: OnlineAnalyzer, ev: Event) -> None:
-    online.events_seen += 1
-    if online.first_time is None or ev.time < online.first_time:
-        online.first_time = ev.time
-    if online.last_time is None or ev.time > online.last_time:
-        online.last_time = ev.time
-    if ev.etype not in (EventType.ACQUIRE, EventType.OBTAIN, EventType.RELEASE):
-        return
-    ls = online._stats_for(ev.obj)
-    if ev.etype == EventType.ACQUIRE:
-        ls._pending_acquire[ev.tid] = ev.time
-    elif ev.etype == EventType.OBTAIN:
-        ls.invocations += 1
-        acq = ls._pending_acquire.pop(ev.tid, ev.time)
-        ls._obtain_time[ev.tid] = ev.time
-        if ev.arg:
-            # Dependent handoff: this hold extends the running chain.
-            ls.contended += 1
-            ls.wait_time += ev.time - acq
-        elif ev.time >= ls._last_release:
-            # Independent acquisition: the lock was free, so nobody was
-            # waiting and the chain breaks.  ``>=`` matters: in virtual
-            # time an uncontended OBTAIN routinely lands at the exact
-            # timestamp of the previous RELEASE, and such a handoff is
-            # still not a dependency.
-            ls.chain_time = 0.0
-    else:  # RELEASE
-        start = ls._obtain_time.pop(ev.tid, ev.time)
-        hold = ev.time - start
-        ls.hold_time += hold
-        ls.chain_time += hold
-        ls.max_chain_time = max(ls.max_chain_time, ls.chain_time)
-        ls._last_release = ev.time
 
 
 # -- structural checks -----------------------------------------------------

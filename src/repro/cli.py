@@ -222,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     lv_p = sub.add_parser(
         "live",
         help="tail a growing trace (or a service stream session) and "
-        "render the rolling lock ranking",
+        "render the exact analysis of the events so far",
     )
     lv_p.add_argument("trace", nargs="?", help="trace file to follow (.clt/.cls/.jsonl)")
     lv_p.add_argument("--service", metavar="URL",
                       help="poll a service stream session instead of a file")
     lv_p.add_argument("--session", metavar="SID",
                       help="stream session id (with --service)")
-    lv_p.add_argument("--top", type=int, default=8, help="locks per table")
+    lv_p.add_argument("--top", type=int, default=10, help="locks per table")
     lv_p.add_argument("--refresh", type=float, default=1.0,
                       help="seconds between renders (default: %(default)s)")
     lv_p.add_argument(
@@ -619,17 +619,18 @@ def _cmd_live(args: argparse.Namespace) -> int:
         stop=(lambda: True) if args.once else None,
     ):
         last = snap
-        if args.once:
-            continue  # only the final (complete) snapshot is wanted
-        print(snap["rendered"])
-        print(f"  [{snap['events']} events, {snap['nlocks']} locks, "
-              f"span {snap['elapsed']:.6g}]")
-        print()
+        if not args.once:  # --once wants only the final (complete) snapshot
+            _print_live(snap)
+            print()
     if args.once and last is not None:
-        print(last["rendered"])
-        print(f"  [{last['events']} events, {last['nlocks']} locks, "
-              f"span {last['elapsed']:.6g}]")
+        _print_live(last)
     return 0
+
+
+def _print_live(snap: dict) -> None:
+    print(snap["rendered"])
+    print(f"  [{snap['events']} events, {snap['nlocks']} locks, "
+          f"span {snap['elapsed']:.6g}]")
 
 
 def _live_service(args: argparse.Namespace) -> int:

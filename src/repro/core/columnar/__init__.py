@@ -21,10 +21,7 @@ hands us as a structured array.  This package keeps the columns:
   the ``engine-equiv`` invariant of ``repro.check`` enforces on every
   fuzzed seed — and holds the interval-overlap kernel that attribution,
   estimation and the event DAG share, and the per-interval CP∩hold
-  split the windowed and barrier-phase views share;
-* :mod:`repro.core.columnar.online` is the batch kernel behind
-  :meth:`repro.core.online.OnlineAnalyzer.observe_batch`: one grouping of
-  each stream chunk by ``(lock, thread)``, no loop over rows.
+  split the windowed and barrier-phase views share.
 
 ``analyze(trace)`` runs this pipeline, and the event DAG
 (:mod:`repro.core.dag`) and replay (:mod:`repro.replay`) read its

@@ -33,13 +33,14 @@ Streaming ingestion (chunked append, :mod:`repro.service.stream`)::
     POST /streams                     {"name","meta","max_pending"} -> 201 session
     GET  /streams                     -> {streams: [...]}
     GET  /streams/<id>                -> session status
-    GET  /streams/<id>/snapshot       -> incremental estimator snapshot
-                                       (409 once finalized: the session
-                                       keeps only its status record)
+    GET  /streams/<id>/snapshot       ?top=N&render=1 -> exact analysis
+                                       of the durable prefix (409 once
+                                       finalized: the session keeps only
+                                       its status record)
     POST /traces/<session>/chunks     framed record blocks -> 202 ack
                                        (409 gap, 429 backpressure)
     POST /traces/<session>/finalize   {"header","analyze","name","params"}
-                                       -> 200 stored trace (+report/reconciliation)
+                                       -> 200 stored trace (+report)
 
 Fleet observability (:mod:`repro.fleet`; every store write feeds the
 aggregator incrementally, and ``/dashboard`` + ``/fleet/events`` are
@@ -196,12 +197,10 @@ class ServiceAPI:
                 return 200, self.streams.status(sid)
             case ("GET", ["streams", sid, "snapshot"]):
                 top = query.get("top")
-                snap = self.streams.snapshot(
-                    sid, top=int(top) if top is not None else None
+                return 200, self.streams.snapshot(
+                    sid, top=int(top) if top is not None else None,
+                    render=bool(query.get("render")),
                 )
-                if query.get("render"):
-                    snap["rendered"] = self.streams.render_snapshot(sid)
-                return 200, snap
             case ("POST", ["traces", sid, "chunks"]):
                 return self._append_chunks(sid, body)
             case ("POST", ["traces", sid, "finalize"]):
@@ -296,8 +295,7 @@ class ServiceAPI:
         :class:`TraceStore` as whole-file uploads, so a trace streamed
         chunk-by-chunk and the identical trace uploaded in one POST get
         the same digest and hit the same result cache.  With
-        ``analyze: true`` the exact batch analysis runs inline and the
-        incremental estimator's final snapshot is reconciled against it.
+        ``analyze: true`` the exact batch analysis runs inline.
         """
         if not isinstance(req, dict):
             raise ServiceError("finalize body must be a JSON object")
@@ -310,9 +308,6 @@ class ServiceAPI:
         session, trace = self.streams.finalize(
             sid, header=header, timeout=req.get("timeout")
         )
-        with session.alock:
-            session.analyzer.register_names(header.get("objects", {}))
-            snapshot = session.analyzer.snapshot()
         entry = self.store.put_trace(
             trace, name=req.get("name") or session.name or None
         )
@@ -323,13 +318,9 @@ class ServiceAPI:
         out: dict[str, Any] = {
             "trace": entry.to_dict(),
             "stream": session.to_dict(),
-            "snapshot": snapshot,
         }
         if req.get("analyze"):
-            result = execute("analyze", [str(entry.path)], params)
-            out["report"] = result
-            with session.alock:
-                out["reconciliation"] = session.analyzer.reconcile(result)
+            out["report"] = execute("analyze", [str(entry.path)], params)
         return out
 
     # -- job orchestration ----------------------------------------------------

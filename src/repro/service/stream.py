@@ -7,10 +7,15 @@ framed chunks (:mod:`repro.trace.framing`) and be diagnosed live:
 * chunks land in a bounded per-session **pending queue** — when the
   producer outruns ingestion the service answers 429 (backpressure)
   instead of buffering without limit;
-* a single **ingest thread** drains the queues, spools raw records to
-  disk (service memory stays O(chunk), not O(trace)) and feeds the
-  incremental estimator (:class:`repro.core.online.OnlineAnalyzer`),
-  whose rolling snapshot is served while the stream is still open;
+* a single **ingest thread** drains the queues and does two things per
+  group of chunks: spool the raw records to disk and checkpoint the
+  session.  Its work and the service's memory are O(chunk), not
+  O(trace);
+* a **snapshot** (``GET /streams/<sid>/snapshot``) is the exact
+  critical lock analysis of the durable spool prefix
+  (:class:`repro.core.online.OnlineAnalyzer`).  It is computed on
+  request, at most once per ingested-chunk count: the session caches
+  its JSON and text, not the records;
 * chunk ids are **sequential per session**: the next expected id is
   accepted, anything already ingested is an idempotent duplicate (safe
   retries), and a gap is a hard 409 — the analyzer must never see a
@@ -21,20 +26,24 @@ framed chunks (:mod:`repro.trace.framing`) and be diagnosed live:
   to a whole-file upload) and hands it to the caller.
 
 Sessions are **checkpointed**: the ingest thread takes every chunk
-pending for a session as one group, spools the group with one fsync,
-feeds it to the estimator chunk by chunk, and then rewrites
-``<sid>.ckpt.json`` once (``write_atomic``; only then does an ack count
-the group's chunks as durable), recording the session identity, the
-chunks on disk and the exact spool byte offset.  A restarted server
-rebuilds every open session from its checkpoint — truncating any torn
-spool tail past the checkpointed offset and replaying the spool through
-a fresh :class:`OnlineAnalyzer` — so producers ``GET /streams/<sid>``,
-see the durable ``next_chunk``, and resume from the last acknowledged
-chunk instead of getting 404s and losing the stream.
+pending for a session as one group, appends it to the spool with one
+fsync (``append_durable``), and then rewrites ``<sid>.ckpt.json`` once
+(``write_atomic``; only then does an ack count the group's chunks as
+durable), recording the session identity, the chunks on disk and the
+exact spool byte offset.  If either write fails, the group stays
+pending and unacknowledged, the error is logged with the session id,
+and the session is retried after :data:`RETRY_DELAY` while other
+sessions keep ingesting; a retry first cuts the spool back to the
+checkpointed offset, so no group lands in the spool twice.  A restarted
+server rebuilds every open session from its checkpoint — truncating any
+torn spool tail past the checkpointed offset — so producers
+``GET /streams/<sid>``, see the durable ``next_chunk``, and resume from
+the last acknowledged chunk instead of getting 404s and losing the
+stream.  Nothing is replayed: the first snapshot reads the spool.
 
-A finalized session is **retired** once its trace is stored: its files,
-estimator and buffers go, and only its final status record stays (the
-newest :data:`MAX_RETIRED` of them), so ``GET /streams/<sid>`` still answers
+A finalized session is **retired** once its trace is stored: its files
+and buffers go, and only its final status record stays (the newest
+:data:`MAX_RETIRED` of them), so ``GET /streams/<sid>`` still answers
 ``finalized`` with the trace digest.
 """
 
@@ -52,9 +61,9 @@ from typing import Any
 
 import numpy as np
 
-from repro._durable import fsync_path, reap_staging, write_atomic
+from repro._durable import append_durable, fsync_path, reap_staging, write_atomic
 from repro.core.online import OnlineAnalyzer
-from repro.errors import ServiceError, TraceFormatError
+from repro.errors import ReproError, ServiceError, TraceFormatError
 from repro.trace.framing import iter_frames, sort_stream_records
 from repro.trace.schema import EVENT_DTYPE, known_etypes
 from repro.trace.trace import Trace
@@ -69,8 +78,9 @@ OPEN = "open"
 FINALIZING = "finalizing"
 FINALIZED = "finalized"
 
-#: Records per block when replaying a spool at recovery (bounds memory).
-_REPLAY_BLOCK = 1 << 18
+#: Seconds before a session whose spool append or checkpoint failed is
+#: retried; other sessions ingest meanwhile.
+RETRY_DELAY = 1.0
 
 #: Retired sessions whose status records are kept (the newest), as
 #: JobStore bounds its finished history.
@@ -83,8 +93,8 @@ class StreamSession:
     __slots__ = (
         "id", "name", "meta", "created_at", "state", "next_chunk",
         "ingested_chunks", "events", "bytes", "duplicates", "rejected_429",
-        "pending", "analyzer", "alock", "spool_path", "digest", "max_pending",
-        "spool_offset", "spooled_events", "resumed",
+        "pending", "spool_path", "digest", "max_pending", "spool_offset",
+        "spooled_events", "resumed", "retry_at", "snapshot_cache",
     )
 
     def __init__(self, sid: str, name: str, meta: dict, spool_path: Path,
@@ -95,20 +105,21 @@ class StreamSession:
         self.created_at = time.time()
         self.state = OPEN
         self.next_chunk = 0            # next expected chunk id
-        self.ingested_chunks = 0       # chunks spooled, estimated and checkpointed
+        self.ingested_chunks = 0       # chunks spooled and checkpointed
         self.events = 0
         self.bytes = 0
         self.duplicates = 0
         self.rejected_429 = 0
         self.pending: deque[np.ndarray] = deque()
-        self.analyzer = OnlineAnalyzer()
-        self.alock = threading.Lock()  # guards analyzer reads vs ingest writes
         self.spool_path = spool_path
         self.digest: str | None = None
         self.max_pending = max_pending
-        self.spool_offset = 0          # durable bytes in the spool file
-        self.spooled_events = 0        # events durably on disk
+        self.spool_offset = 0          # checkpointed bytes in the spool file
+        self.spooled_events = 0        # checkpointed events in the spool file
         self.resumed = False           # rebuilt from a checkpoint?
+        self.retry_at: float | None = None  # monotonic time of the next commit try
+        # (ingested_chunks, snapshot JSON, {top: rendered text}) of the last snapshot
+        self.snapshot_cache: tuple[int, dict[str, Any], dict[Any, str]] | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -130,13 +141,14 @@ class StreamSession:
 
     # -- checkpointing -------------------------------------------------------
 
-    def checkpoint_blob(self, chunks: int) -> dict[str, Any]:
+    def checkpoint_blob(self, chunks: int, offset: int, events: int) -> dict[str, Any]:
         """Durable bookkeeping: everything needed to resume this session.
 
-        Only spooled progress is recorded (``chunks`` of them) — chunks
-        still in the pending queue are not durable and the producer
-        re-sends them after a restart (the ack contract makes that an
-        idempotent duplicate at worst, never a double-ingest).
+        Only spooled progress is recorded (``chunks`` of them, ``events``
+        records in ``offset`` spool bytes) — chunks still in the pending
+        queue are not durable and the producer re-sends them after a
+        restart (the ack contract makes that an idempotent duplicate at
+        worst, never a double-ingest).
         """
         return {
             "version": 1,
@@ -145,8 +157,8 @@ class StreamSession:
             "meta": self.meta,
             "created_at": self.created_at,
             "chunks": chunks,
-            "spool_offset": self.spool_offset,
-            "events": self.spooled_events,
+            "spool_offset": offset,
+            "events": events,
             "bytes": self.bytes,
             "max_pending": self.max_pending,
         }
@@ -224,7 +236,7 @@ class StreamStore:
         session.spool_path.touch()
         # The checkpoint's directory fsync also makes the new spool's
         # name durable, so acknowledged chunks cannot lose their file.
-        self._write_checkpoint(session, chunks=0)
+        self._write_checkpoint(session, 0, 0, 0)
         with self._lock:
             self._sessions[sid] = session
         return session
@@ -340,20 +352,45 @@ class StreamStore:
 
     # -- queries ---------------------------------------------------------------
 
-    def snapshot(self, sid: str, top: int | None = None) -> dict[str, Any]:
-        """The incremental estimator's rolling view of one session."""
-        session = self.get(sid)
-        with session.alock:
-            snap = session.analyzer.snapshot(top=top)
+    def snapshot(
+        self, sid: str, top: int | None = None, render: bool = False
+    ) -> dict[str, Any]:
+        """The exact analysis of one session's durable spool prefix: the
+        ``top`` locks by critical-path time fraction, plus the report
+        text when ``render`` is set.  422 if the prefix does not analyze.
+
+        Analyzed at most once per ingested-chunk count: the session
+        caches the JSON and the text, never the records.
+        """
+        with self._lock:  # the pair changes together, under this lock
+            session = self._live(sid)
+            chunks, events = session.ingested_chunks, session.spooled_events
+            cached = session.snapshot_cache
+        if cached is None or cached[0] != chunks or (render and top not in cached[2]):
+            try:
+                records = np.fromfile(session.spool_path, dtype=EVENT_DTYPE, count=events)
+            except OSError:
+                self.get(sid)  # retired meanwhile: 409
+                raise
+            analyzer = OnlineAnalyzer().observe_batch(records)
+            try:
+                texts = cached[2] if cached is not None and cached[0] == chunks else {}
+                if render:
+                    texts[top] = analyzer.render(top)
+                cached = (chunks, analyzer.snapshot(), texts)
+            except ReproError as exc:
+                raise ServiceError(
+                    f"stream {sid}: the first {events} events do not analyze: {exc}",
+                    status=422,
+                ) from exc
+            session.snapshot_cache = cached
+        snap = {**cached[1], "locks": cached[1]["locks"][:top]}
         snap["session"] = session.id
         snap["state"] = session.state
         snap["pending_chunks"] = len(session.pending)
+        if render:
+            snap["rendered"] = cached[2][top]
         return snap
-
-    def render_snapshot(self, sid: str, top: int = 8) -> str:
-        session = self.get(sid)
-        with session.alock:
-            return session.analyzer.render(top)
 
     # -- finalize --------------------------------------------------------------
 
@@ -395,7 +432,9 @@ class StreamStore:
                     )
                 self._work.notify_all()
                 self._drained.wait(timeout=min(remaining, 0.25))
-        records = np.fromfile(session.spool_path, dtype=EVENT_DTYPE)
+        records = np.fromfile(
+            session.spool_path, dtype=EVENT_DTYPE, count=session.spooled_events
+        )
         trace = Trace(
             records=sort_stream_records(records),
             objects=fields["objects"],
@@ -434,9 +473,11 @@ class StreamStore:
     def _ckpt_path(self, sid: str) -> Path:
         return self.root / f"{sid}.ckpt.json"
 
-    def _write_checkpoint(self, session: StreamSession, chunks: int) -> None:
+    def _write_checkpoint(
+        self, session: StreamSession, chunks: int, offset: int, events: int
+    ) -> None:
         """Durably persist a session's bookkeeping at ``chunks`` chunks."""
-        blob = json.dumps(session.checkpoint_blob(chunks)).encode("utf-8")
+        blob = json.dumps(session.checkpoint_blob(chunks, offset, events)).encode("utf-8")
         write_atomic(self._ckpt_path(session.id), blob)
 
     def _recover(self) -> int:
@@ -444,10 +485,10 @@ class StreamStore:
 
         For each ``<sid>.ckpt.json``: truncate the spool to the
         checkpointed offset (a crash mid-spill leaves a torn tail past
-        it — those events were never acknowledged as durable), replay
-        the surviving spool through a fresh analyzer, and re-open the
-        session at ``next_chunk = chunks-on-disk`` so the producer's
-        next append resumes exactly after the last durable chunk.
+        it — those events were never acknowledged as durable) and
+        re-open the session at ``next_chunk = chunks-on-disk`` so the
+        producer's next append resumes exactly after the last durable
+        chunk.  The spool is not read: a snapshot reads it on request.
         """
         recovered = 0
         for ckpt in sorted(self.root.glob("*.ckpt.json")):
@@ -489,23 +530,13 @@ class StreamStore:
             session.spooled_events = session.events = int(blob.get("events", 0))
             session.bytes = int(blob.get("bytes", 0))
             session.resumed = True
-            self._replay_spool(session)
             self._sessions[sid] = session
             recovered += 1
             log.info(
-                "stream recovery: resumed session %s at chunk %d "
-                "(%d events replayed)", sid, session.next_chunk, session.events,
+                "stream recovery: resumed session %s at chunk %d (%d events)",
+                sid, session.next_chunk, session.events,
             )
         return recovered
-
-    def _replay_spool(self, session: StreamSession) -> None:
-        """Rebuild the incremental estimator from the durable spool."""
-        with open(session.spool_path, "rb") as fh:
-            while True:
-                block = np.fromfile(fh, dtype=EVENT_DTYPE, count=_REPLAY_BLOCK)
-                if len(block) == 0:
-                    break
-                session.analyzer.observe_batch(block)
 
     # -- the ingest thread ------------------------------------------------------
 
@@ -516,41 +547,59 @@ class StreamStore:
                 while session is None:
                     if self._closed:
                         return
-                    self._work.wait()
+                    self._work.wait(self._retry_wait())
                     session, group = self._next_pending()
-            # Spool + estimate outside the lock: ingestion cost must not
-            # block producers posting to *other* sessions' queues.  The
-            # whole pending group shares one fsync and one checkpoint.
-            with open(session.spool_path, "ab") as fh:
-                for records in group:
-                    fh.write(record_bytes(records))
-                fh.flush()
-                os.fsync(fh.fileno())
-                offset = fh.tell()
-            # One observe_batch per chunk, as the chunks arrived: the
-            # estimator's float sums are added per batch.
-            for records in group:
-                with session.alock:
-                    session.analyzer.observe_batch(records)
+            # Spool + checkpoint outside the lock: ingestion cost must not
+            # block producers posting to *other* sessions' queues.
+            try:
+                self._commit(session, group)
+            except OSError:
+                log.exception(
+                    "stream %s: committing %d chunks failed; they stay pending, "
+                    "retry in %gs", session.id, len(group), RETRY_DELAY,
+                )
+                with self._lock:
+                    session.retry_at = time.monotonic() + RETRY_DELAY
+
+    def _commit(self, session: StreamSession, group: list[np.ndarray]) -> None:
+        """Spool one group with one fsync, checkpoint it once, then ack it."""
+        if session.retry_at is not None:
+            # A failed try may have spooled the group before its checkpoint
+            # failed: cut back to the checkpoint, so it lands only once.
+            os.truncate(session.spool_path, session.spool_offset)
+        blocks = [record_bytes(records) for records in group]
+        append_durable(session.spool_path, *blocks)
+        offset = session.spool_offset + sum(block.nbytes for block in blocks)
+        events = session.spooled_events + sum(len(records) for records in group)
+        done = session.ingested_chunks + len(group)
+        # Spool, then checkpoint, then ack: the checkpoint never claims
+        # bytes the spool lacks, an ack never a chunk a restart drops.
+        self._write_checkpoint(session, done, offset, events)
+        with self._lock:
+            for _ in group:
+                session.pending.popleft()
+            session.ingested_chunks = done
             session.spool_offset = offset
-            session.spooled_events += sum(len(records) for records in group)
-            # Spool, then checkpoint, then ack: the checkpoint never claims
-            # bytes the spool lacks, an ack never a chunk a restart drops.
-            done = session.ingested_chunks + len(group)
-            self._write_checkpoint(session, chunks=done)
-            with self._lock:
-                for _ in group:
-                    session.pending.popleft()
-                session.ingested_chunks = done
-                if not session.pending:
-                    self._drained.notify_all()
+            session.spooled_events = events
+            session.retry_at = None
+            if not session.pending:
+                self._drained.notify_all()
 
     def _next_pending(self) -> tuple[StreamSession | None, list[np.ndarray]]:
-        """The first session with pending chunks, and all of them (at most
-        its ``max_pending``).  Caller holds ``self._lock``."""
+        """The first session with pending chunks not waiting out a retry,
+        and all of them (at most its ``max_pending``).  Caller holds
+        ``self._lock``."""
         if self._paused and not self._closed:
             return None, []
+        now = time.monotonic()
         for session in self._sessions.values():
-            if session.pending:
+            if session.pending and (session.retry_at is None or session.retry_at <= now):
                 return session, list(session.pending)
         return None, []
+
+    def _retry_wait(self) -> float | None:
+        """Seconds until the next failed session is due again, or ``None``
+        (wait for new work).  Caller holds ``self._lock``."""
+        due = [s.retry_at for s in self._sessions.values()
+               if s.pending and s.retry_at is not None]
+        return max(0.0, min(due) - time.monotonic()) if due else None

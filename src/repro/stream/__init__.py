@@ -13,9 +13,9 @@ the runtime half of the streaming story:
 * :class:`ChunkFileSink` / :class:`ServiceSink` — chunks appended to a
   ``.cls`` container on disk, or shipped to the analysis service's
   chunked-append endpoint with backpressure-aware retries;
-* :func:`live_snapshots` — tail a growing trace file and yield rolling
-  :class:`~repro.core.online.OnlineAnalyzer` snapshots (the ``live`` CLI
-  subcommand renders these).
+* :func:`live_snapshots` — tail a growing trace file and yield exact
+  :class:`~repro.core.online.OnlineAnalyzer` snapshots of the events so
+  far (the ``live`` CLI subcommand renders these).
 """
 
 from repro.stream.flusher import StreamFlusher

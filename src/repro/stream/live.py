@@ -1,10 +1,11 @@
-"""Tail-follow a growing trace and maintain a rolling lock ranking.
+"""Tail-follow a growing trace and keep its exact lock ranking.
 
 This is the consumer half of live diagnosis: point it at a trace file
 another process is still writing (``.clt``, ``.cls`` or ``.jsonl``) and
 it feeds each new batch to an :class:`~repro.core.online.OnlineAnalyzer`
-and periodically yields its snapshot.  The ``live`` CLI subcommand
-renders these as they arrive.
+and periodically yields its snapshot — the exact analysis of the events
+read so far.  The ``live`` CLI subcommand renders these as they arrive;
+the snapshot of a complete file renders as ``analyze`` prints it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from repro.core.online import OnlineAnalyzer
+from repro.errors import ReproError
 from repro.trace.framing import CHUNK_MAGIC, iter_frames
 from repro.trace.reader import iter_trace_chunks
+from repro.trace.schema import EVENT_DTYPE
 from repro.trace.writer import MAGIC
 
 __all__ = ["read_live_header", "live_snapshots"]
@@ -53,24 +58,24 @@ def read_live_header(path: str | Path) -> dict[str, Any] | None:
 def live_snapshots(
     path: str | Path,
     *,
-    top: int | None = 8,
+    top: int | None = 10,
     chunk_events: int = 65536,
     poll_interval: float = 0.25,
     refresh: float = 1.0,
     timeout: float | None = 5.0,
     stop: Callable[[], bool] | None = None,
 ) -> Iterator[dict[str, Any]]:
-    """Yield rolling analyzer snapshots while tailing ``path``.
+    """Yield exact snapshots of the events read so far while tailing ``path``.
 
     A snapshot is yielded at most every ``refresh`` seconds while data
     flows, plus one final snapshot when the follow ends (idle
     ``timeout``, a finished ``.cls`` stream, or ``stop()``).  Each
-    snapshot dict additionally carries a ``rendered`` table.
+    snapshot dict additionally carries a ``rendered`` report.  A
+    mid-follow prefix that does not analyze (a record whose waker is
+    still in flight) is skipped; the final snapshot raises.
     """
     analyzer = OnlineAnalyzer()
     header = read_live_header(path)
-    if header:
-        analyzer.register_names(header.get("objects", {}))
     last_emit = time.monotonic()
     emitted = False
     for batch in iter_trace_chunks(
@@ -81,20 +86,22 @@ def live_snapshots(
         timeout=timeout,
         stop=stop,
     ):
-        analyzer.observe_batch(batch)
+        analyzer.observe_batch(batch, header=header)
         now = time.monotonic()
         if not emitted or now - last_emit >= refresh:
-            yield _snap(analyzer, top)
+            try:
+                snap = _snap(analyzer, top)
+            except ReproError:
+                continue
+            yield snap
             last_emit = now
             emitted = True
     # Names may only have become available at the end (.cls trailer).
-    header = read_live_header(path)
-    if header:
-        analyzer.register_names(header.get("objects", {}))
+    analyzer.observe_batch(np.empty(0, EVENT_DTYPE), header=read_live_header(path))
     yield _snap(analyzer, top)
 
 
 def _snap(analyzer: OnlineAnalyzer, top: int | None) -> dict[str, Any]:
     snap = analyzer.snapshot(top=top)
-    snap["rendered"] = analyzer.render(top if top is not None else 8)
+    snap["rendered"] = analyzer.render(top)
     return snap

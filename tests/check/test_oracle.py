@@ -1,6 +1,5 @@
 """Oracle: clean traces pass every invariant; broken analyses are caught."""
 
-import numpy as np
 import pytest
 
 from repro.check.generator import generate_spec
@@ -31,73 +30,19 @@ def test_catches_wrong_completion_time(micro_trace, monkeypatch):
     assert "cp-length" in invariants
 
 
-def test_catches_stale_chain_accounting(monkeypatch):
-    # Reintroduce an over-eager dependent chain (chain resets undone):
-    # the independent offline replay disagrees and online-chain fires.
-    # Needs a trace where resets matter: spaced-out uncontended holds.
-    from repro.core.columnar import online as kernel
-    from repro.sim import Program
+def test_catches_snapshot_dropping_a_batch(micro_trace, monkeypatch):
+    # A live analyzer that keeps only the first batch it is fed still
+    # analyzes without error; only the comparison with analyze sees it.
+    from repro.core.online import OnlineAnalyzer
 
-    prog = Program()
-    lock = prog.mutex("L")
+    observe = OnlineAnalyzer.observe_batch
 
-    def body(env, i):
-        yield env.compute(1.0 + i * 5.0)
-        yield env.acquire(lock)
-        yield env.compute(0.5)
-        yield env.release(lock)
+    def forgetful(self, records, header=None):
+        return observe(self, records if not self.events_seen else records[:0], header)
 
-    prog.spawn_workers(3, body)
-    trace = prog.run().trace
-    assert check_trace(trace, False) == []  # clean analyzer passes
-
-    advance = kernel._advance_chain
-
-    def no_resets(ls, holds, reset_k, release_time):
-        advance(ls, holds, reset_k[:0], release_time)  # undo every chain reset
-
-    monkeypatch.setattr(kernel, "_advance_chain", no_resets)
-    invariants = {d.invariant for d in check_trace(trace, False)}
-    assert "online-chain" in invariants
-
-
-def test_catches_slot_state_lost_between_batches(micro_trace, monkeypatch):
-    # A batch kernel that forgets the pending-acquire and open-hold slots
-    # at every batch boundary still matches the offline metrics when the
-    # whole trace is one batch; only the chunk-split comparison with the
-    # per-event replay sees it.
-    from repro.core.columnar import online as kernel
-
-    slot_values = kernel._slot_values
-
-    def forgetful(order, lock_id, tid, etype, time, setter, getter, carries):
-        return slot_values(
-            order, lock_id, tid, etype, time, setter, getter,
-            [{} for _ in carries],
-        )
-
-    monkeypatch.setattr(kernel, "_slot_values", forgetful)
+    monkeypatch.setattr(OnlineAnalyzer, "observe_batch", forgetful)
     invariants = {d.invariant for d in check_trace(micro_trace, False)}
-    assert "online-equiv" in invariants
-    assert "online" not in invariants
-
-
-def test_catches_perturbed_records(micro_trace):
-    # Flip one contended OBTAIN to "uncontended": online counters split
-    # from the offline metrics.
-    from repro.trace.events import EventType
-
-    records = micro_trace.records.copy()
-    ob = np.flatnonzero(
-        (records["etype"] == int(EventType.OBTAIN)) & (records["arg"] == 1)
-    )
-    records["arg"][ob[0]] = 0
-    bad = type(micro_trace)(
-        records=records, objects=dict(micro_trace.objects),
-        threads=dict(micro_trace.threads), meta=dict(micro_trace.meta),
-    )
-    invariants = {d.invariant for d in check_trace(bad, False)}
-    assert "online" in invariants
+    assert invariants == {"snapshot"}
 
 
 def test_catches_drifted_identity_replay(micro_trace, monkeypatch):

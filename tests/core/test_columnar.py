@@ -14,8 +14,8 @@ columnar contracts:
   and the barrier-heavy workloads (recorded, or rebuilt from ``Event``
   objects) analyze identically under both pipelines, and neither emits
   a zero-duration ``Wait``;
-* the vectorized ``observe_batch`` kernel reproduces the per-event
-  ``reference_online`` replay at every chunking.
+* the live ``OnlineAnalyzer`` fed the records at any chunking reports
+  exactly what ``analyze`` reports.
 """
 
 import tracemalloc
@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.check.reference import path_from_columns, reference_analyze, reference_online
+from repro.check.reference import path_from_columns, reference_analyze
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
 from repro.trace import Trace
@@ -266,51 +266,27 @@ def test_barrier_workloads_match_reference(name, params, build):
     assert col.report.to_dict() == ref.report.to_dict()
 
 
-def _lock_rows(trace):
-    from repro.core.online import _LOCK_VERBS
-
-    return trace.records[np.isin(trace.records["etype"], _LOCK_VERBS)]
-
-
 @pytest.mark.parametrize("chunk", [1, 7, 64, 10**9])
 def test_observe_batch_chunked_matches_observe(chunk):
-    """The vectorized batch kernel must match the per-event replay at
-    any chunk boundary — counters exact, accumulated floats to 1e-9, and
-    the carried slot state identical so that chunks can be split
-    anywhere."""
+    """The live analyzer fed the records at any chunk boundary reports
+    and renders exactly what ``analyze`` does."""
+    from repro.trace.writer import header_dict
+
     trace = _synthetic_trace(ops=200, seed=5)
-
-    ref = reference_online(trace)
-
-    batched = OnlineAnalyzer(trace)
+    online = OnlineAnalyzer()
     records = trace.records
     for lo in range(0, len(records), chunk):
-        batched.observe_batch(records[lo:lo + chunk])
-
-    assert set(batched._locks) == set(ref._locks)
-    for obj, want in ref._locks.items():
-        got = batched._locks[obj]
-        assert got.invocations == want.invocations
-        assert got.contended == want.contended
-        assert got.wait_time == pytest.approx(want.wait_time, abs=1e-9)
-        assert got.hold_time == pytest.approx(want.hold_time, abs=1e-9)
-        assert got.max_chain_time == pytest.approx(want.max_chain_time, abs=1e-9)
-        assert got.chain_time == pytest.approx(want.chain_time, abs=1e-9)
-        # Slot state must carry across arbitrary chunk boundaries.
-        assert got._pending_acquire == want._pending_acquire
-        assert got._obtain_time == want._obtain_time
-        assert got._last_release == want._last_release
+        online.observe_batch(records[lo:lo + chunk], header=header_dict(trace))
+    want = analyze(trace, validate=False)
+    assert online.result().report.to_dict() == want.report.to_dict()
+    assert online.render(None) == want.render(None)
 
 
 def test_observe_batch_micro_matches_offline():
     trace = make_micro_program().run().trace
     offline = analyze(trace)
-    online = OnlineAnalyzer(trace)
-    online.observe_batch(trace.records)
-    ct = offline.timeline_columns
-    for obj, m in offline.report.locks.items():
-        ls = online.stats(obj)
-        assert ls.invocations == m.total_invocations
-        assert ls.hold_time == pytest.approx(
-            float(np.sum((ct.h_end - ct.h_start)[ct.h_obj == obj])), abs=1e-9
-        )
+    online = OnlineAnalyzer().observe_batch(trace.records)
+    for ls in online.snapshot()["locks"]:
+        m = offline.report.locks[ls["obj"]]
+        assert ls["invocations"] == m.total_invocations
+        assert ls["cp_time_frac"] == m.cp_fraction

@@ -159,17 +159,20 @@ def test_replay_reproduces_random_programs(spec):
 @given(program_st)
 def test_online_type2_matches_offline(spec):
     from repro.core.online import OnlineAnalyzer
+    from repro.trace.writer import header_dict
 
     result = run_random_program(spec)
     analysis = analyze(result.trace)
-    online = OnlineAnalyzer().observe_all(result.trace)
+    records = result.trace.records
+    online = OnlineAnalyzer()
+    for lo in range(0, len(records), 7):
+        online.observe_batch(records[lo:lo + 7], header=header_dict(result.trace))
+    locks = {ls["obj"]: ls for ls in online.snapshot()["locks"]}
     for m in analysis.report.locks.values():
-        if m.total_invocations == 0:
-            continue
-        ls = online.stats(m.obj)
-        assert ls.invocations == m.total_invocations
-        assert ls.wait_time == pytest.approx(m.total_wait_time, abs=1e-9)
-        assert ls.hold_time == pytest.approx(m.total_hold_time, abs=1e-9)
+        ls = locks[m.obj]
+        assert ls["invocations"] == m.total_invocations
+        assert ls["wait_time"] == m.total_wait_time
+        assert ls["hold_time"] == m.total_hold_time
 
 
 @settings(max_examples=15, deadline=None)

@@ -64,12 +64,14 @@ def test_metrics_stay_bounded(truncated):
 
 
 def test_online_analyzer_consumes_truncated_trace(truncated):
-    online = OnlineAnalyzer().observe_all(truncated)
-    # open holds never released: hold_time only counts completed holds,
-    # so every counter stays finite and non-negative
-    for ls in online.ranking():
-        assert ls.hold_time >= 0.0
-        assert ls.wait_time >= 0.0
+    # A live prefix is a truncated trace: the snapshot is its exact report.
+    online = OnlineAnalyzer().observe_batch(truncated.records)
+    want = analyze(truncated, validate=False).report
+    assert online.snapshot()["elapsed"] == pytest.approx(truncated.duration)
+    got = {ls["name"]: ls for ls in online.snapshot()["locks"]}
+    for lm in want.locks.values():
+        assert got[f"obj#{lm.obj}"]["cp_time_frac"] == lm.cp_fraction
+        assert got[f"obj#{lm.obj}"]["hold_time"] == lm.total_hold_time
 
 
 def test_pending_blocks_at_trace_end():

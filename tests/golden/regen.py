@@ -18,7 +18,6 @@ from test_golden_reports import (  # noqa: E402
     GOLDEN_DIR,
     SAMPLED_CASES,
     render_case,
-    render_online_case,
     render_sampled_case,
     render_views_case,
     render_whatif_case,
@@ -36,8 +35,6 @@ def main() -> int:
         _write(GOLDEN_DIR / f"{case}.txt", render_case(case))
     for case in sorted(CASES):
         _write(GOLDEN_DIR / f"{case}.whatif.txt", render_whatif_case(case))
-    for case in sorted(CASES):
-        _write(GOLDEN_DIR / f"{case}.online.txt", render_online_case(case))
     for case in sorted(CASES):
         _write(GOLDEN_DIR / f"{case}.views.txt", render_views_case(case))
     for case in sorted(SAMPLED_CASES):

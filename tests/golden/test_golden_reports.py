@@ -106,45 +106,25 @@ def render_whatif_case(case: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Chunk sizes the online goldens feed (``None`` = the whole trace as
-#: one batch).
+#: Chunk sizes the live analyzer is fed at (``None`` = the whole trace
+#: as one batch); each must render the ``{case}.txt`` golden.
 ONLINE_CHUNKS = (1, 7, 4096, None)
 
 
-def render_online_case(case: str) -> str:
-    """The online analyzer's full state after streaming this case's
-    records through ``observe_batch`` at each of ONLINE_CHUNKS.
-
-    Pins ``repr`` of ``snapshot(top=None)`` plus the state a snapshot
-    does not show (running chain, slot dicts, last release, time
-    bounds), so a kernel rewrite has to reproduce every bit.
-    """
+def render_online_case(case: str, chunk: int | None) -> str:
+    """The live analyzer's report of this case's records, fed in
+    ``chunk``-event batches with the trace header."""
     from repro.core.online import OnlineAnalyzer
+    from repro.trace.writer import header_dict
 
     workload, params, nthreads, seed = CASES[case]
     trace = get_workload(workload)(**params).run(nthreads=nthreads, seed=seed).trace
     records = trace.records
-    lines = []
-    for chunk in ONLINE_CHUNKS:
-        online = OnlineAnalyzer(trace)
-        step = chunk or len(records)
-        for lo in range(0, len(records), step):
-            online.observe_batch(records[lo:lo + step])
-        lines.append(f"== chunk {chunk or 'whole'}")
-        lines.append(repr(online.snapshot(top=None)))
-        lines.append(
-            f"events_seen={online.events_seen!r} first_time={online.first_time!r} "
-            f"last_time={online.last_time!r}"
-        )
-        for obj in sorted(online._locks):
-            ls = online._locks[obj]
-            lines.append(
-                f"{ls.name}: chain_time={ls.chain_time!r} "
-                f"last_release={ls._last_release!r} "
-                f"pending_acquire={sorted(ls._pending_acquire.items())!r} "
-                f"obtain_time={sorted(ls._obtain_time.items())!r}"
-            )
-    return "\n".join(lines) + "\n"
+    online = OnlineAnalyzer()
+    step = chunk or len(records)
+    for lo in range(0, len(records), step):
+        online.observe_batch(records[lo:lo + step], header=header_dict(trace))
+    return online.render(10)
 
 
 def render_views_case(case: str) -> str:
@@ -254,9 +234,28 @@ def test_whatif_matches_golden(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_online_matches_golden(case):
-    """The streaming estimator's state at chunk sizes 1, 7, 4096 and the
-    whole trace is pinned, so the batch kernel cannot drift silently."""
-    assert render_online_case(case) == _golden(f"{case}.online")
+    """The live analyzer's exact snapshot of a complete stream, at chunk
+    sizes 1, 7, 4096 and the whole trace, renders the batch golden."""
+    for chunk in ONLINE_CHUNKS:
+        assert render_online_case(case, chunk) == _golden(case), chunk
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_live_once_prints_the_golden(case, tmp_path, capsys):
+    """``live --once`` on the written trace prints the ``analyze`` golden,
+    then its summary line."""
+    workload, params, nthreads, seed = CASES[case]
+    trace = get_workload(workload)(**params).run(nthreads=nthreads, seed=seed).trace
+    path = tmp_path / f"{case}.clt"
+    write_trace(trace, str(path))
+    assert main(["live", str(path), "--once"]) == 0
+    out = capsys.readouterr().out
+    golden = _golden(case)
+    assert out.startswith(golden + "\n")
+    assert out[len(golden) + 1:] == (
+        f"  [{len(trace)} events, {len(trace.locks)} locks, "
+        f"span {trace.duration:.6g}]\n"
+    )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

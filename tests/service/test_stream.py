@@ -193,12 +193,17 @@ class TestGroupCommit:
             counting = _CountingOS()
             checkpoints = []
             write_checkpoint = store._write_checkpoint
+            append_durable = stream.append_durable
 
-            def counted(s, chunks):
+            def counted(s, chunks, *rest):
                 checkpoints.append(chunks)
-                write_checkpoint(s, chunks)
+                write_checkpoint(s, chunks, *rest)
 
-            monkeypatch.setattr(stream, "os", counting)
+            def appended(path, *blocks):  # one append, one fsync
+                counting.fsyncs += 1
+                append_durable(path, *blocks)
+
+            monkeypatch.setattr(stream, "append_durable", appended)
             monkeypatch.setattr(store, "_write_checkpoint", counted)
             frames = [encode_records_frame(block, cid)
                       for cid, block in enumerate(split_records(micro.records, 6))]
@@ -218,23 +223,21 @@ class TestGroupCommit:
             store.close()
 
     def test_grouped_snapshot_equals_per_chunk_observation(self, api, micro):
-        """A group is still observed one batch per chunk: the estimator's
-        float sums come out bit-identical to feeding the chunks singly."""
+        """A group committed at once snapshots like the chunks fed singly."""
         blocks = list(split_records(micro.records, 5))
         sid = _open(api, max_pending=len(blocks))
         api.streams.pause_ingest()
         _stream_all(api, sid, micro.records, chunk_events=5)
         api.streams.resume_ingest()
-        status, fin = _post_json(
-            api, f"/traces/{sid}/finalize", {"header": header_dict(micro)}
-        )
-        assert status == 200, fin
+        _wait_drained(api, sid)
+        status, snap = api.handle("GET", f"/streams/{sid}/snapshot")
+        assert status == 200, snap
         ref = OnlineAnalyzer()
         for block in blocks:
             ref.observe_batch(block)
-        ref.register_names(header_dict(micro)["objects"])
-        assert fin["snapshot"] == ref.snapshot()
-        assert fin["trace"]["digest"] == trace_digest(micro)
+        for volatile in ("session", "state", "pending_chunks"):
+            del snap[volatile]
+        assert snap == ref.snapshot()
 
 
 class TestSnapshot:
@@ -256,7 +259,10 @@ class TestSnapshot:
             "GET", f"/streams/{sid}/snapshot", query={"top": "1", "render": "1"}
         )
         assert len(snap["locks"]) == 1
-        assert "Max dependent chain" in snap["rendered"]
+        assert snap["locks"][0]["name"] == "obj#1"  # L2, named at finalize
+        ref = OnlineAnalyzer().observe_batch(micro.records)
+        assert snap["rendered"] == ref.render(1)
+        assert snap["rendered"].startswith("critical lock analysis: (unnamed)")
 
 
 class TestFinalize:
@@ -296,20 +302,23 @@ class TestFinalize:
         )
         assert fin["trace"]["digest"] == trace_digest(micro)
 
-    def test_reconciliation_counters_exact(self, api, micro):
+    def test_last_snapshot_equals_the_finalize_report(self, api, micro):
         sid = _open(api)
         _stream_all(api, sid, micro.records)
+        _wait_drained(api, sid)
+        _, snap = api.handle("GET", f"/streams/{sid}/snapshot")
         _, fin = _post_json(
             api,
             f"/traces/{sid}/finalize",
             {"header": header_dict(micro), "analyze": True},
         )
-        rec = fin["reconciliation"]
-        assert rec["counters_exact"]
-        assert rec["top_lock_agrees"]
-        assert rec["ranking_exact"][0] == "L2"
+        assert "snapshot" not in fin and "reconciliation" not in fin
         exact = analyze(micro).report
-        assert rec["exact_cp_time"] == pytest.approx(exact.duration)
+        assert fin["report"]["critical_locks"][0]["name"] == "L2"
+        assert snap["elapsed"] == exact.duration
+        assert [ls["cp_time_frac"] for ls in snap["locks"]] == [
+            m.cp_fraction for m in exact.top_locks()
+        ]
 
     def test_finalize_twice_409(self, api, micro):
         sid = _open(api)
@@ -348,10 +357,10 @@ class TestFinalize:
         sid = _open(api)
         _stream_all(api, sid, micro.records)
         _, fin = _post_json(
-            api, f"/traces/{sid}/finalize", {"header": header_dict(micro)}
+            api, f"/traces/{sid}/finalize",
+            {"header": header_dict(micro), "analyze": True},
         )
-        names = {l["name"] for l in fin["snapshot"]["locks"]}
-        assert names == {"L1", "L2"}
+        assert {l["name"] for l in fin["report"]["critical_locks"]} == {"L1", "L2"}
 
     def test_finalized_session_keeps_only_its_status(self, api, micro):
         sid = _open(api, name="micro")

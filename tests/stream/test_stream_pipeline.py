@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.analyzer import analyze
 from repro.errors import TraceError
 from repro.instrument import ProfilingSession
 from repro.stream import ChunkFileSink, EventRing, StreamFlusher, live_snapshots
@@ -145,7 +146,7 @@ class TestLiveSnapshots:
         final = snaps[-1]
         assert final["events"] == len(micro_trace)
         assert {l["name"] for l in final["locks"]} == {"L1", "L2"}
-        assert "Max dependent chain" in final["rendered"]
+        assert final["rendered"] == analyze(micro_trace).render(10)
 
     def test_names_resolved_from_clt_header(self, micro_trace, tmp_path):
         path = write_trace(micro_trace, tmp_path / "t.clt")

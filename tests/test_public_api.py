@@ -184,3 +184,19 @@ def _run(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_dependent_chain_estimator_is_gone():
+    # One live answer: the exact analysis of the records so far.
+    import repro.check.oracle as oracle
+    import repro.check.reference as reference
+    import repro.core.online as online
+
+    assert not hasattr(online, "OnlineLockStats")
+    assert not hasattr(reference, "reference_online")
+    assert not hasattr(oracle, "online_state_diff")
+    assert not hasattr(online.OnlineAnalyzer, "reconcile")
+    with pytest.raises(ImportError):
+        import repro.core.columnar.online  # noqa: F401  (held consume_batch)
+    for attr in ("observe_batch", "snapshot"):
+        assert attr in vars(online.OnlineAnalyzer), attr
