@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.trace.events import EventType, ObjectKind
+from repro.trace.events import NO_OBJECT, EventType, ObjectKind
 from repro.trace.framing import sort_stream_records
 from repro.trace.schema import EVENT_DTYPE
 from repro.trace.trace import ObjectInfo, Trace
@@ -77,7 +77,7 @@ class OnlineAnalyzer:
             np.concatenate(self._batches) if self._batches else np.empty(0, EVENT_DTYPE)
         )
         objects = dict(self._fields["objects"])
-        lock_rows = np.isin(records["etype"], _LOCK_VERBS)
+        lock_rows = np.isin(records["etype"], _LOCK_VERBS) & (records["obj"] != NO_OBJECT)
         for obj in np.unique(records["obj"][lock_rows]).tolist():
             objects.setdefault(obj, ObjectInfo(obj, ObjectKind.MUTEX, f"obj#{obj}"))
         return Trace(
